@@ -29,19 +29,12 @@ independence argument fails, so distance_to_span deliberately accepts a
 Partition only; use sup_norm_distance with an explicit competitor (upper
 bound 2 * ||f - l||_inf), or the exact finite-space minimax in the
 oracle module.
-
-The per-cell upper and lower values keep the positive-part/negative-part
-case analysis visible: the upper value is -essinf(f^-) when the positive
-part vanishes a.e. on the cell and esssup(f^+) otherwise, and dually for
-the lower value.  Both cases reduce to the essential supremum (resp.
-infimum) of f itself, which the sign-definite tests pin down.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .funcmodel import FunctionModel
 from .spaces import Cell, Partition
@@ -80,27 +73,9 @@ class BoundSet:
 
 
 def cell_extrema(f: FunctionModel, cell: Cell, cell_index: int = 0) -> CellExtrema:
-    """Essential upper and lower values of f on a cell.
-
-    The split mirrors the positive/negative part definitions.  With
-    [lo, hi] the essential range of f on the cell:
-    """
+    """Essential upper and lower values of f on a cell."""
     rng = f.essential_range(cell)
-    lo, hi = rng.lo, rng.hi
-    if hi <= 0.0:
-        # f^+ vanishes a.e. on the cell; upper value is -essinf(f^-),
-        # and essinf(f^-) = -hi here.
-        upper = -(-hi)
-    else:
-        # f^+ has positive mass; upper value is esssup(f^+) = hi.
-        upper = max(hi, 0.0)
-    if lo >= 0.0:
-        # f^- vanishes a.e.; lower value is essinf(f^+) = lo.
-        lower = max(lo, 0.0)
-    else:
-        # f^- has positive mass; lower value is -esssup(f^-) = lo.
-        lower = -(-lo)
-    return CellExtrema(cell_index, upper, lower, rng.exact)
+    return CellExtrema(cell_index, rng.hi, rng.lo, rng.exact)
 
 
 def _all_extrema(f: FunctionModel, partition: Partition) -> list[CellExtrema]:
@@ -166,11 +141,10 @@ def bound_set(f: FunctionModel, partition: Partition) -> BoundSet:
     weighted = math.fsum(
         m * e.oscillation for m, e in zip(partition.measures, extrema)
     )
-    distance = s / 2.0
     return BoundSet(
-        theorem1=2.0 * distance,
+        theorem1=s,
         corollary1=s,
         corollary2=weighted,
-        distance=distance,
+        distance=s / 2.0,
         exact=all(e.exact for e in extrema),
     )

@@ -58,11 +58,10 @@ def main():
 @click.option("--format", "fmt", type=FORMAT_CHOICE, default="csv", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed offset for the built-in suite.")
-@click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, show_default=True,
               help="Refuse instances with more configurations than this.")
 @click.option("--inject-violation", is_flag=True, hidden=True)
-def cmd_verify(suite, config_path, out_path, fmt, seed, workers, cap, inject_violation):
+def cmd_verify(suite, config_path, out_path, fmt, seed, cap, inject_violation):
     """Exhaustively verify the bounds on finite-space instances."""
     if (suite is None) == (config_path is None):
         raise click.UsageError("pass exactly one of --suite or --config")
@@ -84,7 +83,7 @@ def cmd_verify(suite, config_path, out_path, fmt, seed, workers, cap, inject_vio
                 )
     try:
         verdicts, summary, injected = run_verification(
-            instances, cap=cap, workers=workers, inject_violation=inject_violation
+            instances, cap=cap, inject_violation=inject_violation
         )
     except QmcBoundsError as exc:
         raise click.UsageError(str(exc))

@@ -8,7 +8,7 @@ writers:
 - perturb: spike overrides fired at a base function; essential bounds
   must not move a bit, a deliberately naive pointwise baseline must blow
   up, and seeded point-set errors must be unchanged.
-- verify: the exhaustive finite-space sweep, optionally in parallel.
+- verify: the exhaustive finite-space sweep.
 
 The adversarial analysis here is the cube-space counterpart of the
 finite-space exhaustive oracle.  With one node per cell the error
@@ -22,17 +22,14 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
-
-import numpy as np
 
 from .bounds import bound_set
 from .errors import QmcBoundsError
 from .estimator import integration_error
 from .funcmodel import Affine, FunctionModel, Quadratic, Sinusoid
 from .instances import Instance, instance_to_json
-from .oracle import VerificationVerdict, verify_instance
+from .oracle import verify_instance
 from .pointsets import (
     DEFAULT_ENUMERATION_CAP,
     STRATEGY_RANDOM,
@@ -133,7 +130,8 @@ def naive_pointwise_s(f: FunctionModel, partition: Partition,
     worst = 0.0
     for cell in partition.cells:
         lo, hi = cell.lower[0], cell.upper[0]
-        ts = list(np.linspace(lo, hi, resolution + 1))
+        step = (hi - lo) / resolution
+        ts = [lo + i * step for i in range(resolution)] + [hi]
         ts.extend(p[0] for p, _ in f.spikes if cell.contains(p))
         values = [f.evaluate((t,)) for t in ts]
         worst = max(worst, max(values) - min(values))
@@ -214,26 +212,18 @@ def perturb_table(f_base: FunctionModel, k: int, n_spikes: int, seed: int = 0,
 
 def run_verification(instances: Sequence[Instance],
                      cap: int = DEFAULT_ENUMERATION_CAP,
-                     workers: int = 1,
                      inject_violation: bool = False):
-    """Verify instances (in declared order) and build the summary record.
+    """Verify instances in declared order and build the summary record.
 
-    Results are collected in instance order regardless of worker count,
-    so the output is byte-stable.  ``inject_violation`` appends one
-    synthetic failed verdict; it exists so the failure exit path can be
-    exercised without a real soundness bug.
+    ``inject_violation`` appends one synthetic failed verdict; it exists
+    so the failure exit path can be exercised without a real soundness
+    bug.
     """
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            verdicts = list(pool.map(lambda inst: verify_instance(inst, cap), instances))
-    else:
-        verdicts = [verify_instance(inst, cap) for inst in instances]
+    verdicts = [verify_instance(inst, cap) for inst in instances]
     passed = sum(1 for v in verdicts if v.passed)
     failed = len(verdicts) - passed
-    worst: VerificationVerdict | None = None
-    for v in verdicts:
-        if worst is None or v.tightness > worst.tightness:
-            worst = v
+    # the first verdict of greatest tightness
+    worst = max(verdicts, key=lambda v: v.tightness, default=None)
     summary = {
         "instances": len(verdicts),
         "passed": passed,

@@ -5,7 +5,10 @@ A model is a base function plus a finite tuple of spike overrides
 space a finite point set is Lebesgue-null, so essential ranges,
 integrals, and everything derived from them ignore spikes entirely.  On
 a finite space every atom has positive weight, nonempty null sets do not
-exist, and spike overrides are therefore rejected at construction.
+exist, and spike overrides are therefore rejected at construction.  A
+spike point is normalised like an evaluation point, so one outside the
+closed cube or with the wrong number of coordinates, which could never
+fire, is rejected too.
 
 Base families and their exact essential-range rules over a box cell
 (continuity makes the essential range over a positive-volume box equal
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 from .errors import OutOfDomainError, QmcBoundsError
 from .spaces import (
@@ -410,7 +413,7 @@ class FunctionModel:
     Spikes are (point, value) pairs matched by exact coordinates during
     evaluation.  They are a null set, so they never reach ranges or
     integrals, and they are rejected on finite spaces where no nonempty
-    null set exists.
+    null set exists.  Spike points must lie in the model's cube.
     """
 
     base: BaseFunction
@@ -418,69 +421,58 @@ class FunctionModel:
     range_mode: GridRangeMode | None = None
 
     _spike_map: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
+    # The space points are normalised against; None for a FiniteTable,
+    # whose atoms are looked up in the table itself.
+    _domain: Space | None = field(init=False, repr=False, compare=False, hash=False,
+                                  default=None)
 
     def __post_init__(self):
+        base = self.base
+        if isinstance(base, PiecewiseConstant):
+            domain = base.partition.space
+        elif isinstance(base, FiniteTable):
+            domain = None
+        else:
+            domain = CubeSpace(base.dimension)
+        object.__setattr__(self, "_domain", domain)
         if self.is_finite and self.spikes:
             raise QmcBoundsError(
                 "spike overrides are not allowed on finite spaces: "
                 "every atom has positive measure"
             )
-        normalized = []
-        for point, value in self.spikes:
-            if isinstance(point, (int, float)):
-                point = (float(point),)
-            normalized.append((tuple(float(c) for c in point), float(value)))
-        object.__setattr__(self, "spikes", tuple(normalized))
+        normalized = tuple((domain.as_point(p), float(v)) for p, v in self.spikes)
+        object.__setattr__(self, "spikes", normalized)
         object.__setattr__(self, "_spike_map", dict(normalized))
 
     @property
     def is_finite(self) -> bool:
-        base = self.base
-        if isinstance(base, FiniteTable):
-            return True
-        if isinstance(base, PiecewiseConstant):
-            return isinstance(base.partition.space, FiniteSpace)
-        return False
+        return not isinstance(self._domain, CubeSpace)
 
     @property
     def dimension(self) -> int | None:
         return self.base.dimension
 
     def _normalize_point(self, point):
-        if self.is_finite:
-            base = self.base
-            if isinstance(point, str):
-                if isinstance(base, FiniteTable) and base.labels is not None:
-                    if point not in base.labels:
-                        raise OutOfDomainError(f"unknown atom label {point!r}")
-                    return base.labels.index(point)
-                if isinstance(base, PiecewiseConstant):
-                    return base.partition.space.index_of(point)
+        if self._domain is not None:
+            return self._domain.as_point(point)
+        table = self.base
+        if isinstance(point, str):
+            if table.labels is None:
                 raise OutOfDomainError("label lookup needs a labeled table")
-            if isinstance(point, bool) or not isinstance(point, int):
-                raise OutOfDomainError(f"not an atom reference: {point!r}")
-            if isinstance(base, PiecewiseConstant):
-                n = base.partition.space.n_atoms
-            else:
-                n = len(base.values)
-            if not 0 <= point < n:
-                raise OutOfDomainError(f"atom index {point} out of range 0..{n - 1}")
-            return point
-        if isinstance(point, (int, float)) and not isinstance(point, bool):
-            point = (float(point),)
-        coords = tuple(float(c) for c in point)
-        d = self.dimension
-        if d is not None and len(coords) != d:
-            raise OutOfDomainError(f"point has {len(coords)} coordinates, expected {d}")
-        for c in coords:
-            if not 0.0 <= c <= 1.0 or math.isnan(c):
-                raise OutOfDomainError(f"coordinate {c!r} outside [0, 1]")
-        return coords
+            if point not in table.labels:
+                raise OutOfDomainError(f"unknown atom label {point!r}")
+            return table.labels.index(point)
+        if isinstance(point, bool) or not isinstance(point, int):
+            raise OutOfDomainError(f"not an atom reference: {point!r}")
+        n = len(table.values)
+        if not 0 <= point < n:
+            raise OutOfDomainError(f"atom index {point} out of range 0..{n - 1}")
+        return point
 
     def evaluate(self, point) -> float:
         """Pointwise value; spike overrides win on exact coordinate match."""
         point = self._normalize_point(point)
-        if not self.is_finite and point in self._spike_map:
+        if point in self._spike_map:
             return self._spike_map[point]
         return self.base.evaluate(point)
 
@@ -541,15 +533,24 @@ class FunctionModel:
         return base.integral_over(cell, space)
 
 
-def scaled(f: FunctionModel, factor: float) -> FunctionModel:
-    """factor * f, for the families where scaling stays in the family."""
+def affine_map(f: FunctionModel, factor: float, offset: float) -> FunctionModel:
+    """factor * f + offset, for the families where the map stays in the family.
+
+    Every value is computed as factor * v + offset, the same float
+    operations in the same order as scaling first and shifting second.
+    """
     base = f.base
     factor = float(factor)
+    offset = float(offset)
+
+    def lift(v: float) -> float:
+        return factor * v + offset
+
     if isinstance(base, Affine):
-        new = Affine(factor * base.intercept, tuple(factor * a for a in base.slopes))
+        new = Affine(lift(base.intercept), tuple(factor * a for a in base.slopes))
     elif isinstance(base, Quadratic):
         new = Quadratic(
-            factor * base.intercept,
+            lift(base.intercept),
             tuple(factor * b for b in base.linear),
             tuple(factor * q for q in base.quadratic),
         )
@@ -558,38 +559,15 @@ def scaled(f: FunctionModel, factor: float) -> FunctionModel:
             factor * base.amplitude,
             base.frequency,
             base.phase,
-            factor * base.offset,
+            lift(base.offset),
             base.axis,
             base.dimension,
         )
     elif isinstance(base, PiecewiseConstant):
-        new = PiecewiseConstant(base.partition, tuple(factor * v for v in base.values))
+        new = PiecewiseConstant(base.partition, tuple(lift(v) for v in base.values))
     elif isinstance(base, FiniteTable):
-        new = FiniteTable(tuple(factor * v for v in base.values), base.labels)
+        new = FiniteTable(tuple(lift(v) for v in base.values), base.labels)
     else:
-        raise QmcBoundsError(f"cannot scale family {type(base).__name__}")
-    spikes = tuple((p, factor * v) for p, v in f.spikes)
-    return FunctionModel(new, spikes, f.range_mode)
-
-
-def shifted(f: FunctionModel, offset: float) -> FunctionModel:
-    """f + offset, for the families where shifting stays in the family."""
-    base = f.base
-    offset = float(offset)
-    if isinstance(base, Affine):
-        new = Affine(base.intercept + offset, base.slopes)
-    elif isinstance(base, Quadratic):
-        new = Quadratic(base.intercept + offset, base.linear, base.quadratic)
-    elif isinstance(base, Sinusoid):
-        new = Sinusoid(
-            base.amplitude, base.frequency, base.phase,
-            base.offset + offset, base.axis, base.dimension,
-        )
-    elif isinstance(base, PiecewiseConstant):
-        new = PiecewiseConstant(base.partition, tuple(v + offset for v in base.values))
-    elif isinstance(base, FiniteTable):
-        new = FiniteTable(tuple(v + offset for v in base.values), base.labels)
-    else:
-        raise QmcBoundsError(f"cannot shift family {type(base).__name__}")
-    spikes = tuple((p, v + offset) for p, v in f.spikes)
+        raise QmcBoundsError(f"cannot map family {type(base).__name__}")
+    spikes = tuple((p, lift(v)) for p, v in f.spikes)
     return FunctionModel(new, spikes, f.range_mode)

@@ -159,7 +159,7 @@ def space_from_json(obj: dict) -> Space:
             raise InstanceFormatError(f"space: malformed atoms {atoms!r}") from exc
     if kind == "cube":
         dimension = _need(obj, "dimension", "space")
-        if not isinstance(dimension, int) or dimension < 1:
+        if type(dimension) is not int or dimension < 1:  # bool is an int subclass
             raise InstanceFormatError(f"space: bad dimension {dimension!r}")
         return make_cube_space(dimension)
     raise InstanceFormatError(f"space: unknown kind {kind!r}")
@@ -271,7 +271,7 @@ def instance_from_json(obj: dict) -> Instance:
     range_mode = range_mode_from_json(obj.get("range_mode"))
     function = function_from_json(_need(obj, "function", "instance"), space, range_mode)
     n_points = obj.get("N")
-    if n_points is not None and (not isinstance(n_points, int) or n_points < 1):
+    if n_points is not None and (type(n_points) is not int or n_points < 1):  # excludes bool
         raise InstanceFormatError(f"instance: bad N {n_points!r}")
     return Instance(
         instance_id=str(obj.get("instance_id", "")),

@@ -31,12 +31,11 @@ from .bounds import BoundSet, bound_set, distance_to_span
 from .errors import QmcBoundsError
 from .funcmodel import FiniteTable, FunctionModel
 from .instances import Instance
-from .pointsets import DEFAULT_ENUMERATION_CAP, enumerate_uniform
+from .pointsets import DEFAULT_ENUMERATION_CAP, ConfigurationStream, enumerate_uniform
 from .spaces import (
     FiniteCell,
     FiniteSpace,
     Partition,
-    Space,
     make_finite_space,
     make_partition,
 )
@@ -80,14 +79,10 @@ class MinimaxCertificate:
     degenerate: bool
 
 
-def worst_case_error(space: FiniteSpace, partition: Partition, f: FunctionModel,
-                     n_points: int, cap: int = DEFAULT_ENUMERATION_CAP):
-    """Maximum |average - integral| over every uniform configuration.
-
-    Returns (error, configuration); ties keep the lexicographically
-    first configuration, so reruns are reproducible.
-    """
-    stream = enumerate_uniform(space, partition, n_points, cap)
+def _score_configurations(stream: ConfigurationStream, space: FiniteSpace,
+                          f: FunctionModel, n_points: int):
+    """Worst |average - integral| over a configuration stream, with the
+    lexicographically first configuration attaining it."""
     integral = f.integral(space)
     atom_values = [f.evaluate(i) for i in range(space.n_atoms)]
     worst = -1.0
@@ -99,6 +94,17 @@ def worst_case_error(space: FiniteSpace, partition: Partition, f: FunctionModel,
             worst = err
             argmax = config
     return worst, argmax
+
+
+def worst_case_error(space: FiniteSpace, partition: Partition, f: FunctionModel,
+                     n_points: int, cap: int = DEFAULT_ENUMERATION_CAP):
+    """Maximum |average - integral| over every uniform configuration.
+
+    Returns (error, configuration); ties keep the lexicographically
+    first configuration, so reruns are reproducible.
+    """
+    stream = enumerate_uniform(space, partition, n_points, cap)
+    return _score_configurations(stream, space, f, n_points)
 
 
 def verify_bounds_exhaustive(space: FiniteSpace, partition: Partition,
@@ -115,7 +121,7 @@ def verify_bounds_exhaustive(space: FiniteSpace, partition: Partition,
     """
     stream = enumerate_uniform(space, partition, n_points, cap)
     bounds = bound_set(f, partition)
-    worst, argmax = worst_case_error(space, partition, f, n_points, cap)
+    worst, argmax = _score_configurations(stream, space, f, n_points)
     passed = (
         worst <= bounds.corollary2 + VERIFY_SLACK
         and worst <= bounds.corollary1 + VERIFY_SLACK
@@ -145,13 +151,6 @@ def verify_instance(instance: Instance,
         instance.space, instance.partition, instance.function,
         instance.n_points, cap, instance.instance_id,
     )
-
-
-def _is_partition_family(space: FiniteSpace, family) -> Partition | None:
-    try:
-        return make_partition(space, family)
-    except QmcBoundsError:
-        return None
 
 
 def minimax_distance_finite(space: FiniteSpace, family, f: FunctionModel) -> MinimaxCertificate:
@@ -216,8 +215,11 @@ def minimax_distance_finite(space: FiniteSpace, family, f: FunctionModel) -> Min
         raise QmcBoundsError(
             f"minimax certificate achieves {achieved!r} but the LP reported {result.fun!r}"
         )
-    partition = _is_partition_family(space, cells)
-    if partition is not None:
+    try:
+        partition = make_partition(space, cells)
+    except QmcBoundsError:
+        pass  # not a partition: no closed form to cross-check
+    else:
         closed_form = distance_to_span(f, partition)
         if abs(achieved - closed_form) > VERIFY_SLACK:
             raise QmcBoundsError(

@@ -27,7 +27,7 @@ from .errors import (
     NonIntegerAllocationError,
     OutOfDomainError,
 )
-from .spaces import BoxCell, CubeSpace, FiniteCell, FiniteSpace, Partition, Space, partition_hash
+from .spaces import BoxCell, FiniteCell, FiniteSpace, Partition, Space, partition_hash
 
 # |N * measure - nearest integer| must stay within this for feasibility.
 ALLOCATION_TOL = 1e-9
@@ -72,12 +72,13 @@ def allocation(partition: Partition, n_points: int) -> tuple[int, ...]:
         target = n_points * m
         nearest = round(target)
         if abs(target - nearest) > ALLOCATION_TOL:
+            suggested = _smallest_feasible(partition.measures, n_points)
             raise NonIntegerAllocationError(
                 f"cell {j} needs {target!r} nodes for n_points={n_points}; "
-                f"smallest feasible size is {_smallest_feasible(partition.measures, n_points)}",
+                f"smallest feasible size is {suggested}",
                 cell_index=j,
                 product=target,
-                suggested_n=_smallest_feasible(partition.measures, n_points),
+                suggested_n=suggested,
             )
         counts.append(int(nearest))
     if sum(counts) != n_points:

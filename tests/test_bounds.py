@@ -28,7 +28,7 @@ from qmcbounds import (
     single_cell_partition,
     sup_norm_distance,
 )
-from qmcbounds.funcmodel import scaled, shifted
+from qmcbounds.funcmodel import affine_map
 from oracles import dense_range_1d
 
 X = FunctionModel(Affine(0.0, (1.0,)))
@@ -192,14 +192,23 @@ def test_bound_chain_and_identity():
             assert b.theorem1 == 2.0 * b.distance
 
 
+@pytest.mark.parametrize("oscillation", [0.75, 3e-310, 5e-324])
+def test_theorem1_equals_corollary1_bit_for_bit(oscillation):
+    # halving then doubling a subnormal drops its last bit; 2 * (s/2)
+    # would report 0 for an oscillation of 5e-324
+    f = FunctionModel(Affine(0.0, (oscillation,)))
+    b = bound_set(f, equal_partition_1d(1))
+    assert b.theorem1 == b.corollary1 == oscillation
+
+
 def test_bounds_scale_and_shift():
     p = equal_partition_1d(4)
     for f in (X, X2):
         b = bound_set(f, p)
-        b_scaled = bound_set(scaled(f, -3.0), p)
+        b_scaled = bound_set(affine_map(f, -3.0, 0.0), p)
         assert abs(b_scaled.corollary1 - 3.0 * b.corollary1) < 1e-12
         assert abs(b_scaled.corollary2 - 3.0 * b.corollary2) < 1e-12
-        b_shifted = bound_set(shifted(f, 11.0), p)
+        b_shifted = bound_set(affine_map(f, 1.0, 11.0), p)
         assert abs(b_shifted.corollary1 - b.corollary1) < 1e-12
         assert abs(b_shifted.corollary2 - b.corollary2) < 1e-12
 

@@ -1,10 +1,15 @@
 """End-to-end command-line behavior through CliRunner."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import qmcbounds
 from qmcbounds import (
     equal_partition_1d,
     construct_uniform,
@@ -70,8 +75,7 @@ def test_verify_rerun_byte_identical(runner, tmp_path):
     save_instances(config, [random_instance(i) for i in range(3)])
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     r1 = runner.invoke(main, ["verify", "--config", str(config), "--out", str(out1)])
-    r2 = runner.invoke(main, ["verify", "--config", str(config), "--out", str(out2),
-                              "--workers", "4"])
+    r2 = runner.invoke(main, ["verify", "--config", str(config), "--out", str(out2)])
     assert r1.exit_code == 0 and r2.exit_code == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert r1.output == r2.output
@@ -276,3 +280,14 @@ def test_help_lists_subcommands(runner):
     assert result.exit_code == 0
     for name in ("verify", "bounds", "convergence", "perturb"):
         assert name in result.output
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is only needed by grid range mode, which imports it lazily
+    src = Path(qmcbounds.__file__).resolve().parents[1]
+    code = "import sys, qmcbounds.experiments, qmcbounds.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert result.stdout.strip() == "False"

@@ -25,7 +25,7 @@ from qmcbounds import (
     make_partition,
     qmc_estimate,
 )
-from qmcbounds.funcmodel import scaled, shifted
+from qmcbounds.funcmodel import affine_map
 from qmcbounds.pointsets import STRATEGY_RANDOM
 
 X = FunctionModel(Affine(0.0, (1.0,)))
@@ -105,7 +105,7 @@ def test_estimate_linearity():
     p = equal_partition_1d(4)
     ps = construct_uniform(p, 8, STRATEGY_RANDOM, seed=9)
     for f in (X, X2):
-        g = shifted(scaled(f, 3.5), -1.25)
+        g = affine_map(f, 3.5, -1.25)
         assert abs(qmc_estimate(g, ps) - (3.5 * qmc_estimate(f, ps) - 1.25)) < 1e-12
 
 

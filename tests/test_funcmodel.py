@@ -68,6 +68,14 @@ def test_spikes_rejected_on_finite_space():
         FunctionModel(FiniteTable((0.0, 1.0)), spikes=(((0.5,), 3.0),))
 
 
+@pytest.mark.parametrize("point", [(1.5,), (0.2, 0.3), -0.1])
+def test_spikes_that_can_never_fire_rejected(point):
+    # outside [0, 1] or with the wrong number of coordinates, no
+    # evaluation point can ever match the spike
+    with pytest.raises(OutOfDomainError):
+        FunctionModel(Affine(0.0, (1.0,)), spikes=((point, 3.0),))
+
+
 def test_essential_range_affine_cell():
     # f(x)=x over [0, 0.25): essential range (0, 0.25)
     rng = X.essential_range(interval(0, 0.25))
@@ -234,9 +242,9 @@ def test_cell_integral_matches_quadrature():
 
 def test_integral_linearity():
     space = make_cube_space(1)
-    from qmcbounds.funcmodel import scaled, shifted
+    from qmcbounds.funcmodel import affine_map
     for f in (X, X2, SIN):
-        g = shifted(scaled(f, 2.5), -0.75)
+        g = affine_map(f, 2.5, -0.75)
         assert abs(g.integral(space) - (2.5 * f.integral(space) - 0.75)) < 1e-12
 
 

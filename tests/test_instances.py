@@ -158,12 +158,41 @@ def test_spike_on_finite_space_rejected():
         })
 
 
+def line_instance_json():
+    return instance_to_json(Instance(
+        "line", make_cube_space(1), equal_partition_1d(2),
+        FunctionModel(Affine(0.0, (1.0,))), 2,
+    ))
+
+
+def test_spike_outside_the_cube_rejected():
+    obj = line_instance_json()
+    obj["function"]["spikes"] = [[[1.5], 3.0]]
+    with pytest.raises(InstanceFormatError):
+        instance_from_json(obj)
+
+
 def test_bad_n_rejected():
     obj = instance_to_json(random_instance(1))
     obj["N"] = -3
     with pytest.raises(InstanceFormatError):
         instance_from_json(obj)
     obj["N"] = "four"
+    with pytest.raises(InstanceFormatError):
+        instance_from_json(obj)
+
+
+def test_boolean_n_rejected():
+    # bool is a subclass of int, so true would otherwise load as N = 1
+    obj = instance_to_json(random_instance(1))
+    obj["N"] = True
+    with pytest.raises(InstanceFormatError):
+        instance_from_json(obj)
+
+
+def test_boolean_dimension_rejected():
+    obj = line_instance_json()
+    obj["space"]["dimension"] = True
     with pytest.raises(InstanceFormatError):
         instance_from_json(obj)
 

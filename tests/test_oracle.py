@@ -43,6 +43,22 @@ def test_worst_case_error_example():
     assert config == ((0,), (2,))
 
 
+def test_verify_enumerates_once(monkeypatch):
+    from qmcbounds import oracle
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_uniform(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "enumerate_uniform", counting)
+    space, p, f = finite_example()
+    verdict = verify_bounds_exhaustive(space, p, f, 2)
+    assert verdict.worst_error == 0.75
+    assert len(calls) == 1
+
+
 def test_worst_case_error_constant():
     space, p, _ = finite_example()
     f = FunctionModel(FiniteTable((2.0,) * 4, space.labels))
