@@ -327,7 +327,9 @@ class PiecewiseConstant:
         return space.dimension if isinstance(space, CubeSpace) else None
 
     def evaluate(self, point) -> float:
-        j = self.partition.cell_index_of(point)
+        # The point arrives normalized by FunctionModel's domain, which is
+        # this partition's space.
+        j = self.partition._locate(point)
         if j is None:
             raise OutOfDomainError(f"point {point!r} lies in no cell of the piece layout")
         return self.values[j]

@@ -64,9 +64,10 @@ class VerificationVerdict:
 class MinimaxCertificate:
     """Optimal piecewise-constant distance plus a checkable witness.
 
-    ``value`` is the certified minimax distance; ``achieved`` is the max
-    residual recomputed from the returned coefficients (the two agree to
-    solver precision).  ``degenerate`` marks families where some cell
+    ``value`` is the certified minimax distance: the max residual
+    recomputed from the returned coefficients, the same number as
+    ``achieved``, and within 1e-7 of the LP optimum, which is checked
+    and not stored.  ``degenerate`` marks families where some cell
     equals the whole space, in which case the constant is folded into
     that cell's coefficient and reported as 0.
     """

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar, Iterable, Mapping, Sequence, Union
 
 from .errors import (
@@ -215,6 +217,41 @@ def _boxes_overlap(a: BoxCell, b: BoxCell) -> bool:
     return True
 
 
+def _sweep(cells: Sequence[BoxCell],
+           pair_text: str = "cells {} and {} overlap with positive volume",
+           ) -> tuple[list[float], list[list[int]]]:
+    """Reject positive-volume overlaps by a sweep on axis 0.
+
+    Cells are visited by ``lower[0]``; at each distinct lower edge the
+    cells ending at or before it leave the active list, and each new cell
+    is tested against the active ones only.  Two boxes overlap on axis 0
+    only if the earlier one is still active, so this finds an overlap
+    exactly when the pairwise test would (Bentley & Wood, 1980).  The
+    OverlapError names the pair in ascending order through ``pair_text``.
+
+    Returns ``(edges, slabs)``: the distinct lower axis-0 edges, sorted,
+    and the cells active at each.  A box holding a point whose first
+    coordinate is in ``[edges[i], edges[i + 1])`` (or is 1.0, for the
+    last edge) is in ``slabs[i]``.
+    """
+    lower0 = [c.lower[0] for c in cells]
+    upper0 = [c.upper[0] for c in cells]
+    edges: list[float] = []
+    slabs: list[list[int]] = []
+    active: list[int] = []
+    for j in sorted(range(len(cells)), key=lower0.__getitem__):
+        edge = lower0[j]
+        if not edges or edge != edges[-1]:
+            active = [i for i in active if upper0[i] > edge]
+            edges.append(edge)
+            slabs.append(active)  # the same list: cells starting here join it
+        for i in active:
+            if _boxes_overlap(cells[i], cells[j]):
+                raise OverlapError(pair_text.format(*sorted((i, j))))
+        active.append(j)
+    return edges, slabs
+
+
 def _validate_cell(space: Space, cell: Cell, index: int) -> float:
     """Check one cell against its space and return its measure."""
     if isinstance(space, FiniteSpace):
@@ -259,9 +296,30 @@ class Partition:
 
     def cell_index_of(self, point) -> int | None:
         """Index of the cell containing the point, None if no cell does."""
-        point = self.space.as_point(point)
-        for j, cell in enumerate(self.cells):
-            if cell.contains(point):
+        return self._locate(self.space.as_point(point))
+
+    @cached_property
+    def _slabs(self) -> tuple[list[float], list[list[int]]]:
+        # Built on the first cube lookup; not a field, so equality,
+        # hashing and repr ignore it.
+        return _sweep(self.cells)
+
+    def _locate(self, point) -> int | None:
+        """``cell_index_of`` for a point already normalized by ``space``.
+
+        A cube point is only tested against the cells of its axis-0
+        slab; cells are disjoint as sets, so the answer is the scan's.
+        """
+        if isinstance(self.space, FiniteSpace):
+            candidates = range(self.k)
+        else:
+            edges, slabs = self._slabs
+            i = bisect_right(edges, point[0]) - 1
+            if i < 0:
+                return None
+            candidates = slabs[i]
+        for j in candidates:
+            if self.cells[j].contains(point):
                 return j
         return None
 
@@ -291,10 +349,7 @@ def make_partition(space: Space, cells: Sequence[Cell]) -> Partition:
         if missing:
             raise CoverError(f"atoms {missing} belong to no cell")
     else:
-        for i in range(len(cells)):
-            for j in range(i + 1, len(cells)):
-                if _boxes_overlap(cells[i], cells[j]):
-                    raise OverlapError(f"cells {i} and {j} overlap with positive volume")
+        _sweep(cells)
         total = math.fsum(measures)
         if abs(total - 1.0) > MASS_TOL:
             raise CoverError(f"cell volumes sum to {total!r}, expected 1")
@@ -345,12 +400,7 @@ def _validate_split(space: Space, parent: Cell, parent_measure: float,
             for lo, hi, plo, phi in zip(c.lower, c.upper, parent.lower, parent.upper):
                 if lo < plo or hi > phi:
                     raise CoverError(f"split of cell {parent_index} reaches outside it")
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                if _boxes_overlap(parts[i], parts[j]):
-                    raise OverlapError(
-                        f"split of cell {parent_index}: parts {i} and {j} overlap"
-                    )
+        _sweep(parts, f"split of cell {parent_index}: parts {{}} and {{}} overlap")
         if abs(math.fsum(measures) - parent_measure) > MASS_TOL:
             raise CoverError(f"split of cell {parent_index} does not cover it")
 

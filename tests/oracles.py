@@ -2,8 +2,9 @@
 
 Nothing here imports the code paths under test: ranges come from dense
 pointwise sampling, integrals from scipy quadrature, the minimax from a
-coefficient grid search, and enumeration from brute force over ordered
-node tuples.
+coefficient grid search, enumeration from brute force over ordered
+node tuples, and box overlaps and cell lookups from pairwise tests and
+linear scans.
 """
 
 from __future__ import annotations
@@ -88,3 +89,32 @@ def brute_force_uniform_configs(n_atoms, cells, counts):
         if all(len(per_cell[j]) == counts[j] for j in range(len(cells))):
             found.add(tuple(tuple(sorted(c)) for c in per_cell))
     return found
+
+
+def _in_box(point, lower, upper):
+    """Half-open box membership, closed on a face at 1."""
+    return all(lo <= c and (c < hi or c == hi == 1.0)
+               for c, lo, hi in zip(point, lower, upper))
+
+
+def first_overlapping_pair(boxes):
+    """First pair (i, j), i < j, of boxes meeting with positive volume.
+
+    ``boxes`` is a list of (lower, upper) coordinate tuples; None when
+    the boxes are pairwise disjoint up to shared faces.
+    """
+    for i, (alo, ahi) in enumerate(boxes):
+        for j in range(i + 1, len(boxes)):
+            blo, bhi = boxes[j]
+            if all(min(a1, b1) > max(a0, b0)
+                   for a0, a1, b0, b1 in zip(alo, ahi, blo, bhi)):
+                return i, j
+    return None
+
+
+def scan_cell_index(boxes, point):
+    """Index of the first box containing the point, by a linear scan."""
+    for j, (lower, upper) in enumerate(boxes):
+        if _in_box(point, lower, upper):
+            return j
+    return None

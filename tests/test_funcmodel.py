@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qmcbounds import (
     Affine,
+    CubeSpace,
     FiniteCell,
     FiniteTable,
     FunctionModel,
@@ -220,6 +221,22 @@ def test_integral_monotone_quadrature():
     space = make_cube_space(1)
     f = FunctionModel(Monotone(lambda p: math.exp(p[0]), (1,)))
     assert abs(f.integral(space) - (math.e - 1.0)) < 1e-9
+
+
+def test_piecewise_constant_normalises_each_point_once(monkeypatch):
+    p = equal_partition_1d(4)
+    f = FunctionModel(PiecewiseConstant(p, (1.0, 2.0, 3.0, 4.0)))
+    calls = 0
+    as_point = CubeSpace.as_point
+
+    def counting(self, value):
+        nonlocal calls
+        calls += 1
+        return as_point(self, value)
+
+    monkeypatch.setattr(CubeSpace, "as_point", counting)
+    assert f.evaluate(0.6) == 3.0
+    assert calls == 1
 
 
 def test_cell_integral_pieces():

@@ -1,10 +1,14 @@
 """Spaces, cells, partitions, refinement."""
 
 import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmcbounds import (
+    BoxCell,
     CoverError,
     EmptyCellError,
     FiniteCell,
@@ -23,6 +27,8 @@ from qmcbounds import (
     refine_partition,
     single_cell_partition,
 )
+from qmcbounds import spaces
+from oracles import first_overlapping_pair, scan_cell_index
 
 
 def test_make_finite_space_basic():
@@ -193,3 +199,112 @@ def test_partition_hash_stable_and_layout_sensitive():
     assert partition_hash(p1) == partition_hash(p2)
     assert partition_hash(p1) != partition_hash(p3)
     assert len(partition_hash(p1)) == 16
+
+
+def test_overlap_message_names_pair_in_ascending_order():
+    # cells 2 and 0 overlap on [0.3, 0.4); cell 2 comes first along axis 0
+    space = make_cube_space(1)
+    cells = [interval(0.3, 0.6), interval(0.6, 1), interval(0, 0.4)]
+    with pytest.raises(OverlapError, match=r"^cells 0 and 2 overlap with positive volume$"):
+        make_partition(space, cells)
+
+
+def test_split_overlap_message_names_parts():
+    p = single_cell_partition(make_cube_space(1))
+    with pytest.raises(OverlapError, match=r"^split of cell 0: parts 0 and 1 overlap$"):
+        refine_partition(p, {0: [interval(0.4, 1), interval(0, 0.5)]})
+
+
+def test_partition_validation_is_near_linear(monkeypatch):
+    calls = 0
+    overlap = spaces._boxes_overlap
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return overlap(a, b)
+
+    monkeypatch.setattr(spaces, "_boxes_overlap", counting)
+    k = 1024
+    equal_partition_1d(k)
+    assert calls <= 2 * k
+
+
+def test_grid_lookup_scans_one_column(monkeypatch):
+    n = 32
+    cells = [box((i / n, (i + 1) / n), (j / n, (j + 1) / n))
+             for i in range(n) for j in range(n)]
+    p = make_partition(make_cube_space(2), cells)
+    calls = 0
+    contains = BoxCell.contains
+
+    def counting(self, point):
+        nonlocal calls
+        calls += 1
+        return contains(self, point)
+
+    monkeypatch.setattr(BoxCell, "contains", counting)
+    for i in range(n):
+        for j in range(n):
+            calls = 0
+            assert p.cell_index_of(((i + 0.5) / n, (j + 0.5) / n)) == i * n + j
+            assert calls <= n
+
+
+@st.composite
+def nested_splits(draw):
+    """A random nested box split of [0, 1]^d, cells in shuffled order."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    boxes = [((0.0,) * d, (1.0,) * d)]
+    fractions = st.sampled_from([0.25, 1 / 3, 0.5, 2 / 3, 0.75])
+    for _ in range(draw(st.integers(min_value=0, max_value=24))):
+        lower, upper = boxes.pop(draw(st.integers(0, len(boxes) - 1)))
+        axis = draw(st.integers(0, d - 1))
+        cut = lower[axis] + (upper[axis] - lower[axis]) * draw(fractions)
+        if not lower[axis] < cut < upper[axis]:
+            boxes.append((lower, upper))
+            continue
+        boxes.append((lower, upper[:axis] + (cut,) + upper[axis + 1:]))
+        boxes.append((lower[:axis] + (cut,) + lower[axis + 1:], upper))
+    return d, draw(st.permutations(boxes))
+
+
+@settings(max_examples=100, deadline=None)
+@given(family=nested_splits(), data=st.data())
+def test_sweep_index_matches_linear_scan(family, data):
+    d, boxes = family
+    p = make_partition(make_cube_space(d), [BoxCell(lo, hi) for lo, hi in boxes])
+    edges = [sorted({c for lo, hi in boxes for c in (lo[a], hi[a])}) for a in range(d)]
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    for _ in range(30):
+        random_point = tuple(data.draw(unit) for _ in range(d))
+        edge_point = tuple(data.draw(st.sampled_from(edges[a])) for a in range(d))
+        for point in (random_point, edge_point, (1.0,) * d):
+            expected = scan_cell_index(boxes, point)
+            assert expected is not None
+            assert p.cell_index_of(point) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(family=nested_splits(), data=st.data())
+def test_sweep_rejects_exactly_the_pairwise_overlaps(family, data):
+    d, boxes = family
+    j = data.draw(st.integers(0, len(boxes) - 1))
+    axis = data.draw(st.integers(0, d - 1))
+    lower, upper = (list(c) for c in boxes[j])
+    lower[axis] = data.draw(st.floats(min_value=0.0, max_value=lower[axis]))
+    upper[axis] = data.draw(st.floats(min_value=upper[axis], max_value=1.0))
+    boxes[j] = (tuple(lower), tuple(upper))
+    pair = first_overlapping_pair(boxes)
+    cells = [BoxCell(lo, hi) for lo, hi in boxes]
+    if pair is None:
+        try:
+            make_partition(make_cube_space(d), cells)
+        except CoverError:
+            pass
+        return
+    with pytest.raises(OverlapError) as caught:
+        make_partition(make_cube_space(d), cells)
+    named = tuple(map(int, re.match(r"cells (\d+) and (\d+) ", str(caught.value)).groups()))
+    assert named[0] < named[1]
+    assert first_overlapping_pair([boxes[i] for i in named]) == (0, 1)
