@@ -3,11 +3,8 @@ worst-case integration error bounds and exhaustive finite-space
 verification."""
 
 from .bounds import (
-    ApproximantCoefficients,
     BoundSet,
-    CellExtrema,
     bound_set,
-    cell_extrema,
     distance_to_span,
     optimal_approximant,
     s_value,
@@ -48,7 +45,6 @@ from .instances import (
 )
 from .oracle import (
     MinimaxCertificate,
-    RandomInstanceLimits,
     VerificationVerdict,
     minimax_distance_finite,
     random_instance,

@@ -35,30 +35,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .funcmodel import FunctionModel
-from .spaces import Cell, Partition
-
-
-@dataclass(frozen=True)
-class CellExtrema:
-    """Essential upper/lower values of f on one cell, with provenance."""
-
-    cell_index: int
-    upper: float
-    lower: float
-    exact: bool
-
-    @property
-    def oscillation(self) -> float:
-        return self.upper - self.lower
-
-
-@dataclass(frozen=True)
-class ApproximantCoefficients:
-    """Per-cell constants defining a piecewise-constant competitor."""
-
-    constants: tuple[float, ...]
+from .spaces import Partition
 
 
 @dataclass(frozen=True)
@@ -72,45 +52,26 @@ class BoundSet:
     exact: bool
 
 
-def cell_extrema(f: FunctionModel, cell: Cell, cell_index: int = 0) -> CellExtrema:
-    """Essential upper and lower values of f on a cell."""
-    rng = f.essential_range(cell)
-    return CellExtrema(cell_index, rng.hi, rng.lo, rng.exact)
-
-
-def _all_extrema(f: FunctionModel, partition: Partition) -> list[CellExtrema]:
-    return [cell_extrema(f, cell, j) for j, cell in enumerate(partition.cells)]
-
-
 def s_value(f: FunctionModel, partition: Partition) -> float:
     """Largest essential oscillation over the cells."""
-    return max(e.oscillation for e in _all_extrema(f, partition))
+    return max(f.essential_range(cell).width for cell in partition.cells)
 
 
-def optimal_approximant(f: FunctionModel, partition: Partition) -> ApproximantCoefficients:
+def optimal_approximant(f: FunctionModel, partition: Partition) -> tuple[float, ...]:
     """Per-cell essential-range midpoints; the sup-norm best piecewise
     constant, with distance s_value / 2."""
-    extrema = _all_extrema(f, partition)
-    return ApproximantCoefficients(
-        tuple((e.upper + e.lower) / 2.0 for e in extrema)
-    )
+    return tuple((r.hi + r.lo) / 2.0 for r in map(f.essential_range, partition.cells))
 
 
-def _constants_of(l) -> tuple[float, ...]:
-    if isinstance(l, ApproximantCoefficients):
-        return l.constants
-    return tuple(float(c) for c in l)
-
-
-def sup_norm_distance(f: FunctionModel, l, partition: Partition) -> float:
-    """Essential sup-norm distance between f and a piecewise constant l
-    given by per-cell constants."""
-    constants = _constants_of(l)
+def sup_norm_distance(f: FunctionModel, constants: Sequence[float],
+                      partition: Partition) -> float:
+    """Essential sup-norm distance between f and the piecewise constant
+    taking constants[j] on cell j."""
     if len(constants) != partition.k:
         raise ValueError(f"{len(constants)} constants for {partition.k} cells")
     worst = 0.0
-    for e, c in zip(_all_extrema(f, partition), constants):
-        worst = max(worst, abs(e.upper - c), abs(e.lower - c))
+    for r, c in zip(map(f.essential_range, partition.cells), constants):
+        worst = max(worst, abs(r.hi - c), abs(r.lo - c))
     return worst
 
 
@@ -136,15 +97,13 @@ def bound_set(f: FunctionModel, partition: Partition) -> BoundSet:
     compensated summation; exact is True only when every cell range came
     from an exact oracle.
     """
-    extrema = _all_extrema(f, partition)
-    s = max(e.oscillation for e in extrema)
-    weighted = math.fsum(
-        m * e.oscillation for m, e in zip(partition.measures, extrema)
-    )
+    ranges = [f.essential_range(cell) for cell in partition.cells]
+    s = max(r.width for r in ranges)
+    weighted = math.fsum(m * r.width for m, r in zip(partition.measures, ranges))
     return BoundSet(
         theorem1=s,
         corollary1=s,
         corollary2=weighted,
         distance=s / 2.0,
-        exact=all(e.exact for e in extrema),
+        exact=all(r.exact for r in ranges),
     )

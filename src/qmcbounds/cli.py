@@ -60,8 +60,7 @@ def main():
               help="Seed offset for the built-in suite.")
 @click.option("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, show_default=True,
               help="Refuse instances with more configurations than this.")
-@click.option("--inject-violation", is_flag=True, hidden=True)
-def cmd_verify(suite, config_path, out_path, fmt, seed, cap, inject_violation):
+def cmd_verify(suite, config_path, out_path, fmt, seed, cap):
     """Exhaustively verify the bounds on finite-space instances."""
     if (suite is None) == (config_path is None):
         raise click.UsageError("pass exactly one of --suite or --config")
@@ -82,20 +81,10 @@ def cmd_verify(suite, config_path, out_path, fmt, seed, cap, inject_violation):
                     f"instance {inst.instance_id!r}: verification needs N"
                 )
     try:
-        verdicts, summary, injected = run_verification(
-            instances, cap=cap, inject_violation=inject_violation
-        )
+        verdicts, summary, _ = run_verification(instances, cap=cap)
     except QmcBoundsError as exc:
         raise click.UsageError(str(exc))
     rows = [reports.verdict_row(v) for v in verdicts]
-    if injected is not None:
-        rows.append({
-            "instance_id": injected["instance_id"],
-            "atoms": "", "k": "", "N": "", "configurations": "",
-            "worst_error": injected["worst_error"],
-            "corollary2": 0.0, "corollary1": 0.0, "theorem1": 0.0,
-            "tightness": "", "passed": False, "argmax_configuration": "",
-        })
     if out_path is not None:
         reports.emit(out_path, rows, reports.VERDICT_COLUMNS, fmt, summary)
     click.echo(json.dumps(summary))

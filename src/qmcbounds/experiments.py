@@ -42,6 +42,9 @@ MAX_REFINEMENT_DEPTH = 20
 
 NAMED_FUNCTIONS = ("x", "x2", "sin2pix", "const")
 
+# Grid intervals per cell sampled by naive_pointwise_s.
+NAIVE_RESOLUTION = 512
+
 
 def named_function(name: str) -> FunctionModel:
     """Small roster of 1D study functions addressable from the CLI."""
@@ -79,10 +82,12 @@ def edge_placement_worst_error(f: FunctionModel, partition: Partition) -> float:
         raise QmcBoundsError("edge placement analysis needs one node per cell")
     up_terms = []
     down_terms = []
+    base = f.base
     for cell, measure in zip(partition.cells, partition.measures):
         average = f.cell_integral(cell, space) / measure
-        dev_left = f.base_value((cell.lower[0],)) - average
-        dev_right = f.base_value((cell.upper[0],)) - average
+        # the cell's edges are validated coordinates: no re-normalisation
+        dev_left = base.evaluate(cell.lower) - average
+        dev_right = base.evaluate(cell.upper) - average
         up_terms.append(measure * max(dev_left, dev_right))
         down_terms.append(measure * min(dev_left, dev_right))
     return max(math.fsum(up_terms), -math.fsum(down_terms), 0.0)
@@ -115,14 +120,13 @@ def convergence_table(f: FunctionModel, depth: int, strategy: str,
     return rows
 
 
-def naive_pointwise_s(f: FunctionModel, partition: Partition,
-                      resolution: int = 512) -> float:
+def naive_pointwise_s(f: FunctionModel, partition: Partition) -> float:
     """Deliberately wrong baseline: the worst-cell POINTWISE oscillation.
 
-    Samples a dense grid per cell and, unlike the essential machinery,
-    includes the spike coordinates, so a single spike inflates it.  This
-    is the foil the perturbation study reports against the certified
-    bounds; it certifies nothing.
+    Samples NAIVE_RESOLUTION + 1 grid points per cell and, unlike the
+    essential machinery, includes the spike coordinates, so a single
+    spike inflates it.  This is the foil the perturbation study reports
+    against the certified bounds; it certifies nothing.
     """
     space = partition.space
     if not isinstance(space, CubeSpace) or space.dimension != 1:
@@ -130,8 +134,8 @@ def naive_pointwise_s(f: FunctionModel, partition: Partition,
     worst = 0.0
     for cell in partition.cells:
         lo, hi = cell.lower[0], cell.upper[0]
-        step = (hi - lo) / resolution
-        ts = [lo + i * step for i in range(resolution)] + [hi]
+        step = (hi - lo) / NAIVE_RESOLUTION
+        ts = [lo + i * step for i in range(NAIVE_RESOLUTION)] + [hi]
         ts.extend(p[0] for p, _ in f.spikes if cell.contains(p))
         values = [f.evaluate((t,)) for t in ts]
         worst = max(worst, max(values) - min(values))
@@ -139,8 +143,8 @@ def naive_pointwise_s(f: FunctionModel, partition: Partition,
 
 
 def perturb_table(f_base: FunctionModel, k: int, n_spikes: int, seed: int = 0,
-                  magnitude: float | None = None, placement_seeds: int = 1000,
-                  resolution: int = 512) -> tuple[list[dict], dict]:
+                  magnitude: float | None = None,
+                  placement_seeds: int = 1000) -> tuple[list[dict], dict]:
     """Spike-robustness rows plus a summary.
 
     Spikes land at seeded-random coordinates with magnitudes drawn
@@ -174,8 +178,8 @@ def perturb_table(f_base: FunctionModel, k: int, n_spikes: int, seed: int = 0,
             "metric": name, "seed": "", "before": b, "after": a,
             "identical": b == a,
         })
-    naive_before = naive_pointwise_s(f_base, partition, resolution)
-    naive_after = naive_pointwise_s(f_spiked, partition, resolution)
+    naive_before = naive_pointwise_s(f_base, partition)
+    naive_after = naive_pointwise_s(f_spiked, partition)
     rows.append({
         "metric": "naive_pointwise_s", "seed": "",
         "before": naive_before, "after": naive_after,
@@ -211,13 +215,11 @@ def perturb_table(f_base: FunctionModel, k: int, n_spikes: int, seed: int = 0,
 
 
 def run_verification(instances: Sequence[Instance],
-                     cap: int = DEFAULT_ENUMERATION_CAP,
-                     inject_violation: bool = False):
+                     cap: int = DEFAULT_ENUMERATION_CAP):
     """Verify instances in declared order and build the summary record.
 
-    ``inject_violation`` appends one synthetic failed verdict; it exists
-    so the failure exit path can be exercised without a real soundness
-    bug.
+    Returns (verdicts, summary, None); the constant third slot keeps
+    callers that unpack three values working.
     """
     verdicts = [verify_instance(inst, cap) for inst in instances]
     passed = sum(1 for v in verdicts if v.passed)
@@ -231,14 +233,4 @@ def run_verification(instances: Sequence[Instance],
         "max_tightness": worst.tightness if worst is not None else None,
         "worst_instance": instance_to_json(worst.instance) if worst is not None else None,
     }
-    injected = None
-    if inject_violation:
-        injected = {
-            "instance_id": "injected-violation",
-            "worst_error": 1.0,
-            "passed": False,
-        }
-        summary["instances"] += 1
-        summary["failed"] += 1
-        summary["injected"] = True
-    return verdicts, summary, injected
+    return verdicts, summary, None

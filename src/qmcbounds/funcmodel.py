@@ -478,10 +478,6 @@ class FunctionModel:
             return self._spike_map[point]
         return self.base.evaluate(point)
 
-    def base_value(self, point) -> float:
-        """Pointwise value of the base alone, ignoring spikes."""
-        return self.base.evaluate(self._normalize_point(point))
-
     def essential_range(self, cell: Cell) -> EssentialRange:
         """Essential range over a positive-measure cell; spikes never matter."""
         base = self.base

@@ -46,6 +46,10 @@ VERIFY_SLACK = 1e-9
 # Atom weights of generated instances are multiples of this unit.
 WEIGHT_UNIT = 16
 
+# Size envelope of random_instance.
+MAX_ATOMS = 6
+MAX_CELLS = 3
+
 
 @dataclass(frozen=True)
 class VerificationVerdict:
@@ -65,9 +69,9 @@ class MinimaxCertificate:
     """Optimal piecewise-constant distance plus a checkable witness.
 
     ``value`` is the certified minimax distance: the max residual
-    recomputed from the returned coefficients, the same number as
-    ``achieved``, and within 1e-7 of the LP optimum, which is checked
-    and not stored.  ``degenerate`` marks families where some cell
+    recomputed from the returned coefficients (``atom_values`` holds the
+    fitted value of every atom), within 1e-7 of the LP optimum, which is
+    checked and not stored.  ``degenerate`` marks families where some cell
     equals the whole space, in which case the constant is folded into
     that cell's coefficient and reported as 0.
     """
@@ -76,7 +80,6 @@ class MinimaxCertificate:
     constant: float
     cell_coefficients: tuple[float, ...]
     atom_values: tuple[float, ...]
-    achieved: float
     degenerate: bool
 
 
@@ -232,19 +235,8 @@ def minimax_distance_finite(space: FiniteSpace, family, f: FunctionModel) -> Min
         constant=constant,
         cell_coefficients=tuple(cell_coeffs),
         atom_values=tuple(atom_values),
-        achieved=achieved,
         degenerate=degenerate,
     )
-
-
-@dataclass(frozen=True)
-class RandomInstanceLimits:
-    """Size and value envelope for generated finite instances."""
-
-    max_atoms: int = 6
-    max_cells: int = 3
-    max_n_points: int = 16
-    value_range: tuple[float, float] = (-1.0, 1.0)
 
 
 _FEASIBLE_SIZES = (2, 4, 8, 16)
@@ -260,11 +252,12 @@ def _composition(rng: random.Random, total: int, parts: int) -> list[int]:
 
 
 def _build_finite_instance(rng: random.Random, n_atoms: int, k: int, n_points: int,
-                           value_range: tuple[float, float], instance_id: str) -> Instance:
+                           instance_id: str) -> Instance:
     """Instance with 1/16-unit weights built so n_points is feasible.
 
     Cell masses are node_count / n_points; each cell's mass is then
-    split into per-atom positive multiples of 1/16.
+    split into per-atom positive multiples of 1/16.  Atom values are
+    drawn uniformly from [-1, 1].
     """
     node_counts = _composition(rng, n_points, k)
     unit_factor = WEIGHT_UNIT // n_points
@@ -288,46 +281,38 @@ def _build_finite_instance(rng: random.Random, n_atoms: int, k: int, n_points: i
         cells.append(FiniteCell(tuple(members)))
     space = make_finite_space(list(zip(labels, weights)))
     partition = make_partition(space, cells)
-    lo, hi = value_range
-    values = tuple(rng.uniform(lo, hi) for _ in range(n_atoms))
+    values = tuple(rng.uniform(-1.0, 1.0) for _ in range(n_atoms))
     f = FunctionModel(FiniteTable(values, space.labels))
     return Instance(instance_id, space, partition, f, n_points)
 
 
-def random_instance(seed: int, limits: RandomInstanceLimits | None = None) -> Instance:
+def random_instance(seed: int) -> Instance:
     """Deterministic random finite instance; same seed, same instance.
 
-    Atom weights are positive multiples of 1/16 assembled cell-first, so
-    the instance's own N (drawn from {2, 4, 8, 16}) is always feasible
-    and N = 16 is feasible for every instance this produces.
+    2..MAX_ATOMS atoms in 1..MAX_CELLS cells.  Atom weights are positive
+    multiples of 1/16 assembled cell-first, so the instance's own N
+    (drawn from the sizes in {2, 4, 8, 16} that are at least k) is always
+    feasible and N = 16 is feasible for every instance this produces.
     """
-    limits = limits or RandomInstanceLimits()
     rng = random.Random(seed)
-    n_atoms = rng.randint(2, limits.max_atoms)
-    k = rng.randint(1, min(limits.max_cells, n_atoms))
-    sizes = [s for s in _FEASIBLE_SIZES if k <= s <= limits.max_n_points]
-    if not sizes:
-        raise ValueError(f"no feasible size for k={k} under {limits}")
-    n_points = rng.choice(sizes)
-    return _build_finite_instance(
-        rng, n_atoms, k, n_points, limits.value_range, f"rand-{seed}"
-    )
+    n_atoms = rng.randint(2, MAX_ATOMS)
+    k = rng.randint(1, min(MAX_CELLS, n_atoms))
+    n_points = rng.choice([s for s in _FEASIBLE_SIZES if k <= s])
+    return _build_finite_instance(rng, n_atoms, k, n_points, f"rand-{seed}")
 
 
-def small_exhaustive_suite(variants_per_combo: int = 20,
-                           random_count: int = 100,
-                           seed_offset: int = 0) -> list[Instance]:
+def small_exhaustive_suite(seed_offset: int = 0) -> list[Instance]:
     """The standard soundness sweep over small finite instances.
 
     Grid part: every combination of 2..6 atoms, 1..3 cells, and
-    N in {2, 4} with k <= min(atoms, N), each in ``variants_per_combo``
-    seeded variants; plus ``random_count`` fully random instances.
+    N in {2, 4} with k <= min(atoms, N), each in 20 seeded variants
+    (480 instances); plus 100 fully random instances.
     """
     instances: list[Instance] = []
     for n_atoms in range(2, 7):
         for n_points in (2, 4):
             for k in range(1, min(3, n_atoms, n_points) + 1):
-                for variant in range(variants_per_combo):
+                for variant in range(20):
                     # disjoint from the random_instance seed range below
                     combo_seed = (
                         seed_offset * 1_000_003
@@ -336,10 +321,10 @@ def small_exhaustive_suite(variants_per_combo: int = 20,
                     rng = random.Random(combo_seed)
                     instances.append(
                         _build_finite_instance(
-                            rng, n_atoms, k, n_points, (-1.0, 1.0),
+                            rng, n_atoms, k, n_points,
                             f"grid-x{n_atoms}-k{k}-n{n_points}-v{variant}",
                         )
                     )
-    for i in range(random_count):
+    for i in range(100):
         instances.append(random_instance(seed_offset + i))
     return instances

@@ -3,8 +3,8 @@
 A point set of size N is uniform for a partition when every cell M_j
 contains exactly N * measure(M_j) nodes.  Those products must all be
 integers for such a set to exist at all; ``allocation`` checks that
-first and, on failure, suggests the smallest feasible size at or above
-the request.
+first and, on failure, suggests the smallest size above the request
+that passes the same test.
 
 ``enumerate_uniform`` walks every uniform configuration of a finite
 space as a product of per-cell multisets (node order within a cell never
@@ -41,24 +41,39 @@ STRATEGY_RANDOM = "seeded-random-in-cell"
 STRATEGIES = (STRATEGY_MIDPOINT, STRATEGY_EQUISPACED, STRATEGY_RANDOM)
 
 
+def _counts(measures: Sequence[float], n_points: int) -> tuple[int, ...] | None:
+    """Per-cell node counts N * measure, or None unless every product is
+    within ALLOCATION_TOL of an integer and those integers sum to N.
+
+    The sum matters for huge N, where every float product is a whole
+    number and the per-cell test alone passes without meaning anything.
+    """
+    counts = []
+    for m in measures:
+        target = n_points * m
+        nearest = round(target)
+        if abs(target - nearest) > ALLOCATION_TOL:
+            return None
+        counts.append(nearest)
+    return tuple(counts) if sum(counts) == n_points else None
+
+
 def _smallest_feasible(measures: Sequence[float], n_points: int) -> int | None:
-    """Smallest N' >= n_points with every N' * measure integral, if found."""
+    """Smallest N' > n_points that allocation accepts, if found.
+
+    Tries the next three multiples of the measures' common denominator,
+    then scans the next million sizes; None when nothing passes.
+    """
     denominators = [
         Fraction(m).limit_denominator(10**9).denominator for m in measures
     ]
     step = math.lcm(*denominators)
-
-    def feasible(n: int) -> bool:
-        return all(abs(n * m - round(n * m)) <= ALLOCATION_TOL for m in measures)
-
-    candidate = ((n_points + step - 1) // step) * step
-    if candidate == n_points:
-        candidate += step
+    candidate = (n_points // step + 1) * step
     for n in (candidate, candidate + step, candidate + 2 * step):
-        if n >= n_points and feasible(n):
+        if _counts(measures, n) is not None:
             return n
     for n in range(n_points + 1, n_points + 1_000_001):
-        if feasible(n):
+        if _counts(measures, n) is not None:
             return n
     return None
 
@@ -67,12 +82,14 @@ def allocation(partition: Partition, n_points: int) -> tuple[int, ...]:
     """Exact per-cell node counts N * measure(M_j), or a feasibility error."""
     if n_points < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")
-    counts = []
-    for j, m in enumerate(partition.measures):
+    measures = partition.measures
+    counts = _counts(measures, n_points)
+    if counts is not None:
+        return counts
+    suggested = _smallest_feasible(measures, n_points)
+    for j, m in enumerate(measures):
         target = n_points * m
-        nearest = round(target)
-        if abs(target - nearest) > ALLOCATION_TOL:
-            suggested = _smallest_feasible(partition.measures, n_points)
+        if abs(target - round(target)) > ALLOCATION_TOL:
             raise NonIntegerAllocationError(
                 f"cell {j} needs {target!r} nodes for n_points={n_points}; "
                 f"smallest feasible size is {suggested}",
@@ -80,13 +97,11 @@ def allocation(partition: Partition, n_points: int) -> tuple[int, ...]:
                 product=target,
                 suggested_n=suggested,
             )
-        counts.append(int(nearest))
-    if sum(counts) != n_points:
-        raise NonIntegerAllocationError(
-            f"rounded cell counts sum to {sum(counts)}, not {n_points}",
-            suggested_n=_smallest_feasible(partition.measures, n_points),
-        )
-    return tuple(counts)
+    total = sum(round(n_points * m) for m in measures)
+    raise NonIntegerAllocationError(
+        f"rounded cell counts sum to {total}, not {n_points}",
+        suggested_n=suggested,
+    )
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from qmcbounds import (
     Quadratic,
     Sinusoid,
     bound_set,
-    cell_extrema,
     distance_to_span,
     dyadic_refine,
     equal_partition_1d,
@@ -47,37 +46,37 @@ def finite_example():
 def test_cell_extrema_negative_constant():
     # f == -1 on the cell: the positive part vanishes, upper = lower = -1
     f = FunctionModel(Affine(-1.0, (0.0,)))
-    e = cell_extrema(f, interval(0, 1))
-    assert (e.upper, e.lower) == (-1.0, -1.0)
-    assert e.oscillation == 0.0
+    e = f.essential_range(interval(0, 1))
+    assert (e.hi, e.lo) == (-1.0, -1.0)
+    assert e.width == 0.0
 
 
 def test_cell_extrema_sign_change():
     # f(x) = x - 0.5 on [0,1]: upper 0.5, lower -0.5
     f = FunctionModel(Affine(-0.5, (1.0,)))
-    e = cell_extrema(f, interval(0, 1))
-    assert (e.upper, e.lower) == (0.5, -0.5)
+    e = f.essential_range(interval(0, 1))
+    assert (e.hi, e.lo) == (0.5, -0.5)
 
 
 def test_cell_extrema_sign_definite_branches():
     # strictly negative: both values from the negative part
     f_neg = FunctionModel(Affine(-2.0, (1.0,)))  # range (-2, -1)
-    e = cell_extrema(f_neg, interval(0, 1))
-    assert (e.upper, e.lower) == (-1.0, -2.0)
+    e = f_neg.essential_range(interval(0, 1))
+    assert (e.hi, e.lo) == (-1.0, -2.0)
     # strictly positive: both values from the positive part
     f_pos = FunctionModel(Affine(1.0, (1.0,)))  # range (1, 2)
-    e = cell_extrema(f_pos, interval(0, 1))
-    assert (e.upper, e.lower) == (2.0, 1.0)
+    e = f_pos.essential_range(interval(0, 1))
+    assert (e.hi, e.lo) == (2.0, 1.0)
     # nonnegative touching zero
-    e = cell_extrema(X, interval(0, 1))
-    assert (e.upper, e.lower) == (1.0, 0.0)
+    e = X.essential_range(interval(0, 1))
+    assert (e.hi, e.lo) == (1.0, 0.0)
 
 
 def test_cell_extrema_spike_invisible():
     # x^2 with spike 100 at 0.5 still has extrema (1, 0) over [0,1]
     f = FunctionModel(Quadratic(0.0, (0.0,), (1.0,)), spikes=(((0.5,), 100.0),))
-    e = cell_extrema(f, interval(0, 1))
-    assert (e.upper, e.lower) == (1.0, 0.0)
+    e = f.essential_range(interval(0, 1))
+    assert (e.hi, e.lo) == (1.0, 0.0)
 
 
 def test_s_value_x_quarters():
@@ -104,13 +103,12 @@ def test_s_value_constant_zero():
 def test_optimal_approximant_x2():
     # midpoints of (0, .25) and (.25, 1): (0.125, 0.625)
     p = equal_partition_1d(2)
-    approx = optimal_approximant(X2, p)
-    assert approx.constants == (0.125, 0.625)
+    assert optimal_approximant(X2, p) == (0.125, 0.625)
 
 
 def test_optimal_approximant_x_quarters():
     p = equal_partition_1d(4)
-    assert optimal_approximant(X, p).constants == (0.125, 0.375, 0.625, 0.875)
+    assert optimal_approximant(X, p) == (0.125, 0.375, 0.625, 0.875)
 
 
 def test_sup_norm_distance_optimal_and_zero_competitor():

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior through CliRunner."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from qmcbounds import (
     random_instance,
     save_instances,
     save_pointset,
+    verify_instance,
 )
 from qmcbounds.cli import main
 
@@ -94,18 +96,22 @@ def test_verify_structured_output(runner, tmp_path):
     assert payload["summary"]["passed"] == 1
 
 
-def test_verify_injected_violation_fails(runner, tmp_path):
+def test_verify_injected_violation_fails(runner, tmp_path, monkeypatch):
+    # a verdict that fails, as a real soundness bug would produce one
+    def failing(instance, cap):
+        return dataclasses.replace(verify_instance(instance, cap), passed=False)
+
+    monkeypatch.setattr(qmcbounds.experiments, "verify_instance", failing)
     config = tmp_path / "instances.json"
     save_instances(config, [random_instance(0)])
     out = tmp_path / "verdicts.csv"
     result = runner.invoke(main, ["verify", "--config", str(config),
-                                  "--out", str(out), "--inject-violation"])
+                                  "--out", str(out)])
     assert result.exit_code == 1
     summary = json.loads(result.output.strip().splitlines()[-1])
     assert summary["failed"] == 1
-    assert summary["injected"] is True
     rows = parse_csv(out.read_text())
-    assert rows[-1]["instance_id"] == "injected-violation"
+    assert rows[-1]["instance_id"] == "rand-0"
     assert rows[-1]["passed"] == "false"
 
 

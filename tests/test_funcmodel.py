@@ -25,6 +25,7 @@ from qmcbounds import (
     make_cube_space,
     make_finite_space,
 )
+from qmcbounds.experiments import edge_placement_worst_error, named_function
 from oracles import dense_range_1d, dense_range_box, quad_integral
 
 X = FunctionModel(Affine(0.0, (1.0,)))
@@ -237,6 +238,24 @@ def test_piecewise_constant_normalises_each_point_once(monkeypatch):
     monkeypatch.setattr(CubeSpace, "as_point", counting)
     assert f.evaluate(0.6) == 3.0
     assert calls == 1
+
+
+def test_edge_adversary_normalises_no_point(monkeypatch):
+    # the cell edges are validated already; normalising them again would
+    # cost two as_point calls per cell
+    f = named_function("x2")
+    p = equal_partition_1d(64)
+    calls = 0
+    as_point = CubeSpace.as_point
+
+    def counting(self, value):
+        nonlocal calls
+        calls += 1
+        return as_point(self, value)
+
+    monkeypatch.setattr(CubeSpace, "as_point", counting)
+    assert edge_placement_worst_error(f, p) > 0.0
+    assert calls == 0
 
 
 def test_cell_integral_pieces():

@@ -69,6 +69,20 @@ def test_allocation_thirds():
     assert err.value.suggested_n == 6
 
 
+@pytest.mark.parametrize("cuts", [(0.123456789123,), (0.1234567, 0.5, 0.777777777)])
+def test_allocation_suggests_only_sizes_it_accepts(cuts):
+    # past 2**53 every float product is whole, so a per-cell test alone
+    # passes sizes whose rounded counts do not sum to N
+    edges = (0.0,) + cuts + (1.0,)
+    p = make_partition(make_cube_space(1),
+                       [interval(a, b) for a, b in zip(edges, edges[1:])])
+    with pytest.raises(NonIntegerAllocationError) as err:
+        allocation(p, 7)
+    suggested = err.value.suggested_n
+    if suggested is not None:
+        assert sum(allocation(p, suggested)) == suggested
+
+
 def test_construct_midpoint_quarters():
     # 4 equal cells, N=4: nodes (0.125, 0.375, 0.625, 0.875)
     ps = construct_uniform(equal_partition_1d(4), 4, "cell-midpoint")
