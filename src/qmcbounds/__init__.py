@@ -52,6 +52,7 @@ from .oracle import (
     verify_bounds_exhaustive,
     verify_instance,
     worst_case_error,
+    worst_uniform_error,
 )
 from .pointsets import (
     ConfigurationStream,

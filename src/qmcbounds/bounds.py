@@ -97,7 +97,12 @@ def bound_set(f: FunctionModel, partition: Partition) -> BoundSet:
     compensated summation; exact is True only when every cell range came
     from an exact oracle.
     """
-    ranges = [f.essential_range(cell) for cell in partition.cells]
+    return _bounds_from_ranges([f.essential_range(cell) for cell in partition.cells],
+                               partition)
+
+
+def _bounds_from_ranges(ranges, partition: Partition) -> BoundSet:
+    """bound_set from the cells' essential ranges, in cell order."""
     s = max(r.width for r in ranges)
     weighted = math.fsum(m * r.width for m, r in zip(partition.measures, ranges))
     return BoundSet(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .bounds import BoundSet, bound_set
 from .errors import BoundViolationError, NotUniformError
 from .funcmodel import FunctionModel
-from .pointsets import UniformPointSet, _as_nodes, is_uniform
+from .pointsets import _as_nodes, is_uniform
 from .spaces import Partition, Space
 
 # Slack granted to certified bounds before declaring a violation.

@@ -7,8 +7,9 @@ configurations.  An essential supremum over the configuration set is
 therefore the plain maximum over the finite enumeration; that lemma is
 what lets ``worst_case_error`` certify the essential-supremum bounds by
 exhaustion, and it is why the exhaustive oracle lives on finite spaces
-only.  The cube-space side is covered analytically by the adversarial
-placement analysis in the experiments module.
+only.  ``worst_uniform_error`` gives the same worst error in closed
+form on either kind of space; the exhaustive verdict checks the two
+against each other.
 
 ``minimax_distance_finite`` solves the discrete Chebyshev problem
 
@@ -26,8 +27,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate, combinations_with_replacement
 
-from .bounds import BoundSet, bound_set, distance_to_span
+from .bounds import BoundSet, _bounds_from_ranges, distance_to_span
 from .errors import QmcBoundsError
 from .funcmodel import FiniteTable, FunctionModel
 from .instances import Instance
@@ -49,6 +51,10 @@ WEIGHT_UNIT = 16
 # Size envelope of random_instance.
 MAX_ATOMS = 6
 MAX_CELLS = 3
+
+# Configurations scored per block: no working array of the exhaustive
+# scorer's outer sum holds more float64 values than this.
+SCORE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -83,21 +89,198 @@ class MinimaxCertificate:
     degenerate: bool
 
 
-def _score_configurations(stream: ConfigurationStream, space: FiniteSpace,
+def _rounding_margin(magnitude: float, integral: float, roundings: int) -> float:
+    """A margin for ``roundings`` roundings of size u(M + |I|), doubled,
+    plus as many underflows, with M = ``magnitude`` the largest |atom
+    value| (see ``_score_configurations``)."""
+    relative = 2 * roundings * 2.0**-53
+    delta = relative * magnitude + relative * abs(integral) + roundings * 2.0**-1074
+    if not math.isfinite(delta):
+        raise QmcBoundsError("exhaustive scoring needs finite atom values")
+    return delta
+
+
+def _multiset_sums(values, count: int):
+    """Sums of the multisets of ``count`` of ``values``, in the order
+    ``combinations_with_replacement`` yields them, each summed from the
+    right: v[p_0] + (v[p_1] + (... + v[p_last])).
+
+    Built one size at a time: the multisets of size r are, for each
+    first element p in turn, v[p] plus those of size r - 1 drawn from
+    ``values[p:]``, which are the suffix ``sums[starts[p]:]`` of the
+    previous size's array.
+    """
+    import numpy as np
+
+    sums = np.zeros(1)
+    starts = [0] * len(values)
+    for _ in range(count):
+        pieces = [value + sums[start:] for value, start in zip(values, starts)]
+        starts = list(accumulate((len(piece) for piece in pieces[:-1]), initial=0))
+        sums = np.concatenate(pieces)
+    return sums
+
+
+def _multiset_at(atoms: tuple[int, ...], count: int, rank: int) -> tuple[int, ...]:
+    """The ``rank``-th multiset of ``count`` of ``atoms`` in the order
+    ``combinations_with_replacement`` yields them."""
+    chosen = []
+    first = 0
+    for size in range(count, 0, -1):
+        # skip the block of multisets starting at atoms[first], of which
+        # there are as many as multisets of size - 1 from atoms[first:]
+        while rank >= (block := math.comb(len(atoms) - first + size - 2, size - 1)):
+            rank -= block
+            first += 1
+        chosen.append(atoms[first])
+    return tuple(chosen)
+
+
+def _score_configurations(stream: ConfigurationStream, partition: Partition,
                           f: FunctionModel, n_points: int):
     """Worst |average - integral| over a configuration stream, with the
-    lexicographically first configuration attaining it."""
+    lexicographically first configuration attaining it.
+
+    Each cell's multiset sums come from ``_multiset_sums`` at numpy
+    speed, so the Python work is per cell and per candidate, not per
+    multiset.  Approximate scores |t/N - I| come from outer-adding the
+    cell sums in C order, so a flat index is a configuration's position
+    in the stream.  The longest suffix of cells whose outer sum fits
+    SCORE_CHUNK is added once; the head rows are added to it one block
+    at a time.
+
+    Rounding margin, with u = 2^-53, M = max |atom value| and k cells of
+    c_j nodes: every atom value of the approximate sum t passes through
+    at most (c_j - 1) + (k - 1) <= N + k - 2 roundings (its cell's sum
+    from the right, then the additions across cells), so t is within
+    (N + k - 2)uNM of the exact sum, and the exact score's one fsum
+    within uNM; after the division by N that is (N + k - 1)uM, and the
+    two divisions and two subtractions of I add 2uM and 2u(M + |I|).
+    Only the divisions can underflow, by at most 2^-1075 each.
+    ``delta``, (N + k + 4) roundings, covers (N + k + 3)uM + 2u|I| +
+    2 * 2^-1075 with room for second-order terms and the rounding of the
+    threshold.  Every configuration attaining the exact maximum thus
+    scores within 2 * delta of the running approximate maximum; only
+    those are rescored, in stream order and with the reference loop's
+    expression, keeping the first strict maximum, so the result is bit
+    for bit the reference loop's.  Candidates whose cells hold the same
+    multisets of values have the same exact score, so a block rescores
+    only the first of each such class (one per block for a constant
+    function).
+
+    The maximum itself comes from the enumeration, not from the extreme
+    configurations the closed form names, so that ``verify_bounds_exhaustive``
+    checks two independent computations of the worst error.
+    """
+    import numpy as np
+
+    space = partition.space
     integral = f.integral(space)
     atom_values = [f.evaluate(i) for i in range(space.n_atoms)]
+    k = len(stream.cells)
+    sizes = [math.comb(len(atoms) + count - 1, count)
+             for atoms, count in zip(stream.cells, stream.counts)]
+    sums = []
+    classes = []
+    for atoms, count, size in zip(stream.cells, stream.counts, sizes):
+        values = [atom_values[a] for a in atoms]
+        sums.append(_multiset_sums(values, count))
+        if len(set(values)) == len(values):
+            # No two atoms share a value, so every multiset is its own
+            # class; sorting each multiset's values anyway would put
+            # Python work per multiset back into the scorer.
+            classes.append(np.arange(size))
+        else:
+            first_with = {}
+            classes.append(np.array([
+                first_with.setdefault(tuple(sorted(multiset)), i)
+                for i, multiset in enumerate(combinations_with_replacement(values, count))
+            ]))
+    delta = _rounding_margin(max(abs(v) for v in atom_values), integral, n_points + k + 4)
+    head = k
+    tail = np.zeros(1)
+    while head > 0 and tail.size * sizes[head - 1] <= SCORE_CHUNK:
+        head -= 1
+        tail = np.add.outer(sums[head], tail).ravel()
+    rows = math.prod(sizes[:head])
+    rows_per_block = SCORE_CHUNK // tail.size
+    top = -math.inf
     worst = -1.0
     argmax = None
-    for config in stream:
-        total = math.fsum(atom_values[a] for cell in config for a in cell)
-        err = abs(total / n_points - integral)
-        if err > worst:
-            worst = err
-            argmax = config
+    for first in range(0, rows, rows_per_block):
+        row = np.arange(first, min(first + rows_per_block, rows))
+        head_sums = np.zeros(row.size)
+        for j in reversed(range(head)):
+            row, index = np.divmod(row, sizes[j])
+            head_sums += sums[j][index]
+        scores = np.add.outer(head_sums, tail).ravel()
+        scores /= n_points
+        scores -= integral
+        np.abs(scores, out=scores)
+        top = max(top, float(scores.max()))
+        candidates = np.flatnonzero(scores >= top - 2 * delta) + first * tail.size
+        positions = np.unravel_index(candidates, sizes)
+        keys = np.ravel_multi_index([c[p] for c, p in zip(classes, positions)], sizes)
+        representatives = np.sort(np.unique(keys, return_index=True)[1])
+        for position in zip(*(p[representatives].tolist() for p in positions)):
+            config = tuple(map(_multiset_at, stream.cells, stream.counts, position))
+            err = abs(math.fsum(atom_values[a] for cell in config for a in cell) / n_points
+                      - integral)
+            if err > worst:
+                worst = err
+                argmax = config
     return worst, argmax
+
+
+def worst_uniform_error(f: FunctionModel, partition: Partition) -> float:
+    """Closed-form worst |average - integral| over every uniform point set.
+
+    A uniform set puts N * m_j nodes in cell j, each anywhere in the cell
+    and independently of the other cells, so the worst set puts every
+    node at the essential supremum G_j of its cell or every node at the
+    infimum g_j: W = max(sum_j m_j G_j - I, I - sum_j m_j g_j).  Each
+    side is summed by fsum as per-cell deviations m_j (G_j - avg_j) and
+    m_j (avg_j - g_j), with avg_j the cell's integral over its measure.
+    Exact up to rounding for exact ranges on either kind of space.
+    """
+    return _worst_uniform_error(f, partition, map(f.essential_range, partition.cells))
+
+
+def _worst_uniform_error(f: FunctionModel, partition: Partition, ranges) -> float:
+    """worst_uniform_error from the cells' essential ranges, in cell order."""
+    space = partition.space
+    up = []
+    down = []
+    for cell, measure, rng in zip(partition.cells, partition.measures, ranges):
+        average = f.cell_integral(cell, space) / measure
+        up.append(measure * (rng.hi - average))
+        down.append(measure * (average - rng.lo))
+    return max(math.fsum(up), math.fsum(down), 0.0)
+
+
+def _verdict_slack(stream: ConfigurationStream, partition: Partition,
+                   f: FunctionModel, ranges) -> float:
+    """How far the enumerated worst error may exceed a bound, or differ
+    from the closed form, before the verdict fails.
+
+    Each value is within a few roundings of size u(M + |I|) of its exact
+    value: the scorer's rescored expression within 3uM + u|I| (an fsum,
+    a division and a subtraction), the closed form and the bounds within
+    about 8uM + u|I| (a cell integral, a division, a subtraction and a
+    product per cell, then one fsum); twice a margin of k + 4 roundings
+    covers each pair.  The exact values
+    differ as well: the bounds and the closed form weigh cell j by its
+    measure m_j and the enumeration by its node share c_j / N, which the
+    allocation tolerance lets differ, and that moves the worst error by
+    at most sum_j |m_j - c_j / N| max(|g_j|, |G_j|).  VERIFY_SLACK is
+    the floor.  The ranges span every atom value, so they give M too.
+    """
+    extremes = [max(abs(r.lo), abs(r.hi)) for r in ranges]
+    margin = _rounding_margin(max(extremes), f.integral(partition.space), len(ranges) + 4)
+    n_points = sum(stream.counts)
+    shares = math.fsum(abs(m - c / n_points) * extreme
+                       for m, c, extreme in zip(partition.measures, stream.counts, extremes))
+    return VERIFY_SLACK + 2 * margin + shares
 
 
 def worst_case_error(space: FiniteSpace, partition: Partition, f: FunctionModel,
@@ -108,7 +291,7 @@ def worst_case_error(space: FiniteSpace, partition: Partition, f: FunctionModel,
     first configuration, so reruns are reproducible.
     """
     stream = enumerate_uniform(space, partition, n_points, cap)
-    return _score_configurations(stream, space, f, n_points)
+    return _score_configurations(stream, partition, f, n_points)
 
 
 def verify_bounds_exhaustive(space: FiniteSpace, partition: Partition,
@@ -117,24 +300,33 @@ def verify_bounds_exhaustive(space: FiniteSpace, partition: Partition,
                              instance_id: str = "") -> VerificationVerdict:
     """Exhaustively compare the worst realized error with all three bounds.
 
+    The verdict also fails when the enumerated worst error and the
+    closed form ``worst_uniform_error`` differ, so the scorer and the
+    closed form check each other.  Every comparison allows the same
+    slack, scaled to the data (``_verdict_slack``).
+
     tightness is worst_error / corollary2 (how much of the certified
     budget the adversary actually uses).  A zero budget (constant cell
-    values) with a worst error inside the verification slack is summation
-    noise using all of nothing, reported as 1.0; only a genuine
-    violation of a zero budget reports inf.
+    values) with a worst error inside the slack is summation noise using
+    all of nothing, reported as 1.0; only a genuine violation of a zero
+    budget reports inf.
     """
     stream = enumerate_uniform(space, partition, n_points, cap)
-    bounds = bound_set(f, partition)
-    worst, argmax = _score_configurations(stream, space, f, n_points)
+    # one range per cell serves the bounds and the closed form alike
+    ranges = [f.essential_range(cell) for cell in partition.cells]
+    bounds = _bounds_from_ranges(ranges, partition)
+    worst, argmax = _score_configurations(stream, partition, f, n_points)
+    slack = _verdict_slack(stream, partition, f, ranges)
     passed = (
-        worst <= bounds.corollary2 + VERIFY_SLACK
-        and worst <= bounds.corollary1 + VERIFY_SLACK
-        and worst <= bounds.theorem1 + VERIFY_SLACK
+        worst <= bounds.corollary2 + slack
+        and worst <= bounds.corollary1 + slack
+        and worst <= bounds.theorem1 + slack
+        and abs(worst - _worst_uniform_error(f, partition, ranges)) <= slack
     )
     if bounds.corollary2 > 0.0:
         tightness = worst / bounds.corollary2
     else:
-        tightness = 1.0 if worst <= VERIFY_SLACK else math.inf
+        tightness = 1.0 if worst <= slack else math.inf
     descriptor = Instance(instance_id, space, partition, f, n_points)
     return VerificationVerdict(
         instance=descriptor,

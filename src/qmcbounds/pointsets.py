@@ -216,17 +216,19 @@ def is_uniform(pointset, partition: Partition) -> UniformityReport:
 class ConfigurationStream:
     """Re-iterable stream over every uniform configuration of a finite space.
 
-    Each configuration is a tuple over cells; the entry for a cell is a
-    nondecreasing tuple of atom indices (a multiset).  Iteration order is
-    lexicographic by cell index, then by atom indices, and every call to
-    iter() starts a fresh pass.
+    Each configuration is a tuple over cells; the entry for cell j is a
+    nondecreasing tuple of ``counts[j]`` of its atom indices ``cells[j]``
+    (a multiset).  Iteration order is lexicographic by cell index, then
+    by atom indices, and every call to iter() starts a fresh pass.  No
+    multiset exists before the stream is iterated.
     """
 
     total_count: int
-    per_cell: tuple[tuple[tuple[int, ...], ...], ...]
+    cells: tuple[tuple[int, ...], ...]
+    counts: tuple[int, ...]
 
     def __iter__(self) -> Iterator[tuple[tuple[int, ...], ...]]:
-        return product(*self.per_cell)
+        return product(*map(combinations_with_replacement, self.cells, self.counts))
 
     def __len__(self) -> int:
         return self.total_count
@@ -249,11 +251,7 @@ def enumerate_uniform(space: Space, partition: Partition, n_points: int,
         raise EnumerationTooLargeError(
             f"{total} configurations exceed the cap of {cap}"
         )
-    per_cell = tuple(
-        tuple(combinations_with_replacement(cell.atoms, count))
-        for cell, count in zip(partition.cells, counts)
-    )
-    return ConfigurationStream(total, per_cell)
+    return ConfigurationStream(total, tuple(cell.atoms for cell in partition.cells), counts)
 
 
 def save_pointset(path, pointset, partition: Partition) -> None:

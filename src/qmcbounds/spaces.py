@@ -23,7 +23,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar, Iterable, Mapping, Sequence, Union
+from typing import ClassVar, Mapping, Sequence, Union
 
 from .errors import (
     CoverError,

@@ -3,8 +3,9 @@
 Nothing here imports the code paths under test: ranges come from dense
 pointwise sampling, integrals from scipy quadrature, the minimax from a
 coefficient grid search, enumeration from brute force over ordered
-node tuples, and box overlaps and cell lookups from pairwise tests and
-linear scans.
+node tuples, box overlaps and cell lookups from pairwise tests and
+linear scans, and the exhaustive worst error from scoring every
+configuration one by one.
 """
 
 from __future__ import annotations
@@ -118,3 +119,20 @@ def scan_cell_index(boxes, point):
         if _in_box(point, lower, upper):
             return j
     return None
+
+
+def scan_worst_configuration(stream, space, f, n_points):
+    """Worst |average - integral| over a configuration stream, with the
+    lexicographically first configuration attaining it, scoring every
+    configuration with its own fsum."""
+    integral = f.integral(space)
+    atom_values = [f.evaluate(i) for i in range(space.n_atoms)]
+    worst = -1.0
+    argmax = None
+    for config in stream:
+        total = math.fsum(atom_values[a] for cell in config for a in cell)
+        err = abs(total / n_points - integral)
+        if err > worst:
+            worst = err
+            argmax = config
+    return worst, argmax

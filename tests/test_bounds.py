@@ -1,7 +1,5 @@
 """Cell extrema, oscillation bounds, approximants, span distance."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +22,6 @@ from qmcbounds import (
     make_partition,
     optimal_approximant,
     s_value,
-    single_cell_partition,
     sup_norm_distance,
 )
 from qmcbounds.funcmodel import affine_map

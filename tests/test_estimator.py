@@ -1,6 +1,5 @@
 """Point-set averages, realized errors, bound reports."""
 
-import math
 import random
 
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 
 from qmcbounds import (
     Affine,
-    FiniteCell,
     FiniteTable,
     FunctionModel,
     NotUniformError,
@@ -19,10 +17,8 @@ from qmcbounds import (
     construct_uniform,
     equal_partition_1d,
     integration_error,
-    is_uniform,
     make_cube_space,
     make_finite_space,
-    make_partition,
     qmc_estimate,
 )
 from qmcbounds.funcmodel import affine_map

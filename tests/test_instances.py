@@ -6,7 +6,6 @@ import pytest
 
 from qmcbounds import (
     Affine,
-    BoxCell,
     FiniteCell,
     FiniteTable,
     FunctionModel,

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,6 @@ from hypothesis import strategies as st
 from qmcbounds import (
     EnumerationTooLargeError,
     FiniteCell,
-    FiniteTable,
-    FunctionModel,
     InstanceFormatError,
     NonIntegerAllocationError,
     OutOfDomainError,
@@ -240,6 +239,22 @@ def test_enumerate_matches_brute_force():
         want = brute_force_uniform_configs(space.n_atoms, [set(c) for c in cells], counts)
         assert got == want
         assert stream.total_count == len(want)
+
+
+def test_enumerate_builds_no_multiset_before_iteration():
+    # one cell of 8 atoms, N = 16: 245,157 multisets, none of them built
+    # until the stream is iterated
+    space = make_finite_space([(f"a{i}", 0.125) for i in range(8)])
+    p = single_cell_partition(space)
+    tracemalloc.start()
+    try:
+        stream = enumerate_uniform(space, p, 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stream.total_count == 245_157
+    assert peak < 64 * 1024
+    assert next(iter(stream)) == ((0,) * 16,)
 
 
 def test_enumerate_respects_cap():
