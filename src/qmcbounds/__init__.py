@@ -31,7 +31,6 @@ from .funcmodel import (
     FiniteTable,
     FunctionModel,
     GridRangeMode,
-    Monotone,
     PiecewiseConstant,
     Quadratic,
     Sinusoid,

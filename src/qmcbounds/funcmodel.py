@@ -20,30 +20,50 @@ to the pointwise range over its closure, so closed forms are exact):
                 per-axis endpoints plus the vertex when it lies inside.
 - Sinusoid      offset + amplitude * sin(2*pi*frequency*x_axis + phase);
                 endpoints plus interior critical points of the sine.
-- Monotone      arbitrary callable declared coordinate-wise monotone;
-                extremes at the two extreme corners.  Integrals use
-                adaptive quadrature at QUADRATURE_TOL.
 - PiecewiseConstant  constant values on the cells of its own partition;
                 range over a query cell collects the values of pieces
                 with positive-measure overlap.
 - FiniteTable   per-atom values on a finite space; min and max over the
                 cell's atoms.
 
+Every parameter, table value and spike value must be a finite number;
+NaN or an infinity is rejected at construction with a ValueError naming
+the field.  NaN has no place in the order that ranges are taken in, and
+an infinite value would turn every bound into inf or nan.
+
 Grid range mode replaces the closed forms of the continuous families
-with sampled ranges over a regular grid.  Sampled values are genuine
-function values, so the reported hi under-estimates the essential
-supremum (and lo over-estimates the infimum) by at most
-eps = lipschitz * spacing / 2, which is attached to the result and
-propagates an exact=False flag into every derived bound.  The jump
-families (PiecewiseConstant, FiniteTable) have no Lipschitz constant and
-cheap exact ranges, so they ignore grid mode and stay exact.
+with sampled ranges over the regular grid of n + 1 points per axis
+(n = GridRangeMode.intervals_per_axis, the samples of each axis built by
+numpy.linspace).  Sampled values are genuine function values, so the
+reported hi under-estimates the essential supremum (and lo
+over-estimates the infimum) by at most eps = lipschitz * spacing / 2,
+which is attached to the result and propagates an exact=False flag into
+every derived bound.  The jump families (PiecewiseConstant, FiniteTable)
+have no Lipschitz constant and cheap exact ranges, so they ignore grid
+mode and stay exact.
+
+The extremes over the (n + 1)^d grid points come from O(d n) work per
+cell, with the bits of the pointwise values.  Affine and Quadratic
+values are intercept + fsum(t_1(x_1), ..., t_d(x_d)), one rounded term
+per axis.  fsum rounds the exact sum of its terms correctly, and
+round-to-nearest is monotone, so the value is non-decreasing in every
+term, and so is the addition of the intercept.  The largest value over
+the product grid is therefore the same expression at each axis's
+largest term, and likewise for the smallest.  Equal floats differ at
+most in the sign of a zero, and a zero extreme can carry either sign
+only when the intercept is a zero too.  Then the fsum is zero, so the
+exact sum of the terms equals the extreme one, every term of a grid
+point attaining it sits at its axis's extreme, and the first such point
+in row-major order takes each axis's first extreme sample: the one that
+min and max pick from the axis's list.  A Sinusoid reads one axis, so
+its extremes over the grid are those over that axis's n + 1 samples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Union
 
 from .errors import OutOfDomainError, QmcBoundsError
 from .spaces import (
@@ -57,9 +77,6 @@ from .spaces import (
 )
 
 TWO_PI = 2.0 * math.pi
-
-# Declared absolute tolerance of quadrature-backed integrals (Monotone).
-QUADRATURE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -107,10 +124,40 @@ def _require_box(cell: Cell, dimension: int) -> BoxCell:
     return cell
 
 
+def _require_finite(**fields) -> None:
+    """ValueError naming the first field entry that is NaN or infinite.
+
+    Each field is a number or a tuple of numbers.
+    """
+    for name, value in fields.items():
+        if not isinstance(value, tuple):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} is {value!r}, not a finite number")
+            continue
+        for i, v in enumerate(value):
+            if not math.isfinite(v):
+                raise ValueError(f"{name}[{i}] is {v!r}, not a finite number")
+
+
+def _separable_extremes(intercept: float, terms) -> tuple[float, float]:
+    """(min, max) of intercept + fsum(one term per axis) over the product
+    of the axes' samples; ``terms`` holds each axis's term array.
+
+    Python's min and max return the first extreme sample of a list,
+    which the module docstring's argument relies on.
+    """
+    per_axis = [t.tolist() for t in terms]
+    return (intercept + math.fsum(min(t) for t in per_axis),
+            intercept + math.fsum(max(t) for t in per_axis))
+
+
 @dataclass(frozen=True)
 class Affine:
     intercept: float
     slopes: tuple[float, ...]
+
+    def __post_init__(self):
+        _require_finite(intercept=self.intercept, slopes=self.slopes)
 
     @property
     def dimension(self) -> int:
@@ -127,6 +174,10 @@ class Affine:
             lo += min(a * l, a * u)
             hi += max(a * l, a * u)
         return lo, hi
+
+    def sampled_range(self, axes) -> tuple[float, float]:
+        """(min, max) over the product of the per-axis sample arrays."""
+        return _separable_extremes(self.intercept, [a * x for a, x in zip(self.slopes, axes)])
 
     def integral_over(self, cell: BoxCell, space: CubeSpace) -> float:
         vol = cell.volume()
@@ -148,6 +199,8 @@ class Quadratic:
     def __post_init__(self):
         if len(self.linear) != len(self.quadratic):
             raise ValueError("linear and quadratic coefficient tuples differ in length")
+        _require_finite(intercept=self.intercept, linear=self.linear,
+                        quadratic=self.quadratic)
 
     @property
     def dimension(self) -> int:
@@ -171,6 +224,13 @@ class Quadratic:
             lo += min(candidates)
             hi += max(candidates)
         return lo, hi
+
+    def sampled_range(self, axes) -> tuple[float, float]:
+        """(min, max) over the product of the per-axis sample arrays."""
+        return _separable_extremes(
+            self.intercept,
+            [q * x * x + b * x for q, b, x in zip(self.quadratic, self.linear, axes)],
+        )
 
     def integral_over(self, cell: BoxCell, space: CubeSpace) -> float:
         vol = cell.volume()
@@ -199,14 +259,18 @@ class Sinusoid:
     dimension: int = 1
 
     def __post_init__(self):
+        _require_finite(amplitude=self.amplitude, frequency=self.frequency,
+                        phase=self.phase, offset=self.offset)
         if not 0 <= self.axis < self.dimension:
             raise ValueError(f"axis {self.axis} out of range for dimension {self.dimension}")
         if self.frequency < 0.0:
             raise ValueError("frequency must be nonnegative")
 
-    def evaluate(self, point: tuple[float, ...]) -> float:
-        t = point[self.axis]
+    def _at(self, t: float) -> float:
         return self.offset + self.amplitude * math.sin(TWO_PI * self.frequency * t + self.phase)
+
+    def evaluate(self, point: tuple[float, ...]) -> float:
+        return self._at(point[self.axis])
 
     def _candidates(self, a: float, b: float) -> list[float]:
         ts = [a, b]
@@ -224,10 +288,15 @@ class Sinusoid:
     def range_on(self, cell: Cell) -> tuple[float, float]:
         cell = _require_box(cell, self.dimension)
         a, b = cell.lower[self.axis], cell.upper[self.axis]
-        values = [
-            self.offset + self.amplitude * math.sin(TWO_PI * self.frequency * t + self.phase)
-            for t in self._candidates(a, b)
-        ]
+        values = [self._at(t) for t in self._candidates(a, b)]
+        return min(values), max(values)
+
+    def sampled_range(self, axes) -> tuple[float, float]:
+        """(min, max) over the samples of the axis the sine reads.
+
+        math.sin per sample, not numpy's, keeps the pointwise values.
+        """
+        values = [self._at(t) for t in axes[self.axis].tolist()]
         return min(values), max(values)
 
     def integral_over(self, cell: BoxCell, space: CubeSpace) -> float:
@@ -248,66 +317,6 @@ class Sinusoid:
 
 
 @dataclass(frozen=True)
-class Monotone:
-    """A callable declared coordinate-wise monotone (+1 up, -1 down per axis).
-
-    The declaration is trusted for ranges (extreme corners); integrals go
-    through adaptive quadrature, so this family is for studies rather
-    than certified exact arithmetic.  ``lipschitz`` is only needed for
-    grid range mode.
-    """
-
-    fn: Callable[[tuple[float, ...]], float]
-    directions: tuple[int, ...]
-    lipschitz: float | None = None
-    label: str = ""
-
-    def __post_init__(self):
-        if not self.directions or any(d not in (-1, 1) for d in self.directions):
-            raise ValueError("directions must be a nonempty tuple of +1/-1")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.directions)
-
-    def evaluate(self, point: tuple[float, ...]) -> float:
-        return float(self.fn(point))
-
-    def range_on(self, cell: Cell) -> tuple[float, float]:
-        cell = _require_box(cell, self.dimension)
-        low_corner = tuple(
-            l if d > 0 else u for d, l, u in zip(self.directions, cell.lower, cell.upper)
-        )
-        high_corner = tuple(
-            u if d > 0 else l for d, l, u in zip(self.directions, cell.lower, cell.upper)
-        )
-        return float(self.fn(low_corner)), float(self.fn(high_corner))
-
-    def integral_over(self, cell: BoxCell, space: CubeSpace) -> float:
-        from scipy import integrate
-
-        if self.dimension == 1:
-            value, _ = integrate.quad(
-                lambda t: float(self.fn((t,))),
-                cell.lower[0],
-                cell.upper[0],
-                epsabs=QUADRATURE_TOL,
-                epsrel=QUADRATURE_TOL,
-            )
-            return value
-        ranges = list(zip(cell.lower, cell.upper))
-        value, _ = integrate.nquad(
-            lambda *xs: float(self.fn(tuple(xs))),
-            ranges,
-            opts={"epsabs": QUADRATURE_TOL, "epsrel": QUADRATURE_TOL},
-        )
-        return value
-
-    def lipschitz_bound(self) -> float | None:
-        return self.lipschitz
-
-
-@dataclass(frozen=True)
 class PiecewiseConstant:
     """Constant on each cell of its own partition (finite or cube space)."""
 
@@ -320,6 +329,7 @@ class PiecewiseConstant:
                 f"{len(self.values)} values for {self.partition.k} cells"
             )
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        _require_finite(values=self.values)
 
     @property
     def dimension(self) -> int | None:
@@ -364,9 +374,6 @@ class PiecewiseConstant:
             for piece, v in zip(self.partition.cells, self.values)
         )
 
-    def lipschitz_bound(self) -> float | None:
-        return None
-
 
 @dataclass(frozen=True)
 class FiniteTable:
@@ -377,6 +384,7 @@ class FiniteTable:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        _require_finite(values=self.values)
         if self.labels is not None:
             if len(self.labels) != len(self.values):
                 raise ValueError("labels and values differ in length")
@@ -398,14 +406,11 @@ class FiniteTable:
     def integral_over(self, cell: FiniteCell, space: FiniteSpace) -> float:
         return math.fsum(space.weights[a] * self.values[a] for a in cell.atoms)
 
-    def lipschitz_bound(self) -> float | None:
-        return None
 
-
-BaseFunction = Union[Affine, Quadratic, Sinusoid, Monotone, PiecewiseConstant, FiniteTable]
+BaseFunction = Union[Affine, Quadratic, Sinusoid, PiecewiseConstant, FiniteTable]
 
 # Families whose closed-form ranges grid mode replaces.
-_CONTINUOUS_FAMILIES = (Affine, Quadratic, Sinusoid, Monotone)
+_CONTINUOUS_FAMILIES = (Affine, Quadratic, Sinusoid)
 
 
 @dataclass(frozen=True)
@@ -443,6 +448,7 @@ class FunctionModel:
                 "every atom has positive measure"
             )
         normalized = tuple((domain.as_point(p), float(v)) for p, v in self.spikes)
+        _require_finite(spike_values=tuple(v for _, v in normalized))
         object.__setattr__(self, "spikes", normalized)
         object.__setattr__(self, "_spike_map", dict(normalized))
 
@@ -490,21 +496,13 @@ class FunctionModel:
         import numpy as np
 
         base = self.base
-        d = base.dimension
-        cell = _require_box(cell, d)
-        lipschitz = base.lipschitz_bound()
-        if lipschitz is None:
-            raise QmcBoundsError(
-                "grid range mode needs a declared Lipschitz bound for this family"
-            )
+        cell = _require_box(cell, base.dimension)
         n = self.range_mode.intervals_per_axis
         axes = [np.linspace(lo, hi, n + 1) for lo, hi in zip(cell.lower, cell.upper)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        points = np.stack([m.ravel() for m in mesh], axis=-1)
-        values = [base.evaluate(tuple(p)) for p in points]
-        spacing = max((hi - lo) / n for lo, hi in zip(cell.lower, cell.upper))
-        eps = lipschitz * spacing / 2.0
-        return EssentialRange(min(values), max(values), exact=False, eps=eps)
+        lo, hi = base.sampled_range(axes)
+        spacing = max((u - l) / n for l, u in zip(cell.lower, cell.upper))
+        eps = base.lipschitz_bound() * spacing / 2.0
+        return EssentialRange(lo, hi, exact=False, eps=eps)
 
     def integral(self, space: Space) -> float:
         """Integral over the whole space; spikes are null and ignored."""

@@ -28,9 +28,10 @@ Families and their params:
                         (cells form their own partition of the space)
     finite_table        {"values": [v1, ...]}  (aligned with the atoms)
 
-The monotone-callable family cannot be described in JSON and is a
-library-only construct.  Spikes are cube-space only, like everywhere
-else.
+Spikes are cube-space only, like everywhere else.  Every parameter,
+value and spike value must be a finite number: Python's json module
+reads NaN and Infinity, and the models reject them with a message
+naming the field, which the loader passes on.
 """
 
 from __future__ import annotations
@@ -115,9 +116,7 @@ def function_to_json(f: FunctionModel) -> dict:
     elif isinstance(base, FiniteTable):
         family, params = "finite_table", {"values": list(base.values)}
     else:
-        raise QmcBoundsError(
-            f"family {type(base).__name__} has no JSON form (callable-backed)"
-        )
+        raise QmcBoundsError(f"family {type(base).__name__} has no JSON form")
     out = {"family": family, "params": params}
     if f.spikes:
         out["spikes"] = [[list(point), value] for point, value in f.spikes]
@@ -244,7 +243,9 @@ def function_from_json(obj: dict, space: Space,
     except InstanceFormatError:
         raise
     except (KeyError, TypeError, ValueError, QmcBoundsError) as exc:
-        raise InstanceFormatError(f"function: malformed params for {family!r}") from exc
+        raise InstanceFormatError(
+            f"function: malformed params for {family!r}: {exc}"
+        ) from exc
     spikes = []
     for entry in obj.get("spikes", []):
         try:
@@ -254,7 +255,7 @@ def function_from_json(obj: dict, space: Space,
             raise InstanceFormatError(f"function: malformed spike {entry!r}") from exc
     try:
         return FunctionModel(base, tuple(spikes), range_mode)
-    except QmcBoundsError as exc:
+    except (QmcBoundsError, ValueError) as exc:
         raise InstanceFormatError(str(exc)) from exc
 
 

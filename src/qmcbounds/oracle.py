@@ -94,10 +94,7 @@ def _rounding_margin(magnitude: float, integral: float, roundings: int) -> float
     plus as many underflows, with M = ``magnitude`` the largest |atom
     value| (see ``_score_configurations``)."""
     relative = 2 * roundings * 2.0**-53
-    delta = relative * magnitude + relative * abs(integral) + roundings * 2.0**-1074
-    if not math.isfinite(delta):
-        raise QmcBoundsError("exhaustive scoring needs finite atom values")
-    return delta
+    return relative * magnitude + relative * abs(integral) + roundings * 2.0**-1074
 
 
 def _multiset_sums(values, count: int):

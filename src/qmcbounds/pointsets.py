@@ -62,7 +62,8 @@ def _smallest_feasible(measures: Sequence[float], n_points: int) -> int | None:
     """Smallest N' > n_points that allocation accepts, if found.
 
     Tries the next three multiples of the measures' common denominator,
-    then scans the next million sizes; None when nothing passes.
+    the closed form for measures that are fractions; None when none of
+    them passes.
     """
     denominators = [
         Fraction(m).limit_denominator(10**9).denominator for m in measures
@@ -70,9 +71,6 @@ def _smallest_feasible(measures: Sequence[float], n_points: int) -> int | None:
     step = math.lcm(*denominators)
     candidate = (n_points // step + 1) * step
     for n in (candidate, candidate + step, candidate + 2 * step):
-        if _counts(measures, n) is not None:
-            return n
-    for n in range(n_points + 1, n_points + 1_000_001):
         if _counts(measures, n) is not None:
             return n
     return None
@@ -87,12 +85,15 @@ def allocation(partition: Partition, n_points: int) -> tuple[int, ...]:
     if counts is not None:
         return counts
     suggested = _smallest_feasible(measures, n_points)
+    if suggested is None:
+        hint = f"no feasible size within ALLOCATION_TOL={ALLOCATION_TOL} was found"
+    else:
+        hint = f"smallest feasible size is {suggested}"
     for j, m in enumerate(measures):
         target = n_points * m
         if abs(target - round(target)) > ALLOCATION_TOL:
             raise NonIntegerAllocationError(
-                f"cell {j} needs {target!r} nodes for n_points={n_points}; "
-                f"smallest feasible size is {suggested}",
+                f"cell {j} needs {target!r} nodes for n_points={n_points}; {hint}",
                 cell_index=j,
                 product=target,
                 suggested_n=suggested,

@@ -1,7 +1,8 @@
 """Independent oracles the tests check frozen expected values against.
 
 Nothing here imports the code paths under test: ranges come from dense
-pointwise sampling, integrals from scipy quadrature, the minimax from a
+pointwise sampling, grid-mode ranges from evaluating every point of the
+product grid, integrals from scipy quadrature, the minimax from a
 coefficient grid search, enumeration from brute force over ordered
 node tuples, box overlaps and cell lookups from pairwise tests and
 linear scans, and the exhaustive worst error from scoring every
@@ -13,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 from scipy import integrate
 
 
@@ -22,14 +24,17 @@ def dense_range_1d(fn, a, b, n=20001):
     return min(values), max(values)
 
 
-def dense_range_box(fn, lower, upper, per_axis=201):
-    """Pointwise min/max of fn over a dense closed grid of a box."""
-    axes = [
-        [lo + (hi - lo) * i / (per_axis - 1) for i in range(per_axis)]
-        for lo, hi in zip(lower, upper)
-    ]
-    values = [fn(p) for p in itertools.product(*axes)]
-    return min(values), max(values)
+def full_grid_range(base, cell, intervals):
+    """Grid-mode (lo, hi, eps) of a continuous family over a box cell,
+    evaluating the family at every point of the (intervals + 1)^d grid
+    in row-major order."""
+    axes = [np.linspace(lo, hi, intervals + 1) for lo, hi in zip(cell.lower, cell.upper)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    points = np.stack([m.ravel() for m in mesh], axis=-1)
+    values = [base.evaluate(tuple(p)) for p in points]
+    spacing = max((hi - lo) / intervals for lo, hi in zip(cell.lower, cell.upper))
+    eps = base.lipschitz_bound() * spacing / 2.0
+    return min(values), max(values), eps
 
 
 def quad_integral(fn, a, b):

@@ -187,6 +187,23 @@ def test_bounds_rejects_non_uniform_points(runner, tmp_path):
     assert "not uniform" in result.stderr
 
 
+def test_bounds_rejects_non_finite_values(runner, tmp_path):
+    # json reads NaN; without the check every bound printed nan with
+    # exact=true and exit 0
+    obj = {
+        "instance_id": "nan-table",
+        "space": {"kind": "finite", "atoms": [["a", 0.5], ["b", 0.5]]},
+        "partition": {"cells": [{"atoms": [0]}, {"atoms": [1]}]},
+        "function": {"family": "finite_table", "params": {"values": [0.0, float("nan")]}},
+        "N": 2,
+    }
+    config = write_json(tmp_path / "nan.json", obj)
+    assert "NaN" in Path(config).read_text()
+    result = runner.invoke(main, ["bounds", "--config", config])
+    assert result.exit_code == 2
+    assert "values[1] is nan" in result.stderr
+
+
 def test_bounds_rejects_multiple_instances(runner, tmp_path):
     config = tmp_path / "many.json"
     save_instances(config, [random_instance(0), random_instance(1)])

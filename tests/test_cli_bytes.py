@@ -42,6 +42,23 @@ SIN_QUADRANTS_POINTS = """\
 0.7718804296179652 0.7869705939640503
 """
 
+# A 2-D quadratic on a 4x4 grid of cells with sampled (grid-mode) ranges.
+GRID_QUADRATIC = {
+    "instance_id": "grid-quadratic",
+    "space": {"kind": "cube", "dimension": 2},
+    "partition": {"cells": [
+        {"box": [[i / 4, (i + 1) / 4], [j / 4, (j + 1) / 4]]}
+        for j in range(4) for i in range(4)
+    ]},
+    "function": {
+        "family": "quadratic",
+        "params": {"intercept": 0.1, "linear": [-0.7, 0.3],
+                   "quadratic": [0.9, -0.6]},
+    },
+    "range_mode": {"mode": "grid", "resolution": 8, "levels": 2},
+    "N": 16,
+}
+
 # (case id, arguments, writes an --out file)
 CASES = []
 for family in ("x", "x2", "sin2pix", "const"):
@@ -63,6 +80,7 @@ for fmt in ("csv", "structured"):
         "verify", "--suite", "small-exhaustive", "--format", fmt,
     ], True))
 CASES.append(("bounds-points", ["bounds"], False))
+CASES.append(("bounds-grid-mode", ["bounds"], False))
 
 # case id -> (stdout sha256, --out file sha256 or None)
 DIGESTS = {
@@ -96,6 +114,8 @@ DIGESTS = {
         "7c58d4c50c86ab44d9ee7348bbb6ef88f74016b5922f6f4a97dcee13fc919ab0"),
     "bounds-points": (
         "a7ca7c258d8a710fc1e8ba241706f1d12c20ce995385995d085a352e1fc7c822", None),
+    "bounds-grid-mode": (
+        "5ad377bd29b9da605d2591b2f52adea6c46c6095a598533f85c862eea03cf0d1", None),
 }
 
 
@@ -113,6 +133,10 @@ def test_report_bytes_pinned(case_id, args, writes_out, tmp_path):
         points = tmp_path / "nodes.txt"
         points.write_text(SIN_QUADRANTS_POINTS)
         args += ["--config", str(config), "--points", str(points)]
+    if case_id == "bounds-grid-mode":
+        config = tmp_path / "instance.json"
+        config.write_text(json.dumps(GRID_QUADRATIC))
+        args += ["--config", str(config)]
     out = tmp_path / "report"
     if writes_out:
         args += ["--out", str(out)]

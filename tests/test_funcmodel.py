@@ -1,6 +1,8 @@
 """Function models: evaluation, essential ranges, integrals, spikes."""
 
 import math
+import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from qmcbounds import (
     FiniteTable,
     FunctionModel,
     GridRangeMode,
-    Monotone,
+    InstanceFormatError,
     OutOfDomainError,
     PiecewiseConstant,
     QmcBoundsError,
@@ -21,12 +23,13 @@ from qmcbounds import (
     Sinusoid,
     box,
     equal_partition_1d,
+    instance_from_json,
     interval,
     make_cube_space,
     make_finite_space,
 )
 from qmcbounds.experiments import edge_placement_worst_error, named_function
-from oracles import dense_range_1d, dense_range_box, quad_integral
+from oracles import dense_range_1d, full_grid_range, quad_integral
 
 X = FunctionModel(Affine(0.0, (1.0,)))
 X2 = FunctionModel(Quadratic(0.0, (0.0,), (1.0,)))
@@ -128,15 +131,6 @@ def test_essential_range_sinusoid_random_cells_match_grid():
         assert abs(rng.hi - hi) < 1e-7
 
 
-def test_essential_range_monotone_corners():
-    f = FunctionModel(Monotone(lambda p: math.exp(p[0]) - p[1], (1, -1), lipschitz=math.e + 1))
-    cell = box((0.25, 0.5), (0.0, 1.0))
-    rng = f.essential_range(cell)
-    lo, hi = dense_range_box(lambda p: math.exp(p[0]) - p[1], (0.25, 0.0), (0.5, 1.0))
-    assert abs(rng.lo - lo) < 1e-6
-    assert abs(rng.hi - hi) < 1e-6
-
-
 def test_essential_range_piecewise_constant_overlap():
     # pieces ([0,.5) -> 1, [.5,1] -> 4); query [0.25, 0.75) sees both
     p = equal_partition_1d(2)
@@ -166,12 +160,107 @@ def test_grid_mode_sandwiches_exact_range():
             assert exact.hi - approx.eps <= approx.hi <= exact.hi
 
 
-def test_grid_mode_needs_lipschitz_for_monotone():
-    f = FunctionModel(
-        Monotone(lambda p: p[0] ** 3, (1,)), range_mode=GridRangeMode(8, 0)
-    )
-    with pytest.raises(QmcBoundsError):
-        f.essential_range(interval(0, 1))
+def _random_coefficient(rng):
+    draw = rng.random()
+    if draw < 0.1:
+        return 0.0
+    if draw < 0.2:
+        return -0.0
+    return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8.0, 8.0)
+
+
+def _random_continuous_family(rng, d):
+    coef = _random_coefficient
+    family = rng.choice(("affine", "quadratic", "sinusoid"))
+    if family == "affine":
+        return Affine(coef(rng), tuple(coef(rng) for _ in range(d)))
+    if family == "quadratic":
+        return Quadratic(coef(rng), tuple(coef(rng) for _ in range(d)),
+                         tuple(coef(rng) for _ in range(d)))
+    return Sinusoid(amplitude=coef(rng), frequency=abs(coef(rng)), phase=coef(rng),
+                    offset=coef(rng), axis=rng.randrange(d), dimension=d)
+
+
+def _random_box(rng, d):
+    bounds = []
+    for _ in range(d):
+        lo = rng.choice((0.0, -0.0, 0.25, rng.random()))
+        hi = rng.choice((1.0, lo + (1.0 - lo) * rng.random()))
+        bounds.append((lo, hi) if hi > lo else (0.0, 1.0))
+    return box(*bounds)
+
+
+def test_grid_range_matches_the_full_grid_sampler_bit_for_bit():
+    # lo, hi and eps of the per-axis rule against evaluating every grid
+    # point, signed zeros included
+    rng = random.Random(20260)
+    for _ in range(1000):
+        d = rng.randint(1, 3)
+        base = _random_continuous_family(rng, d)
+        cell = _random_box(rng, d)
+        mode = GridRangeMode(resolution=rng.randint(1, 3), levels=rng.randint(0, 2))
+        got = FunctionModel(base, range_mode=mode).essential_range(cell)
+        want = full_grid_range(base, cell, mode.intervals_per_axis)
+        assert (got.lo.hex(), got.hi.hex(), got.eps.hex()) == tuple(v.hex() for v in want), (
+            base, cell, mode)
+
+
+def test_grid_mode_reaches_the_default_resolution_in_3d(monkeypatch):
+    # 257 samples per axis make 257**3 (about 17M) grid points per cell;
+    # the extremes come from per-axis work, never from pointwise values
+    def no_pointwise_evaluation(self, point):
+        raise AssertionError("grid mode evaluated a grid point")
+
+    monkeypatch.setattr(Quadratic, "evaluate", no_pointwise_evaluation)
+    base = Quadratic(0.1, (-1.0, 0.5, 0.0), (1.5, -1.0, 0.25))
+    mode = GridRangeMode()
+    assert mode.intervals_per_axis == 256
+    # interior vertices at 1/3 (between samples) and 0.25 (a sample)
+    cell = box((0.0, 1.0), (0.125, 0.875), (0.25, 0.5))
+    exact = FunctionModel(base).essential_range(cell)
+    approx = FunctionModel(base, range_mode=mode).essential_range(cell)
+    assert not approx.exact and approx.eps > 0.0
+    assert exact.lo <= approx.lo <= exact.lo + approx.eps
+    assert exact.hi - approx.eps <= approx.hi <= exact.hi
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build,field", [
+    pytest.param(lambda v: Affine(v, (1.0,)), "intercept", id="affine-intercept"),
+    pytest.param(lambda v: Affine(0.0, (1.0, v)), "slopes[1]", id="affine-slope"),
+    pytest.param(lambda v: Quadratic(0.0, (v,), (1.0,)), "linear[0]", id="quadratic-linear"),
+    pytest.param(lambda v: Quadratic(0.0, (0.0,), (v,)), "quadratic[0]",
+                 id="quadratic-quadratic"),
+    pytest.param(lambda v: Sinusoid(amplitude=v, frequency=1.0), "amplitude",
+                 id="sinusoid-amplitude"),
+    pytest.param(lambda v: Sinusoid(amplitude=1.0, frequency=v), "frequency",
+                 id="sinusoid-frequency"),
+    pytest.param(lambda v: Sinusoid(amplitude=1.0, frequency=1.0, phase=v), "phase",
+                 id="sinusoid-phase"),
+    pytest.param(lambda v: Sinusoid(amplitude=1.0, frequency=1.0, offset=v), "offset",
+                 id="sinusoid-offset"),
+    pytest.param(lambda v: PiecewiseConstant(equal_partition_1d(2), (1.0, v)), "values[1]",
+                 id="piecewise-constant"),
+    pytest.param(lambda v: FunctionModel(Affine(0.0, (1.0,)), spikes=(((0.5,), v),)),
+                 "spike_values[0]", id="spike"),
+])
+def test_non_finite_numbers_rejected_at_construction(build, field, bad):
+    # FiniteTable: tests/test_oracle.py::test_scoring_rejects_non_finite_values
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)} is"):
+        build(bad)
+
+
+def test_loader_names_a_non_finite_spike_value():
+    # Python's json reads Infinity; the model stops it, and the loader
+    # passes its message on (table values: tests/test_cli.py)
+    obj = {
+        "space": {"kind": "cube", "dimension": 1},
+        "partition": {"cells": [{"box": [[0.0, 1.0]]}]},
+        "function": {"family": "affine", "params": {"intercept": 0.0, "slopes": [1.0]},
+                     "spikes": [[[0.5], math.inf]]},
+    }
+    with pytest.raises(InstanceFormatError, match=r"spike_values\[0\] is inf"):
+        instance_from_json(obj)
 
 
 def test_grid_mode_leaves_jump_families_exact():
@@ -216,12 +305,6 @@ def test_integral_affine_2d():
     f = FunctionModel(Affine(1.0, (2.0, 4.0)))
     # 1 + 2*E[x] + 4*E[y] = 1 + 1 + 2
     assert f.integral(space) == 4.0
-
-
-def test_integral_monotone_quadrature():
-    space = make_cube_space(1)
-    f = FunctionModel(Monotone(lambda p: math.exp(p[0]), (1,)))
-    assert abs(f.integral(space) - (math.e - 1.0)) < 1e-9
 
 
 def test_piecewise_constant_normalises_each_point_once(monkeypatch):

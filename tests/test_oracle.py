@@ -426,10 +426,11 @@ def test_enumeration_cap_is_reachable():
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_scoring_rejects_non_finite_values(bad):
-    space, p, _ = finite_example()
-    f = FunctionModel(FiniteTable((0.0, bad, 2.0, 4.0), space.labels))
-    with pytest.raises(QmcBoundsError, match="finite atom values"):
-        worst_case_error(space, p, f, 2)
+    # the table refuses the value, so no model the scorer could be given
+    # holds one
+    space, _, _ = finite_example()
+    with pytest.raises(ValueError, match=r"values\[1\] is .*, not a finite number"):
+        FiniteTable((0.0, bad, 2.0, 4.0), space.labels)
 
 
 # --- the closed-form adversary ----------------------------------------------

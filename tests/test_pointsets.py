@@ -28,6 +28,7 @@ from qmcbounds import (
     save_pointset,
     single_cell_partition,
 )
+from qmcbounds import pointsets
 from qmcbounds.pointsets import STRATEGIES, STRATEGY_RANDOM
 from oracles import brute_force_uniform_configs
 
@@ -80,6 +81,28 @@ def test_allocation_suggests_only_sizes_it_accepts(cuts):
     suggested = err.value.suggested_n
     if suggested is not None:
         assert sum(allocation(p, suggested)) == suggested
+
+
+def test_allocation_without_a_feasible_size_says_so(monkeypatch):
+    # none of the common-denominator sizes of a cut at 0.123456789123
+    # passes; the message says so rather than "smallest feasible size is
+    # None", and no scan over further sizes runs first
+    p = make_partition(make_cube_space(1),
+                       [interval(0.0, 0.123456789123), interval(0.123456789123, 1.0)])
+    tried = []
+    counts = pointsets._counts
+
+    def counting(measures, n_points):
+        tried.append(n_points)
+        return counts(measures, n_points)
+
+    monkeypatch.setattr(pointsets, "_counts", counting)
+    with pytest.raises(NonIntegerAllocationError) as err:
+        allocation(p, 7)
+    assert err.value.suggested_n is None
+    assert "no feasible size within ALLOCATION_TOL=1e-09 was found" in str(err.value)
+    assert "None" not in str(err.value)
+    assert len(tried) <= 4
 
 
 def test_construct_midpoint_quarters():
