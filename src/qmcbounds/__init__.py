@@ -6,9 +6,7 @@ from .bounds import (
     BoundSet,
     bound_set,
     distance_to_span,
-    optimal_approximant,
     s_value,
-    sup_norm_distance,
 )
 from .errors import (
     BoundViolationError,
@@ -71,15 +69,12 @@ from .spaces import (
     FiniteSpace,
     Partition,
     box,
-    dyadic_refine,
     equal_partition_1d,
     interval,
     make_cube_space,
     make_finite_space,
     make_partition,
     partition_hash,
-    refine_partition,
-    single_cell_partition,
 )
 
 __version__ = "0.1.0"

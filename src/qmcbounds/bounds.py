@@ -23,19 +23,17 @@ cells are disjoint, so each cell's constant can be chosen independently,
 and the best constant against an essential range [g, G] is the midpoint
 (G + g) / 2 with sup-distance (G - g) / 2; no constant does better than
 half the oscillation.  Taking the worst cell gives exactly s_value / 2,
-attained by optimal_approximant, hence theorem1 == corollary1 on
-partitions.  For families of cells that are not a partition this
-independence argument fails, so distance_to_span deliberately accepts a
-Partition only; use sup_norm_distance with an explicit competitor (upper
-bound 2 * ||f - l||_inf), or the exact finite-space minimax in the
-oracle module.
+attained by the piecewise constant of the cell midpoints, hence
+theorem1 == corollary1 on partitions.  For families of cells that are
+not a partition this independence argument fails, so distance_to_span
+deliberately accepts a Partition only; the exact finite-space minimax
+lives in the oracle module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .funcmodel import FunctionModel
 from .spaces import Partition
@@ -57,33 +55,13 @@ def s_value(f: FunctionModel, partition: Partition) -> float:
     return max(f.essential_range(cell).width for cell in partition.cells)
 
 
-def optimal_approximant(f: FunctionModel, partition: Partition) -> tuple[float, ...]:
-    """Per-cell essential-range midpoints; the sup-norm best piecewise
-    constant, with distance s_value / 2."""
-    return tuple((r.hi + r.lo) / 2.0 for r in map(f.essential_range, partition.cells))
-
-
-def sup_norm_distance(f: FunctionModel, constants: Sequence[float],
-                      partition: Partition) -> float:
-    """Essential sup-norm distance between f and the piecewise constant
-    taking constants[j] on cell j."""
-    if len(constants) != partition.k:
-        raise ValueError(f"{len(constants)} constants for {partition.k} cells")
-    worst = 0.0
-    for r, c in zip(map(f.essential_range, partition.cells), constants):
-        worst = max(worst, abs(r.hi - c), abs(r.lo - c))
-    return worst
-
-
 def distance_to_span(f: FunctionModel, partition: Partition) -> float:
     """Exact sup-norm distance from f to the indicator span of a partition.
 
     Equals s_value / 2; see the module docstring for why the midpoint
     construction is optimal.  Only partitions are accepted: for an
     arbitrary family of cells the per-cell independence breaks down, and
-    the caller must instead supply an explicit competitor to
-    sup_norm_distance (upper bound 2 * ||f - l||) or use the exact
-    finite-space minimax in the oracle module.
+    the exact finite-space minimax in the oracle module applies instead.
     """
     if not isinstance(partition, Partition):
         raise TypeError("distance_to_span needs a validated Partition")

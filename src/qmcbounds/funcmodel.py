@@ -527,43 +527,3 @@ class FunctionModel:
                 raise OutOfDomainError("finite space needs finite cells")
             return math.fsum(space.weights[a] * base.evaluate(a) for a in cell.atoms)
         return base.integral_over(cell, space)
-
-
-def affine_map(f: FunctionModel, factor: float, offset: float) -> FunctionModel:
-    """factor * f + offset, for the families where the map stays in the family.
-
-    Every value is computed as factor * v + offset, the same float
-    operations in the same order as scaling first and shifting second.
-    """
-    base = f.base
-    factor = float(factor)
-    offset = float(offset)
-
-    def lift(v: float) -> float:
-        return factor * v + offset
-
-    if isinstance(base, Affine):
-        new = Affine(lift(base.intercept), tuple(factor * a for a in base.slopes))
-    elif isinstance(base, Quadratic):
-        new = Quadratic(
-            lift(base.intercept),
-            tuple(factor * b for b in base.linear),
-            tuple(factor * q for q in base.quadratic),
-        )
-    elif isinstance(base, Sinusoid):
-        new = Sinusoid(
-            factor * base.amplitude,
-            base.frequency,
-            base.phase,
-            lift(base.offset),
-            base.axis,
-            base.dimension,
-        )
-    elif isinstance(base, PiecewiseConstant):
-        new = PiecewiseConstant(base.partition, tuple(lift(v) for v in base.values))
-    elif isinstance(base, FiniteTable):
-        new = FiniteTable(tuple(lift(v) for v in base.values), base.labels)
-    else:
-        raise QmcBoundsError(f"cannot map family {type(base).__name__}")
-    spikes = tuple((p, lift(v)) for p, v in f.spikes)
-    return FunctionModel(new, spikes, f.range_mode)

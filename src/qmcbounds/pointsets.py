@@ -273,11 +273,14 @@ def save_pointset(path, pointset, partition: Partition) -> None:
 def load_pointset(path, space: Space, partition: Partition | None = None) -> tuple:
     """Read the text form back; verifies the header hash when a partition
     is supplied."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = [line.strip() for line in fh if line.strip()]
-    if not raw or not raw[0].startswith("# qmcbounds-pointset"):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = [(n, line.strip()) for n, line in enumerate(fh, 1) if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InstanceFormatError(f"cannot read {path}: {exc}") from exc
+    if not raw or not raw[0][1].startswith("# qmcbounds-pointset"):
         raise InstanceFormatError(f"{path}: missing point-set header")
-    header = raw[0]
+    header = raw[0][1]
     fields = dict(
         part.split("=", 1) for part in header[1:].split() if "=" in part
     )
@@ -291,11 +294,12 @@ def load_pointset(path, space: Space, partition: Partition | None = None) -> tup
             f"{path}: point set was written for a different partition"
         )
     nodes = []
-    for line in raw[1:]:
-        if isinstance(space, FiniteSpace):
-            nodes.append(space.index_of(line))
-        else:
-            nodes.append(tuple(float(tok) for tok in line.split()))
+    for lineno, line in raw[1:]:
+        try:
+            nodes.append(space.as_point(
+                line if isinstance(space, FiniteSpace) else line.split()))
+        except OutOfDomainError as exc:
+            raise InstanceFormatError(f"{path}: line {lineno}: {exc}") from exc
     if len(nodes) != n_declared:
         raise InstanceFormatError(
             f"{path}: header declares {n_declared} nodes, file has {len(nodes)}"

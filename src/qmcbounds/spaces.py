@@ -217,9 +217,7 @@ def _boxes_overlap(a: BoxCell, b: BoxCell) -> bool:
     return True
 
 
-def _sweep(cells: Sequence[BoxCell],
-           pair_text: str = "cells {} and {} overlap with positive volume",
-           ) -> tuple[list[float], list[list[int]]]:
+def _sweep(cells: Sequence[BoxCell]) -> tuple[list[float], list[list[int]]]:
     """Reject positive-volume overlaps by a sweep on axis 0.
 
     Cells are visited by ``lower[0]``; at each distinct lower edge the
@@ -227,7 +225,7 @@ def _sweep(cells: Sequence[BoxCell],
     is tested against the active ones only.  Two boxes overlap on axis 0
     only if the earlier one is still active, so this finds an overlap
     exactly when the pairwise test would (Bentley & Wood, 1980).  The
-    OverlapError names the pair in ascending order through ``pair_text``.
+    OverlapError names the pair in ascending order.
 
     Returns ``(edges, slabs)``: the distinct lower axis-0 edges, sorted,
     and the cells active at each.  A box holding a point whose first
@@ -247,7 +245,8 @@ def _sweep(cells: Sequence[BoxCell],
             slabs.append(active)  # the same list: cells starting here join it
         for i in active:
             if _boxes_overlap(cells[i], cells[j]):
-                raise OverlapError(pair_text.format(*sorted((i, j))))
+                raise OverlapError("cells {} and {} overlap with positive volume"
+                                   .format(*sorted((i, j))))
         active.append(j)
     return edges, slabs
 
@@ -279,16 +278,11 @@ def _validate_cell(space: Space, cell: Cell, index: int) -> float:
 
 @dataclass(frozen=True)
 class Partition:
-    """An ordered, validated partition of a space into cells.
-
-    ``parents`` maps each cell to its parent's index in the partition it
-    was refined from; it is None for partitions built directly.
-    """
+    """An ordered, validated partition of a space into cells."""
 
     space: Space
     cells: tuple[Cell, ...]
     measures: tuple[float, ...]
-    parents: tuple[int, ...] | None = None
 
     @property
     def k(self) -> int:
@@ -356,14 +350,6 @@ def make_partition(space: Space, cells: Sequence[Cell]) -> Partition:
     return Partition(space, cells, measures)
 
 
-def single_cell_partition(space: Space) -> Partition:
-    """The trivial partition whose only cell is the whole space."""
-    if isinstance(space, FiniteSpace):
-        return make_partition(space, [FiniteCell(tuple(range(space.n_atoms)))])
-    d = space.dimension
-    return make_partition(space, [BoxCell((0.0,) * d, (1.0,) * d)])
-
-
 def equal_partition_1d(k: int) -> Partition:
     """[0,1] cut into k equal half-open cells."""
     if k < 1:
@@ -372,78 +358,6 @@ def equal_partition_1d(k: int) -> Partition:
     edges = [i / k for i in range(k)] + [1.0]
     cells = [interval(edges[i], edges[i + 1]) for i in range(k)]
     return make_partition(space, cells)
-
-
-def _validate_split(space: Space, parent: Cell, parent_measure: float,
-                    parts: Sequence[Cell], parent_index: int) -> None:
-    """A split must be a disjoint cover of its parent cell."""
-    parts = tuple(parts)
-    if not parts:
-        raise CoverError(f"split of cell {parent_index} is empty")
-    measures = [_validate_cell(space, c, j) for j, c in enumerate(parts)]
-    if isinstance(space, FiniteSpace):
-        seen: set[int] = set()
-        parent_atoms = set(parent.atoms)
-        for j, c in enumerate(parts):
-            for a in c.atoms:
-                if a not in parent_atoms:
-                    raise CoverError(
-                        f"split of cell {parent_index} reaches outside it (atom {a})"
-                    )
-                if a in seen:
-                    raise OverlapError(f"split of cell {parent_index} repeats atom {a}")
-                seen.add(a)
-        if seen != parent_atoms:
-            raise CoverError(f"split of cell {parent_index} misses atoms")
-    else:
-        for j, c in enumerate(parts):
-            for lo, hi, plo, phi in zip(c.lower, c.upper, parent.lower, parent.upper):
-                if lo < plo or hi > phi:
-                    raise CoverError(f"split of cell {parent_index} reaches outside it")
-        _sweep(parts, f"split of cell {parent_index}: parts {{}} and {{}} overlap")
-        if abs(math.fsum(measures) - parent_measure) > MASS_TOL:
-            raise CoverError(f"split of cell {parent_index} does not cover it")
-
-
-def refine_partition(partition: Partition, splits: Mapping[int, Sequence[Cell]]) -> Partition:
-    """Replace selected cells by disjoint covers of themselves.
-
-    ``splits`` maps a cell index to the list of cells replacing it; cells
-    not mentioned are kept.  The result records, for every new cell, the
-    index of its parent in ``partition``.
-    """
-    for j in splits:
-        if not 0 <= j < partition.k:
-            raise ValueError(f"split index {j} out of range for {partition.k} cells")
-    new_cells: list[Cell] = []
-    parents: list[int] = []
-    for j, cell in enumerate(partition.cells):
-        if j in splits:
-            parts = tuple(splits[j])
-            _validate_split(partition.space, cell, partition.measures[j], parts, j)
-            new_cells.extend(parts)
-            parents.extend([j] * len(parts))
-        else:
-            new_cells.append(cell)
-            parents.append(j)
-    refined = make_partition(partition.space, new_cells)
-    return Partition(refined.space, refined.cells, refined.measures, tuple(parents))
-
-
-def dyadic_refine(partition: Partition, axis: int = 0) -> Partition:
-    """Halve every box cell along one axis; a 1D convenience for studies."""
-    if not isinstance(partition.space, CubeSpace):
-        raise ValueError("dyadic_refine needs a cube-space partition")
-    splits = {}
-    for j, cell in enumerate(partition.cells):
-        lo, hi = cell.lower[axis], cell.upper[axis]
-        mid = (lo + hi) / 2.0
-        left_u = list(cell.upper)
-        left_u[axis] = mid
-        right_l = list(cell.lower)
-        right_l[axis] = mid
-        splits[j] = [BoxCell(cell.lower, tuple(left_u)), BoxCell(tuple(right_l), cell.upper)]
-    return refine_partition(partition, splits)
 
 
 def _canonical_cell_text(cell: Cell) -> str:

@@ -6,7 +6,8 @@ product grid, integrals from scipy quadrature, the minimax from a
 coefficient grid search, enumeration from brute force over ordered
 node tuples, box overlaps and cell lookups from pairwise tests and
 linear scans, and the exhaustive worst error from scoring every
-configuration one by one.
+configuration one by one; the cube worst error from every
+one-node-per-cell placement on a grid.
 """
 
 from __future__ import annotations
@@ -141,3 +142,23 @@ def scan_worst_configuration(stream, space, f, n_points):
             worst = err
             argmax = config
     return worst, argmax
+
+
+def grid_worst_placement(fn, intervals, points_per_cell):
+    """Worst |average - integral| over one-node-per-cell placements on a
+    grid, for cells [a, b] that cover [0, 1].
+
+    Each node ranges over ``points_per_cell`` equispaced points of its
+    closed cell.  The node sums of all points_per_cell ** k placements
+    come from numpy outer additions, and the integral from quadrature.
+    Returns the worst error and each cell's grid spacing.
+    """
+    sums = np.zeros(())
+    spacings = []
+    for a, b in intervals:
+        values = [fn(float(t)) for t in np.linspace(a, b, points_per_cell)]
+        sums = np.add.outer(sums, values)
+        spacings.append((b - a) / (points_per_cell - 1))
+    integral = quad_integral(fn, 0.0, 1.0)
+    worst = float(np.max(np.abs(sums / len(intervals) - integral)))
+    return worst, spacings

@@ -1,4 +1,4 @@
-"""Cell extrema, oscillation bounds, approximants, span distance."""
+"""Cell extrema, oscillation bounds, span distance."""
 
 import pytest
 from hypothesis import given, settings
@@ -15,16 +15,12 @@ from qmcbounds import (
     Sinusoid,
     bound_set,
     distance_to_span,
-    dyadic_refine,
     equal_partition_1d,
     interval,
     make_finite_space,
     make_partition,
-    optimal_approximant,
     s_value,
-    sup_norm_distance,
 )
-from qmcbounds.funcmodel import affine_map
 from oracles import dense_range_1d
 
 X = FunctionModel(Affine(0.0, (1.0,)))
@@ -97,43 +93,6 @@ def test_s_value_constant_zero():
     assert s_value(f, equal_partition_1d(8)) == 0.0
 
 
-def test_optimal_approximant_x2():
-    # midpoints of (0, .25) and (.25, 1): (0.125, 0.625)
-    p = equal_partition_1d(2)
-    assert optimal_approximant(X2, p) == (0.125, 0.625)
-
-
-def test_optimal_approximant_x_quarters():
-    p = equal_partition_1d(4)
-    assert optimal_approximant(X, p) == (0.125, 0.375, 0.625, 0.875)
-
-
-def test_sup_norm_distance_optimal_and_zero_competitor():
-    p = equal_partition_1d(2)
-    f = X
-    best = optimal_approximant(f, p)
-    assert sup_norm_distance(f, best, p) == 0.25
-    # all-zero constants: distance max(|0|, |1|) = 1 via the second cell
-    assert sup_norm_distance(f, (0.0, 0.0), p) == 1.0
-
-
-def test_sup_norm_distance_ignores_spikes():
-    p = equal_partition_1d(2)
-    f = FunctionModel(Affine(0.0, (1.0,)), spikes=(((0.25,), 50.0),))
-    best = optimal_approximant(f, p)
-    assert sup_norm_distance(f, best, p) == 0.25
-
-
-def test_sup_norm_distance_never_beats_optimum():
-    import random
-    rng = random.Random(5)
-    p = equal_partition_1d(4)
-    best = distance_to_span(X2, p)
-    for _ in range(200):
-        competitor = tuple(rng.uniform(-1, 2) for _ in range(4))
-        assert sup_norm_distance(X2, competitor, p) >= best - 1e-12
-
-
 def test_distance_to_span_values():
     assert distance_to_span(X, equal_partition_1d(4)) == 0.125
     assert distance_to_span(X2, equal_partition_1d(2)) == 0.375
@@ -197,25 +156,26 @@ def test_theorem1_equals_corollary1_bit_for_bit(oscillation):
 
 
 def test_bounds_scale_and_shift():
+    # f, -3 f and f + 11 for f = x and f = x^2
     p = equal_partition_1d(4)
-    for f in (X, X2):
+    for f, scaled, shifted in (
+        (X, Affine(0.0, (-3.0,)), Affine(11.0, (1.0,))),
+        (X2, Quadratic(0.0, (0.0,), (-3.0,)), Quadratic(11.0, (0.0,), (1.0,))),
+    ):
         b = bound_set(f, p)
-        b_scaled = bound_set(affine_map(f, -3.0, 0.0), p)
+        b_scaled = bound_set(FunctionModel(scaled), p)
         assert abs(b_scaled.corollary1 - 3.0 * b.corollary1) < 1e-12
         assert abs(b_scaled.corollary2 - 3.0 * b.corollary2) < 1e-12
-        b_shifted = bound_set(affine_map(f, 1.0, 11.0), p)
+        b_shifted = bound_set(FunctionModel(shifted), p)
         assert abs(b_shifted.corollary1 - b.corollary1) < 1e-12
         assert abs(b_shifted.corollary2 - b.corollary2) < 1e-12
 
 
 def test_refinement_never_increases_bounds():
-    p = equal_partition_1d(1)
     for f in (X, X2, SIN):
-        q = p
-        prev = bound_set(f, q)
-        for _ in range(6):
-            q = dyadic_refine(q)
-            cur = bound_set(f, q)
+        prev = bound_set(f, equal_partition_1d(1))
+        for m in range(1, 7):
+            cur = bound_set(f, equal_partition_1d(2 ** m))
             assert cur.corollary1 <= prev.corollary1 + 1e-12
             assert cur.corollary2 <= prev.corollary2 + 1e-12
             assert cur.theorem1 <= prev.theorem1 + 1e-12

@@ -187,6 +187,36 @@ def test_bounds_rejects_non_uniform_points(runner, tmp_path):
     assert "not uniform" in result.stderr
 
 
+@pytest.mark.parametrize("bad_line", ["abc", "1.5", "0.5 0.5"])
+def test_bounds_rejects_malformed_point_lines(runner, tmp_path, bad_line):
+    # a word, a coordinate outside [0, 1] and a 2-D point in a 1-D space
+    # each printed a traceback with exit 1, the "check failed" code
+    config = write_json(tmp_path / "x2.json", X2_INSTANCE)
+    partition = equal_partition_1d(2)
+    points = tmp_path / "bad.txt"
+    save_pointset(points, ((0.25,), (0.75,)), partition)
+    lines = points.read_text(encoding="utf-8").splitlines()
+    lines[2] = bad_line
+    points.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = runner.invoke(main, ["bounds", "--config", config,
+                                  "--points", str(points)])
+    assert result.exit_code == 2, result.output
+    assert f"{points}: line 3:" in result.stderr
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe\n"])
+def test_bounds_rejects_unreadable_point_files(runner, tmp_path, content):
+    # a missing file and one that is not UTF-8
+    config = write_json(tmp_path / "x2.json", X2_INSTANCE)
+    points = tmp_path / "nodes.txt"
+    if content is not None:
+        points.write_bytes(content)
+    result = runner.invoke(main, ["bounds", "--config", config,
+                                  "--points", str(points)])
+    assert result.exit_code == 2, result.output
+    assert f"cannot read {points}:" in result.stderr
+
+
 def test_bounds_rejects_non_finite_values(runner, tmp_path):
     # json reads NaN; without the check every bound printed nan with
     # exact=true and exit 0

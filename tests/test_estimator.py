@@ -21,7 +21,6 @@ from qmcbounds import (
     make_finite_space,
     qmc_estimate,
 )
-from qmcbounds.funcmodel import affine_map
 from qmcbounds.pointsets import STRATEGY_RANDOM
 
 X = FunctionModel(Affine(0.0, (1.0,)))
@@ -100,8 +99,11 @@ def test_bound_report_rejects_non_uniform():
 def test_estimate_linearity():
     p = equal_partition_1d(4)
     ps = construct_uniform(p, 8, STRATEGY_RANDOM, seed=9)
-    for f in (X, X2):
-        g = affine_map(f, 3.5, -1.25)
+    # g = 3.5 f - 1.25
+    for f, g in (
+        (X, FunctionModel(Affine(-1.25, (3.5,)))),
+        (X2, FunctionModel(Quadratic(-1.25, (0.0,), (3.5,)))),
+    ):
         assert abs(qmc_estimate(g, ps) - (3.5 * qmc_estimate(f, ps) - 1.25)) < 1e-12
 
 

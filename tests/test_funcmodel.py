@@ -360,10 +360,13 @@ def test_cell_integral_matches_quadrature():
 
 
 def test_integral_linearity():
+    # g = 2.5 f - 0.75
     space = make_cube_space(1)
-    from qmcbounds.funcmodel import affine_map
-    for f in (X, X2, SIN):
-        g = affine_map(f, 2.5, -0.75)
+    for f, g in (
+        (X, FunctionModel(Affine(-0.75, (2.5,)))),
+        (X2, FunctionModel(Quadratic(-0.75, (0.0,), (2.5,)))),
+        (SIN, FunctionModel(Sinusoid(amplitude=2.5, frequency=1.0, offset=-0.75))),
+    ):
         assert abs(g.integral(space) - (2.5 * f.integral(space) - 0.75)) < 1e-12
 
 

@@ -15,6 +15,7 @@ from qmcbounds import (
     FiniteTable,
     FunctionModel,
     QmcBoundsError,
+    Sinusoid,
     allocation,
     distance_to_span,
     enumerate_uniform,
@@ -23,7 +24,6 @@ from qmcbounds import (
     make_partition,
     minimax_distance_finite,
     random_instance,
-    single_cell_partition,
     small_exhaustive_suite,
     verify_bounds_exhaustive,
     verify_instance,
@@ -34,7 +34,11 @@ from qmcbounds import oracle
 from qmcbounds.experiments import edge_placement_worst_error, named_function
 from qmcbounds.oracle import MAX_ATOMS, MAX_CELLS, VERIFY_SLACK
 from qmcbounds.pointsets import DEFAULT_ENUMERATION_CAP
-from oracles import brute_minimax_single_cell, scan_worst_configuration
+from oracles import (
+    brute_minimax_single_cell,
+    grid_worst_placement,
+    scan_worst_configuration,
+)
 
 
 def finite_example():
@@ -123,7 +127,7 @@ def test_verify_singleton_cells_zero_budget_noise():
 def test_verify_trivial_partition_two_atoms():
     # {a: .5, b: .5}, one cell, N=2: worst 0.5, corollary2 = 1
     space = make_finite_space([("a", 0.5), ("b", 0.5)])
-    p = single_cell_partition(space)
+    p = make_partition(space, [FiniteCell(range(space.n_atoms))])
     f = FunctionModel(FiniteTable((0.0, 1.0), space.labels))
     verdict = verify_bounds_exhaustive(space, p, f, 2)
     assert verdict.worst_error == 0.5
@@ -372,7 +376,7 @@ def test_scoring_does_no_python_work_per_multiset(monkeypatch):
     # one cell of 6 atoms, N = 16: 20,349 multisets, scored with a
     # handful of fsum calls (the integral and the rescored candidates)
     space = make_finite_space([(f"a{i}", 1 / 6) for i in range(6)])
-    p = single_cell_partition(space)
+    p = make_partition(space, [FiniteCell(range(space.n_atoms))])
     rng = random.Random(3)
     f = FunctionModel(FiniteTable(tuple(rng.uniform(-1.0, 1.0) for _ in range(6)),
                                   space.labels))
@@ -463,6 +467,26 @@ def test_worst_uniform_error_on_the_cube():
             partition = equal_partition_1d(2 ** depth)
             g = named_function(name)
             assert worst_uniform_error(g, partition) == edge_placement_worst_error(g, partition)
+
+
+@pytest.mark.parametrize("k, points", [(1, 10_001), (2, 1001), (3, 101), (4, 31)])
+def test_worst_uniform_error_against_a_grid_adversary(k, points):
+    # the worst one-node-per-cell placement on a grid of each closed cell
+    # never beats W, and misses it by at most what the grid cannot reach:
+    # every point is within spacing / 2 of a grid point
+    partition = equal_partition_1d(k)
+    intervals = [(cell.lower[0], cell.upper[0]) for cell in partition.cells]
+    families = [named_function(name) for name in ("x", "x2", "sin2pix", "const")]
+    families.append(FunctionModel(Sinusoid(amplitude=1.3, frequency=1.5, phase=0.7,
+                                           offset=-0.2)))
+    for f in families:
+        w = worst_uniform_error(f, partition)
+        worst, spacings = grid_worst_placement(lambda t: f.evaluate((t,)), intervals, points)
+        assert worst <= w + 1e-12
+        lipschitz = f.base.lipschitz_bound()
+        reach = math.fsum(m * lipschitz * h / 2.0
+                          for m, h in zip(partition.measures, spacings))
+        assert w - worst <= reach + 1e-12
 
 
 def test_verify_reads_each_cell_range_once(monkeypatch):

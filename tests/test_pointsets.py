@@ -24,9 +24,7 @@ from qmcbounds import (
     make_cube_space,
     make_finite_space,
     make_partition,
-    refine_partition,
     save_pointset,
-    single_cell_partition,
 )
 from qmcbounds import pointsets
 from qmcbounds.pointsets import STRATEGIES, STRATEGY_RANDOM
@@ -156,7 +154,7 @@ def test_construct_seeded_random_deterministic():
 
 
 def test_construct_avoids_listed_points():
-    p = single_cell_partition(make_cube_space(1))
+    p = equal_partition_1d(1)
     rng = random.Random(7)
     forbidden = tuple((rng.uniform(0, 1),) for _ in range(50))
     ps = construct_uniform(p, 64, STRATEGY_RANDOM, seed=7, avoid_points=forbidden)
@@ -165,7 +163,7 @@ def test_construct_avoids_listed_points():
 
 def test_is_uniform_trivial_partition():
     # any nonempty point set is uniform for the one-cell partition
-    p = single_cell_partition(make_cube_space(1))
+    p = equal_partition_1d(1)
     assert is_uniform([(0.1,), (0.9,), (0.3,)], p)
 
 
@@ -193,8 +191,8 @@ def test_is_uniform_permutation_invariant():
 def test_uniform_for_refinement_implies_uniform_for_parent():
     # counts aggregate across split cells when the parent allocation is integral
     parent = equal_partition_1d(2)
-    refined = refine_partition(
-        parent, {0: [interval(0, 0.25), interval(0.25, 0.5)]}
+    refined = make_partition(
+        parent.space, [interval(0, 0.25), interval(0.25, 0.5), interval(0.5, 1)]
     )
     for seed in range(5):
         ps = construct_uniform(refined, 8, STRATEGY_RANDOM, seed=seed)
@@ -205,7 +203,7 @@ def test_uniform_for_refinement_implies_uniform_for_parent():
 def test_enumerate_two_atoms_single_cell():
     # {a: .5, b: .5}, one cell, N=2: multisets {aa, ab, bb}
     space = make_finite_space([("a", 0.5), ("b", 0.5)])
-    p = single_cell_partition(space)
+    p = make_partition(space, [FiniteCell(range(space.n_atoms))])
     stream = enumerate_uniform(space, p, 2)
     assert stream.total_count == 3
     assert list(stream) == [((0, 0),), ((0, 1),), ((1, 1),)]
@@ -268,7 +266,7 @@ def test_enumerate_builds_no_multiset_before_iteration():
     # one cell of 8 atoms, N = 16: 245,157 multisets, none of them built
     # until the stream is iterated
     space = make_finite_space([(f"a{i}", 0.125) for i in range(8)])
-    p = single_cell_partition(space)
+    p = make_partition(space, [FiniteCell(range(space.n_atoms))])
     tracemalloc.start()
     try:
         stream = enumerate_uniform(space, p, 16)
@@ -282,7 +280,7 @@ def test_enumerate_builds_no_multiset_before_iteration():
 
 def test_enumerate_respects_cap():
     space = make_finite_space([(f"a{i}", 0.125) for i in range(8)])
-    p = single_cell_partition(space)
+    p = make_partition(space, [FiniteCell(range(space.n_atoms))])
     with pytest.raises(EnumerationTooLargeError):
         enumerate_uniform(space, p, 16, cap=100)
 

@@ -1,4 +1,4 @@
-"""Spaces, cells, partitions, refinement."""
+"""Spaces, cells, partitions."""
 
 import math
 import re
@@ -17,15 +17,12 @@ from qmcbounds import (
     OverlapError,
     WeightSumError,
     box,
-    dyadic_refine,
     equal_partition_1d,
     interval,
     make_cube_space,
     make_finite_space,
     make_partition,
     partition_hash,
-    refine_partition,
-    single_cell_partition,
 )
 from qmcbounds import spaces
 from oracles import first_overlapping_pair, scan_cell_index
@@ -135,57 +132,6 @@ def test_box_membership_2d():
     assert not cell.contains((0.25, 0.25))
 
 
-def test_single_cell_partition():
-    space = make_finite_space([("a", 0.5), ("b", 0.5)])
-    p = single_cell_partition(space)
-    assert p.k == 1
-    assert p.measures == (1.0,)
-
-
-def test_refine_partition_dyadic_split():
-    # one dyadic split of [0,1): cells [0,.5) [.5,1], parents recorded
-    p = single_cell_partition(make_cube_space(1))
-    refined = refine_partition(p, {0: [interval(0, 0.5), interval(0.5, 1)]})
-    assert refined.k == 2
-    assert refined.measures == (0.5, 0.5)
-    assert refined.parents == (0, 0)
-
-
-def test_refine_partition_keeps_unsplit_cells():
-    p = equal_partition_1d(2)
-    refined = refine_partition(p, {1: [interval(0.5, 0.75), interval(0.75, 1)]})
-    assert refined.k == 3
-    assert refined.parents == (0, 1, 1)
-    assert refined.cells[0] == interval(0, 0.5)
-
-
-def test_refine_partition_rejects_partial_split():
-    p = single_cell_partition(make_cube_space(1))
-    with pytest.raises(CoverError):
-        refine_partition(p, {0: [interval(0, 0.5)]})
-
-
-def test_refine_partition_rejects_escape():
-    p = equal_partition_1d(2)
-    with pytest.raises(CoverError):
-        refine_partition(p, {0: [interval(0, 0.25), interval(0.25, 0.75)]})
-
-
-def test_refine_partition_finite():
-    space = make_finite_space([(str(i), 0.25) for i in range(4)])
-    p = single_cell_partition(space)
-    refined = refine_partition(p, {0: [FiniteCell((0, 1)), FiniteCell((2, 3))]})
-    assert refined.measures == (0.5, 0.5)
-
-
-def test_dyadic_refine_doubles_cells():
-    p = equal_partition_1d(1)
-    for m in range(1, 11):
-        p = dyadic_refine(p)
-        assert p.k == 2 ** m
-        assert all(abs(mu - 1.0 / 2 ** m) < 1e-15 for mu in p.measures)
-
-
 def test_measures_always_sum_to_one():
     for k in (1, 2, 3, 7, 16):
         p = equal_partition_1d(k)
@@ -207,12 +153,6 @@ def test_overlap_message_names_pair_in_ascending_order():
     cells = [interval(0.3, 0.6), interval(0.6, 1), interval(0, 0.4)]
     with pytest.raises(OverlapError, match=r"^cells 0 and 2 overlap with positive volume$"):
         make_partition(space, cells)
-
-
-def test_split_overlap_message_names_parts():
-    p = single_cell_partition(make_cube_space(1))
-    with pytest.raises(OverlapError, match=r"^split of cell 0: parts 0 and 1 overlap$"):
-        refine_partition(p, {0: [interval(0.4, 1), interval(0, 0.5)]})
 
 
 def test_partition_validation_is_near_linear(monkeypatch):
