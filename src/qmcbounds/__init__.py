@@ -2,12 +2,7 @@
 worst-case integration error bounds and exhaustive finite-space
 verification."""
 
-from .bounds import (
-    BoundSet,
-    bound_set,
-    distance_to_span,
-    s_value,
-)
+from .bounds import BoundSet, bound_set
 from .errors import (
     BoundViolationError,
     CoverError,

@@ -4,30 +4,30 @@ For a partition M_1..M_k with per-cell essential ranges [g_j, G_j],
 three bounds on |point-set average - integral| hold simultaneously for
 every uniform point set (up to null sets of configurations):
 
-- theorem1   = 2 * distance_to_span(f, partition): twice the sup-norm
-  distance from f to the span of the cell indicators (plus constants).
-  The certified mechanism: the point-set average of any function in that
-  span is exactly its integral, so replacing f by its best approximant l
-  costs at most ||f - l||_inf on each side.
-- corollary1 = s_value(f, partition) = max_j (G_j - g_j), the worst
-  single-cell essential oscillation.
+- theorem1   = 2 * distance: twice the sup-norm distance from f to the
+  span of the cell indicators (plus constants).  The certified
+  mechanism: the point-set average of any function in that span is
+  exactly its integral, so replacing f by its best approximant l costs
+  at most ||f - l||_inf on each side.
+- corollary1 = s = max_j (G_j - g_j), the worst single-cell essential
+  oscillation.
 - corollary2 = sum_j measure_j * (G_j - g_j), the measure-weighted
   oscillation.  Always <= corollary1, and it is exact per cell: the
   cell's node average and the cell's integral share [g_j, G_j] scaled by
   measure_j.
 
-Why distance_to_span equals s_value / 2 on a partition: the indicator
-span restricted to a partition is exactly the piecewise-constant
-functions (the constant 1 is itself the sum of the indicators).  The
-cells are disjoint, so each cell's constant can be chosen independently,
-and the best constant against an essential range [g, G] is the midpoint
+Why the distance equals s / 2 on a partition: the indicator span
+restricted to a partition is exactly the piecewise-constant functions
+(the constant 1 is itself the sum of the indicators).  The cells are
+disjoint, so each cell's constant can be chosen independently, and the
+best constant against an essential range [g, G] is the midpoint
 (G + g) / 2 with sup-distance (G - g) / 2; no constant does better than
-half the oscillation.  Taking the worst cell gives exactly s_value / 2,
+half the oscillation.  Taking the worst cell gives exactly s / 2,
 attained by the piecewise constant of the cell midpoints, hence
 theorem1 == corollary1 on partitions.  For families of cells that are
-not a partition this independence argument fails, so distance_to_span
-deliberately accepts a Partition only; the exact finite-space minimax
-lives in the oracle module.
+not a partition this independence argument fails; the exact
+finite-space minimax over an arbitrary family lives in the oracle
+module.
 """
 
 from __future__ import annotations
@@ -48,24 +48,6 @@ class BoundSet:
     corollary2: float
     distance: float
     exact: bool
-
-
-def s_value(f: FunctionModel, partition: Partition) -> float:
-    """Largest essential oscillation over the cells."""
-    return max(f.essential_range(cell).width for cell in partition.cells)
-
-
-def distance_to_span(f: FunctionModel, partition: Partition) -> float:
-    """Exact sup-norm distance from f to the indicator span of a partition.
-
-    Equals s_value / 2; see the module docstring for why the midpoint
-    construction is optimal.  Only partitions are accepted: for an
-    arbitrary family of cells the per-cell independence breaks down, and
-    the exact finite-space minimax in the oracle module applies instead.
-    """
-    if not isinstance(partition, Partition):
-        raise TypeError("distance_to_span needs a validated Partition")
-    return s_value(f, partition) / 2.0
 
 
 def bound_set(f: FunctionModel, partition: Partition) -> BoundSet:

@@ -4,18 +4,12 @@ Three studies, all emitting plain row dictionaries for the report
 writers:
 
 - convergence: dyadic refinements of [0,1] with one node per cell,
-  bounds next to realized errors and the analytic adversarial error.
+  bounds next to realized errors and the closed-form worst error over
+  every uniform point set.
 - perturb: spike overrides fired at a base function; essential bounds
   must not move a bit, a deliberately naive pointwise baseline must blow
   up, and seeded point-set errors must be unchanged.
 - verify: the exhaustive finite-space sweep.
-
-The adversarial analysis here is the cube-space counterpart of the
-finite-space exhaustive oracle.  With one node per cell the error
-splits into independent per-cell deviations measure_j * (f(t_j) -
-cell_average_j), so the worst edge placement is found by maximizing
-each cell's deviation over its two edges separately (closure values;
-for a monotone cell those are the extreme deviations).
 """
 
 from __future__ import annotations
@@ -24,18 +18,13 @@ import math
 import random
 from typing import Sequence
 
-from .bounds import bound_set
+from .bounds import _bounds_from_ranges, bound_set
 from .errors import QmcBoundsError
 from .estimator import integration_error
 from .funcmodel import Affine, FunctionModel, Quadratic, Sinusoid
 from .instances import Instance, instance_to_json
-from .oracle import verify_instance
-from .pointsets import (
-    DEFAULT_ENUMERATION_CAP,
-    STRATEGY_RANDOM,
-    allocation,
-    construct_uniform,
-)
+from .oracle import _worst_uniform_error, verify_instance, worst_uniform_error
+from .pointsets import DEFAULT_ENUMERATION_CAP, STRATEGY_RANDOM, construct_uniform
 from .spaces import CubeSpace, Partition, equal_partition_1d
 
 MAX_REFINEMENT_DEPTH = 20
@@ -66,36 +55,19 @@ def _require_study_function(f: FunctionModel) -> None:
         raise QmcBoundsError("refinement studies need the exact range oracle")
 
 
-def edge_placement_worst_error(f: FunctionModel, partition: Partition) -> float:
-    """Largest |average - integral| over one-node-per-cell edge placements.
-
-    Requires an allocation of exactly one node per cell.  Deviations are
-    evaluated at both cell edges (values on the closure; the right edge
-    is approached from inside the half-open cell), and per-cell choices
-    are independent, so the two signed extremes assemble cell by cell.
-    """
-    space = partition.space
-    if not isinstance(space, CubeSpace) or space.dimension != 1:
-        raise QmcBoundsError("edge placement analysis is one-dimensional")
-    counts = allocation(partition, partition.k)
-    if any(c != 1 for c in counts):
-        raise QmcBoundsError("edge placement analysis needs one node per cell")
-    up_terms = []
-    down_terms = []
-    base = f.base
-    for cell, measure in zip(partition.cells, partition.measures):
-        average = f.cell_integral(cell, space) / measure
-        # the cell's edges are validated coordinates: no re-normalisation
-        dev_left = base.evaluate(cell.lower) - average
-        dev_right = base.evaluate(cell.upper) - average
-        up_terms.append(measure * max(dev_left, dev_right))
-        down_terms.append(measure * min(dev_left, dev_right))
-    return max(math.fsum(up_terms), -math.fsum(down_terms), 0.0)
+# Kept only because bench/tracer.py's TRACED still looks this name up and
+# CI runs the traced benchmark; nothing else may call it.  It goes
+# together with that entry.
+edge_placement_worst_error = worst_uniform_error
 
 
 def convergence_table(f: FunctionModel, depth: int, strategy: str,
                       seed: int = 0) -> list[dict]:
-    """Rows (k, bounds, realized error, adversarial error) for k = 2^m."""
+    """Rows (k, bounds, realized error, adversarial error) for k = 2^m.
+
+    The adversarial error is ``worst_uniform_error``: the worst error
+    over every uniform point set, in closed form.
+    """
     _require_study_function(f)
     if not 1 <= depth <= MAX_REFINEMENT_DEPTH:
         raise QmcBoundsError(f"depth must be in 1..{MAX_REFINEMENT_DEPTH}, got {depth}")
@@ -104,7 +76,12 @@ def convergence_table(f: FunctionModel, depth: int, strategy: str,
     for m in range(1, depth + 1):
         k = 2 ** m
         partition = equal_partition_1d(k)
-        bounds = bound_set(f, partition)
+        # one range per cell serves the bounds and the adversary; the list
+        # is dropped before the point set is built, to keep peak memory down
+        ranges = [f.essential_range(cell) for cell in partition.cells]
+        bounds = _bounds_from_ranges(ranges, partition)
+        adversarial = _worst_uniform_error(f, partition, ranges)
+        del ranges
         pointset = construct_uniform(
             partition, k, strategy, seed=seed, avoid_points=spike_points
         )
@@ -115,7 +92,7 @@ def convergence_table(f: FunctionModel, depth: int, strategy: str,
             "corollary1": bounds.corollary1,
             "theorem1": bounds.theorem1,
             "realized_error": realized,
-            "adversarial_error": edge_placement_worst_error(f, partition),
+            "adversarial_error": adversarial,
         })
     return rows
 

@@ -288,7 +288,7 @@ def load_instances(path) -> list[Instance]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InstanceFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"{path} is not valid JSON: {exc}") from exc

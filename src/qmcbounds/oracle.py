@@ -18,8 +18,9 @@ against each other.
 as a linear program (HiGHS).  The returned certificate carries the
 coefficients and the max residual they achieve, so its claim can be
 rechecked independently; when the family happens to be a partition the
-result is cross-checked against the closed form s_value / 2 before it
-is returned.
+result is cross-checked against the closed form ``bound_set(f,
+partition).distance``, half the worst cell oscillation, before it is
+returned.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import random
 from dataclasses import dataclass
 from itertools import accumulate, combinations_with_replacement
 
-from .bounds import BoundSet, _bounds_from_ranges, distance_to_span
+from .bounds import BoundSet, _bounds_from_ranges, bound_set
 from .errors import QmcBoundsError
 from .funcmodel import FiniteTable, FunctionModel
 from .instances import Instance
@@ -303,10 +304,10 @@ def verify_bounds_exhaustive(space: FiniteSpace, partition: Partition,
     slack, scaled to the data (``_verdict_slack``).
 
     tightness is worst_error / corollary2 (how much of the certified
-    budget the adversary actually uses).  A zero budget (constant cell
-    values) with a worst error inside the slack is summation noise using
-    all of nothing, reported as 1.0; only a genuine violation of a zero
-    budget reports inf.
+    budget the adversary actually uses).  A budget within the slack is
+    treated as the zero budget, since dividing by it only scales rounding
+    noise: a worst error inside the slack then uses all of nothing,
+    reported as 1.0, and only a genuine violation reports inf.
     """
     stream = enumerate_uniform(space, partition, n_points, cap)
     # one range per cell serves the bounds and the closed form alike
@@ -320,7 +321,7 @@ def verify_bounds_exhaustive(space: FiniteSpace, partition: Partition,
         and worst <= bounds.theorem1 + slack
         and abs(worst - _worst_uniform_error(f, partition, ranges)) <= slack
     )
-    if bounds.corollary2 > 0.0:
+    if bounds.corollary2 > slack:
         tightness = worst / bounds.corollary2
     else:
         tightness = 1.0 if worst <= slack else math.inf
@@ -413,7 +414,7 @@ def minimax_distance_finite(space: FiniteSpace, family, f: FunctionModel) -> Min
     except QmcBoundsError:
         pass  # not a partition: no closed form to cross-check
     else:
-        closed_form = distance_to_span(f, partition)
+        closed_form = bound_set(f, partition).distance
         if abs(achieved - closed_form) > VERIFY_SLACK:
             raise QmcBoundsError(
                 f"minimax {achieved!r} disagrees with the closed form {closed_form!r} "

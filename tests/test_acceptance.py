@@ -35,8 +35,9 @@ from qmcbounds import (
     random_instance,
     small_exhaustive_suite,
     verify_instance,
+    worst_uniform_error,
 )
-from qmcbounds.experiments import edge_placement_worst_error, named_function
+from qmcbounds.experiments import named_function
 from qmcbounds.pointsets import STRATEGY_RANDOM
 
 CHAIN_TOL = 1e-9
@@ -150,7 +151,7 @@ def test_a4_identity_function_closed_forms(capsys):
                             ("corollary2", b.corollary2)):
             if abs(value - target) > ANALYTIC_TOL:
                 failures.append(f"k={k}: {name} = {value!r}, want {target!r}")
-        adversarial = edge_placement_worst_error(f, partition)
+        adversarial = worst_uniform_error(f, partition)
         if abs(adversarial - 1.0 / (2 * k)) > ANALYTIC_TOL:
             failures.append(f"k={k}: adversarial {adversarial!r}")
     conclude(capsys, "A4 identity closed forms, k = 2..1024", failures)

@@ -14,12 +14,10 @@ from qmcbounds import (
     Quadratic,
     Sinusoid,
     bound_set,
-    distance_to_span,
     equal_partition_1d,
     interval,
     make_finite_space,
     make_partition,
-    s_value,
 )
 from oracles import dense_range_1d
 
@@ -74,13 +72,13 @@ def test_cell_extrema_spike_invisible():
 
 def test_s_value_x_quarters():
     # f(x)=x over 4 equal cells: every oscillation 0.25
-    assert s_value(X, equal_partition_1d(4)) == 0.25
+    assert bound_set(X, equal_partition_1d(4)).corollary1 == 0.25
 
 
 def test_s_value_x2_two_cells():
     # oscillations 0.25 and 0.75: s = 0.75, grid oracle agrees
     p = equal_partition_1d(2)
-    assert s_value(X2, p) == 0.75
+    assert bound_set(X2, p).corollary1 == 0.75
     osc = []
     for a, b in ((0.0, 0.5), (0.5, 1.0)):
         lo, hi = dense_range_1d(lambda t: t * t, a, b)
@@ -90,19 +88,14 @@ def test_s_value_x2_two_cells():
 
 def test_s_value_constant_zero():
     f = FunctionModel(Affine(3.0, (0.0,)))
-    assert s_value(f, equal_partition_1d(8)) == 0.0
+    assert bound_set(f, equal_partition_1d(8)).corollary1 == 0.0
 
 
 def test_distance_to_span_values():
-    assert distance_to_span(X, equal_partition_1d(4)) == 0.125
-    assert distance_to_span(X2, equal_partition_1d(2)) == 0.375
+    assert bound_set(X, equal_partition_1d(4)).distance == 0.125
+    assert bound_set(X2, equal_partition_1d(2)).distance == 0.375
     f = FunctionModel(Affine(2.0, (0.0,)))
-    assert distance_to_span(f, equal_partition_1d(4)) == 0.0
-
-
-def test_distance_to_span_requires_partition():
-    with pytest.raises(TypeError):
-        distance_to_span(X, [interval(0, 0.5)])
+    assert bound_set(f, equal_partition_1d(4)).distance == 0.0
 
 
 def test_bound_set_x_quarters():

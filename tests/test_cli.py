@@ -130,6 +130,15 @@ def test_verify_rejects_malformed_config(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+def test_config_that_is_not_utf8_exits_2(runner, tmp_path, command):
+    config = tmp_path / "utf16.json"
+    config.write_bytes(b"\xff\xfe")
+    result = runner.invoke(main, [command, "--config", str(config)])
+    assert result.exit_code == 2, result.output
+    assert f"cannot read {config}:" in result.stderr
+
+
 def test_verify_rejects_cube_instance(runner, tmp_path):
     config = write_json(tmp_path / "cube.json", X2_INSTANCE)
     result = runner.invoke(main, ["verify", "--config", config])

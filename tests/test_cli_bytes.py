@@ -93,9 +93,9 @@ DIGESTS = {
     "convergence-x2-midpoint": (
         "18bff83ddb50000bfbc5c34d44bf1746a368f4fb013d55b2cd5e005ba0ce7cc0", None),
     "convergence-sin2pix-random": (
-        "db920435ca3e9d2b3e6787b3d4523134a2bfd1be86fe7ac12db7e3d8e73110ab", None),
+        "6669d506590154f9cc93e184929ec578b67af3e18a109a2d2f6f9a5fc76f165c", None),
     "convergence-sin2pix-midpoint": (
-        "933e14c4647b8989d153e2bb73588e17204bb9dd9494856db4178397774b7c4f", None),
+        "cb0e43996f60960276c641be08ca452480b7cfe4a236054b92850ca714eedb11", None),
     "convergence-const-random": (
         "19be75e859daedd568861caf88ac54fe190eb27ccd52a7c8c325609d7e4ccdc0", None),
     "convergence-const-midpoint": (

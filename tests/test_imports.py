@@ -1,4 +1,5 @@
-"""Every module uses every name it imports.
+"""Every module uses every name it imports, and every name the
+benchmark's tracer looks up exists.
 
 No linter is part of the toolchain, so this walks the syntax trees of
 the package, its tests and its benchmark with the standard library's
@@ -7,6 +8,8 @@ public re-exports.
 """
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -39,3 +42,20 @@ def test_no_unused_imports():
     assert SOURCES
     unused = [entry for path in SOURCES for entry in unused_imports(path)]
     assert unused == []
+
+
+def test_traced_layers_resolve():
+    # bench/tracer.py resolves TRACED only in a traced run; a deleted or
+    # renamed layer function would otherwise surface there first
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for _, module_name, path in tracer.TRACED:
+        owner = importlib.import_module(module_name)
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module_name}.{path}")
+    assert tracer.TRACED
+    assert missing == []
