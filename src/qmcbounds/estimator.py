@@ -38,7 +38,7 @@ def qmc_estimate(f: FunctionModel, pointset) -> float:
     nodes = _as_nodes(pointset)
     if not nodes:
         raise ValueError("cannot average over an empty point set")
-    return math.fsum(f.evaluate(p) for p in nodes) / len(nodes)
+    return math.fsum(map(f.evaluate, nodes)) / len(nodes)
 
 
 def integration_error(f: FunctionModel, pointset, space: Space) -> float:
@@ -56,10 +56,13 @@ def bound_report(f: FunctionModel, partition: Partition, pointset,
     """
     report = is_uniform(pointset, partition)
     if not report:
-        raise NotUniformError(
-            f"point set is not uniform for the partition: counts {report.counts}, "
-            f"expected {report.expected}"
-        )
+        detail = "it has no nodes"
+        if report.off:
+            j = report.off[0]
+            detail = (f"cell {j} holds {report.counts[j]} nodes, expected "
+                      f"{report.expected[j]!r}; {len(report.off)} of {partition.k} "
+                      f"cells are off")
+        raise NotUniformError(f"point set is not uniform for the partition: {detail}")
     bounds = bound_set(f, partition)
     estimate = qmc_estimate(f, pointset)
     integral = f.integral(partition.space)

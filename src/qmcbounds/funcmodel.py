@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Union
 
 from .errors import OutOfDomainError, QmcBoundsError
@@ -164,7 +165,7 @@ class Affine:
         return len(self.slopes)
 
     def evaluate(self, point: tuple[float, ...]) -> float:
-        return self.intercept + math.fsum(a * x for a, x in zip(self.slopes, point))
+        return self.intercept + math.fsum(map(mul, self.slopes, point))
 
     def range_on(self, cell: Cell) -> tuple[float, float]:
         cell = _require_box(cell, self.dimension)
@@ -460,9 +461,7 @@ class FunctionModel:
     def dimension(self) -> int | None:
         return self.base.dimension
 
-    def _normalize_point(self, point):
-        if self._domain is not None:
-            return self._domain.as_point(point)
+    def _table_atom(self, point) -> int:
         table = self.base
         if isinstance(point, str):
             if table.labels is None:
@@ -479,9 +478,11 @@ class FunctionModel:
 
     def evaluate(self, point) -> float:
         """Pointwise value; spike overrides win on exact coordinate match."""
-        point = self._normalize_point(point)
-        if point in self._spike_map:
-            return self._spike_map[point]
+        domain = self._domain
+        point = self._table_atom(point) if domain is None else domain.as_point(point)
+        spikes = self._spike_map
+        if spikes and point in spikes:
+            return spikes[point]
         return self.base.evaluate(point)
 
     def essential_range(self, cell: Cell) -> EssentialRange:

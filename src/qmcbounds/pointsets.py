@@ -122,6 +122,7 @@ class UniformityReport:
     counts: tuple[int, ...]
     expected: tuple[float, ...]
     n_points: int
+    off: tuple[int, ...]  # cells whose count is not N * measure, ascending
 
     def __bool__(self) -> bool:
         return self.ok
@@ -205,12 +206,12 @@ def is_uniform(pointset, partition: Partition) -> UniformityReport:
         if j is not None:
             counts[j] += 1
     expected = tuple(n * m for m in partition.measures)
-    ok = n > 0
-    for got, want in zip(counts, expected):
+    off = []
+    for j, (got, want) in enumerate(zip(counts, expected)):
         nearest = round(want)
         if abs(want - nearest) > ALLOCATION_TOL or got != nearest:
-            ok = False
-    return UniformityReport(ok, tuple(counts), expected, n)
+            off.append(j)
+    return UniformityReport(n > 0 and not off, tuple(counts), expected, n, tuple(off))
 
 
 @dataclass(frozen=True)

@@ -85,18 +85,18 @@ class CubeSpace:
 
     def as_point(self, value) -> tuple[float, ...]:
         """Normalize a point to a coordinate tuple inside the closed cube."""
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            value = (float(value),)
         try:
-            coords = tuple(float(c) for c in value)
-        except (TypeError, ValueError):
-            raise OutOfDomainError(f"not a cube point: {value!r}") from None
+            coords = tuple(map(float, value))
+        except (TypeError, ValueError):  # a scalar, or a coordinate float() rejects
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise OutOfDomainError(f"not a cube point: {value!r}") from None
+            coords = (float(value),)
         if len(coords) != self.dimension:
             raise OutOfDomainError(
                 f"point has {len(coords)} coordinates, space has dimension {self.dimension}"
             )
         for c in coords:
-            if not 0.0 <= c <= 1.0 or math.isnan(c):
+            if not 0.0 <= c <= 1.0:  # NaN fails this too
                 raise OutOfDomainError(f"coordinate {c!r} outside [0, 1]")
         return coords
 
@@ -209,46 +209,51 @@ def interval(a: float, b: float) -> BoxCell:
     return BoxCell((float(a),), (float(b),))
 
 
-def _boxes_overlap(a: BoxCell, b: BoxCell) -> bool:
-    # Positive-volume intersection; shared faces do not count.
-    for alo, ahi, blo, bhi in zip(a.lower, a.upper, b.lower, b.upper):
-        if min(ahi, bhi) - max(alo, blo) <= 0.0:
-            return False
-    return True
+def _sweep(cells: Sequence[BoxCell]):
+    """Slab index of disjoint boxes; OverlapError on a positive-volume overlap.
 
+    Boxes are visited by lower edge on axis 0; at each distinct edge the
+    boxes ending at or before it leave the active list, and the boxes
+    then active form the edge's slab (Bentley & Wood, 1980).  They all
+    cover the slab's first stretch on axis 0, so disjoint ones have
+    projections with disjoint interiors on the other axes, and each slab
+    is swept again on axis 1, and so on.  On the last axis two active
+    boxes share a positive stretch on every axis, which is an overlap,
+    and an overlapping pair is active together there at its larger
+    lower edges; the OverlapError names the pair in ascending order.
 
-def _sweep(cells: Sequence[BoxCell]) -> tuple[list[float], list[list[int]]]:
-    """Reject positive-volume overlaps by a sweep on axis 0.
-
-    Cells are visited by ``lower[0]``; at each distinct lower edge the
-    cells ending at or before it leave the active list, and each new cell
-    is tested against the active ones only.  Two boxes overlap on axis 0
-    only if the earlier one is still active, so this finds an overlap
-    exactly when the pairwise test would (Bentley & Wood, 1980).  The
-    OverlapError names the pair in ascending order.
-
-    Returns ``(edges, slabs)``: the distinct lower axis-0 edges, sorted,
-    and the cells active at each.  A box holding a point whose first
-    coordinate is in ``[edges[i], edges[i + 1])`` (or is 1.0, for the
-    last edge) is in ``slabs[i]``.
+    Returns ``(edges, children)``: the sorted distinct lower edges on the
+    axis and, for each, its slab's index on the next axis or, on the
+    last axis, its one box.  A box holding a point whose coordinate is
+    in ``[edges[i], edges[i + 1])`` (or is 1.0, for the last edge) is
+    in slab ``i``.
     """
-    lower0 = [c.lower[0] for c in cells]
-    upper0 = [c.upper[0] for c in cells]
-    edges: list[float] = []
-    slabs: list[list[int]] = []
-    active: list[int] = []
-    for j in sorted(range(len(cells)), key=lower0.__getitem__):
-        edge = lower0[j]
-        if not edges or edge != edges[-1]:
-            active = [i for i in active if upper0[i] > edge]
-            edges.append(edge)
-            slabs.append(active)  # the same list: cells starting here join it
-        for i in active:
-            if _boxes_overlap(cells[i], cells[j]):
+    axes = range(cells[0].dimension)
+    lowers = [[c.lower[a] for c in cells] for a in axes]
+    uppers = [[c.upper[a] for c in cells] for a in axes]
+    last = axes[-1]
+
+    def sweep(members, axis):
+        lower, upper = lowers[axis], uppers[axis]
+        leaf = axis == last
+        edges: list[float] = []
+        slabs: list[list[int]] = []
+        active: list[int] = []
+        for j in sorted(members, key=lower.__getitem__):
+            edge = lower[j]
+            if not edges or edge != edges[-1]:
+                active = [i for i in active if upper[i] > edge]
+                edges.append(edge)
+                slabs.append(active)  # the same list: boxes starting here join it
+            if active and leaf:
                 raise OverlapError("cells {} and {} overlap with positive volume"
-                                   .format(*sorted((i, j))))
-        active.append(j)
-    return edges, slabs
+                                   .format(*sorted((active[0], j))))
+            active.append(j)
+        if leaf:
+            return edges, [slab[0] for slab in slabs]
+        return edges, [sweep(slab, axis + 1) for slab in slabs]
+
+    return sweep(range(len(cells)), 0)
 
 
 def _validate_cell(space: Space, cell: Cell, index: int) -> float:
@@ -293,7 +298,7 @@ class Partition:
         return self._locate(self.space.as_point(point))
 
     @cached_property
-    def _slabs(self) -> tuple[list[float], list[list[int]]]:
+    def _slabs(self):
         # Built on the first cube lookup; not a field, so equality,
         # hashing and repr ignore it.
         return _sweep(self.cells)
@@ -301,21 +306,21 @@ class Partition:
     def _locate(self, point) -> int | None:
         """``cell_index_of`` for a point already normalized by ``space``.
 
-        A cube point is only tested against the cells of its axis-0
-        slab; cells are disjoint as sets, so the answer is the scan's.
+        A cube point is found by one bisect per coordinate in the slab
+        index, then tested against the one cell that leaves; cells are
+        disjoint as sets, so the answer is the scan's.  The test rejects
+        points in gaps the cover tolerance lets through.
         """
         if isinstance(self.space, FiniteSpace):
-            candidates = range(self.k)
-        else:
-            edges, slabs = self._slabs
-            i = bisect_right(edges, point[0]) - 1
+            return next((j for j, c in enumerate(self.cells) if c.contains(point)), None)
+        node = self._slabs
+        for c in point:
+            edges, children = node
+            i = bisect_right(edges, c) - 1
             if i < 0:
                 return None
-            candidates = slabs[i]
-        for j in candidates:
-            if self.cells[j].contains(point):
-                return j
-        return None
+            node = children[i]
+        return node if self.cells[node].contains(point) else None
 
 
 def make_partition(space: Space, cells: Sequence[Cell]) -> Partition:

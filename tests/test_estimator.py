@@ -96,6 +96,18 @@ def test_bound_report_rejects_non_uniform():
         bound_report(X, p, [(0.1,), (0.2,), (0.3,), (0.8,)])
 
 
+def test_not_uniform_message_names_the_first_cell_that_is_off():
+    p = equal_partition_1d(1024)
+    nodes = list(construct_uniform(p, 1024).nodes)
+    nodes[700] = nodes[5]  # cell 700 loses its node to cell 5
+    with pytest.raises(NotUniformError) as caught:
+        bound_report(X, p, nodes)
+    message = str(caught.value)
+    assert message == ("point set is not uniform for the partition: cell 5 holds "
+                       "2 nodes, expected 1.0; 2 of 1024 cells are off")
+    assert len(message) < 120
+
+
 def test_estimate_linearity():
     p = equal_partition_1d(4)
     ps = construct_uniform(p, 8, STRATEGY_RANDOM, seed=9)

@@ -27,6 +27,7 @@ from qmcbounds import (
     interval,
     make_cube_space,
     make_finite_space,
+    qmc_estimate,
 )
 from oracles import dense_range_1d, full_grid_range, quad_integral
 
@@ -320,6 +321,33 @@ def test_piecewise_constant_normalises_each_point_once(monkeypatch):
     monkeypatch.setattr(CubeSpace, "as_point", counting)
     assert f.evaluate(0.6) == 3.0
     assert calls == 1
+
+
+@pytest.mark.parametrize("spiked", [False, True], ids=["plain", "spiked"])
+@pytest.mark.parametrize("base", [
+    Affine(0.5, (1.0, -2.0)),
+    Quadratic(0.1, (-0.7, 0.3), (0.9, -0.6)),
+    Sinusoid(amplitude=1.5, frequency=2.0, phase=0.3, axis=1, dimension=2),
+], ids=["affine", "quadratic", "sinusoid"])
+def test_continuous_families_normalise_each_point_once(monkeypatch, base, spiked):
+    f = FunctionModel(base, (((0.25, 0.75), 9.0),) if spiked else ())
+    calls = 0
+    as_point = CubeSpace.as_point
+
+    def counting(self, value):
+        nonlocal calls
+        calls += 1
+        return as_point(self, value)
+
+    monkeypatch.setattr(CubeSpace, "as_point", counting)
+    points = [(0.25, 0.75), [0.5, 0.5], ("0.125", 1)]
+    values = [f.evaluate(p) for p in points]
+    assert calls == len(points)
+    assert values[0] == (9.0 if spiked else base.evaluate((0.25, 0.75)))
+    assert values[1:] == [base.evaluate((0.5, 0.5)), base.evaluate((0.125, 1.0))]
+    calls = 0
+    qmc_estimate(f, points)
+    assert calls == len(points)
 
 
 def test_cell_integral_pieces():

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmcbounds import (
+    BoxCell,
     EnumerationTooLargeError,
     FiniteCell,
     InstanceFormatError,
     NonIntegerAllocationError,
     OutOfDomainError,
     allocation,
+    box,
     construct_uniform,
     enumerate_uniform,
     equal_partition_1d,
@@ -173,6 +175,33 @@ def test_is_uniform_counts_mismatch():
     assert not report.ok
     assert report.counts == (2, 1, 0, 1)
     assert report.expected == (1.0, 1.0, 1.0, 1.0)
+
+
+def test_is_uniform_lists_the_cells_that_are_off():
+    p = equal_partition_1d(4)
+    assert is_uniform([(0.1,), (0.2,), (0.3,), (0.8,)], p).off == (0, 2)
+    assert is_uniform([(0.1,), (0.3,), (0.6,), (0.8,)], p).off == ()
+    assert is_uniform([], p).off == ()
+    assert not is_uniform([], p)
+
+
+def test_is_uniform_tests_one_cell_per_node(monkeypatch):
+    n = 64
+    cells = [box((i / n, (i + 1) / n), (j / n, (j + 1) / n))
+             for i in range(n) for j in range(n)]
+    p = make_partition(make_cube_space(2), cells)
+    nodes = construct_uniform(p, 8192, STRATEGY_RANDOM, seed=64)
+    calls = 0
+    contains = BoxCell.contains
+
+    def counting(self, point):
+        nonlocal calls
+        calls += 1
+        return contains(self, point)
+
+    monkeypatch.setattr(BoxCell, "contains", counting)
+    assert is_uniform(nodes, p)
+    assert calls <= 8192
 
 
 def test_is_uniform_rejects_out_of_space():

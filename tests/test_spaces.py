@@ -1,8 +1,10 @@
 """Spaces, cells, partitions."""
 
+import contextlib
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,6 +71,28 @@ def test_cube_as_point_normalizes_scalars():
         space.as_point(1.5)
     with pytest.raises(OutOfDomainError):
         space.as_point((0.5, 0.5))  # wrong dimension
+
+
+def test_cube_as_point_rejects_nan():
+    with pytest.raises(OutOfDomainError):
+        make_cube_space(1).as_point(math.nan)
+    with pytest.raises(OutOfDomainError):
+        make_cube_space(2).as_point((0.5, math.nan))
+
+
+@pytest.mark.parametrize("value", [True, object(), ("abc",)],
+                         ids=["bool", "object", "text"])
+def test_cube_as_point_rejects_non_numbers(value):
+    with pytest.raises(OutOfDomainError):
+        make_cube_space(1).as_point(value)
+
+
+def test_cube_as_point_accepts_numpy_scalars_and_numeric_text():
+    # point files are read as text coordinates, one token per axis
+    assert make_cube_space(1).as_point(np.float64(0.25)) == (0.25,)
+    point = make_cube_space(2).as_point(("0.5", np.float64(1.0)))
+    assert point == (0.5, 1.0)
+    assert all(type(c) is float for c in point)
 
 
 def test_make_partition_cube_quarters():
@@ -155,19 +179,36 @@ def test_overlap_message_names_pair_in_ascending_order():
         make_partition(space, cells)
 
 
+def _grid(n):
+    cells = [box((i / n, (i + 1) / n), (j / n, (j + 1) / n))
+             for i in range(n) for j in range(n)]
+    return make_partition(make_cube_space(2), cells)
+
+
+def _leaf_entries(index):
+    """Cells listed on the last axis of a slab index, with repeats."""
+    edges, children = index
+    if children and isinstance(children[0], int):
+        return len(children)
+    return sum(_leaf_entries(child) for child in children)
+
+
 def test_partition_validation_is_near_linear(monkeypatch):
-    calls = 0
-    overlap = spaces._boxes_overlap
+    # The sweep's work is a sort per slab plus one pass over each slab's
+    # list, and every cell of a slab reaches a last-axis slab below it,
+    # so the last-axis entries of the index it builds bound that work.
+    built = []
+    sweep = spaces._sweep
 
-    def counting(a, b):
-        nonlocal calls
-        calls += 1
-        return overlap(a, b)
+    def recording(cells):
+        built.append(sweep(cells))
+        return built[-1]
 
-    monkeypatch.setattr(spaces, "_boxes_overlap", counting)
-    k = 1024
-    equal_partition_1d(k)
-    assert calls <= 2 * k
+    monkeypatch.setattr(spaces, "_sweep", recording)
+    for build, arg in ((equal_partition_1d, 1024), (_grid, 32)):
+        p = build(arg)
+        assert len(built) == 1
+        assert _leaf_entries(built.pop()) <= 2 * p.k
 
 
 def test_grid_lookup_scans_one_column(monkeypatch):
@@ -223,6 +264,78 @@ def test_sweep_index_matches_linear_scan(family, data):
             expected = scan_cell_index(boxes, point)
             assert expected is not None
             assert p.cell_index_of(point) == expected
+
+
+@contextlib.contextmanager
+def counting_contains():
+    """Count BoxCell.contains calls inside the block."""
+    original = BoxCell.contains
+    counter = [0]
+
+    def counting(self, point):
+        counter[0] += 1
+        return original(self, point)
+
+    BoxCell.contains = counting
+    try:
+        yield counter
+    finally:
+        BoxCell.contains = original
+
+
+def test_grid_lookup_tests_one_cell():
+    n = 32
+    p = _grid(n)
+    with counting_contains() as calls:
+        for i in range(n):
+            for j in range(n):
+                calls[0] = 0
+                assert p.cell_index_of(((i + 0.5) / n, (j + 0.5) / n)) == i * n + j
+                assert calls[0] <= 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(family=nested_splits(), data=st.data())
+def test_sweep_index_tests_at_most_one_cell(family, data):
+    d, boxes = family
+    p = make_partition(make_cube_space(d), [BoxCell(lo, hi) for lo, hi in boxes])
+    p.cell_index_of((0.5,) * d)  # builds the index outside the count
+    edges = [sorted({c for lo, hi in boxes for c in (lo[a], hi[a])}) for a in range(d)]
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    with counting_contains() as calls:
+        for _ in range(30):
+            random_point = tuple(data.draw(unit) for _ in range(d))
+            edge_point = tuple(data.draw(st.sampled_from(edges[a])) for a in range(d))
+            for point in (random_point, edge_point, (1.0,) * d):
+                calls[0] = 0
+                assert p.cell_index_of(point) == scan_cell_index(boxes, point)
+                assert calls[0] <= 1
+
+
+# Narrower than the cover tolerance, so make_partition accepts the gaps.
+GAP = 2.0 ** -44
+
+
+@pytest.mark.parametrize("boxes, gap_points", [
+    ([((0.0,), (0.5,)), ((0.5 + GAP,), (1.0,))],
+     [(0.5,), (0.5 + GAP / 2,)]),
+    ([((0.0, 0.0), (0.5 - GAP, 1.0)),
+      ((0.5, 0.0), (1.0, 0.5)),
+      ((0.5, 0.5 + GAP), (1.0, 1.0))],
+     [(0.5 - GAP, 0.9), (0.5 - GAP / 2, 0.0), (0.7, 0.5), (0.7, 0.5 + GAP / 2),
+      (1.0, 0.5)]),
+], ids=["1d", "2d"])
+def test_lookup_in_a_partition_with_gaps(boxes, gap_points):
+    assert spaces.MASS_TOL > 2 * GAP
+    d = len(boxes[0][0])
+    p = make_partition(make_cube_space(d), [BoxCell(lo, hi) for lo, hi in boxes])
+    for point in gap_points:
+        assert scan_cell_index(boxes, point) is None
+        assert p.cell_index_of(point) is None
+    ticks = sorted({i / 16 for i in range(17)} | {c for lo, hi in boxes for c in lo + hi})
+    grid = [(t,) for t in ticks] if d == 1 else [(s, t) for s in ticks for t in ticks]
+    for point in grid:
+        assert p.cell_index_of(point) == scan_cell_index(boxes, point)
 
 
 @settings(max_examples=100, deadline=None)
