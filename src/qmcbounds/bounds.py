@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter, mul
 
 from .funcmodel import FunctionModel
 from .spaces import Partition
@@ -63,12 +64,13 @@ def bound_set(f: FunctionModel, partition: Partition) -> BoundSet:
 
 def _bounds_from_ranges(ranges, partition: Partition) -> BoundSet:
     """bound_set from the cells' essential ranges, in cell order."""
-    s = max(r.width for r in ranges)
-    weighted = math.fsum(m * r.width for m, r in zip(partition.measures, ranges))
+    widths = [r.width for r in ranges]
+    s = max(widths)
+    weighted = math.fsum(map(mul, partition.measures, widths))
     return BoundSet(
         theorem1=s,
         corollary1=s,
         corollary2=weighted,
         distance=s / 2.0,
-        exact=all(r.exact for r in ranges),
+        exact=all(map(attrgetter("exact"), ranges)),
     )

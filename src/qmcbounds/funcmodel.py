@@ -80,7 +80,7 @@ from .spaces import (
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EssentialRange:
     """Essential infimum and supremum of a model over one cell.
 
@@ -120,7 +120,7 @@ class GridRangeMode:
 
 
 def _require_box(cell: Cell, dimension: int) -> BoxCell:
-    if not isinstance(cell, BoxCell) or cell.dimension != dimension:
+    if not isinstance(cell, BoxCell) or len(cell.lower) != dimension:
         raise OutOfDomainError(f"expected a {dimension}-dimensional box cell, got {cell!r}")
     return cell
 
@@ -172,8 +172,11 @@ class Affine:
         lo = self.intercept
         hi = self.intercept
         for a, l, u in zip(self.slopes, cell.lower, cell.upper):
-            lo += min(a * l, a * u)
-            hi += max(a * l, a * u)
+            at_l = a * l
+            at_u = a * u
+            # min(at_l, at_u) and max(at_l, at_u), without the calls
+            lo += at_u if at_u < at_l else at_l
+            hi += at_u if at_u > at_l else at_l
         return lo, hi
 
     def sampled_range(self, axes) -> tuple[float, float]:
@@ -182,7 +185,7 @@ class Affine:
 
     def integral_over(self, cell: BoxCell, space: CubeSpace) -> float:
         vol = cell.volume()
-        center = tuple((l + u) / 2.0 for l, u in zip(cell.lower, cell.upper))
+        center = [(l + u) / 2.0 for l, u in zip(cell.lower, cell.upper)]
         return vol * self.evaluate(center)
 
     def lipschitz_bound(self) -> float:
@@ -209,7 +212,7 @@ class Quadratic:
 
     def evaluate(self, point: tuple[float, ...]) -> float:
         return self.intercept + math.fsum(
-            q * x * x + b * x for q, b, x in zip(self.quadratic, self.linear, point)
+            [q * x * x + b * x for q, b, x in zip(self.quadratic, self.linear, point)]
         )
 
     def range_on(self, cell: Cell) -> tuple[float, float]:
@@ -217,13 +220,23 @@ class Quadratic:
         lo = self.intercept
         hi = self.intercept
         for q, b, l, u in zip(self.quadratic, self.linear, cell.lower, cell.upper):
-            candidates = [q * l * l + b * l, q * u * u + b * u]
+            # min and max of the values at l, u and an inside vertex, in
+            # that order: a later value replaces only a strictly smaller
+            # (larger) one, as min() and max() do
+            at_l = q * l * l + b * l
+            at_u = q * u * u + b * u
+            axis_lo = at_u if at_u < at_l else at_l
+            axis_hi = at_u if at_u > at_l else at_l
             if q != 0.0:
                 vertex = -b / (2.0 * q)
                 if l <= vertex <= u:
-                    candidates.append(q * vertex * vertex + b * vertex)
-            lo += min(candidates)
-            hi += max(candidates)
+                    at_v = q * vertex * vertex + b * vertex
+                    if at_v < axis_lo:
+                        axis_lo = at_v
+                    if at_v > axis_hi:
+                        axis_hi = at_v
+            lo += axis_lo
+            hi += axis_hi
         return lo, hi
 
     def sampled_range(self, axes) -> tuple[float, float]:
@@ -236,10 +249,10 @@ class Quadratic:
     def integral_over(self, cell: BoxCell, space: CubeSpace) -> float:
         vol = cell.volume()
         # per-axis mean of q t^2 + b t over [l, u]
-        avg = math.fsum(
+        avg = math.fsum([
             q * (l * l + l * u + u * u) / 3.0 + b * (l + u) / 2.0
             for q, b, l, u in zip(self.quadratic, self.linear, cell.lower, cell.upper)
-        )
+        ])
         return vol * (self.intercept + avg)
 
     def lipschitz_bound(self) -> float:
@@ -273,8 +286,15 @@ class Sinusoid:
     def evaluate(self, point: tuple[float, ...]) -> float:
         return self._at(point[self.axis])
 
-    def _candidates(self, a: float, b: float) -> list[float]:
-        ts = [a, b]
+    def range_on(self, cell: Cell) -> tuple[float, float]:
+        """min and max of the values at a, b and the critical points
+        inside [a, b], in that order, as min() and max() pick them."""
+        cell = _require_box(cell, self.dimension)
+        a, b = cell.lower[self.axis], cell.upper[self.axis]
+        at_a = self._at(a)
+        at_b = self._at(b)
+        lo = at_b if at_b < at_a else at_a
+        hi = at_b if at_b > at_a else at_a
         if self.frequency > 0.0 and self.amplitude != 0.0:
             w = TWO_PI * self.frequency
             # critical points: w t + phase = pi/2 + n pi
@@ -283,14 +303,12 @@ class Sinusoid:
             for n in range(n_lo, n_hi + 1):
                 t = (math.pi / 2.0 + n * math.pi - self.phase) / w
                 if a <= t <= b:
-                    ts.append(t)
-        return ts
-
-    def range_on(self, cell: Cell) -> tuple[float, float]:
-        cell = _require_box(cell, self.dimension)
-        a, b = cell.lower[self.axis], cell.upper[self.axis]
-        values = [self._at(t) for t in self._candidates(a, b)]
-        return min(values), max(values)
+                    value = self._at(t)
+                    if value < lo:
+                        lo = value
+                    if value > hi:
+                        hi = value
+        return lo, hi
 
     def sampled_range(self, axes) -> tuple[float, float]:
         """(min, max) over the samples of the axis the sine reads.
@@ -490,7 +508,7 @@ class FunctionModel:
         base = self.base
         if self.range_mode is None or not isinstance(base, _CONTINUOUS_FAMILIES):
             lo, hi = base.range_on(cell)
-            return EssentialRange(float(lo), float(hi), exact=True)
+            return EssentialRange(float(lo), float(hi), True)
         return self._grid_range(cell)
 
     def _grid_range(self, cell: Cell) -> EssentialRange:

@@ -128,27 +128,35 @@ class UniformityReport:
         return self.ok
 
 
-def _place_in_box(cell: BoxCell, count: int, strategy: str,
-                  rng: random.Random, avoid: frozenset) -> list[tuple[float, ...]]:
+def _place_in_boxes(cells: Sequence[BoxCell], counts: Sequence[int], strategy: str,
+                    rng: random.Random, avoid: frozenset) -> list[tuple[float, ...]]:
+    """Nodes for every box cell in cell order, counts[j] of them in cell j."""
+    nodes = []
     if strategy == STRATEGY_MIDPOINT:
-        center = tuple((lo + hi) / 2.0 for lo, hi in zip(cell.lower, cell.upper))
-        return [center] * count
+        for cell, count in zip(cells, counts):
+            center = tuple([(lo + hi) / 2.0 for lo, hi in zip(cell.lower, cell.upper)])
+            nodes.extend([center] * count)
+        return nodes
     if strategy == STRATEGY_EQUISPACED:
         # nodes at offsets (i - 1/2)/count along every axis of the cell
-        out = []
-        for i in range(1, count + 1):
-            t = (i - 0.5) / count
-            out.append(tuple(lo + (hi - lo) * t for lo, hi in zip(cell.lower, cell.upper)))
-        return out
-    out = []
-    for _ in range(count):
-        while True:
-            node = tuple(rng.uniform(lo, hi) for lo, hi in zip(cell.lower, cell.upper))
-            # uniform() may return the open endpoint; spike coordinates are vetoed
-            if cell.contains(node) and node not in avoid:
-                out.append(node)
-                break
-    return out
+        for cell, count in zip(cells, counts):
+            spans = list(zip(cell.lower, cell.upper))
+            for i in range(1, count + 1):
+                t = (i - 0.5) / count
+                nodes.append(tuple([lo + (hi - lo) * t for lo, hi in spans]))
+        return nodes
+    # lo + (hi - lo) * random() is random.uniform(lo, hi), bit for bit
+    draw = rng.random
+    for cell, count in zip(cells, counts):
+        spans = list(zip(cell.lower, cell.upper))
+        for _ in range(count):
+            while True:
+                node = tuple([lo + (hi - lo) * draw() for lo, hi in spans])
+                # the draw may round to the open endpoint; spike coordinates are vetoed
+                if cell.contains(node) and node not in avoid:
+                    nodes.append(node)
+                    break
+    return nodes
 
 
 def _place_in_finite_cell(cell: FiniteCell, count: int, strategy: str,
@@ -175,14 +183,13 @@ def construct_uniform(partition: Partition, n_points: int,
     counts = allocation(partition, n_points)
     rng = random.Random(seed)
     space = partition.space
-    nodes: list = []
     if isinstance(space, FiniteSpace):
+        nodes: list = []
         for cell, count in zip(partition.cells, counts):
             nodes.extend(_place_in_finite_cell(cell, count, strategy, rng))
     else:
         avoid = frozenset(space.as_point(p) for p in avoid_points)
-        for cell, count in zip(partition.cells, counts):
-            nodes.extend(_place_in_box(cell, count, strategy, rng, avoid))
+        nodes = _place_in_boxes(partition.cells, counts, strategy, rng, avoid)
     return UniformPointSet(tuple(nodes), counts, n_points)
 
 

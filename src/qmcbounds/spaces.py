@@ -23,6 +23,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from operator import lt, sub
 from typing import ClassVar, Mapping, Sequence, Union
 
 from .errors import (
@@ -84,13 +85,27 @@ class CubeSpace:
     kind: ClassVar[str] = "cube"
 
     def as_point(self, value) -> tuple[float, ...]:
-        """Normalize a point to a coordinate tuple inside the closed cube."""
+        """Normalize a point to a coordinate tuple inside the closed cube.
+
+        A tuple of floats of the right length inside the cube is already
+        normal and comes back as it is, not copied.
+        """
+        if type(value) is tuple and len(value) == self.dimension:
+            for c in value:
+                if type(c) is not float or not 0.0 <= c <= 1.0:
+                    break
+            else:
+                return value
+        if isinstance(value, (str, bytes, bytearray)):  # iterable, but not coordinates
+            raise OutOfDomainError(f"not a cube point: {value!r}")
+        scalar = isinstance(value, (int, float)) and not isinstance(value, bool)
         try:
-            coords = tuple(map(float, value))
-        except (TypeError, ValueError):  # a scalar, or a coordinate float() rejects
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise OutOfDomainError(f"not a cube point: {value!r}") from None
-            coords = (float(value),)
+            coords = tuple(map(float, (value,) if scalar else value))
+        except OverflowError:  # an integer too large for a float
+            raise OutOfDomainError("a coordinate too large for a float lies outside [0, 1]"
+                                   ) from None
+        except (TypeError, ValueError):  # not iterable, or a coordinate float() rejects
+            raise OutOfDomainError(f"not a cube point: {value!r}") from None
         if len(coords) != self.dimension:
             raise OutOfDomainError(
                 f"point has {len(coords)} coordinates, space has dimension {self.dimension}"
@@ -156,7 +171,7 @@ class FiniteCell:
         return point in self.atoms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class BoxCell:
     """An axis-aligned box inside the unit cube.
 
@@ -167,9 +182,10 @@ class BoxCell:
     lower: tuple[float, ...]
     upper: tuple[float, ...]
 
-    def __post_init__(self):
-        lower = tuple(float(c) for c in self.lower)
-        upper = tuple(float(c) for c in self.upper)
+    def __init__(self, lower, upper):
+        # written out, so that each field is set once, already converted
+        lower = tuple(map(float, lower))
+        upper = tuple(map(float, upper))
         if len(lower) != len(upper):
             raise ValueError("lower and upper must have the same length")
         object.__setattr__(self, "lower", lower)
@@ -182,7 +198,8 @@ class BoxCell:
     def volume(self) -> float:
         v = 1.0
         for lo, hi in zip(self.lower, self.upper):
-            v *= max(hi - lo, 0.0)
+            extent = hi - lo
+            v *= 0.0 if extent < 0.0 else extent  # max(extent, 0.0), bit for bit
         return v
 
     def contains(self, point: Sequence[float]) -> bool:
@@ -299,8 +316,9 @@ class Partition:
 
     @cached_property
     def _slabs(self):
-        # Built on the first cube lookup; not a field, so equality,
-        # hashing and repr ignore it.
+        # The cube constructors store the index they validated with; a
+        # Partition built directly sweeps on its first lookup.  Not a
+        # field, so equality, hashing and repr ignore it.
         return _sweep(self.cells)
 
     def _locate(self, point) -> int | None:
@@ -347,22 +365,42 @@ def make_partition(space: Space, cells: Sequence[Cell]) -> Partition:
         missing = [a for a in range(space.n_atoms) if a not in seen]
         if missing:
             raise CoverError(f"atoms {missing} belong to no cell")
-    else:
-        _sweep(cells)
-        total = math.fsum(measures)
-        if abs(total - 1.0) > MASS_TOL:
-            raise CoverError(f"cell volumes sum to {total!r}, expected 1")
-    return Partition(space, cells, measures)
+        return Partition(space, cells, measures)
+    slabs = _sweep(cells)
+    total = math.fsum(measures)
+    if abs(total - 1.0) > MASS_TOL:
+        raise CoverError(f"cell volumes sum to {total!r}, expected 1")
+    partition = Partition(space, cells, measures)
+    object.__setattr__(partition, "_slabs", slabs)
+    return partition
 
 
 def equal_partition_1d(k: int) -> Partition:
-    """[0,1] cut into k equal half-open cells."""
+    """[0,1] cut into k equal half-open cells, built from their edges.
+
+    Edges that strictly increase from 0 to 1 are all make_partition
+    would check: every cell [edges[j], edges[j + 1]) then lies in [0, 1]
+    and is nonempty, consecutive cells share only an endpoint, so the
+    cells are disjoint, and together they cover [0, 1].  The cells need
+    no sweep either: they are already sorted by lower edge, and the slab
+    index of ordered disjoint intervals is their lower edges with slab j
+    holding cell j.  Each measure is hi - lo, the float volume() gives.
+    """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    space = make_cube_space(1)
     edges = [i / k for i in range(k)] + [1.0]
-    cells = [interval(edges[i], edges[i + 1]) for i in range(k)]
-    return make_partition(space, cells)
+    lowers, uppers = edges[:-1], edges[1:]
+    if not all(map(lt, lowers, uppers)):
+        raise EmptyCellError(f"the edges of {k} equal cells do not strictly increase")
+    measures = tuple(map(sub, uppers, lowers))
+    total = math.fsum(measures)
+    if abs(total - 1.0) > MASS_TOL:
+        raise CoverError(f"cell volumes sum to {total!r}, expected 1")
+    # zip over one list yields the 1-tuples (lo,) and (hi,)
+    cells = tuple(map(BoxCell, zip(lowers), zip(uppers)))
+    partition = Partition(make_cube_space(1), cells, measures)
+    object.__setattr__(partition, "_slabs", (lowers, range(k)))
+    return partition
 
 
 def _canonical_cell_text(cell: Cell) -> str:

@@ -112,6 +112,42 @@ def test_essential_range_quadratic_interior_vertex():
     assert abs(oracle[0] - rng.lo) < 1e-8 and abs(oracle[1] - rng.hi) < 1e-8
 
 
+def test_polynomial_ranges_are_min_and_max_of_the_candidates_bit_for_bit():
+    # the reference: per axis, min() and max() over the values at the
+    # lower edge, the upper edge and an inside vertex, in that order;
+    # signed zeros make the order matter
+    def reference(intercept, quadratic, linear, cell):
+        lo = hi = intercept
+        for q, b, l, u in zip(quadratic, linear, cell.lower, cell.upper):
+            candidates = [q * l * l + b * l, q * u * u + b * u]
+            if q != 0.0 and l <= -b / (2.0 * q) <= u:
+                v = -b / (2.0 * q)
+                candidates.append(q * v * v + b * v)
+            lo += min(candidates)
+            hi += max(candidates)
+        return lo, hi
+
+    rng = random.Random(5)
+    coefficient = [0.0, -0.0, 1.0, -1.0, 0.5]
+    for _ in range(3000):
+        d = rng.randint(1, 3)
+        lower = [rng.choice([0.0, 0.25, 0.5, rng.random()]) for _ in range(d)]
+        upper = [rng.choice([u for u in (0.25, 0.5, 1.0) if u > l]) for l in lower]
+        cell = box(*zip(lower, upper))
+        intercept = rng.choice(coefficient + [rng.uniform(-1, 1)])
+        quadratic = tuple(rng.choice(coefficient + [rng.uniform(-2, 2)]) for _ in range(d))
+        linear = tuple(rng.choice(coefficient + [rng.uniform(-2, 2)]) for _ in range(d))
+        got = Quadratic(intercept, linear, quadratic).range_on(cell)
+        want = reference(intercept, quadratic, linear, cell)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        got = Affine(intercept, linear).range_on(cell)
+        lo = hi = intercept
+        for a, l, u in zip(linear, lower, upper):
+            lo += min(a * l, a * u)
+            hi += max(a * l, a * u)
+        assert [x.hex() for x in got] == [lo.hex(), hi.hex()]
+
+
 def test_essential_range_sinusoid_interior_peak():
     # sin(2 pi x) on [0, 0.5) peaks at x = 0.25, so the range is (0, 1)
     rng = SIN.essential_range(interval(0, 0.5))
@@ -348,6 +384,13 @@ def test_continuous_families_normalise_each_point_once(monkeypatch, base, spiked
     calls = 0
     qmc_estimate(f, points)
     assert calls == len(points)
+
+
+@pytest.mark.parametrize("point", ["01", b"01"], ids=["str", "bytes"])
+def test_evaluate_rejects_bare_text(point):
+    f = FunctionModel(Affine(0.5, (1.0, -2.0)))
+    with pytest.raises(OutOfDomainError):
+        f.evaluate(point)
 
 
 def test_cell_integral_pieces():

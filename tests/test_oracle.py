@@ -476,26 +476,35 @@ def test_convergence_reports_the_closed_form_adversary(name):
 
 def test_convergence_reads_each_range_once_and_allocates_once(monkeypatch):
     ranges = []
+    evaluations = []
     allocations = []
     real_range = FunctionModel.essential_range
+    real_evaluate = FunctionModel.evaluate
     real_allocation = allocation
 
     def counting_range(self, cell):
         ranges.append(cell)
         return real_range(self, cell)
 
+    def counting_evaluate(self, point):
+        evaluations.append(point)
+        return real_evaluate(self, point)
+
     def counting_allocation(partition, n_points):
         allocations.append(partition.k)
         return real_allocation(partition, n_points)
 
     monkeypatch.setattr(FunctionModel, "essential_range", counting_range)
+    monkeypatch.setattr(FunctionModel, "evaluate", counting_evaluate)
     # every module that imports allocation holds its own binding of it
     for name, module in list(sys.modules.items()):
         if name.startswith("qmcbounds") and getattr(module, "allocation", None) is real_allocation:
             monkeypatch.setattr(module, "allocation", counting_allocation)
     convergence_table(named_function("x2"), 6, "cell-midpoint")
     assert allocations == [2 ** m for m in range(1, 7)]
+    # one range per cell and one evaluation per node, k = 2 + 4 + ... + 64
     assert len(ranges) == 2 ** 7 - 2
+    assert len(evaluations) == 2 ** 7 - 2
 
 
 @pytest.mark.parametrize("k, points", [(1, 10_001), (2, 1001), (3, 101), (4, 31)])

@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import random
 import re
 
 import numpy as np
@@ -85,6 +86,32 @@ def test_cube_as_point_rejects_nan():
 def test_cube_as_point_rejects_non_numbers(value):
     with pytest.raises(OutOfDomainError):
         make_cube_space(1).as_point(value)
+
+
+@pytest.mark.parametrize("value", ["01", "1", b"01", bytearray(b"\x00\x01")],
+                         ids=["str", "digit", "bytes", "bytearray"])
+def test_cube_as_point_rejects_bare_text(value):
+    # a string iterates as characters, which float() would read as coordinates
+    for d in (1, 2):
+        with pytest.raises(OutOfDomainError, match="not a cube point"):
+            make_cube_space(d).as_point(value)
+
+
+@pytest.mark.parametrize("value", [10**400, (10**400,), [0.5, -10**400]],
+                         ids=["scalar", "tuple", "list"])
+def test_cube_as_point_rejects_integers_too_large_for_a_float(value):
+    d = 1 if isinstance(value, int) else len(value)
+    with pytest.raises(OutOfDomainError, match="outside"):
+        make_cube_space(d).as_point(value)
+
+
+def test_cube_as_point_returns_a_normal_tuple_itself():
+    point = (0.25, 1.0)
+    assert make_cube_space(2).as_point(point) is point
+    for other in [(0.25, 1), [0.25, 1.0], (0.25, np.float64(1.0))]:
+        normal = make_cube_space(2).as_point(other)
+        assert normal == point and type(normal) is tuple
+        assert all(type(c) is float for c in normal)
 
 
 def test_cube_as_point_accepts_numpy_scalars_and_numeric_text():
@@ -185,6 +212,13 @@ def _grid(n):
     return make_partition(make_cube_space(2), cells)
 
 
+def _line(k):
+    """make_partition over the k intervals of equal_partition_1d(k)."""
+    edges = [i / k for i in range(k)] + [1.0]
+    cells = [interval(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    return make_partition(make_cube_space(1), cells)
+
+
 def _leaf_entries(index):
     """Cells listed on the last axis of a slab index, with repeats."""
     edges, children = index
@@ -205,10 +239,47 @@ def test_partition_validation_is_near_linear(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(spaces, "_sweep", recording)
-    for build, arg in ((equal_partition_1d, 1024), (_grid, 32)):
+    for build, arg in ((_line, 1024), (_grid, 32)):
         p = build(arg)
         assert len(built) == 1
         assert _leaf_entries(built.pop()) <= 2 * p.k
+
+
+@pytest.mark.parametrize("build, arg", [(_line, 64), (_grid, 8)], ids=["1d", "2d"])
+def test_one_sweep_validates_and_indexes(monkeypatch, build, arg):
+    calls = 0
+    sweep = spaces._sweep
+
+    def counting(cells):
+        nonlocal calls
+        calls += 1
+        return sweep(cells)
+
+    monkeypatch.setattr(spaces, "_sweep", counting)
+    p = build(arg)
+    for _ in range(3):
+        for j, cell in enumerate(p.cells):
+            assert p.cell_index_of(cell.lower) == j
+    assert calls == 1
+
+
+def test_equal_partition_matches_make_partition(monkeypatch):
+    rng = random.Random(7)
+    for k in [*range(1, 71), 1024]:
+        built, checked = equal_partition_1d(k), _line(k)
+        assert built.space == checked.space
+        assert built.cells == checked.cells
+        assert [m.hex() for m in built.measures] == [m.hex() for m in checked.measures]
+        # the stored index is the one the sweep builds
+        edges, children = built._slabs
+        assert (edges, list(children)) == checked._slabs
+        edges = edges + [1.0]
+        for t in [0.0, *edges, 1.0, *(rng.random() for _ in range(50))]:
+            assert built.cell_index_of(t) == checked.cell_index_of(t)
+    # nothing is validated cell by cell or swept
+    for name in ("_validate_cell", "_sweep", "make_partition"):
+        monkeypatch.setattr(spaces, name, None)
+    assert equal_partition_1d(1024).cell_index_of(0.5) == 512
 
 
 def test_grid_lookup_scans_one_column(monkeypatch):
