@@ -21,7 +21,7 @@ import click
 
 from . import reports
 from .bounds import bound_set
-from .errors import NotUniformError, QmcBoundsError
+from .errors import BoundViolationError, NotUniformError, QmcBoundsError
 from .estimator import bound_report
 from .experiments import (
     MAX_REFINEMENT_DEPTH,
@@ -126,6 +126,9 @@ def cmd_bounds(config_path, points_path, out_path, fmt):
                                   inst.instance_id)
         except NotUniformError as exc:
             click.echo(f"not uniform: {exc}", err=True)
+            sys.exit(1)
+        except BoundViolationError as exc:
+            click.echo(f"bound violation: {exc}", err=True)
             sys.exit(1)
         rows = [reports.report_row(report, inst.partition.k)]
         columns = reports.REPORT_COLUMNS

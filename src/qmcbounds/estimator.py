@@ -69,7 +69,8 @@ def bound_report(f: FunctionModel, partition: Partition, pointset,
     error = abs(estimate - integral)
     if bounds.exact and error > bounds.corollary2 + BOUND_SLACK:
         raise BoundViolationError(
-            f"realized error {error!r} exceeds certified bound {bounds.corollary2!r}"
+            f"realized error {error!r} exceeds the certified bound corollary2 = "
+            f"{bounds.corollary2!r}"
         )
     return BoundReport(
         instance_id=instance_id,

@@ -114,7 +114,7 @@ def naive_pointwise_s(f: FunctionModel, partition: Partition) -> float:
         step = (hi - lo) / NAIVE_RESOLUTION
         ts = [lo + i * step for i in range(NAIVE_RESOLUTION)] + [hi]
         ts.extend(p[0] for p, _ in f.spikes if cell.contains(p))
-        values = [f.evaluate((t,)) for t in ts]
+        values = list(map(f.evaluate, zip(ts)))  # zip yields the points (t,)
         worst = max(worst, max(values) - min(values))
     return worst
 

@@ -239,7 +239,9 @@ def worst_uniform_error(f: FunctionModel, partition: Partition) -> float:
     infimum g_j: W = max(sum_j m_j G_j - I, I - sum_j m_j g_j).  Each
     side is summed by fsum as per-cell deviations m_j (G_j - avg_j) and
     m_j (avg_j - g_j), with avg_j the cell's integral over its measure.
-    Exact up to rounding for exact ranges on either kind of space.
+    Exact up to rounding for exact ranges on either kind of space; a
+    sampled range raises QmcBoundsError, since the true supremum is not
+    known from it.
     """
     return _worst_uniform_error(f, partition, map(f.essential_range, partition.cells))
 
@@ -249,7 +251,10 @@ def _worst_uniform_error(f: FunctionModel, partition: Partition, ranges) -> floa
     space = partition.space
     up = []
     down = []
-    for cell, measure, rng in zip(partition.cells, partition.measures, ranges):
+    for j, (cell, measure, rng) in enumerate(zip(partition.cells, partition.measures, ranges)):
+        if not rng.exact:
+            raise QmcBoundsError(f"cell {j} has a sampled range; the worst uniform error "
+                                 f"needs exact essential ranges")
         average = f.cell_integral(cell, space) / measure
         up.append(measure * (rng.hi - average))
         down.append(measure * (average - rng.lo))

@@ -18,7 +18,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, islice, product, repeat
+from operator import add, attrgetter, lt, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -77,12 +78,28 @@ def _smallest_feasible(measures: Sequence[float], n_points: int) -> int | None:
 
 
 def allocation(partition: Partition, n_points: int) -> tuple[int, ...]:
-    """Exact per-cell node counts N * measure(M_j), or a feasibility error."""
+    """Exact per-cell node counts N * measure(M_j), or a feasibility error.
+
+    Accepted counts are kept on the partition, so asking again for the
+    same N costs one lookup; a failure is worked out again every time.
+    """
     if n_points < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")
+    cache = getattr(partition, "_allocations", None)
+    if cache is None:
+        # Set as make_partition sets _slabs; a cached_property would build
+        # the instance __dict__, which halves the speed of every later
+        # attribute read on the partition.  Not a field, so equality,
+        # hashing and repr ignore it.
+        cache = {}
+        object.__setattr__(partition, "_allocations", cache)
+    counts = cache.get(n_points)
+    if counts is not None:
+        return counts
     measures = partition.measures
     counts = _counts(measures, n_points)
     if counts is not None:
+        cache[n_points] = counts
         return counts
     suggested = _smallest_feasible(measures, n_points)
     if suggested is None:
@@ -130,7 +147,21 @@ class UniformityReport:
 
 def _place_in_boxes(cells: Sequence[BoxCell], counts: Sequence[int], strategy: str,
                     rng: random.Random, avoid: frozenset) -> list[tuple[float, ...]]:
-    """Nodes for every box cell in cell order, counts[j] of them in cell j."""
+    """Nodes for every box cell in cell order, counts[j] of them in cell j.
+
+    Seeded placement draws each node as ``lo + (hi - lo) * random()`` per
+    axis, which is ``random.uniform(lo, hi)`` bit for bit, and redraws a
+    node that leaves its cell or hits a vetoed point.  The first try of
+    every node is drawn and tested in one pass, and that is exact for
+    two reasons.  The lower face always holds: the product
+    ``fl(hi - lo) * r`` is nonnegative and rounding is monotone, so
+    adding it to ``lo`` never gives less than ``lo``; only the open upper
+    face and the veto can reject a try.  And when a try is rejected, the
+    nodes before it are what the one-node loop would have kept, and the
+    loop resumes from that node, fed first by the draws already taken
+    after the rejected try, then by fresh ones, which is the order the
+    loop would have drawn them in.
+    """
     nodes = []
     if strategy == STRATEGY_MIDPOINT:
         for cell, count in zip(cells, counts):
@@ -145,17 +176,29 @@ def _place_in_boxes(cells: Sequence[BoxCell], counts: Sequence[int], strategy: s
                 t = (i - 0.5) / count
                 nodes.append(tuple([lo + (hi - lo) * t for lo, hi in spans]))
         return nodes
-    # lo + (hi - lo) * random() is random.uniform(lo, hi), bit for bit
-    draw = rng.random
-    for cell, count in zip(cells, counts):
+    # Every node's first try at once, drawn in node order and axis order
+    # as the loop below would draw them.
+    dim = len(cells[0].lower)
+    los = list(chain.from_iterable(map(mul, map(attrgetter("lower"), cells), counts)))
+    his = list(chain.from_iterable(map(mul, map(attrgetter("upper"), cells), counts)))
+    draws = list(islice(iter(rng.random, 1.0), len(los)))  # random() < 1.0
+    coords = map(add, los, map(mul, map(sub, his, los), draws))
+    nodes = list(zip(*[coords] * dim))
+    if all(map(lt, chain.from_iterable(nodes), his)) and avoid.isdisjoint(nodes):
+        return nodes
+    owners = list(chain.from_iterable(map(repeat, cells, counts)))
+    first = next((i for i, (cell, node) in enumerate(zip(owners, nodes))
+                  if not cell.contains(node) or node in avoid), len(nodes))
+    del nodes[first:]
+    draw = chain(islice(draws, (first + 1) * dim, None), iter(rng.random, 1.0)).__next__
+    for cell in islice(owners, first, None):
         spans = list(zip(cell.lower, cell.upper))
-        for _ in range(count):
-            while True:
-                node = tuple([lo + (hi - lo) * draw() for lo, hi in spans])
-                # the draw may round to the open endpoint; spike coordinates are vetoed
-                if cell.contains(node) and node not in avoid:
-                    nodes.append(node)
-                    break
+        while True:
+            node = tuple([lo + (hi - lo) * draw() for lo, hi in spans])
+            # the draw may round to the open endpoint; spike coordinates are vetoed
+            if cell.contains(node) and node not in avoid:
+                nodes.append(node)
+                break
     return nodes
 
 

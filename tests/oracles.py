@@ -7,13 +7,15 @@ coefficient grid search, enumeration from brute force over ordered
 node tuples, box overlaps and cell lookups from pairwise tests and
 linear scans, and the exhaustive worst error from scoring every
 configuration one by one; the cube worst error from every
-one-node-per-cell placement on a grid.
+one-node-per-cell placement on a grid; seeded placement from the
+one-try-at-a-time loop with its own membership test.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import numpy as np
 from scipy import integrate
@@ -162,3 +164,27 @@ def grid_worst_placement(fn, intervals, points_per_cell):
     integral = quad_integral(fn, 0.0, 1.0)
     worst = float(np.max(np.abs(sums / len(intervals) - integral)))
     return worst, spacings
+
+
+def sequential_seeded_placement(cells, counts, seed, avoid=()):
+    """Seeded-random nodes placed one try at a time, the rule spelled out.
+
+    Cell by cell and node by node, each try draws one ``random()`` per
+    axis in axis order and takes ``lo + (hi - lo) * r``
+    (``random.uniform``); a try outside the cell (half-open, except a
+    face at 1.0) or equal to an avoided point is drawn again.
+    """
+    rng = random.Random(seed)
+    avoid = set(avoid)
+    nodes = []
+    for cell, count in zip(cells, counts):
+        spans = list(zip(cell.lower, cell.upper))
+        placed = 0
+        while placed < count:
+            node = tuple(lo + (hi - lo) * rng.random() for lo, hi in spans)
+            inside = all(lo <= c < hi or c == hi == 1.0
+                         for c, (lo, hi) in zip(node, spans))
+            if inside and node not in avoid:
+                nodes.append(node)
+                placed += 1
+    return nodes

@@ -11,7 +11,9 @@ import pytest
 from click.testing import CliRunner
 
 import qmcbounds
+from qmcbounds import cli
 from qmcbounds import (
+    BoundViolationError,
     equal_partition_1d,
     construct_uniform,
     instance_to_json,
@@ -194,6 +196,26 @@ def test_bounds_rejects_non_uniform_points(runner, tmp_path):
                                   "--points", str(points)])
     assert result.exit_code == 1
     assert "not uniform" in result.stderr
+
+
+def test_bounds_reports_a_bound_violation_without_a_traceback(runner, tmp_path,
+                                                              monkeypatch):
+    config = write_json(tmp_path / "x2.json", X2_INSTANCE)
+    points = tmp_path / "points.txt"
+    save_pointset(points, ((0.25,), (0.75,)), equal_partition_1d(2))
+
+    def violating(*args, **kwargs):
+        raise BoundViolationError(
+            "realized error 0.75 exceeds the certified bound corollary2 = 0.5")
+
+    monkeypatch.setattr(cli, "bound_report", violating)
+    result = runner.invoke(main, ["bounds", "--config", config,
+                                  "--points", str(points)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr == ("bound violation: realized error 0.75 exceeds the "
+                             "certified bound corollary2 = 0.5\n")
 
 
 @pytest.mark.parametrize("bad_line", ["abc", "1.5", "0.5 0.5"])

@@ -15,7 +15,9 @@ from qmcbounds import (
     FiniteCell,
     FiniteTable,
     FunctionModel,
+    GridRangeMode,
     QmcBoundsError,
+    Quadratic,
     Sinusoid,
     allocation,
     bound_set,
@@ -32,7 +34,12 @@ from qmcbounds import (
     worst_uniform_error,
 )
 from qmcbounds import oracle
-from qmcbounds.experiments import convergence_table, named_function
+from qmcbounds.experiments import (
+    NAIVE_RESOLUTION,
+    convergence_table,
+    named_function,
+    naive_pointwise_s,
+)
 from qmcbounds.oracle import MAX_ATOMS, MAX_CELLS, VERIFY_SLACK
 from qmcbounds.pointsets import DEFAULT_ENUMERATION_CAP
 from oracles import (
@@ -463,6 +470,21 @@ def test_worst_uniform_error_on_the_cube():
     assert worst_uniform_error(f, halves) == 0.5
 
 
+def test_worst_uniform_error_refuses_sampled_ranges():
+    # one grid interval per axis samples x^2 on [0, 1/2) and [1/2, 1] at
+    # the cell ends only; the sampled ranges gave 0.29166666666666663,
+    # a number that is not the supremum over every uniform set
+    f = FunctionModel(Quadratic(0.0, (0.0,), (1.0,)), (), GridRangeMode(1, 0))
+    halves = equal_partition_1d(2)
+    with pytest.raises(QmcBoundsError, match="cell 0 has a sampled range"):
+        worst_uniform_error(f, halves)
+    # every caller of the shared loop gets the check, whichever cell it is
+    ranges = [named_function("x2").essential_range(c) for c in halves.cells]
+    ranges[1] = f.essential_range(halves.cells[1])
+    with pytest.raises(QmcBoundsError, match="cell 1 has a sampled range"):
+        oracle._worst_uniform_error(f, halves, ranges)
+
+
 @pytest.mark.parametrize("name", ["x", "x2", "sin2pix", "const"])
 def test_convergence_reports_the_closed_form_adversary(name):
     f = named_function(name)
@@ -505,6 +527,24 @@ def test_convergence_reads_each_range_once_and_allocates_once(monkeypatch):
     # one range per cell and one evaluation per node, k = 2 + 4 + ... + 64
     assert len(ranges) == 2 ** 7 - 2
     assert len(evaluations) == 2 ** 7 - 2
+
+
+def test_naive_baseline_evaluates_each_sample_once(monkeypatch):
+    evaluations = []
+    real_evaluate = FunctionModel.evaluate
+
+    def counting_evaluate(self, point):
+        evaluations.append(point)
+        return real_evaluate(self, point)
+
+    monkeypatch.setattr(FunctionModel, "evaluate", counting_evaluate)
+    f = FunctionModel(Quadratic(0.0, (0.0,), (1.0,)), (((0.3,), 5.0),))
+    # cell 0 holds x^2 = 0 at 0 and the spike value 5 at 0.3; cell 1 swings by 3/4
+    assert naive_pointwise_s(f, equal_partition_1d(2)) == 5.0
+    # NAIVE_RESOLUTION + 1 grid points per cell, then the spike, each a point (t,)
+    assert len(evaluations) == 2 * (NAIVE_RESOLUTION + 1) + 1
+    assert evaluations[NAIVE_RESOLUTION + 1] == (0.3,)
+    assert all(type(p) is tuple and len(p) == 1 for p in evaluations)
 
 
 @pytest.mark.parametrize("k, points", [(1, 10_001), (2, 1001), (3, 101), (4, 31)])

@@ -30,7 +30,7 @@ from qmcbounds import (
 )
 from qmcbounds import pointsets
 from qmcbounds.pointsets import STRATEGIES, STRATEGY_RANDOM
-from oracles import brute_force_uniform_configs
+from oracles import brute_force_uniform_configs, sequential_seeded_placement
 
 
 def two_cell_finite():
@@ -105,6 +105,45 @@ def test_allocation_without_a_feasible_size_says_so(monkeypatch):
     assert len(tried) <= 4
 
 
+def test_allocation_is_kept_per_partition(monkeypatch):
+    p = equal_partition_1d(4)
+    tried = []
+    counts = pointsets._counts
+
+    def counting(measures, n_points):
+        tried.append(n_points)
+        return counts(measures, n_points)
+
+    monkeypatch.setattr(pointsets, "_counts", counting)
+    first = allocation(p, 8)
+    assert allocation(p, 8) is first
+    assert tried == [8]
+    assert allocation(p, 12) == (3, 3, 3, 3)
+    assert tried == [8, 12]
+    # a new partition of the same cells works its counts out again
+    assert allocation(equal_partition_1d(4), 8) == first
+    assert tried == [8, 12, 8]
+
+
+def test_allocation_cache_is_not_part_of_the_partition():
+    p = equal_partition_1d(4)
+    fresh = equal_partition_1d(4)
+    text = repr(p)
+    allocation(p, 8)
+    assert p == fresh and hash(p) == hash(fresh) and repr(p) == text
+
+
+def test_allocation_failure_raises_on_every_call():
+    p = equal_partition_1d(3)
+    for _ in range(3):
+        with pytest.raises(NonIntegerAllocationError) as err:
+            allocation(p, 4)
+        assert err.value.suggested_n == 6
+    assert allocation(p, 6) == (2, 2, 2)
+    with pytest.raises(NonIntegerAllocationError):
+        allocation(p, 4)
+
+
 def test_construct_midpoint_quarters():
     # 4 equal cells, N=4: nodes (0.125, 0.375, 0.625, 0.875)
     ps = construct_uniform(equal_partition_1d(4), 4, "cell-midpoint")
@@ -161,6 +200,93 @@ def test_construct_avoids_listed_points():
     forbidden = tuple((rng.uniform(0, 1),) for _ in range(50))
     ps = construct_uniform(p, 64, STRATEGY_RANDOM, seed=7, avoid_points=forbidden)
     assert not set(ps.nodes) & set(forbidden)
+
+
+def _as_hex(nodes):
+    return [[c.hex() for c in node] for node in nodes]
+
+
+def _guillotine(counts, dimension):
+    """Boxes with measures counts[j] / sum(counts), in the order of counts,
+    cut from the cube by halving the list and the box, axis by axis."""
+    def cut(lower, upper, part, depth):
+        if len(part) == 1:
+            return [BoxCell(lower, upper)]
+        axis = depth % dimension
+        half = len(part) // 2
+        at = lower[axis] + (upper[axis] - lower[axis]) * (sum(part[:half]) / sum(part))
+        left_upper = upper[:axis] + (at,) + upper[axis + 1:]
+        right_lower = lower[:axis] + (at,) + lower[axis + 1:]
+        return (cut(lower, left_upper, part[:half], depth + 1)
+                + cut(right_lower, upper, part[half:], depth + 1))
+
+    return make_partition(make_cube_space(dimension),
+                          cut((0.0,) * dimension, (1.0,) * dimension, counts, 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.lists(st.integers(1, 3), min_size=1, max_size=7),
+       st.integers(0, 2 ** 64))
+def test_seeded_placement_matches_the_one_try_loop(dimension, counts, seed):
+    p = _guillotine(counts, dimension)
+    n_points = sum(counts)
+    assert allocation(p, n_points) == tuple(counts)
+    ps = construct_uniform(p, n_points, STRATEGY_RANDOM, seed=seed)
+    assert _as_hex(ps.nodes) == _as_hex(
+        sequential_seeded_placement(p.cells, counts, seed))
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_seeded_placement_redraws_avoided_first_tries(dimension):
+    counts = [2, 1, 3, 1, 2]
+    p = _guillotine(counts, dimension)
+    n_points = sum(counts)
+    first_tries = construct_uniform(p, n_points, STRATEGY_RANDOM, seed=5).nodes
+    for picked in ([0], [n_points - 1], [3], [0, 4, n_points - 1], range(n_points)):
+        avoid = [first_tries[i] for i in picked]
+        nodes = construct_uniform(p, n_points, STRATEGY_RANDOM, seed=5,
+                                  avoid_points=avoid).nodes
+        assert _as_hex(nodes) == _as_hex(
+            sequential_seeded_placement(p.cells, counts, 5, avoid))
+        assert not set(nodes) & set(avoid)
+        assert nodes[:picked[0]] == first_tries[:picked[0]]
+        assert is_uniform(nodes, p)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_seeded_placement_in_cells_one_ulp_wide(seed):
+    # lo + ulp * r rounds up onto the open face about half the time
+    lo = 0.3
+    ulp = math.nextafter(lo, 1.0)
+    cells = [BoxCell((0.0,), (lo,)), BoxCell((lo,), (ulp,)), BoxCell((ulp,), (1.0,)),
+             BoxCell((0.0, lo), (1.0, ulp))]
+    counts = [2, 5, 1, 0]
+    nodes = pointsets._place_in_boxes(cells[:3], counts[:3], STRATEGY_RANDOM,
+                                      random.Random(seed), frozenset())
+    assert _as_hex(nodes) == _as_hex(
+        sequential_seeded_placement(cells[:3], counts[:3], seed))
+    assert nodes[2:7] == [(lo,)] * 5
+    # the same squeeze on axis 1 of a 2-D box, between two ordinary cells
+    flat = [BoxCell((0.0, 0.0), (0.5, lo)), cells[3], BoxCell((0.0, ulp), (1.0, 1.0))]
+    nodes = pointsets._place_in_boxes(flat, [3, 4, 3], STRATEGY_RANDOM,
+                                      random.Random(seed), frozenset())
+    assert _as_hex(nodes) == _as_hex(sequential_seeded_placement(flat, [3, 4, 3], seed))
+    assert all(node[1] == lo for node in nodes[3:7])
+
+
+def test_seeded_placement_keeps_nodes_on_the_closed_face():
+    # in [1 - 2**-53, 1] about half the tries round to exactly 1.0, which
+    # the closed face keeps; no try is rejected
+    below = math.nextafter(1.0, 0.0)
+    cells = [BoxCell((0.0,), (below,)), BoxCell((below,), (1.0,))]
+    nodes = pointsets._place_in_boxes(cells, [1, 16], STRATEGY_RANDOM,
+                                      random.Random(3), frozenset())
+    reference = sequential_seeded_placement(cells, [1, 16], 3)
+    assert _as_hex(nodes) == _as_hex(reference)
+    assert (1.0,) in nodes and (below,) in nodes
+    rng = random.Random(3)
+    assert [n[0] for n in nodes] == [below * rng.random()] + [
+        below + (1.0 - below) * rng.random() for _ in range(16)]
 
 
 def test_is_uniform_trivial_partition():
