@@ -34,7 +34,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter, mul
+from itertools import repeat
+from operator import attrgetter, mul, sub, truediv
+from typing import NamedTuple
 
 from .funcmodel import FunctionModel
 from .spaces import Partition
@@ -51,6 +53,36 @@ class BoundSet:
     exact: bool
 
 
+class CellTable(NamedTuple):
+    """A function's per-cell data over a partition, as columns in cell
+    order: the cell's measure, its essential range [lo, hi], whether that
+    range came from an exact oracle, and the cell integral (None when the
+    table was built for the bounds alone).  A named tuple, which is
+    cheaper to build than a frozen dataclass for the many small tables
+    of the exhaustive verdict."""
+
+    measure: tuple[float, ...]
+    lo: list[float]
+    hi: list[float]
+    exact: list[bool]
+    integral: list[float] | None
+
+
+_LO, _HI, _EXACT = attrgetter("lo"), attrgetter("hi"), attrgetter("exact")
+
+
+def cell_table(f: FunctionModel, partition: Partition, integrals: bool) -> CellTable:
+    """Read every cell's essential range once, one essential_range call
+    per cell, and its integral when asked (``FunctionModel.cell_integrals``)."""
+    ranges = [f.essential_range(cell) for cell in partition.cells]
+    lo = list(map(_LO, ranges))
+    hi = list(map(_HI, ranges))
+    exact = list(map(_EXACT, ranges))
+    del ranges  # before the integrals, to keep peak memory down
+    return CellTable(partition.measures, lo, hi, exact,
+                     f.cell_integrals(partition) if integrals else None)
+
+
 def bound_set(f: FunctionModel, partition: Partition) -> BoundSet:
     """Compute all three bounds in one pass over the cells.
 
@@ -58,19 +90,55 @@ def bound_set(f: FunctionModel, partition: Partition) -> BoundSet:
     compensated summation; exact is True only when every cell range came
     from an exact oracle.
     """
-    return _bounds_from_ranges([f.essential_range(cell) for cell in partition.cells],
-                               partition)
+    return _bounds_from_table(cell_table(f, partition, integrals=False))
 
 
-def _bounds_from_ranges(ranges, partition: Partition) -> BoundSet:
-    """bound_set from the cells' essential ranges, in cell order."""
-    widths = [r.width for r in ranges]
+def _bounds_from_table(table: CellTable) -> BoundSet:
+    """bound_set from a cell table's measure, lo, hi and exact columns."""
+    widths = list(map(sub, table.hi, table.lo))
     s = max(widths)
-    weighted = math.fsum(map(mul, partition.measures, widths))
+    weighted = math.fsum(map(mul, table.measure, widths))
     return BoundSet(
         theorem1=s,
         corollary1=s,
         corollary2=weighted,
         distance=s / 2.0,
-        exact=all(map(attrgetter("exact"), ranges)),
+        exact=all(table.exact),
     )
+
+
+def _rounding_margin(magnitude: float, integral: float, roundings: int) -> float:
+    """A margin for ``roundings`` roundings of size u(M + |I|), doubled,
+    plus as many underflows, with M = ``magnitude`` the largest |value|
+    of the function."""
+    relative = 2 * roundings * 2.0**-53
+    return relative * magnitude + relative * abs(integral) + roundings * 2.0**-1074
+
+
+def certification_slack(table: CellTable, integral: float, counts) -> float:
+    """How far a realized or worst error over point sets with ``counts``
+    nodes per cell may exceed a bound, or differ from the closed-form
+    worst error, before the certificate counts as broken.
+
+    Each value is within a few roundings of size u(M + |I|) of its exact
+    value, with M the largest |g_j| or |G_j| and I the ``integral`` over
+    the space: an error of node values (an fsum, a division and a
+    subtraction, over table values or point values that are themselves
+    within a few roundings) within 3uM + u|I| plus those roundings,
+    the closed form and the bounds
+    within about 8uM + u|I| (a cell integral, a division, a subtraction
+    and a product per cell, then one fsum); twice a margin of k + 4
+    roundings covers each pair.  The exact values differ as well: the
+    bounds and the closed form weigh cell j by its measure m_j and the
+    point set by its node share c_j / N, which the allocation tolerance
+    lets differ, and that moves an error by at most
+    sum_j |m_j - c_j / N| max(|g_j|, |G_j|).  The slack scales with the
+    data and has no absolute floor, so it stays far below the bounds of
+    small functions and above the rounding of large ones.
+    """
+    extremes = list(map(max, map(abs, table.lo), map(abs, table.hi)))
+    margin = _rounding_margin(max(extremes), integral, len(extremes) + 4)
+    # |m_j - c_j / N| * extreme_j for every cell
+    node_shares = map(truediv, counts, repeat(sum(counts)))
+    shares = math.fsum(map(mul, map(abs, map(sub, table.measure, node_shares)), extremes))
+    return 2 * margin + shares

@@ -11,14 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import BoundSet, bound_set
+from .bounds import BoundSet, _bounds_from_table, cell_table, certification_slack
 from .errors import BoundViolationError, NotUniformError
 from .funcmodel import FunctionModel
 from .pointsets import _as_nodes, is_uniform
 from .spaces import Partition, Space
-
-# Slack granted to certified bounds before declaring a violation.
-BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -51,8 +48,9 @@ def bound_report(f: FunctionModel, partition: Partition, pointset,
     """Check uniformity, then assemble estimate, error, and bounds.
 
     When the bounds are exact the realized error must stay within
-    corollary2 plus BOUND_SLACK; breaking that certification is an
-    internal bug and raises.
+    corollary2 plus ``bounds.certification_slack``, the slack the
+    exhaustive verdict allows, scaled to the data; breaking that
+    certification is an internal bug and raises.
     """
     report = is_uniform(pointset, partition)
     if not report:
@@ -63,11 +61,16 @@ def bound_report(f: FunctionModel, partition: Partition, pointset,
                       f"{report.expected[j]!r}; {len(report.off)} of {partition.k} "
                       f"cells are off")
         raise NotUniformError(f"point set is not uniform for the partition: {detail}")
-    bounds = bound_set(f, partition)
+    # one range per cell serves the bounds and the slack alike
+    table = cell_table(f, partition, integrals=False)
+    bounds = _bounds_from_table(table)
     estimate = qmc_estimate(f, pointset)
     integral = f.integral(partition.space)
     error = abs(estimate - integral)
-    if bounds.exact and error > bounds.corollary2 + BOUND_SLACK:
+    # the slack is never negative, so it is worked out only for an error
+    # above the bound itself
+    if bounds.exact and error > bounds.corollary2 and error > (
+            bounds.corollary2 + certification_slack(table, integral, report.counts)):
         raise BoundViolationError(
             f"realized error {error!r} exceeds the certified bound corollary2 = "
             f"{bounds.corollary2!r}"

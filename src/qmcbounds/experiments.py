@@ -18,7 +18,7 @@ import math
 import random
 from typing import Sequence
 
-from .bounds import _bounds_from_ranges, bound_set
+from .bounds import _bounds_from_table, bound_set, cell_table
 from .errors import QmcBoundsError
 from .estimator import integration_error, qmc_estimate
 from .funcmodel import Affine, FunctionModel, Quadratic, Sinusoid
@@ -76,12 +76,12 @@ def convergence_table(f: FunctionModel, depth: int, strategy: str,
     for m in range(1, depth + 1):
         k = 2 ** m
         partition = equal_partition_1d(k)
-        # one range per cell serves the bounds and the adversary; the list
+        # one range per cell serves the bounds and the adversary; the table
         # is dropped before the point set is built, to keep peak memory down
-        ranges = [f.essential_range(cell) for cell in partition.cells]
-        bounds = _bounds_from_ranges(ranges, partition)
-        adversarial = _worst_uniform_error(f, partition, ranges)
-        del ranges
+        table = cell_table(f, partition, integrals=True)
+        bounds = _bounds_from_table(table)
+        adversarial = _worst_uniform_error(table)
+        del table
         pointset = construct_uniform(
             partition, k, strategy, seed=seed, avoid_points=spike_points
         )

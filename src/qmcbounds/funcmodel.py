@@ -19,7 +19,8 @@ to the pointwise range over its closure, so closed forms are exact):
 - Quadratic     intercept + sum_i (quad_i * x_i^2 + lin_i * x_i);
                 per-axis endpoints plus the vertex when it lies inside.
 - Sinusoid      offset + amplitude * sin(2*pi*frequency*x_axis + phase);
-                endpoints plus interior critical points of the sine.
+                endpoints plus offset +- amplitude when a critical point
+                of that sign lies inside, in constant work.
 - PiecewiseConstant  constant values on the cells of its own partition;
                 range over a query cell collects the values of pieces
                 with positive-measure overlap.
@@ -29,7 +30,16 @@ to the pointwise range over its closure, so closed forms are exact):
 Every parameter, table value and spike value must be a finite number;
 NaN or an infinity is rejected at construction with a ValueError naming
 the field.  NaN has no place in the order that ranges are taken in, and
-an infinite value would turn every bound into inf or nan.
+an infinite value would turn every bound into inf or nan.  Finite fields
+can still overflow in sum, so a continuous family also rejects fields
+whose magnitudes add up to more than VALUE_LIMIT, a bound on its values
+(or a sine's argument) over the cube and on every partial sum of them.
+
+The continuous families integrate over many boxes at once:
+``integrals(lowers, uppers)`` takes per-axis edge lists, box j being
+[lowers[i][j], uppers[i][j]) on axis i, and returns each box's integral
+from list passes in the IEEE operations and order that one box at a
+time takes, so ``cell_integral`` is its one-cell case, bit for bit.
 
 Grid range mode replaces the closed forms of the continuous families
 with sampled ranges over the regular grid of n + 1 points per axis
@@ -62,8 +72,9 @@ its extremes over the grid are those over that axis's n + 1 samples.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from operator import mul
+from operator import mul, sub
 from typing import Union
 
 from .errors import OutOfDomainError, QmcBoundsError
@@ -78,6 +89,13 @@ from .spaces import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+# Largest magnitude the values of a continuous model, and the argument of
+# a sine, may reach over the cube.  The quarter of the largest double
+# leaves room for the arithmetic built on the values: a range's width
+# and a realized error are differences of two of them, and a quadratic's
+# cell mean passes through three times a coefficient.
+VALUE_LIMIT = sys.float_info.max / 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,6 +158,46 @@ def _require_finite(**fields) -> None:
                 raise ValueError(f"{name}[{i}] is {v!r}, not a finite number")
 
 
+def _per_cell_product(factors):
+    """Each cell's product of its per-axis factors, one iterable per axis.
+
+    The products are taken in axis order, as a per-cell loop from 1.0
+    takes them; 1.0 * x is x, so that loop's first product is the first
+    axis's factor itself.
+    """
+    product, *rest = factors
+    for factor in rest:
+        product = map(mul, product, factor)
+    return product
+
+
+def _volumes(lowers, uppers):
+    """BoxCell.volume of every box: the product of its extents, each
+    clamped at 0.0."""
+    return _per_cell_product([(0.0 if e < 0.0 else e for e in map(sub, us, ls))
+                              for ls, us in zip(lowers, uppers)])
+
+
+def _fsum_per_cell(terms):
+    """math.fsum of each cell's per-axis terms, one iterable per axis.
+
+    An fsum of one term t is t + 0.0: t itself, except that -0.0 becomes
+    0.0.
+    """
+    if len(terms) == 1:
+        return (t + 0.0 for t in terms[0])
+    return map(math.fsum, zip(*terms))
+
+
+def _require_bounded(fields: str, quantity: str, magnitude: float) -> None:
+    """ValueError naming the fields when ``magnitude``, the bound they
+    give on a quantity over the cube, is above VALUE_LIMIT (or is inf,
+    which a sum of large finite fields can reach)."""
+    if not magnitude <= VALUE_LIMIT:
+        raise ValueError(f"{fields}: {quantity} over the cube can reach {magnitude!r}, "
+                         f"above the limit {VALUE_LIMIT!r}")
+
+
 def _separable_extremes(intercept: float, terms) -> tuple[float, float]:
     """(min, max) of intercept + fsum(one term per axis) over the product
     of the axes' samples; ``terms`` holds each axis's term array.
@@ -159,6 +217,8 @@ class Affine:
 
     def __post_init__(self):
         _require_finite(intercept=self.intercept, slopes=self.slopes)
+        _require_bounded("intercept and slopes", "the values",
+                         abs(self.intercept) + sum(map(abs, self.slopes)))
 
     @property
     def dimension(self) -> int:
@@ -183,10 +243,15 @@ class Affine:
         """(min, max) over the product of the per-axis sample arrays."""
         return _separable_extremes(self.intercept, [a * x for a, x in zip(self.slopes, axes)])
 
-    def integral_over(self, cell: BoxCell, space: CubeSpace) -> float:
-        vol = cell.volume()
-        center = [(l + u) / 2.0 for l, u in zip(cell.lower, cell.upper)]
-        return vol * self.evaluate(center)
+    def integrals(self, lowers, uppers) -> list[float]:
+        """Each box's volume times the value at its centre."""
+        def axis_terms(a, ls, us):
+            return (a * ((l + u) / 2.0) for l, u in zip(ls, us))
+
+        terms = list(map(axis_terms, self.slopes, lowers, uppers))
+        intercept = self.intercept
+        return [vol * (intercept + t)
+                for vol, t in zip(_volumes(lowers, uppers), _fsum_per_cell(terms))]
 
     def lipschitz_bound(self) -> float:
         return math.fsum(abs(a) for a in self.slopes)
@@ -205,6 +270,9 @@ class Quadratic:
             raise ValueError("linear and quadratic coefficient tuples differ in length")
         _require_finite(intercept=self.intercept, linear=self.linear,
                         quadratic=self.quadratic)
+        _require_bounded("intercept, linear and quadratic", "the values",
+                         abs(self.intercept) + sum(map(abs, self.linear))
+                         + sum(map(abs, self.quadratic)))
 
     @property
     def dimension(self) -> int:
@@ -246,14 +314,17 @@ class Quadratic:
             [q * x * x + b * x for q, b, x in zip(self.quadratic, self.linear, axes)],
         )
 
-    def integral_over(self, cell: BoxCell, space: CubeSpace) -> float:
-        vol = cell.volume()
-        # per-axis mean of q t^2 + b t over [l, u]
-        avg = math.fsum([
-            q * (l * l + l * u + u * u) / 3.0 + b * (l + u) / 2.0
-            for q, b, l, u in zip(self.quadratic, self.linear, cell.lower, cell.upper)
-        ])
-        return vol * (self.intercept + avg)
+    def integrals(self, lowers, uppers) -> list[float]:
+        """Each box's volume times the function's mean over it."""
+        def axis_terms(q, b, ls, us):
+            # the mean of q t^2 + b t over [l, u]
+            return (q * (l * l + l * u + u * u) / 3.0 + b * (l + u) / 2.0
+                    for l, u in zip(ls, us))
+
+        terms = list(map(axis_terms, self.quadratic, self.linear, lowers, uppers))
+        intercept = self.intercept
+        return [vol * (intercept + t)
+                for vol, t in zip(_volumes(lowers, uppers), _fsum_per_cell(terms))]
 
     def lipschitz_bound(self) -> float:
         return math.fsum(
@@ -279,6 +350,10 @@ class Sinusoid:
             raise ValueError(f"axis {self.axis} out of range for dimension {self.dimension}")
         if self.frequency < 0.0:
             raise ValueError("frequency must be nonnegative")
+        _require_bounded("offset and amplitude", "the values",
+                         abs(self.offset) + abs(self.amplitude))
+        _require_bounded("frequency and phase", "the sine's argument",
+                         TWO_PI * self.frequency + abs(self.phase))
 
     def _at(self, t: float) -> float:
         return self.offset + self.amplitude * math.sin(TWO_PI * self.frequency * t + self.phase)
@@ -288,7 +363,16 @@ class Sinusoid:
 
     def range_on(self, cell: Cell) -> tuple[float, float]:
         """min and max of the values at a, b and the critical points
-        inside [a, b], in that order, as min() and max() pick them."""
+        inside [a, b], in that order, as min() and max() pick them.
+
+        The critical point t_n solves w t + phase = pi/2 + n pi, where the
+        sine is 1 at even n and -1 at odd n, so its value is offset +
+        amplitude or offset - amplitude in closed form.  The rounded
+        bounds n_lo and n_hi may be off by one, so only the two lowest
+        and two highest n are tested against a <= t_n <= b; every n
+        between them lies inside the cell.  The work is constant in the
+        number of critical points.
+        """
         cell = _require_box(cell, self.dimension)
         a, b = cell.lower[self.axis], cell.upper[self.axis]
         at_a = self._at(a)
@@ -297,17 +381,19 @@ class Sinusoid:
         hi = at_b if at_b > at_a else at_a
         if self.frequency > 0.0 and self.amplitude != 0.0:
             w = TWO_PI * self.frequency
-            # critical points: w t + phase = pi/2 + n pi
             n_lo = math.ceil((w * a + self.phase - math.pi / 2.0) / math.pi)
             n_hi = math.floor((w * b + self.phase - math.pi / 2.0) / math.pi)
-            for n in range(n_lo, n_hi + 1):
-                t = (math.pi / 2.0 + n * math.pi - self.phase) / w
-                if a <= t <= b:
-                    value = self._at(t)
-                    if value < lo:
-                        lo = value
-                    if value > hi:
-                        hi = value
+            inside = {n for n in (n_lo, n_lo + 1, n_hi - 1, n_hi) if n_lo <= n <= n_hi
+                      and a <= (math.pi / 2.0 + n * math.pi - self.phase) / w <= b}
+            inside.update(range(n_lo + 2, min(n_lo + 4, n_hi - 1)))  # up to two inner n
+            for odd in {n % 2 for n in inside}:
+                # the two values differ, as amplitude != 0, so the order
+                # they come in cannot change which one min and max pick
+                value = self.offset - self.amplitude if odd else self.offset + self.amplitude
+                if value < lo:
+                    lo = value
+                if value > hi:
+                    hi = value
         return lo, hi
 
     def sampled_range(self, axes) -> tuple[float, float]:
@@ -318,18 +404,26 @@ class Sinusoid:
         values = [self._at(t) for t in axes[self.axis].tolist()]
         return min(values), max(values)
 
-    def integral_over(self, cell: BoxCell, space: CubeSpace) -> float:
-        a, b = cell.lower[self.axis], cell.upper[self.axis]
-        cross = 1.0
-        for i, (l, u) in enumerate(zip(cell.lower, cell.upper)):
-            if i != self.axis:
-                cross *= u - l
+    def integrals(self, lowers, uppers) -> list[float]:
+        """Each box's extent across the other axes times the integral of
+        the sine along its own axis."""
+        a_s, b_s = lowers[self.axis], uppers[self.axis]
+        spans = list(map(sub, b_s, a_s))
+        phase = self.phase
         if self.frequency == 0.0:
-            osc = math.sin(self.phase) * (b - a)
+            sine = math.sin(phase)
+            oscs = (sine * span for span in spans)
         else:
             w = TWO_PI * self.frequency
-            osc = (math.cos(w * a + self.phase) - math.cos(w * b + self.phase)) / w
-        return cross * (self.offset * (b - a) + self.amplitude * osc)
+            cos = math.cos
+            oscs = ((cos(w * a + phase) - cos(w * b + phase)) / w for a, b in zip(a_s, b_s))
+        offset, amplitude = self.offset, self.amplitude
+        values = (offset * span + amplitude * osc for span, osc in zip(spans, oscs))
+        cross = [map(sub, us, ls)
+                 for i, (ls, us) in enumerate(zip(lowers, uppers)) if i != self.axis]
+        if cross:  # else the per-cell product is 1.0, and 1.0 * x is x
+            values = map(mul, _per_cell_product(cross), values)
+        return list(values)
 
     def lipschitz_bound(self) -> float:
         return abs(self.amplitude) * TWO_PI * self.frequency
@@ -535,8 +629,7 @@ class FunctionModel:
         if self.is_finite:
             raise OutOfDomainError("finite-space model integrated over a cube space")
         d = space.dimension
-        full = BoxCell((0.0,) * d, (1.0,) * d)
-        return base.integral_over(full, space)
+        return self._box_integral(BoxCell((0.0,) * d, (1.0,) * d), space)
 
     def cell_integral(self, cell: Cell, space: Space) -> float:
         """Integral restricted to one cell."""
@@ -545,4 +638,27 @@ class FunctionModel:
             if not isinstance(cell, FiniteCell):
                 raise OutOfDomainError("finite space needs finite cells")
             return math.fsum(space.weights[a] * base.evaluate(a) for a in cell.atoms)
+        return self._box_integral(cell, space)
+
+    def cell_integrals(self, partition: Partition) -> list[float]:
+        """cell_integral of every cell of the partition, in cell order.
+
+        A continuous family integrates over the edge lists of a partition
+        that keeps them (``equal_partition_1d``) in one list pass, with
+        the bits of the one-cell case; any other pairing takes the cells
+        one at a time.
+        """
+        if isinstance(self.base, _CONTINUOUS_FAMILIES):
+            edges = getattr(partition, "_edges", None)
+            if edges is not None:
+                lowers, uppers = edges
+                return self.base.integrals([lowers], [uppers])
+        space = partition.space
+        return [self.cell_integral(cell, space) for cell in partition.cells]
+
+    def _box_integral(self, cell: BoxCell, space: CubeSpace) -> float:
+        base = self.base
+        if isinstance(base, _CONTINUOUS_FAMILIES):
+            # the one-cell case of the family's list pass over edge lists
+            return base.integrals([[l] for l in cell.lower], [[u] for u in cell.upper])[0]
         return base.integral_over(cell, space)

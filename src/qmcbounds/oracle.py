@@ -29,8 +29,17 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import accumulate, combinations_with_replacement
+from operator import mul, sub, truediv
 
-from .bounds import BoundSet, _bounds_from_ranges, bound_set
+from .bounds import (
+    BoundSet,
+    CellTable,
+    _bounds_from_table,
+    _rounding_margin,
+    bound_set,
+    cell_table,
+    certification_slack,
+)
 from .errors import QmcBoundsError
 from .funcmodel import FiniteTable, FunctionModel
 from .instances import Instance
@@ -43,7 +52,8 @@ from .spaces import (
     make_partition,
 )
 
-# Verification slack, matching the estimator's certification slack.
+# Tolerance of the minimax certificate's cross-check against the closed
+# form on partition families.
 VERIFY_SLACK = 1e-9
 
 # Atom weights of generated instances are multiples of this unit.
@@ -90,14 +100,6 @@ class MinimaxCertificate:
     degenerate: bool
 
 
-def _rounding_margin(magnitude: float, integral: float, roundings: int) -> float:
-    """A margin for ``roundings`` roundings of size u(M + |I|), doubled,
-    plus as many underflows, with M = ``magnitude`` the largest |atom
-    value| (see ``_score_configurations``)."""
-    relative = 2 * roundings * 2.0**-53
-    return relative * magnitude + relative * abs(integral) + roundings * 2.0**-1074
-
-
 def _multiset_sums(values, count: int):
     """Sums of the multisets of ``count`` of ``values``, in the order
     ``combinations_with_replacement`` yields them, each summed from the
@@ -135,9 +137,10 @@ def _multiset_at(atoms: tuple[int, ...], count: int, rank: int) -> tuple[int, ..
 
 
 def _score_configurations(stream: ConfigurationStream, partition: Partition,
-                          f: FunctionModel, n_points: int):
+                          f: FunctionModel, n_points: int, integral: float):
     """Worst |average - integral| over a configuration stream, with the
-    lexicographically first configuration attaining it.
+    lexicographically first configuration attaining it; ``integral`` is
+    f's integral over the space.
 
     Each cell's multiset sums come from ``_multiset_sums`` at numpy
     speed, so the Python work is per cell and per candidate, not per
@@ -173,7 +176,6 @@ def _score_configurations(stream: ConfigurationStream, partition: Partition,
     import numpy as np
 
     space = partition.space
-    integral = f.integral(space)
     atom_values = [f.evaluate(i) for i in range(space.n_atoms)]
     k = len(stream.cells)
     sizes = [math.comb(len(atoms) + count - 1, count)
@@ -243,47 +245,19 @@ def worst_uniform_error(f: FunctionModel, partition: Partition) -> float:
     sampled range raises QmcBoundsError, since the true supremum is not
     known from it.
     """
-    return _worst_uniform_error(f, partition, map(f.essential_range, partition.cells))
+    return _worst_uniform_error(cell_table(f, partition, integrals=True))
 
 
-def _worst_uniform_error(f: FunctionModel, partition: Partition, ranges) -> float:
-    """worst_uniform_error from the cells' essential ranges, in cell order."""
-    space = partition.space
-    up = []
-    down = []
-    for j, (cell, measure, rng) in enumerate(zip(partition.cells, partition.measures, ranges)):
-        if not rng.exact:
-            raise QmcBoundsError(f"cell {j} has a sampled range; the worst uniform error "
-                                 f"needs exact essential ranges")
-        average = f.cell_integral(cell, space) / measure
-        up.append(measure * (rng.hi - average))
-        down.append(measure * (average - rng.lo))
-    return max(math.fsum(up), math.fsum(down), 0.0)
-
-
-def _verdict_slack(stream: ConfigurationStream, partition: Partition,
-                   f: FunctionModel, ranges) -> float:
-    """How far the enumerated worst error may exceed a bound, or differ
-    from the closed form, before the verdict fails.
-
-    Each value is within a few roundings of size u(M + |I|) of its exact
-    value: the scorer's rescored expression within 3uM + u|I| (an fsum,
-    a division and a subtraction), the closed form and the bounds within
-    about 8uM + u|I| (a cell integral, a division, a subtraction and a
-    product per cell, then one fsum); twice a margin of k + 4 roundings
-    covers each pair.  The exact values
-    differ as well: the bounds and the closed form weigh cell j by its
-    measure m_j and the enumeration by its node share c_j / N, which the
-    allocation tolerance lets differ, and that moves the worst error by
-    at most sum_j |m_j - c_j / N| max(|g_j|, |G_j|).  VERIFY_SLACK is
-    the floor.  The ranges span every atom value, so they give M too.
-    """
-    extremes = [max(abs(r.lo), abs(r.hi)) for r in ranges]
-    margin = _rounding_margin(max(extremes), f.integral(partition.space), len(ranges) + 4)
-    n_points = sum(stream.counts)
-    shares = math.fsum(abs(m - c / n_points) * extreme
-                       for m, c, extreme in zip(partition.measures, stream.counts, extremes))
-    return VERIFY_SLACK + 2 * margin + shares
+def _worst_uniform_error(table: CellTable) -> float:
+    """worst_uniform_error as list passes over a cell table's columns."""
+    if not all(table.exact):
+        raise QmcBoundsError(f"cell {table.exact.index(False)} has a sampled range; the "
+                             f"worst uniform error needs exact essential ranges")
+    measure = table.measure
+    averages = list(map(truediv, table.integral, measure))
+    up = math.fsum(map(mul, measure, map(sub, table.hi, averages)))
+    down = math.fsum(map(mul, measure, map(sub, averages, table.lo)))
+    return max(up, down, 0.0)
 
 
 def worst_case_error(space: FiniteSpace, partition: Partition, f: FunctionModel,
@@ -294,7 +268,7 @@ def worst_case_error(space: FiniteSpace, partition: Partition, f: FunctionModel,
     first configuration, so reruns are reproducible.
     """
     stream = enumerate_uniform(space, partition, n_points, cap)
-    return _score_configurations(stream, partition, f, n_points)
+    return _score_configurations(stream, partition, f, n_points, f.integral(space))
 
 
 def verify_bounds_exhaustive(space: FiniteSpace, partition: Partition,
@@ -306,7 +280,7 @@ def verify_bounds_exhaustive(space: FiniteSpace, partition: Partition,
     The verdict also fails when the enumerated worst error and the
     closed form ``worst_uniform_error`` differ, so the scorer and the
     closed form check each other.  Every comparison allows the same
-    slack, scaled to the data (``_verdict_slack``).
+    slack, scaled to the data (``bounds.certification_slack``).
 
     tightness is worst_error / corollary2 (how much of the certified
     budget the adversary actually uses).  A budget within the slack is
@@ -316,15 +290,16 @@ def verify_bounds_exhaustive(space: FiniteSpace, partition: Partition,
     """
     stream = enumerate_uniform(space, partition, n_points, cap)
     # one range per cell serves the bounds and the closed form alike
-    ranges = [f.essential_range(cell) for cell in partition.cells]
-    bounds = _bounds_from_ranges(ranges, partition)
-    worst, argmax = _score_configurations(stream, partition, f, n_points)
-    slack = _verdict_slack(stream, partition, f, ranges)
+    table = cell_table(f, partition, integrals=True)
+    bounds = _bounds_from_table(table)
+    integral = f.integral(space)
+    worst, argmax = _score_configurations(stream, partition, f, n_points, integral)
+    slack = certification_slack(table, integral, stream.counts)
     passed = (
         worst <= bounds.corollary2 + slack
         and worst <= bounds.corollary1 + slack
         and worst <= bounds.theorem1 + slack
-        and abs(worst - _worst_uniform_error(f, partition, ranges)) <= slack
+        and abs(worst - _worst_uniform_error(table)) <= slack
     )
     if bounds.corollary2 > slack:
         tightness = worst / bounds.corollary2

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement, islice, product, repeat
-from operator import add, attrgetter, lt, mul, sub
+from operator import add, attrgetter, lt, mul, sub, truediv
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -146,8 +146,14 @@ class UniformityReport:
 
 
 def _place_in_boxes(cells: Sequence[BoxCell], counts: Sequence[int], strategy: str,
-                    rng: random.Random, avoid: frozenset) -> list[tuple[float, ...]]:
+                    rng: random.Random, avoid: frozenset,
+                    edges=None) -> list[tuple[float, ...]]:
     """Nodes for every box cell in cell order, counts[j] of them in cell j.
+
+    ``edges`` is the ``(lowers, uppers)`` pair that a 1-D partition from
+    ``equal_partition_1d`` keeps; the midpoints and the per-node lower
+    and upper lists of the seeded first tries then come from its two
+    lists rather than from the cells one by one, with the same bits.
 
     Seeded placement draws each node as ``lo + (hi - lo) * random()`` per
     axis, which is ``random.uniform(lo, hi)`` bit for bit, and redraws a
@@ -163,6 +169,9 @@ def _place_in_boxes(cells: Sequence[BoxCell], counts: Sequence[int], strategy: s
     loop would have drawn them in.
     """
     nodes = []
+    if strategy == STRATEGY_MIDPOINT and edges is not None:
+        centers = zip(map(truediv, map(add, *edges), repeat(2.0)))
+        return list(chain.from_iterable(map(repeat, centers, counts)))
     if strategy == STRATEGY_MIDPOINT:
         for cell, count in zip(cells, counts):
             center = tuple([(lo + hi) / 2.0 for lo, hi in zip(cell.lower, cell.upper)])
@@ -178,9 +187,16 @@ def _place_in_boxes(cells: Sequence[BoxCell], counts: Sequence[int], strategy: s
         return nodes
     # Every node's first try at once, drawn in node order and axis order
     # as the loop below would draw them.
-    dim = len(cells[0].lower)
-    los = list(chain.from_iterable(map(mul, map(attrgetter("lower"), cells), counts)))
-    his = list(chain.from_iterable(map(mul, map(attrgetter("upper"), cells), counts)))
+    if edges is None:
+        dim = len(cells[0].lower)
+        los = list(chain.from_iterable(map(mul, map(attrgetter("lower"), cells), counts)))
+        his = list(chain.from_iterable(map(mul, map(attrgetter("upper"), cells), counts)))
+    elif counts.count(1) == len(counts):
+        dim = 1
+        los, his = edges  # one node per cell: the edge lists themselves
+    else:
+        dim = 1
+        los, his = [list(chain.from_iterable(map(repeat, ends, counts))) for ends in edges]
     draws = list(islice(iter(rng.random, 1.0), len(los)))  # random() < 1.0
     coords = map(add, los, map(mul, map(sub, his, los), draws))
     nodes = list(zip(*[coords] * dim))
@@ -232,7 +248,8 @@ def construct_uniform(partition: Partition, n_points: int,
             nodes.extend(_place_in_finite_cell(cell, count, strategy, rng))
     else:
         avoid = frozenset(space.as_point(p) for p in avoid_points)
-        nodes = _place_in_boxes(partition.cells, counts, strategy, rng, avoid)
+        nodes = _place_in_boxes(partition.cells, counts, strategy, rng, avoid,
+                                getattr(partition, "_edges", None))
     return UniformPointSet(tuple(nodes), counts, n_points)
 
 

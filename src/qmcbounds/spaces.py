@@ -22,7 +22,7 @@ import hashlib
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import repeat
 from operator import lt, sub
 from typing import ClassVar, Mapping, Sequence, Union
 
@@ -314,13 +314,6 @@ class Partition:
         """Index of the cell containing the point, None if no cell does."""
         return self._locate(self.space.as_point(point))
 
-    @cached_property
-    def _slabs(self):
-        # The cube constructors store the index they validated with; a
-        # Partition built directly sweeps on its first lookup.  Not a
-        # field, so equality, hashing and repr ignore it.
-        return _sweep(self.cells)
-
     def _locate(self, point) -> int | None:
         """``cell_index_of`` for a point already normalized by ``space``.
 
@@ -331,7 +324,15 @@ class Partition:
         """
         if isinstance(self.space, FiniteSpace):
             return next((j for j, c in enumerate(self.cells) if c.contains(point)), None)
-        node = self._slabs
+        try:
+            node = self._slabs
+        except AttributeError:
+            # The cube constructors store the index they validated with; a
+            # Partition built directly sweeps on its first lookup.  Set as
+            # the constructors set it, not as a field, so equality, hashing
+            # and repr ignore it.
+            node = _sweep(self.cells)
+            object.__setattr__(self, "_slabs", node)
         for c in point:
             edges, children = node
             i = bisect_right(edges, c) - 1
@@ -385,6 +386,11 @@ def equal_partition_1d(k: int) -> Partition:
     no sweep either: they are already sorted by lower edge, and the slab
     index of ordered disjoint intervals is their lower edges with slab j
     holding cell j.  Each measure is hi - lo, the float volume() gives.
+
+    The partition keeps the edge lists as ``_edges = (lowers, uppers)``,
+    cell j being [lowers[j], uppers[j]), so that passes over every cell
+    (integrals, node placement) read two lists instead of k cells.  Like
+    ``_slabs`` it is not a field: equality, hashing and repr ignore it.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -396,10 +402,17 @@ def equal_partition_1d(k: int) -> Partition:
     total = math.fsum(measures)
     if abs(total - 1.0) > MASS_TOL:
         raise CoverError(f"cell volumes sum to {total!r}, expected 1")
+    # BoxCell.__init__ would run float() over floats again, so the fields
+    # are set through the slot descriptors, past the frozen __setattr__;
     # zip over one list yields the 1-tuples (lo,) and (hi,)
-    cells = tuple(map(BoxCell, zip(lowers), zip(uppers)))
+    cells = tuple(map(object.__new__, repeat(BoxCell, k)))
+    set_lower, set_upper = BoxCell.lower.__set__, BoxCell.upper.__set__
+    for cell, lower, upper in zip(cells, zip(lowers), zip(uppers)):
+        set_lower(cell, lower)
+        set_upper(cell, upper)
     partition = Partition(make_cube_space(1), cells, measures)
     object.__setattr__(partition, "_slabs", (lowers, range(k)))
+    object.__setattr__(partition, "_edges", (lowers, uppers))
     return partition
 
 

@@ -8,7 +8,10 @@ node tuples, box overlaps and cell lookups from pairwise tests and
 linear scans, and the exhaustive worst error from scoring every
 configuration one by one; the cube worst error from every
 one-node-per-cell placement on a grid; seeded placement from the
-one-try-at-a-time loop with its own membership test.
+one-try-at-a-time loop with its own membership test; cell integrals,
+bounds and the closed-form worst error from the one-cell-at-a-time
+loops that the list passes replace, and sine extremes from every
+critical point of the cell.
 """
 
 from __future__ import annotations
@@ -188,3 +191,73 @@ def sequential_seeded_placement(cells, counts, seed, avoid=()):
                 nodes.append(node)
                 placed += 1
     return nodes
+
+
+def per_cell_integral(base, lower, upper):
+    """A continuous family's integral over the box [lower, upper), one
+    box at a time, in the IEEE operations and order of the closed forms
+    (volume as BoxCell.volume takes it, per-axis terms summed by fsum)."""
+    vol = 1.0
+    for l, u in zip(lower, upper):
+        vol *= max(u - l, 0.0)
+    kind = type(base).__name__
+    if kind == "Affine":
+        center = [(l + u) / 2.0 for l, u in zip(lower, upper)]
+        return vol * (base.intercept + math.fsum(a * c for a, c in zip(base.slopes, center)))
+    if kind == "Quadratic":
+        avg = math.fsum([
+            q * (l * l + l * u + u * u) / 3.0 + b * (l + u) / 2.0
+            for q, b, l, u in zip(base.quadratic, base.linear, lower, upper)
+        ])
+        return vol * (base.intercept + avg)
+    a, b = lower[base.axis], upper[base.axis]
+    cross = 1.0
+    for i, (l, u) in enumerate(zip(lower, upper)):
+        if i != base.axis:
+            cross *= u - l
+    if base.frequency == 0.0:
+        osc = math.sin(base.phase) * (b - a)
+    else:
+        w = 2.0 * math.pi * base.frequency
+        osc = (math.cos(w * a + base.phase) - math.cos(w * b + base.phase)) / w
+    return cross * (base.offset * (b - a) + base.amplitude * osc)
+
+
+def per_cell_bounds(f, partition):
+    """(theorem1, corollary1, corollary2) from one range per cell."""
+    widths = []
+    for cell in partition.cells:
+        rng = f.essential_range(cell)
+        widths.append(rng.hi - rng.lo)
+    s = max(widths)
+    return s, s, math.fsum(m * w for m, w in zip(partition.measures, widths))
+
+
+def per_cell_worst_uniform_error(f, partition):
+    """The closed-form worst error W, one cell at a time: per-cell
+    deviations m_j (G_j - avg_j) and m_j (avg_j - g_j), each side
+    summed by fsum."""
+    up = []
+    down = []
+    for cell, measure in zip(partition.cells, partition.measures):
+        rng = f.essential_range(cell)
+        average = per_cell_integral(f.base, cell.lower, cell.upper) / measure
+        up.append(measure * (rng.hi - average))
+        down.append(measure * (average - rng.lo))
+    return max(math.fsum(up), math.fsum(down), 0.0)
+
+
+def sine_extremes(base, a, b):
+    """min and max of a Sinusoid over [a, b] from its ends and every
+    critical point w t + phase = pi/2 + n pi inside, at the closed-form
+    value offset + amplitude (n even) or offset - amplitude (n odd)."""
+    at = [base.evaluate((a,)), base.evaluate((b,))]
+    if base.frequency > 0.0 and base.amplitude != 0.0:
+        w = 2.0 * math.pi * base.frequency
+        n_lo = math.ceil((w * a + base.phase - math.pi / 2.0) / math.pi)
+        n_hi = math.floor((w * b + base.phase - math.pi / 2.0) / math.pi)
+        for n in range(n_lo, n_hi + 1):
+            if a <= (math.pi / 2.0 + n * math.pi - base.phase) / w <= b:
+                at.append(base.offset - base.amplitude if n % 2 else
+                          base.offset + base.amplitude)
+    return min(at), max(at)

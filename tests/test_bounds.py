@@ -17,9 +17,17 @@ from qmcbounds import (
     equal_partition_1d,
     interval,
     make_finite_space,
+    make_cube_space,
     make_partition,
+    worst_uniform_error,
 )
-from oracles import dense_range_1d
+from qmcbounds.bounds import cell_table
+from oracles import (
+    dense_range_1d,
+    per_cell_bounds,
+    per_cell_integral,
+    per_cell_worst_uniform_error,
+)
 
 X = FunctionModel(Affine(0.0, (1.0,)))
 X2 = FunctionModel(Quadratic(0.0, (0.0,), (1.0,)))
@@ -198,3 +206,84 @@ def test_bound_set_null_invariance_piecewise(values, spike_value, spike_at):
     clean = bound_set(FunctionModel(base), p)
     spiked = bound_set(FunctionModel(base, (((spike_at,), spike_value),)), p)
     assert clean == spiked
+
+
+# -0.0 and 0.0 a third of the draws each: an fsum of one -0.0 term is 0.0
+COEFFICIENTS = st.one_of(st.just(-0.0), st.just(0.0),
+                         st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False))
+
+
+@st.composite
+def continuous_bases(draw, dimension):
+    def coefficients():
+        return tuple(draw(COEFFICIENTS) for _ in range(dimension))
+
+    kind = draw(st.sampled_from(["affine", "quadratic", "sinusoid"]))
+    if kind == "affine":
+        return Affine(draw(COEFFICIENTS), coefficients())
+    if kind == "quadratic":
+        return Quadratic(draw(COEFFICIENTS), coefficients(), coefficients())
+    return Sinusoid(amplitude=draw(COEFFICIENTS),
+                    frequency=draw(st.one_of(st.just(0.0), st.floats(0.01, 9.0))),
+                    phase=draw(COEFFICIENTS), offset=draw(COEFFICIENTS),
+                    axis=draw(st.integers(0, dimension - 1)), dimension=dimension)
+
+
+@st.composite
+def partitions_1d(draw):
+    """An equal cut, which keeps its edge lists, or an unequal one."""
+    if draw(st.booleans()):
+        return equal_partition_1d(draw(st.integers(1, 40)))
+    cuts = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                         max_size=12, unique=True))
+    edges = [0.0, *sorted(cuts), 1.0]
+    return make_partition(make_cube_space(1),
+                          [interval(a, b) for a, b in zip(edges, edges[1:])])
+
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_list_passes_match_the_per_cell_path(data):
+    partition = data.draw(partitions_1d())
+    f = FunctionModel(data.draw(continuous_bases(1)))
+    cells = partition.cells
+    expected = [per_cell_integral(f.base, c.lower, c.upper) for c in cells]
+    lowers = [c.lower[0] for c in cells]
+    uppers = [c.upper[0] for c in cells]
+    assert _hex(f.base.integrals([lowers], [uppers])) == _hex(expected)
+    assert _hex(f.cell_integrals(partition)) == _hex(expected)
+    assert _hex(f.cell_integral(c, partition.space) for c in cells) == _hex(expected)
+    assert (worst_uniform_error(f, partition).hex()
+            == per_cell_worst_uniform_error(f, partition).hex())
+    b = bound_set(f, partition)
+    assert _hex((b.theorem1, b.corollary1, b.corollary2)) == _hex(per_cell_bounds(f, partition))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(2, 3))
+def test_box_integrals_match_the_per_cell_path(data, dimension):
+    base = data.draw(continuous_bases(dimension))
+    boxes = data.draw(st.lists(
+        st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+                 min_size=dimension, max_size=dimension),
+        min_size=1, max_size=8))
+    lowers = [[box[i][0] for box in boxes] for i in range(dimension)]
+    uppers = [[box[i][1] for box in boxes] for i in range(dimension)]
+    expected = [per_cell_integral(base, [lo for lo, _ in box], [hi for _, hi in box])
+                for box in boxes]
+    assert _hex(base.integrals(lowers, uppers)) == _hex(expected)
+
+
+def test_an_edge_partition_takes_no_cell_integral(monkeypatch):
+    def refused(self, cell, space):
+        raise AssertionError("cell_integral called")
+
+    monkeypatch.setattr(FunctionModel, "cell_integral", refused)
+    p = equal_partition_1d(64)
+    for f in (X, X2, SIN):
+        table = cell_table(f, p, integrals=True)
+        assert len(table.integral) == len(table.lo) == len(table.hi) == 64

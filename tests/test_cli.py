@@ -14,9 +14,12 @@ import qmcbounds
 from qmcbounds import cli
 from qmcbounds import (
     BoundViolationError,
+    box,
     equal_partition_1d,
     construct_uniform,
     instance_to_json,
+    make_cube_space,
+    make_partition,
     random_instance,
     save_instances,
     save_pointset,
@@ -265,6 +268,44 @@ def test_bounds_rejects_non_finite_values(runner, tmp_path):
     assert "values[1] is nan" in result.stderr
 
 
+def _cube_instance(dimension, cells, function):
+    return {"instance_id": "big", "space": {"kind": "cube", "dimension": dimension},
+            "partition": {"cells": [{"box": box} for box in cells]},
+            "function": function, "N": len(cells)}
+
+
+HALVES = [[[0.0, 0.5]], [[0.5, 1.0]]]
+
+
+@pytest.mark.parametrize("instance, field", [
+    # printed big2,2,2,inf,inf,nan,inf,true with exit 0
+    (_cube_instance(1, HALVES, {"family": "affine",
+                                "params": {"intercept": 1.7e308, "slopes": [1.7e308]}}),
+     "intercept and slopes"),
+    # with --points at the node (1, 1), a traceback: intermediate overflow in fsum
+    (_cube_instance(2, [[[0.0, 1.0], [0.0, 1.0]]],
+                    {"family": "affine", "params": {"intercept": 0.0,
+                                                    "slopes": [1e308, 1e308]}}),
+     "intercept and slopes"),
+    # a traceback: math domain error
+    (_cube_instance(1, HALVES, {"family": "sinusoid",
+                                "params": {"amplitude": 1.0, "frequency": 1e308}}),
+     "frequency and phase"),
+], ids=["affine-1d", "affine-2d-points", "sinusoid"])
+def test_bounds_rejects_values_that_overflow(runner, tmp_path, instance, field):
+    config = write_json(tmp_path / "big.json", instance)
+    dimension = instance["space"]["dimension"]
+    cells = [box(*c["box"]) for c in instance["partition"]["cells"]]
+    points = tmp_path / "points.txt"
+    save_pointset(points, [(1.0,) * dimension] * len(cells),
+                  make_partition(make_cube_space(dimension), cells))
+    for extra in ([], ["--points", str(points)]):
+        result = runner.invoke(main, ["bounds", "--config", config, *extra])
+        assert result.exit_code == 2, result.output
+        assert f"{field}: " in result.stderr
+        assert "above the limit" in result.stderr
+
+
 def test_bounds_rejects_multiple_instances(runner, tmp_path):
     config = tmp_path / "many.json"
     save_instances(config, [random_instance(0), random_instance(1)])
@@ -364,6 +405,21 @@ def test_help_lists_subcommands(runner):
     assert result.exit_code == 0
     for name in ("verify", "bounds", "convergence", "perturb"):
         assert name in result.output
+
+
+def test_convergence_leaves_numpy_unloaded():
+    # the list passes over edge lists are pure Python; numpy would add
+    # about 12 MB of peak memory and 0.15 s of import to every run
+    src = Path(qmcbounds.__file__).resolve().parents[1]
+    code = ("import sys, qmcbounds\n"
+            "from qmcbounds.experiments import convergence_table, named_function\n"
+            "convergence_table(named_function('x2'), 10, 'seeded-random-in-cell')\n"
+            "print('numpy' in sys.modules)")
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from qmcbounds import (
     Affine,
+    BoundViolationError,
     FiniteTable,
     FunctionModel,
     NotUniformError,
     PiecewiseConstant,
     Quadratic,
+    allocation,
     bound_report,
     construct_uniform,
     equal_partition_1d,
@@ -21,6 +23,8 @@ from qmcbounds import (
     make_finite_space,
     qmc_estimate,
 )
+from qmcbounds import estimator
+from qmcbounds.bounds import cell_table, certification_slack
 from qmcbounds.pointsets import STRATEGY_RANDOM
 
 X = FunctionModel(Affine(0.0, (1.0,)))
@@ -164,3 +168,26 @@ def test_report_error_never_exceeds_certificate(seed):
     ps = construct_uniform(p, 8, STRATEGY_RANDOM, seed=seed)
     report = bound_report(X2, p, ps)
     assert report.error <= report.bounds.corollary2 + 1e-9
+
+
+def test_bound_report_slack_scales_with_large_values():
+    # A constant of this size is 4.8e-7 off its own midpoint average, one
+    # rounding of the values; an absolute slack of 1e-9 against
+    # corollary2 = 0.0 raised BoundViolationError
+    f = FunctionModel(Affine(4108847960.7591014, (0.0,)))
+    p = equal_partition_1d(5)
+    report = bound_report(f, p, construct_uniform(p, 5))
+    assert report.bounds.corollary2 == 0.0
+    assert 0.0 < report.error < 1e-6
+
+
+def test_bound_report_slack_scales_with_small_values(monkeypatch):
+    # at magnitude 1e-12 the slack is of order 1e-27, so an estimate 1e-10
+    # off, which an absolute slack of 1e-9 let through, is a violation
+    f = FunctionModel(Affine(1e-12, (1e-12,)))
+    p = equal_partition_1d(8)
+    table = cell_table(f, p, integrals=False)
+    assert certification_slack(table, f.integral(p.space), allocation(p, 8)) < 1e-25
+    monkeypatch.setattr(estimator, "qmc_estimate", lambda f, nodes: 1.5e-12 + 1e-10)
+    with pytest.raises(BoundViolationError, match="exceeds the certified bound"):
+        bound_report(f, p, construct_uniform(p, 8))

@@ -29,7 +29,8 @@ from qmcbounds import (
     make_finite_space,
     qmc_estimate,
 )
-from oracles import dense_range_1d, full_grid_range, quad_integral
+from qmcbounds.funcmodel import VALUE_LIMIT
+from oracles import dense_range_1d, full_grid_range, quad_integral, sine_extremes
 
 X = FunctionModel(Affine(0.0, (1.0,)))
 X2 = FunctionModel(Quadratic(0.0, (0.0,), (1.0,)))
@@ -167,6 +168,24 @@ def test_essential_range_sinusoid_random_cells_match_grid():
         assert abs(rng.hi - hi) < 1e-7
 
 
+def test_sinusoid_range_is_constant_work_at_any_frequency():
+    # visiting every one of the 2e12 critical points never finished
+    for amplitude, offset in ((1.0, 0.0), (2.0, 0.5), (-2.0, 0.5)):
+        f = Sinusoid(amplitude=amplitude, frequency=1e12, offset=offset)
+        assert f.range_on(interval(0, 1)) == (offset - abs(amplitude),
+                                                offset + abs(amplitude))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.01, 50.0),
+       st.floats(-7.0, 7.0), st.sampled_from([1.0, -0.5]), st.sampled_from([0.0, 0.25]))
+def test_sinusoid_range_matches_every_critical_point(a, b, frequency, phase,
+                                                     amplitude, offset):
+    a, b = min(a, b), max(a, b)
+    f = Sinusoid(amplitude=amplitude, frequency=frequency, phase=phase, offset=offset)
+    assert f.range_on(interval(a, b)) == sine_extremes(f, a, b)
+
+
 def test_essential_range_piecewise_constant_overlap():
     # pieces ([0,.5) -> 1, [.5,1] -> 4); query [0.25, 0.75) sees both
     p = equal_partition_1d(2)
@@ -284,6 +303,25 @@ def test_non_finite_numbers_rejected_at_construction(build, field, bad):
     # FiniteTable: tests/test_oracle.py::test_scoring_rejects_non_finite_values
     with pytest.raises(ValueError, match=rf"^{re.escape(field)} is"):
         build(bad)
+
+
+@pytest.mark.parametrize("build,fields", [
+    pytest.param(lambda v: Affine(v, (v,)), "intercept and slopes", id="affine"),
+    pytest.param(lambda v: Affine(0.0, (v, v, -v)), "intercept and slopes",
+                 id="affine-partial-sum"),
+    pytest.param(lambda v: Quadratic(v, (0.0,), (v,)), "intercept, linear and quadratic",
+                 id="quadratic"),
+    pytest.param(lambda v: Sinusoid(amplitude=v, frequency=1.0, offset=v),
+                 "offset and amplitude", id="sinusoid-values"),
+    pytest.param(lambda v: Sinusoid(amplitude=1.0, frequency=v), "frequency and phase",
+                 id="sinusoid-argument"),
+])
+def test_values_that_can_overflow_rejected_at_construction(build, fields):
+    # each field is finite, but values over the cube, or their sums,
+    # pass the limit; 0.6 * VALUE_LIMIT twice is above it
+    with pytest.raises(ValueError, match=rf"^{re.escape(fields)}: .* above the limit"):
+        build(0.6 * VALUE_LIMIT)
+    build(0.3 * VALUE_LIMIT / 8)  # well inside the limit
 
 
 def test_loader_names_a_non_finite_spike_value():

@@ -40,6 +40,7 @@ from qmcbounds.experiments import (
     named_function,
     naive_pointwise_s,
 )
+from qmcbounds.bounds import CellTable
 from qmcbounds.oracle import MAX_ATOMS, MAX_CELLS, VERIFY_SLACK
 from qmcbounds.pointsets import DEFAULT_ENUMERATION_CAP
 from oracles import (
@@ -478,11 +479,14 @@ def test_worst_uniform_error_refuses_sampled_ranges():
     halves = equal_partition_1d(2)
     with pytest.raises(QmcBoundsError, match="cell 0 has a sampled range"):
         worst_uniform_error(f, halves)
-    # every caller of the shared loop gets the check, whichever cell it is
-    ranges = [named_function("x2").essential_range(c) for c in halves.cells]
+    # every caller of the shared pass gets the check, whichever cell it is
+    exact = named_function("x2")
+    ranges = [exact.essential_range(c) for c in halves.cells]
     ranges[1] = f.essential_range(halves.cells[1])
+    table = CellTable(halves.measures, [r.lo for r in ranges], [r.hi for r in ranges],
+                      [r.exact for r in ranges], exact.cell_integrals(halves))
     with pytest.raises(QmcBoundsError, match="cell 1 has a sampled range"):
-        oracle._worst_uniform_error(f, halves, ranges)
+        oracle._worst_uniform_error(table)
 
 
 @pytest.mark.parametrize("name", ["x", "x2", "sin2pix", "const"])
@@ -630,7 +634,7 @@ def test_verify_allows_the_allocation_tolerance():
 def test_verify_fails_when_the_closed_form_disagrees(monkeypatch):
     space, p, f = finite_example()
     monkeypatch.setattr(oracle, "_worst_uniform_error",
-                        lambda f, p, ranges: 0.75 + 2 * VERIFY_SLACK)
+                        lambda table: 0.75 + 2 * VERIFY_SLACK)
     verdict = verify_bounds_exhaustive(space, p, f, 2)
     assert verdict.worst_error == 0.75
     assert not verdict.passed
