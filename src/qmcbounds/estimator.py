@@ -31,11 +31,20 @@ class BoundReport:
 
 
 def qmc_estimate(f: FunctionModel, pointset) -> float:
-    """Equal-weight node average of f."""
+    """Equal-weight node average of f.
+
+    The sum of N values can pass the largest double while their average
+    does not; then the average is the fsum of the values each divided
+    by N, which evaluates every node a second time.
+    """
     nodes = _as_nodes(pointset)
     if not nodes:
         raise ValueError("cannot average over an empty point set")
-    return math.fsum(map(f.evaluate, nodes)) / len(nodes)
+    n = len(nodes)
+    try:
+        return math.fsum(map(f.evaluate, nodes)) / n
+    except OverflowError:  # intermediate overflow in fsum
+        return math.fsum([f.evaluate(node) / n for node in nodes])
 
 
 def integration_error(f: FunctionModel, pointset, space: Space) -> float:

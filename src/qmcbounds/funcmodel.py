@@ -33,7 +33,8 @@ the field.  NaN has no place in the order that ranges are taken in, and
 an infinite value would turn every bound into inf or nan.  Finite fields
 can still overflow in sum, so a continuous family also rejects fields
 whose magnitudes add up to more than VALUE_LIMIT, a bound on its values
-(or a sine's argument) over the cube and on every partial sum of them.
+over the cube and on every partial sum of them.  A sine's argument is
+held to SINE_ARGUMENT_LIMIT, under which its range is counted exactly.
 
 The continuous families integrate over many boxes at once:
 ``integrals(lowers, uppers)`` takes per-axis edge lists, box j being
@@ -86,6 +87,7 @@ from .spaces import (
     FiniteSpace,
     Partition,
     Space,
+    box_edges,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -96,6 +98,12 @@ TWO_PI = 2.0 * math.pi
 # and a realized error are differences of two of them, and a quadratic's
 # cell mean passes through three times a coefficient.
 VALUE_LIMIT = sys.float_info.max / 4
+
+# Largest magnitude a sine's argument may reach over the cube.  Below it
+# the rounded quotient that Sinusoid.range_on counts critical points with
+# is off by less than one (four roundings of at most u * 2**50 / pi each),
+# and a double still resolves the argument to well under a period.
+SINE_ARGUMENT_LIMIT = 2.0**50
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,13 +197,14 @@ def _fsum_per_cell(terms):
     return map(math.fsum, zip(*terms))
 
 
-def _require_bounded(fields: str, quantity: str, magnitude: float) -> None:
+def _require_bounded(fields: str, quantity: str, magnitude: float,
+                     limit: float = VALUE_LIMIT) -> None:
     """ValueError naming the fields when ``magnitude``, the bound they
-    give on a quantity over the cube, is above VALUE_LIMIT (or is inf,
+    give on a quantity over the cube, is above ``limit`` (or is inf,
     which a sum of large finite fields can reach)."""
-    if not magnitude <= VALUE_LIMIT:
+    if not magnitude <= limit:
         raise ValueError(f"{fields}: {quantity} over the cube can reach {magnitude!r}, "
-                         f"above the limit {VALUE_LIMIT!r}")
+                         f"above the limit {limit!r}")
 
 
 def _separable_extremes(intercept: float, terms) -> tuple[float, float]:
@@ -353,7 +362,7 @@ class Sinusoid:
         _require_bounded("offset and amplitude", "the values",
                          abs(self.offset) + abs(self.amplitude))
         _require_bounded("frequency and phase", "the sine's argument",
-                         TWO_PI * self.frequency + abs(self.phase))
+                         TWO_PI * self.frequency + abs(self.phase), SINE_ARGUMENT_LIMIT)
 
     def _at(self, t: float) -> float:
         return self.offset + self.amplitude * math.sin(TWO_PI * self.frequency * t + self.phase)
@@ -368,10 +377,12 @@ class Sinusoid:
         The critical point t_n solves w t + phase = pi/2 + n pi, where the
         sine is 1 at even n and -1 at odd n, so its value is offset +
         amplitude or offset - amplitude in closed form.  The rounded
-        bounds n_lo and n_hi may be off by one, so only the two lowest
-        and two highest n are tested against a <= t_n <= b; every n
-        between them lies inside the cell.  The work is constant in the
-        number of critical points.
+        bounds n_lo and n_hi are off by less than one under
+        SINE_ARGUMENT_LIMIT.  When they are at most eight apart every n
+        between them is tested against a <= t_n <= b; when they are
+        further apart, n_lo + 2 and n_lo + 3 lie inside the cell, so both
+        closed-form values count.  The work is constant in the number of
+        critical points.
         """
         cell = _require_box(cell, self.dimension)
         a, b = cell.lower[self.axis], cell.upper[self.axis]
@@ -383,10 +394,12 @@ class Sinusoid:
             w = TWO_PI * self.frequency
             n_lo = math.ceil((w * a + self.phase - math.pi / 2.0) / math.pi)
             n_hi = math.floor((w * b + self.phase - math.pi / 2.0) / math.pi)
-            inside = {n for n in (n_lo, n_lo + 1, n_hi - 1, n_hi) if n_lo <= n <= n_hi
-                      and a <= (math.pi / 2.0 + n * math.pi - self.phase) / w <= b}
-            inside.update(range(n_lo + 2, min(n_lo + 4, n_hi - 1)))  # up to two inner n
-            for odd in {n % 2 for n in inside}:
+            if n_hi - n_lo > 8:
+                parities = (0, 1)
+            else:
+                parities = {n % 2 for n in range(n_lo, n_hi + 1)
+                            if a <= (math.pi / 2.0 + n * math.pi - self.phase) / w <= b}
+            for odd in parities:
                 # the two values differ, as amplitude != 0, so the order
                 # they come in cannot change which one min and max pick
                 value = self.offset - self.amplitude if odd else self.offset + self.amplitude
@@ -643,17 +656,14 @@ class FunctionModel:
     def cell_integrals(self, partition: Partition) -> list[float]:
         """cell_integral of every cell of the partition, in cell order.
 
-        A continuous family integrates over the edge lists of a partition
-        that keeps them (``equal_partition_1d``) in one list pass, with
-        the bits of the one-cell case; any other pairing takes the cells
+        A continuous family integrates over the partition's per-axis edge
+        lists (``box_edges``) in one list pass, with the bits of the
+        one-cell case; the jump families and finite spaces take the cells
         one at a time.
         """
-        if isinstance(self.base, _CONTINUOUS_FAMILIES):
-            edges = getattr(partition, "_edges", None)
-            if edges is not None:
-                lowers, uppers = edges
-                return self.base.integrals([lowers], [uppers])
         space = partition.space
+        if isinstance(self.base, _CONTINUOUS_FAMILIES) and isinstance(space, CubeSpace):
+            return self.base.integrals(*box_edges(partition))
         return [self.cell_integral(cell, space) for cell in partition.cells]
 
     def _box_integral(self, cell: BoxCell, space: CubeSpace) -> float:

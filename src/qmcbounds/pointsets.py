@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement, islice, product, repeat
-from operator import add, attrgetter, lt, mul, sub, truediv
+from operator import add, lt, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -28,7 +28,16 @@ from .errors import (
     NonIntegerAllocationError,
     OutOfDomainError,
 )
-from .spaces import BoxCell, FiniteCell, FiniteSpace, Partition, Space, partition_hash
+from .spaces import (
+    BoxCell,
+    FiniteCell,
+    FiniteSpace,
+    Partition,
+    Space,
+    box_edges,
+    cell_edges,
+    partition_hash,
+)
 
 # |N * measure - nearest integer| must stay within this for feasibility.
 ALLOCATION_TOL = 1e-9
@@ -150,10 +159,9 @@ def _place_in_boxes(cells: Sequence[BoxCell], counts: Sequence[int], strategy: s
                     edges=None) -> list[tuple[float, ...]]:
     """Nodes for every box cell in cell order, counts[j] of them in cell j.
 
-    ``edges`` is the ``(lowers, uppers)`` pair that a 1-D partition from
-    ``equal_partition_1d`` keeps; the midpoints and the per-node lower
-    and upper lists of the seeded first tries then come from its two
-    lists rather than from the cells one by one, with the same bits.
+    ``edges`` is the cells' per-axis ``(lowers, uppers)`` pair that
+    ``spaces.box_edges`` returns; seeded placement reads its first tries'
+    bounds from it, and from ``spaces.cell_edges(cells)`` when it is None.
 
     Seeded placement draws each node as ``lo + (hi - lo) * random()`` per
     axis, which is ``random.uniform(lo, hi)`` bit for bit, and redraws a
@@ -169,9 +177,6 @@ def _place_in_boxes(cells: Sequence[BoxCell], counts: Sequence[int], strategy: s
     loop would have drawn them in.
     """
     nodes = []
-    if strategy == STRATEGY_MIDPOINT and edges is not None:
-        centers = zip(map(truediv, map(add, *edges), repeat(2.0)))
-        return list(chain.from_iterable(map(repeat, centers, counts)))
     if strategy == STRATEGY_MIDPOINT:
         for cell, count in zip(cells, counts):
             center = tuple([(lo + hi) / 2.0 for lo, hi in zip(cell.lower, cell.upper)])
@@ -186,21 +191,28 @@ def _place_in_boxes(cells: Sequence[BoxCell], counts: Sequence[int], strategy: s
                 nodes.append(tuple([lo + (hi - lo) * t for lo, hi in spans]))
         return nodes
     # Every node's first try at once, drawn in node order and axis order
-    # as the loop below would draw them.
-    if edges is None:
-        dim = len(cells[0].lower)
-        los = list(chain.from_iterable(map(mul, map(attrgetter("lower"), cells), counts)))
-        his = list(chain.from_iterable(map(mul, map(attrgetter("upper"), cells), counts)))
-    elif counts.count(1) == len(counts):
-        dim = 1
-        los, his = edges  # one node per cell: the edge lists themselves
-    else:
-        dim = 1
-        los, his = [list(chain.from_iterable(map(repeat, ends, counts))) for ends in edges]
-    draws = list(islice(iter(rng.random, 1.0), len(los)))  # random() < 1.0
-    coords = map(add, los, map(mul, map(sub, his, los), draws))
-    nodes = list(zip(*[coords] * dim))
-    if all(map(lt, chain.from_iterable(nodes), his)) and avoid.isdisjoint(nodes):
+    # as the loop below would draw them, so axis i reads every dim-th draw.
+    lowers, uppers = cell_edges(cells) if edges is None else edges
+    dim = len(lowers)
+    draws = list(islice(iter(rng.random, 1.0), sum(counts) * dim))  # random() < 1.0
+    # With one node per cell (the refinement and perturbation runs) the
+    # edge lists are the per-node lists; expanding them through one
+    # repeat() per cell took about half of the placement's time.
+    one_each = counts.count(1) == len(counts)
+    axes = []
+    inside = True
+    for axis, side_lo, side_hi in zip(range(dim), lowers, uppers):
+        if one_each:
+            los, his = side_lo, side_hi
+        else:
+            los, his = [list(chain.from_iterable(map(repeat, ends, counts)))
+                        for ends in (side_lo, side_hi)]
+        coords = list(map(add, los, map(mul, map(sub, his, los),
+                                        islice(draws, axis, None, dim))))
+        inside = inside and all(map(lt, coords, his))
+        axes.append(coords)
+    nodes = list(zip(*axes))
+    if inside and avoid.isdisjoint(nodes):
         return nodes
     owners = list(chain.from_iterable(map(repeat, cells, counts)))
     first = next((i for i, (cell, node) in enumerate(zip(owners, nodes))
@@ -248,8 +260,9 @@ def construct_uniform(partition: Partition, n_points: int,
             nodes.extend(_place_in_finite_cell(cell, count, strategy, rng))
     else:
         avoid = frozenset(space.as_point(p) for p in avoid_points)
-        nodes = _place_in_boxes(partition.cells, counts, strategy, rng, avoid,
-                                getattr(partition, "_edges", None))
+        # only seeded placement reads the edges
+        edges = box_edges(partition) if strategy == STRATEGY_RANDOM else None
+        nodes = _place_in_boxes(partition.cells, counts, strategy, rng, avoid, edges)
     return UniformPointSet(tuple(nodes), counts, n_points)
 
 

@@ -226,6 +226,14 @@ def interval(a: float, b: float) -> BoxCell:
     return BoxCell((float(a),), (float(b),))
 
 
+def cell_edges(cells: Sequence[BoxCell]) -> tuple[list[list[float]], list[list[float]]]:
+    """Per-axis edge lists ``(lowers, uppers)`` of boxes: box j is
+    [lowers[i][j], uppers[i][j]) on axis i."""
+    axes = range(cells[0].dimension)
+    return ([[c.lower[a] for c in cells] for a in axes],
+            [[c.upper[a] for c in cells] for a in axes])
+
+
 def _sweep(cells: Sequence[BoxCell]):
     """Slab index of disjoint boxes; OverlapError on a positive-volume overlap.
 
@@ -245,10 +253,8 @@ def _sweep(cells: Sequence[BoxCell]):
     in ``[edges[i], edges[i + 1])`` (or is 1.0, for the last edge) is
     in slab ``i``.
     """
-    axes = range(cells[0].dimension)
-    lowers = [[c.lower[a] for c in cells] for a in axes]
-    uppers = [[c.upper[a] for c in cells] for a in axes]
-    last = axes[-1]
+    lowers, uppers = cell_edges(cells)
+    last = len(lowers) - 1
 
     def sweep(members, axis):
         lower, upper = lowers[axis], uppers[axis]
@@ -387,10 +393,10 @@ def equal_partition_1d(k: int) -> Partition:
     index of ordered disjoint intervals is their lower edges with slab j
     holding cell j.  Each measure is hi - lo, the float volume() gives.
 
-    The partition keeps the edge lists as ``_edges = (lowers, uppers)``,
-    cell j being [lowers[j], uppers[j]), so that passes over every cell
-    (integrals, node placement) read two lists instead of k cells.  Like
-    ``_slabs`` it is not a field: equality, hashing and repr ignore it.
+    The partition keeps its edge lists, which ``box_edges`` returns, so
+    that passes over every cell (integrals, node placement) read two
+    lists instead of k cells.  Like ``_slabs`` they are not a field:
+    equality, hashing and repr ignore them.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -412,8 +418,21 @@ def equal_partition_1d(k: int) -> Partition:
         set_upper(cell, upper)
     partition = Partition(make_cube_space(1), cells, measures)
     object.__setattr__(partition, "_slabs", (lowers, range(k)))
-    object.__setattr__(partition, "_edges", (lowers, uppers))
+    object.__setattr__(partition, "_edges", ([lowers], [uppers]))
     return partition
+
+
+def box_edges(partition: Partition) -> tuple[list[list[float]], list[list[float]]]:
+    """Per-axis edge lists ``(lowers, uppers)`` of a cube partition: cell
+    j is [lowers[i][j], uppers[i][j]) on axis i.
+
+    ``equal_partition_1d`` keeps its lists; any other partition's are
+    read from its cells.
+    """
+    try:
+        return partition._edges
+    except AttributeError:
+        return cell_edges(partition.cells)
 
 
 def _canonical_cell_text(cell: Cell) -> str:

@@ -306,6 +306,20 @@ def test_bounds_rejects_values_that_overflow(runner, tmp_path, instance, field):
         assert "above the limit" in result.stderr
 
 
+def test_bounds_points_averages_values_whose_sum_overflows(runner, tmp_path):
+    # five node values of 4e307 sum past the largest double, and fsum
+    # raised OverflowError: intermediate overflow, printed as a traceback
+    fifths = [[[i / 5, (i + 1) / 5]] for i in range(5)]
+    config = write_json(tmp_path / "big.json", _cube_instance(
+        1, fifths, {"family": "affine", "params": {"intercept": 4e307, "slopes": [0.0]}}))
+    p = equal_partition_1d(5)
+    points = tmp_path / "points.txt"
+    save_pointset(points, construct_uniform(p, 5).nodes, p)
+    result = runner.invoke(main, ["bounds", "--config", config, "--points", str(points)])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.splitlines()[1] == "big,5,5,4e+307,4e+307,0.0,0.0,0.0,0.0,true"
+
+
 def test_bounds_rejects_multiple_instances(runner, tmp_path):
     config = tmp_path / "many.json"
     save_instances(config, [random_instance(0), random_instance(1)])

@@ -1,5 +1,6 @@
 """Point-set averages, realized errors, bound reports."""
 
+import math
 import random
 
 import pytest
@@ -191,3 +192,16 @@ def test_bound_report_slack_scales_with_small_values(monkeypatch):
     monkeypatch.setattr(estimator, "qmc_estimate", lambda f, nodes: 1.5e-12 + 1e-10)
     with pytest.raises(BoundViolationError, match="exceeds the certified bound"):
         bound_report(f, p, construct_uniform(p, 8))
+
+
+def test_estimate_when_the_sum_of_values_overflows():
+    # the sum of the five values passes the largest double, the average
+    # does not; each value divided by N first keeps the fsum finite
+    f = FunctionModel(Affine(4e307, (0.0,)))
+    p = equal_partition_1d(5)
+    ps = construct_uniform(p, 5)
+    assert qmc_estimate(f, ps) == 4e307
+    report = bound_report(f, p, ps)
+    assert (report.estimate, report.error, report.bounds.corollary2) == (4e307, 0.0, 0.0)
+    pieces = FunctionModel(PiecewiseConstant(p, (1.7e308, 1.7e308, -1.7e308, 1.7e308, 0.0)))
+    assert qmc_estimate(pieces, ps) == math.fsum([v / 5 for v in pieces.base.values])

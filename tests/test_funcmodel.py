@@ -29,7 +29,7 @@ from qmcbounds import (
     make_finite_space,
     qmc_estimate,
 )
-from qmcbounds.funcmodel import VALUE_LIMIT
+from qmcbounds.funcmodel import SINE_ARGUMENT_LIMIT, VALUE_LIMIT
 from oracles import dense_range_1d, full_grid_range, quad_integral, sine_extremes
 
 X = FunctionModel(Affine(0.0, (1.0,)))
@@ -186,6 +186,21 @@ def test_sinusoid_range_matches_every_critical_point(a, b, frequency, phase,
     assert f.range_on(interval(a, b)) == sine_extremes(f, a, b)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 14.2), st.floats(0.0, 40.0),
+       st.floats(-7.0, 7.0), st.sampled_from([1.0, -0.5]), st.sampled_from([0.0, 0.25]))
+def test_sinusoid_range_matches_every_critical_point_up_to_the_argument_limit(
+        a, log_frequency, periods, phase, amplitude, offset):
+    # frequencies up to 1.6e14, where the argument (2 pi frequency, 1e15)
+    # is near its limit of 2**50, on cells of up to 40 periods, so the
+    # oracle visits at most about 80 critical points; the rounded
+    # quotient must stay off by less than one for the closed form to agree
+    frequency = 10.0 ** log_frequency
+    b = min(1.0, a + periods / frequency)
+    f = Sinusoid(amplitude=amplitude, frequency=frequency, phase=phase, offset=offset)
+    assert f.range_on(interval(a, b)) == sine_extremes(f, a, b)
+
+
 def test_essential_range_piecewise_constant_overlap():
     # pieces ([0,.5) -> 1, [.5,1] -> 4); query [0.25, 0.75) sees both
     p = equal_partition_1d(2)
@@ -305,23 +320,31 @@ def test_non_finite_numbers_rejected_at_construction(build, field, bad):
         build(bad)
 
 
-@pytest.mark.parametrize("build,fields", [
-    pytest.param(lambda v: Affine(v, (v,)), "intercept and slopes", id="affine"),
-    pytest.param(lambda v: Affine(0.0, (v, v, -v)), "intercept and slopes",
+@pytest.mark.parametrize("build,fields,limit", [
+    pytest.param(lambda v: Affine(v, (v,)), "intercept and slopes", VALUE_LIMIT,
+                 id="affine"),
+    pytest.param(lambda v: Affine(0.0, (v, v, -v)), "intercept and slopes", VALUE_LIMIT,
                  id="affine-partial-sum"),
     pytest.param(lambda v: Quadratic(v, (0.0,), (v,)), "intercept, linear and quadratic",
-                 id="quadratic"),
+                 VALUE_LIMIT, id="quadratic"),
     pytest.param(lambda v: Sinusoid(amplitude=v, frequency=1.0, offset=v),
-                 "offset and amplitude", id="sinusoid-values"),
+                 "offset and amplitude", VALUE_LIMIT, id="sinusoid-values"),
     pytest.param(lambda v: Sinusoid(amplitude=1.0, frequency=v), "frequency and phase",
-                 id="sinusoid-argument"),
+                 SINE_ARGUMENT_LIMIT, id="sinusoid-argument"),
 ])
-def test_values_that_can_overflow_rejected_at_construction(build, fields):
-    # each field is finite, but values over the cube, or their sums,
-    # pass the limit; 0.6 * VALUE_LIMIT twice is above it
+def test_values_that_can_overflow_rejected_at_construction(build, fields, limit):
+    # each field is finite, but values over the cube, or their sums (the
+    # sine's argument: 2 pi frequency), pass the limit; 0.6 * limit twice
+    # is above it
     with pytest.raises(ValueError, match=rf"^{re.escape(fields)}: .* above the limit"):
-        build(0.6 * VALUE_LIMIT)
-    build(0.3 * VALUE_LIMIT / 8)  # well inside the limit
+        build(0.6 * limit)
+    build(0.3 * limit / 8)  # well inside the limit
+
+
+def test_sine_argument_limit_admits_frequencies_up_to_about_1_8e14():
+    Sinusoid(amplitude=1.0, frequency=1.7e14, phase=1.0)
+    with pytest.raises(ValueError, match=r"^frequency and phase: .* above the limit"):
+        Sinusoid(amplitude=1.0, frequency=1.8e14)
 
 
 def test_loader_names_a_non_finite_spike_value():
