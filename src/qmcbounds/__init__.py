@@ -43,6 +43,7 @@ from .oracle import (
     small_exhaustive_suite,
     verify_bounds_exhaustive,
     verify_instance,
+    verify_instances,
     worst_case_error,
     worst_uniform_error,
 )

@@ -38,6 +38,7 @@ from itertools import repeat
 from operator import attrgetter, mul, sub, truediv
 from typing import NamedTuple
 
+from .errors import QmcBoundsError
 from .funcmodel import FunctionModel
 from .spaces import Partition
 
@@ -94,9 +95,18 @@ def bound_set(f: FunctionModel, partition: Partition) -> BoundSet:
 
 
 def _bounds_from_table(table: CellTable) -> BoundSet:
-    """bound_set from a cell table's measure, lo, hi and exact columns."""
+    """bound_set from a cell table's measure, lo, hi and exact columns.
+
+    A range of finite ends can still be wider than the largest double
+    (a jump from 1.7e308 to -1.7e308); that raises QmcBoundsError naming
+    the cell, since every bound would read inf.
+    """
     widths = list(map(sub, table.hi, table.lo))
     s = max(widths)
+    if s == math.inf:
+        j = widths.index(s)
+        raise QmcBoundsError(f"cell {j} has the range [{table.lo[j]!r}, {table.hi[j]!r}], "
+                             f"whose width overflows")
     weighted = math.fsum(map(mul, table.measure, widths))
     return BoundSet(
         theorem1=s,

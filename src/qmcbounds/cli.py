@@ -43,6 +43,19 @@ def _echo_rows(rows, columns) -> None:
     click.echo(reports.render_csv(rows, columns), nl=False)
 
 
+def _failure_line(verdict) -> str:
+    """Why a verdict failed: its instance, the first check it fails, that
+    check's margin and the slack every check allows."""
+    instance_id = verdict.instance.instance_id
+    failed = verdict.failed_check()
+    if failed is None:
+        return (f"verify: instance {instance_id!r} is marked failed, but every check "
+                f"holds within the slack {verdict.slack!r}")
+    check, margin = failed
+    return (f"verify: instance {instance_id!r} fails {check}: margin {margin!r}, "
+            f"slack {verdict.slack!r}")
+
+
 @click.group()
 def main():
     """Uniform point sets with certified integration error bounds."""
@@ -87,6 +100,9 @@ def cmd_verify(suite, config_path, out_path, fmt, seed, cap):
     rows = [reports.verdict_row(v) for v in verdicts]
     if out_path is not None:
         reports.emit(out_path, rows, reports.VERDICT_COLUMNS, fmt, summary)
+    for verdict in verdicts:
+        if not verdict.passed:
+            click.echo(_failure_line(verdict), err=True)
     click.echo(json.dumps(summary))
     if summary["failed"] > 0:
         sys.exit(1)

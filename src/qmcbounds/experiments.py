@@ -23,7 +23,7 @@ from .errors import QmcBoundsError
 from .estimator import integration_error, qmc_estimate
 from .funcmodel import Affine, FunctionModel, Quadratic, Sinusoid
 from .instances import Instance, instance_to_json
-from .oracle import _worst_uniform_error, verify_instance, worst_uniform_error
+from .oracle import _worst_uniform_error, verify_instances, worst_uniform_error
 from .pointsets import DEFAULT_ENUMERATION_CAP, STRATEGY_RANDOM, construct_uniform
 from .spaces import CubeSpace, Partition, equal_partition_1d
 
@@ -200,7 +200,7 @@ def run_verification(instances: Sequence[Instance],
     Returns (verdicts, summary, None); the constant third slot keeps
     callers that unpack three values working.
     """
-    verdicts = [verify_instance(inst, cap) for inst in instances]
+    verdicts = verify_instances(instances, cap)
     passed = sum(1 for v in verdicts if v.passed)
     failed = len(verdicts) - passed
     # the first verdict of greatest tightness

@@ -27,9 +27,11 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from itertools import accumulate, combinations_with_replacement
 from operator import mul, sub, truediv
+from typing import Sequence
 
 from .bounds import (
     BoundSet,
@@ -43,7 +45,7 @@ from .bounds import (
 from .errors import QmcBoundsError
 from .funcmodel import FiniteTable, FunctionModel
 from .instances import Instance
-from .pointsets import DEFAULT_ENUMERATION_CAP, ConfigurationStream, enumerate_uniform
+from .pointsets import DEFAULT_ENUMERATION_CAP, enumerate_uniform
 from .spaces import (
     FiniteCell,
     FiniteSpace,
@@ -63,14 +65,21 @@ WEIGHT_UNIT = 16
 MAX_ATOMS = 6
 MAX_CELLS = 3
 
-# Configurations scored per block: no working array of the exhaustive
-# scorer's outer sum holds more float64 values than this.
+# Configurations scored per pass: no working array of the exhaustive
+# scorer's outer sums holds more float64 values than this, and no wave's
+# multiset sums hold more either, unless one instance's own cells do.
 SCORE_CHUNK = 1 << 16
+
+# An instance whose N * max |atom value| passes this is refused: its sums
+# of N atom values, rounded, could overflow, which fsum reports as an
+# OverflowError.
+SCORE_SUM_LIMIT = sys.float_info.max / 2
 
 
 @dataclass(frozen=True)
 class VerificationVerdict:
-    """One instance's exhaustive check against its three bounds."""
+    """One instance's exhaustive check against its three bounds and the
+    closed-form worst error ``closed_form``, each within ``slack``."""
 
     instance: Instance
     worst_error: float
@@ -79,6 +88,26 @@ class VerificationVerdict:
     passed: bool
     tightness: float
     total_configurations: int
+    closed_form: float
+    slack: float
+
+    def failed_check(self) -> tuple[str, float] | None:
+        """The first check this verdict fails, as (check, margin), or None."""
+        return _failed_check(self.worst_error, self.bounds, self.closed_form, self.slack)
+
+
+def _failed_check(worst: float, bounds: BoundSet, closed_form: float, slack: float):
+    """The first of a verdict's four checks that fails, as (check,
+    margin), or None when all hold within ``slack``: the worst error
+    against corollary2, corollary1 and theorem1 (the margin is how far it
+    passes the bound), then against the closed form (the margin is how
+    far apart the two are)."""
+    for check, bound in (("corollary2", bounds.corollary2), ("corollary1", bounds.corollary1),
+                         ("theorem1", bounds.theorem1)):
+        if not worst <= bound + slack:
+            return check, worst - bound
+    gap = abs(worst - closed_form)
+    return None if gap <= slack else ("worst_uniform_error", gap)
 
 
 @dataclass(frozen=True)
@@ -101,23 +130,25 @@ class MinimaxCertificate:
 
 
 def _multiset_sums(values, count: int):
-    """Sums of the multisets of ``count`` of ``values``, in the order
+    """Sums of the multisets of ``count`` of the values in each row of
+    ``values`` (a 2-D array, one row per cell), in the order
     ``combinations_with_replacement`` yields them, each summed from the
-    right: v[p_0] + (v[p_1] + (... + v[p_last])).
+    right: v[p_0] + (v[p_1] + (... + v[p_last])); one row of sums per row.
 
     Built one size at a time: the multisets of size r are, for each
     first element p in turn, v[p] plus those of size r - 1 drawn from
-    ``values[p:]``, which are the suffix ``sums[starts[p]:]`` of the
-    previous size's array.
+    ``v[p:]``, which are the suffix ``sums[:, starts[p]:]`` of the
+    previous size's array.  Every row takes the same additions in the
+    same order, so its sums have the bits they would have alone.
     """
     import numpy as np
 
-    sums = np.zeros(1)
-    starts = [0] * len(values)
+    sums = np.zeros((len(values), 1))
+    starts = [0] * values.shape[1]
     for _ in range(count):
-        pieces = [value + sums[start:] for value, start in zip(values, starts)]
-        starts = list(accumulate((len(piece) for piece in pieces[:-1]), initial=0))
-        sums = np.concatenate(pieces)
+        pieces = [values[:, p, None] + sums[:, start:] for p, start in enumerate(starts)]
+        starts = list(accumulate((piece.shape[1] for piece in pieces[:-1]), initial=0))
+        sums = np.concatenate(pieces, axis=1)
     return sums
 
 
@@ -136,19 +167,49 @@ def _multiset_at(atoms: tuple[int, ...], count: int, rank: int) -> tuple[int, ..
     return tuple(chosen)
 
 
-def _score_configurations(stream: ConfigurationStream, partition: Partition,
-                          f: FunctionModel, n_points: int, integral: float):
-    """Worst |average - integral| over a configuration stream, with the
-    lexicographically first configuration attaining it; ``integral`` is
-    f's integral over the space.
+def _value_classes(values: list[float], count: int):
+    """For each multiset of ``count`` of ``values``, in enumeration order,
+    the rank of the first multiset holding the same values; None when no
+    two values are equal, so that every multiset is its own class
+    (sorting each multiset's values anyway would put Python work per
+    multiset back into the scorer)."""
+    if len(set(values)) == len(values):
+        return None
+    first_with = {}
+    return [first_with.setdefault(tuple(sorted(multiset)), i)
+            for i, multiset in enumerate(combinations_with_replacement(values, count))]
 
-    Each cell's multiset sums come from ``_multiset_sums`` at numpy
-    speed, so the Python work is per cell and per candidate, not per
-    multiset.  Approximate scores |t/N - I| come from outer-adding the
-    cell sums in C order, so a flat index is a configuration's position
-    in the stream.  The longest suffix of cells whose outer sum fits
-    SCORE_CHUNK is added once; the head rows are added to it one block
-    at a time.
+
+def _waves(cell_multisets: list[int]):
+    """Consecutive runs of job indices whose cells hold at most
+    SCORE_CHUNK multisets in all; a job holding more is a run of its own."""
+    wave, held = [], 0
+    for i, size in enumerate(cell_multisets):
+        if wave and held + size > SCORE_CHUNK:
+            yield wave
+            wave, held = [], 0
+        wave.append(i)
+        held += size
+    if wave:
+        yield wave
+
+
+def _score_configurations(jobs):
+    """Worst |average - integral| over each job's configuration stream,
+    with the lexicographically first configuration attaining it.
+
+    A job is (stream, atom values, N, integral), with the integral of f
+    over the space; the result is one (worst, argmax) per job, in order.
+
+    Jobs are taken in waves whose cells hold at most SCORE_CHUNK
+    multisets in all.  A wave's cells are grouped by shape (atom count,
+    node count), and each shape's multiset sums come from one run of
+    ``_multiset_sums`` with one row per cell, so the Python work is per
+    shape, cell and candidate, not per multiset.  The wave's jobs are
+    then grouped by their per-cell multiset counts, and each group is
+    scored in passes of as many jobs as SCORE_CHUNK configurations hold,
+    one row per job (``_score_group``).  The 580 instances of the small
+    suite (seed 0) make two waves, 54 cell shapes and 99 groups.
 
     Rounding margin, with u = 2^-53, M = max |atom value| and k cells of
     c_j nodes: every atom value of the approximate sum t passes through
@@ -161,75 +222,119 @@ def _score_configurations(stream: ConfigurationStream, partition: Partition,
     ``delta``, (N + k + 4) roundings, covers (N + k + 3)uM + 2u|I| +
     2 * 2^-1075 with room for second-order terms and the rounding of the
     threshold.  Every configuration attaining the exact maximum thus
-    scores within 2 * delta of the running approximate maximum; only
-    those are rescored, in stream order and with the reference loop's
-    expression, keeping the first strict maximum, so the result is bit
-    for bit the reference loop's.  Candidates whose cells hold the same
-    multisets of values have the same exact score, so a block rescores
-    only the first of each such class (one per block for a constant
-    function).
+    scores within 2 * delta of its row's running approximate maximum;
+    only those are rescored, in stream order and with the reference
+    loop's expression, keeping the first strict maximum, so the result
+    is bit for bit the reference loop's.  Candidates whose cells hold the
+    same multisets of values have the same exact score, so a pass
+    rescores only the first of each such class in a row (one per pass
+    for a constant function).
 
     The maximum itself comes from the enumeration, not from the extreme
-    configurations the closed form names, so that ``verify_bounds_exhaustive``
-    checks two independent computations of the worst error.
+    configurations the closed form names, so that a verdict checks two
+    independent computations of the worst error.
     """
     import numpy as np
 
-    space = partition.space
-    atom_values = [f.evaluate(i) for i in range(space.n_atoms)]
-    k = len(stream.cells)
-    sizes = [math.comb(len(atoms) + count - 1, count)
-             for atoms, count in zip(stream.cells, stream.counts)]
-    sums = []
-    classes = []
-    for atoms, count, size in zip(stream.cells, stream.counts, sizes):
-        values = [atom_values[a] for a in atoms]
-        sums.append(_multiset_sums(values, count))
-        if len(set(values)) == len(values):
-            # No two atoms share a value, so every multiset is its own
-            # class; sorting each multiset's values anyway would put
-            # Python work per multiset back into the scorer.
-            classes.append(np.arange(size))
-        else:
-            first_with = {}
-            classes.append(np.array([
-                first_with.setdefault(tuple(sorted(multiset)), i)
-                for i, multiset in enumerate(combinations_with_replacement(values, count))
-            ]))
-    delta = _rounding_margin(max(abs(v) for v in atom_values), integral, n_points + k + 4)
+    shapes = [tuple(math.comb(len(atoms) + count - 1, count)
+                    for atoms, count in zip(stream.cells, stream.counts))
+              for stream, *_ in jobs]
+    results = [None] * len(jobs)
+    for wave in _waves(list(map(sum, shapes))):
+        by_shape = {}
+        for i in wave:
+            stream, values = jobs[i][:2]
+            for j, (atoms, count) in enumerate(zip(stream.cells, stream.counts)):
+                by_shape.setdefault((len(atoms), count), []).append(
+                    (i, j, [values[a] for a in atoms]))
+        sums = {}
+        classes = {}
+        for (_, count), cells in by_shape.items():
+            rows = _multiset_sums(np.array([cell_values for *_, cell_values in cells]), count)
+            for (i, j, cell_values), row in zip(cells, rows):
+                sums[i, j] = row
+                classes[i, j] = _value_classes(cell_values, count)
+        groups = {}
+        for i in wave:
+            groups.setdefault(shapes[i], []).append(i)
+        for shape, members in groups.items():
+            per_pass = max(1, SCORE_CHUNK // math.prod(shape))
+            for first in range(0, len(members), per_pass):
+                batch = members[first:first + per_pass]
+                group_sums = [np.stack([sums[i, j] for i in batch]) for j in range(len(shape))]
+                group_classes = [
+                    None if all(classes[i, j] is None for i in batch) else np.array([
+                        range(size) if classes[i, j] is None else classes[i, j] for i in batch])
+                    for j, size in enumerate(shape)
+                ]
+                scored = _score_group([jobs[i] for i in batch], shape, group_sums, group_classes)
+                for i, result in zip(batch, scored):
+                    results[i] = result
+    return results
+
+
+def _score_group(jobs, shape: tuple[int, ...], sums, classes):
+    """``_score_configurations`` for jobs whose cells hold ``shape[j]``
+    multisets each, one row per job: ``sums[j]`` holds cell j's multiset
+    sums, a row per job, and ``classes[j]`` their value classes (None
+    when every multiset is its own class).
+
+    Approximate scores |t/N - I| come from outer-adding the cell sums in
+    C order behind the row axis, so a flat index in a row is a
+    configuration's position in that job's stream.  The longest suffix
+    of cells whose outer sum fits SCORE_CHUNK is added once; the head
+    rows are added to it one block at a time.  Only a job with more than
+    SCORE_CHUNK configurations, which always scores as a group of one
+    row, has head rows.
+    """
+    import numpy as np
+
+    n_rows = len(jobs)
+    k = len(shape)
+    n_points = np.array([[n] for _, _, n, _ in jobs], dtype=float)
+    integrals = np.array([[integral] for *_, integral in jobs])
+    delta = np.array([_rounding_margin(max(map(abs, values)), integral, n + k + 4)
+                      for _, values, n, integral in jobs])
     head = k
-    tail = np.zeros(1)
-    while head > 0 and tail.size * sizes[head - 1] <= SCORE_CHUNK:
+    tail = np.zeros((n_rows, 1))
+    while head > 0 and tail.shape[1] * shape[head - 1] <= SCORE_CHUNK:
         head -= 1
-        tail = np.add.outer(sums[head], tail).ravel()
-    rows = math.prod(sizes[:head])
-    rows_per_block = SCORE_CHUNK // tail.size
-    top = -math.inf
-    worst = -1.0
-    argmax = None
+        tail = (sums[head][:, :, None] + tail[:, None, :]).reshape(n_rows, -1)
+    width = tail.shape[1]
+    rows = math.prod(shape[:head])
+    rows_per_block = SCORE_CHUNK // (n_rows * width)
+    top = np.full(n_rows, -math.inf)
+    results = [(-1.0, None)] * n_rows
     for first in range(0, rows, rows_per_block):
         row = np.arange(first, min(first + rows_per_block, rows))
-        head_sums = np.zeros(row.size)
+        head_sums = np.zeros((n_rows, row.size))
         for j in reversed(range(head)):
-            row, index = np.divmod(row, sizes[j])
-            head_sums += sums[j][index]
-        scores = np.add.outer(head_sums, tail).ravel()
+            row, index = np.divmod(row, shape[j])
+            head_sums += sums[j][:, index]
+        scores = (head_sums[:, :, None] + tail[:, None, :]).reshape(n_rows, -1)
         scores /= n_points
-        scores -= integral
+        scores -= integrals
         np.abs(scores, out=scores)
-        top = max(top, float(scores.max()))
-        candidates = np.flatnonzero(scores >= top - 2 * delta) + first * tail.size
-        positions = np.unravel_index(candidates, sizes)
-        keys = np.ravel_multi_index([c[p] for c, p in zip(classes, positions)], sizes)
+        top = np.maximum(top, scores.max(axis=1))
+        # Row r's configuration p is candidate r * width + p, and a block of
+        # one row starts first * width configurations into its stream.
+        # (nonzero on the 2-D mask is some 30 times slower than this.)
+        candidates = np.flatnonzero(scores >= (top - 2 * delta)[:, None]) + first * width
+        hit_rows, *positions = np.unravel_index(candidates, (n_rows, *shape))
+        # a candidate's entry in a class table sits size * row entries in,
+        # which one row (every stream above SCORE_CHUNK) does without
+        keys = np.ravel_multi_index(
+            [hit_rows, *(p if c is None else np.take(c, p if n_rows == 1 else hit_rows * size + p)
+                         for c, p, size in zip(classes, positions, shape))],
+            (n_rows, *shape))
         representatives = np.sort(np.unique(keys, return_index=True)[1])
-        for position in zip(*(p[representatives].tolist() for p in positions)):
+        for r, *position in zip(*(a[representatives].tolist() for a in (hit_rows, *positions))):
+            stream, values, n, integral = jobs[r]
             config = tuple(map(_multiset_at, stream.cells, stream.counts, position))
-            err = abs(math.fsum(atom_values[a] for cell in config for a in cell) / n_points
-                      - integral)
-            if err > worst:
-                worst = err
-                argmax = config
-    return worst, argmax
+            err = abs(math.fsum(values[a] for cell in config for a in cell) / n - integral)
+            if err > results[r][0]:
+                results[r] = (err, config)
+    return results
 
 
 def worst_uniform_error(f: FunctionModel, partition: Partition) -> float:
@@ -260,6 +365,19 @@ def _worst_uniform_error(table: CellTable) -> float:
     return max(up, down, 0.0)
 
 
+def _atom_values(f: FunctionModel, space: FiniteSpace, n_points: int,
+                 instance_id: str) -> list[float]:
+    """f at every atom, one evaluate call each; refused when sums of
+    ``n_points`` of them could overflow (SCORE_SUM_LIMIT)."""
+    values = [f.evaluate(i) for i in range(space.n_atoms)]
+    reach = n_points * max(map(abs, values))
+    if reach > SCORE_SUM_LIMIT:
+        raise QmcBoundsError(
+            f"instance {instance_id!r}: N * max|value| = {reach!r} could overflow the "
+            f"sums of N atom values")
+    return values
+
+
 def worst_case_error(space: FiniteSpace, partition: Partition, f: FunctionModel,
                      n_points: int, cap: int = DEFAULT_ENUMERATION_CAP):
     """Maximum |average - integral| over every uniform configuration.
@@ -268,19 +386,25 @@ def worst_case_error(space: FiniteSpace, partition: Partition, f: FunctionModel,
     first configuration, so reruns are reproducible.
     """
     stream = enumerate_uniform(space, partition, n_points, cap)
-    return _score_configurations(stream, partition, f, n_points, f.integral(space))
+    integral = f.integral(space)
+    values = _atom_values(f, space, n_points, "")
+    return _score_configurations([(stream, values, n_points, integral)])[0]
 
 
-def verify_bounds_exhaustive(space: FiniteSpace, partition: Partition,
-                             f: FunctionModel, n_points: int,
-                             cap: int = DEFAULT_ENUMERATION_CAP,
-                             instance_id: str = "") -> VerificationVerdict:
-    """Exhaustively compare the worst realized error with all three bounds.
+def verify_instances(instances: Sequence[Instance],
+                     cap: int = DEFAULT_ENUMERATION_CAP) -> list[VerificationVerdict]:
+    """Exhaustively compare each instance's worst realized error with its
+    three bounds, one verdict per instance, in order.
 
-    The verdict also fails when the enumerated worst error and the
-    closed form ``worst_uniform_error`` differ, so the scorer and the
-    closed form check each other.  Every comparison allows the same
-    slack, scaled to the data (``bounds.certification_slack``).
+    Every instance is enumerated and read (one essential range per cell,
+    one value per atom) in declared order, so the first one that cannot
+    be verified raises what it would raise alone; then all of them are
+    scored together by ``_score_configurations``.
+
+    A verdict also fails when the enumerated worst error and the closed
+    form ``worst_uniform_error`` differ, so the scorer and the closed
+    form check each other.  Every comparison allows the same slack,
+    scaled to the data (``bounds.certification_slack``).
 
     tightness is worst_error / corollary2 (how much of the certified
     budget the adversary actually uses).  A budget within the slack is
@@ -288,43 +412,55 @@ def verify_bounds_exhaustive(space: FiniteSpace, partition: Partition,
     noise: a worst error inside the slack then uses all of nothing,
     reported as 1.0, and only a genuine violation reports inf.
     """
-    stream = enumerate_uniform(space, partition, n_points, cap)
-    # one range per cell serves the bounds and the closed form alike
-    table = cell_table(f, partition, integrals=True)
-    bounds = _bounds_from_table(table)
-    integral = f.integral(space)
-    worst, argmax = _score_configurations(stream, partition, f, n_points, integral)
-    slack = certification_slack(table, integral, stream.counts)
-    passed = (
-        worst <= bounds.corollary2 + slack
-        and worst <= bounds.corollary1 + slack
-        and worst <= bounds.theorem1 + slack
-        and abs(worst - _worst_uniform_error(table)) <= slack
-    )
-    if bounds.corollary2 > slack:
-        tightness = worst / bounds.corollary2
-    else:
-        tightness = 1.0 if worst <= slack else math.inf
-    descriptor = Instance(instance_id, space, partition, f, n_points)
-    return VerificationVerdict(
-        instance=descriptor,
-        worst_error=worst,
-        argmax_configuration=argmax,
-        bounds=bounds,
-        passed=passed,
-        tightness=tightness,
-        total_configurations=stream.total_count,
-    )
+    jobs = []
+    checks = []
+    for instance in instances:
+        space, partition, f, n_points = (instance.space, instance.partition,
+                                         instance.function, instance.n_points)
+        if n_points is None:
+            raise QmcBoundsError(f"instance {instance.instance_id!r} declares no N")
+        stream = enumerate_uniform(space, partition, n_points, cap)
+        # one range per cell serves the bounds and the closed form alike
+        table = cell_table(f, partition, integrals=True)
+        bounds = _bounds_from_table(table)
+        integral = f.integral(space)
+        values = _atom_values(f, space, n_points, instance.instance_id)
+        jobs.append((stream, values, n_points, integral))
+        checks.append((bounds, _worst_uniform_error(table),
+                       certification_slack(table, integral, stream.counts)))
+    verdicts = []
+    for instance, (stream, *_), (bounds, closed_form, slack), (worst, argmax) in zip(
+            instances, jobs, checks, _score_configurations(jobs)):
+        if bounds.corollary2 > slack:
+            tightness = worst / bounds.corollary2
+        else:
+            tightness = 1.0 if worst <= slack else math.inf
+        verdicts.append(VerificationVerdict(
+            instance=instance,
+            worst_error=worst,
+            argmax_configuration=argmax,
+            bounds=bounds,
+            passed=_failed_check(worst, bounds, closed_form, slack) is None,
+            tightness=tightness,
+            total_configurations=stream.total_count,
+            closed_form=closed_form,
+            slack=slack,
+        ))
+    return verdicts
+
+
+def verify_bounds_exhaustive(space: FiniteSpace, partition: Partition,
+                             f: FunctionModel, n_points: int,
+                             cap: int = DEFAULT_ENUMERATION_CAP,
+                             instance_id: str = "") -> VerificationVerdict:
+    """``verify_instances`` of the one instance these fields make up."""
+    return verify_instances([Instance(instance_id, space, partition, f, n_points)], cap)[0]
 
 
 def verify_instance(instance: Instance,
                     cap: int = DEFAULT_ENUMERATION_CAP) -> VerificationVerdict:
-    if instance.n_points is None:
-        raise QmcBoundsError(f"instance {instance.instance_id!r} declares no N")
-    return verify_bounds_exhaustive(
-        instance.space, instance.partition, instance.function,
-        instance.n_points, cap, instance.instance_id,
-    )
+    """``verify_instances`` of one instance."""
+    return verify_instances([instance], cap)[0]
 
 
 def minimax_distance_finite(space: FiniteSpace, family, f: FunctionModel) -> MinimaxCertificate:

@@ -58,14 +58,11 @@ def _counts(measures: Sequence[float], n_points: int) -> tuple[int, ...] | None:
     The sum matters for huge N, where every float product is a whole
     number and the per-cell test alone passes without meaning anything.
     """
-    counts = []
-    for m in measures:
-        target = n_points * m
-        nearest = round(target)
-        if abs(target - nearest) > ALLOCATION_TOL:
-            return None
-        counts.append(nearest)
-    return tuple(counts) if sum(counts) == n_points else None
+    targets = [n_points * m for m in measures]
+    counts = tuple(map(round, targets))
+    if max(map(abs, map(sub, targets, counts)), default=0.0) > ALLOCATION_TOL:
+        return None
+    return counts if sum(counts) == n_points else None
 
 
 def _smallest_feasible(measures: Sequence[float], n_points: int) -> int | None:

@@ -6,7 +6,8 @@ product grid, integrals from scipy quadrature, the minimax from a
 coefficient grid search, enumeration from brute force over ordered
 node tuples, box overlaps and cell lookups from pairwise tests and
 linear scans, and the exhaustive worst error from scoring every
-configuration one by one; the cube worst error from every
+configuration one by one; node counts per cell one cell at a time;
+the cube worst error from every
 one-node-per-cell placement on a grid; seeded placement from the
 one-try-at-a-time loop with its own membership test; cell integrals,
 bounds and the closed-form worst error from the one-cell-at-a-time
@@ -261,3 +262,17 @@ def sine_extremes(base, a, b):
                 at.append(base.offset - base.amplitude if n % 2 else
                           base.offset + base.amplitude)
     return min(at), max(at)
+
+
+def per_cell_counts(measures, n_points, tol):
+    """Per-cell node counts N * measure, one cell at a time, or None when
+    a product is more than ``tol`` from its nearest integer or those
+    integers do not sum to N."""
+    counts = []
+    for m in measures:
+        target = n_points * m
+        nearest = round(target)
+        if abs(target - nearest) > tol:
+            return None
+        counts.append(nearest)
+    return tuple(counts) if sum(counts) == n_points else None

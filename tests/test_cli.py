@@ -14,16 +14,18 @@ import qmcbounds
 from qmcbounds import cli
 from qmcbounds import (
     BoundViolationError,
+    EnumerationTooLargeError,
     box,
     equal_partition_1d,
     construct_uniform,
+    enumerate_uniform,
     instance_to_json,
     make_cube_space,
     make_partition,
     random_instance,
     save_instances,
     save_pointset,
-    verify_instance,
+    verify_instances,
 )
 from qmcbounds.cli import main
 
@@ -103,10 +105,10 @@ def test_verify_structured_output(runner, tmp_path):
 
 def test_verify_injected_violation_fails(runner, tmp_path, monkeypatch):
     # a verdict that fails, as a real soundness bug would produce one
-    def failing(instance, cap):
-        return dataclasses.replace(verify_instance(instance, cap), passed=False)
+    def failing(instances, cap):
+        return [dataclasses.replace(v, passed=False) for v in verify_instances(instances, cap)]
 
-    monkeypatch.setattr(qmcbounds.experiments, "verify_instance", failing)
+    monkeypatch.setattr(qmcbounds.experiments, "verify_instances", failing)
     config = tmp_path / "instances.json"
     save_instances(config, [random_instance(0)])
     out = tmp_path / "verdicts.csv"
@@ -118,6 +120,25 @@ def test_verify_injected_violation_fails(runner, tmp_path, monkeypatch):
     rows = parse_csv(out.read_text())
     assert rows[-1]["instance_id"] == "rand-0"
     assert rows[-1]["passed"] == "false"
+    assert result.stderr.startswith("verify: instance 'rand-0' is marked failed")
+
+
+def test_verify_refuses_the_first_instance_over_the_cap(runner, tmp_path):
+    # the second and third instances exceed the cap; the error names the
+    # second, as when each instance was enumerated and scored in turn
+    suite = [random_instance(i) for i in range(10)]
+    sizes = [len(enumerate_uniform(i.space, i.partition, i.n_points)) for i in suite]
+    cap = sizes[0]
+    over = [i for i, size in enumerate(sizes) if size > cap]
+    chosen = [suite[0], suite[over[0]], suite[over[1]]]
+    config = tmp_path / "instances.json"
+    save_instances(config, chosen)
+    result = runner.invoke(main, ["verify", "--config", str(config), "--cap", str(cap)])
+    assert result.exit_code == 2
+    assert f"{sizes[over[0]]} configurations exceed the cap of {cap}" in result.stderr
+    with pytest.raises(EnumerationTooLargeError) as raised:
+        verify_instances(chosen, cap)
+    assert str(raised.value) == f"{sizes[over[0]]} configurations exceed the cap of {cap}"
 
 
 def test_verify_needs_exactly_one_source(runner, tmp_path):
@@ -318,6 +339,77 @@ def test_bounds_points_averages_values_whose_sum_overflows(runner, tmp_path):
     result = runner.invoke(main, ["bounds", "--config", config, "--points", str(points)])
     assert result.exit_code == 0, result.output
     assert result.stdout.splitlines()[1] == "big,5,5,4e+307,4e+307,0.0,0.0,0.0,0.0,true"
+
+
+def test_bounds_rejects_a_range_whose_width_overflows(runner, tmp_path):
+    # two pieces of 1.7e308 and -1.7e308 inside one cell printed
+    # big,1,1,1.7e+308,0.0,1.7e+308,inf,inf,inf,true with exit 0
+    instance = _cube_instance(1, [[[0.0, 1.0]]], {
+        "family": "piecewise_constant",
+        "params": {"values": [1.7e308, -1.7e308],
+                   "cells": [{"box": box} for box in HALVES]}})
+    config = write_json(tmp_path / "big.json", instance)
+    result = runner.invoke(main, ["bounds", "--config", config])
+    assert result.exit_code == 2, result.output
+    assert "cell 0 has the range [-1.7e+308, 1.7e+308], whose width overflows" in result.stderr
+
+
+@pytest.mark.parametrize("values, message", [
+    # a traceback: OverflowError: intermediate overflow in fsum
+    ([1.7e308, -1.7e308], "cell 0 has the range [-1.7e+308, 1.7e+308], whose width overflows"),
+    # a finite range, but two nodes of 1.7e308 sum past the largest double
+    ([1.7e308, 1.6e308], "instance 'big': N * max|value| = inf could overflow"),
+], ids=["width", "sum"])
+def test_verify_rejects_sums_that_overflow(runner, tmp_path, values, message):
+    instance = {"instance_id": "big",
+                "space": {"kind": "finite", "atoms": [["a", 0.5], ["b", 0.5]]},
+                "partition": {"cells": [{"atoms": [0, 1]}]},
+                "function": {"family": "finite_table", "params": {"values": values}},
+                "N": 2}
+    config = write_json(tmp_path / "big.json", instance)
+    result = runner.invoke(main, ["verify", "--config", config])
+    assert result.exit_code == 2, result.output
+    assert message in result.stderr
+
+
+@pytest.mark.parametrize("patched, check", [
+    # a corollary2 at a quarter of its value is below the worst error
+    ("_bounds_from_table", "corollary2"),
+    ("_worst_uniform_error", "worst_uniform_error"),
+])
+def test_verify_explains_a_failed_verdict(runner, tmp_path, monkeypatch, patched, check):
+    real = getattr(qmcbounds.oracle, patched)
+    if patched == "_bounds_from_table":
+        def broken(table):
+            bounds = real(table)
+            return dataclasses.replace(bounds, corollary2=bounds.corollary2 / 4)
+    else:
+        def broken(table):
+            return real(table) + 1e-6
+    monkeypatch.setattr(qmcbounds.oracle, patched, broken)
+    config = tmp_path / "instances.json"
+    save_instances(config, [random_instance(i) for i in range(3)])
+    out = tmp_path / "verdicts.csv"
+    result = runner.invoke(main, ["verify", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 1
+    verdicts = verify_instances([random_instance(i) for i in range(3)])
+    failed = [v for v in verdicts if not v.passed]
+    assert failed and all(v.failed_check()[0] == check for v in failed)
+    lines = result.stderr.splitlines()
+    assert len(lines) == len(failed)
+    for line, verdict in zip(lines, failed):
+        margin = verdict.failed_check()[1]
+        assert margin > verdict.slack
+        assert line == (f"verify: instance {verdict.instance.instance_id!r} fails {check}: "
+                        f"margin {margin!r}, slack {verdict.slack!r}")
+    rows = parse_csv(out.read_text())
+    assert [r["passed"] for r in rows] == ["true" if v.passed else "false" for v in verdicts]
+
+
+def test_verify_passing_run_writes_nothing_to_stderr(runner):
+    result = runner.invoke(main, ["verify", "--suite", "small-exhaustive"])
+    assert result.exit_code == 0
+    assert result.stderr == ""
 
 
 def test_bounds_rejects_multiple_instances(runner, tmp_path):

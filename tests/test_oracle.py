@@ -7,6 +7,7 @@ import tracemalloc
 from itertools import combinations_with_replacement
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from qmcbounds import (
     FiniteTable,
     FunctionModel,
     GridRangeMode,
+    Instance,
     QmcBoundsError,
     Quadratic,
     Sinusoid,
@@ -30,6 +32,7 @@ from qmcbounds import (
     small_exhaustive_suite,
     verify_bounds_exhaustive,
     verify_instance,
+    verify_instances,
     worst_case_error,
     worst_uniform_error,
 )
@@ -335,6 +338,88 @@ def test_scorer_keeps_near_ties_that_rounding_separates(case):
     assert_scores_like_the_reference_loop(case)
 
 
+def verdict_bits(verdict):
+    """Every field of a verdict, floats as their hex strings."""
+    b = verdict.bounds
+    floats = (verdict.worst_error, verdict.tightness, verdict.closed_form, verdict.slack,
+              b.theorem1, b.corollary1, b.corollary2, b.distance)
+    return (verdict.instance, verdict.argmax_configuration, verdict.passed,
+            verdict.total_configurations, b.exact, *(x.hex() for x in floats))
+
+
+def assert_batch_verifies_like_each_instance(instances, chunk):
+    with mock.patch.object(oracle, "SCORE_CHUNK", chunk):
+        batched = verify_instances(instances)
+        alone = [verify_instances([instance])[0] for instance in instances]
+    assert [verdict_bits(v) for v in batched] == [verdict_bits(v) for v in alone]
+    for instance, verdict in zip(instances, batched):
+        assert verdict.instance is instance
+        stream = enumerate_uniform(instance.space, instance.partition, instance.n_points)
+        worst, argmax = scan_worst_configuration(stream, instance.space, instance.function,
+                                                 instance.n_points)
+        assert (verdict.worst_error.hex(), verdict.argmax_configuration) == (worst.hex(), argmax)
+
+
+@st.composite
+def instance_lists(draw):
+    """(instances, chunk): 1-4 scoring cases, each maybe followed by
+    instances on its own partition and N with other values (tied, constant
+    or uniform), so that shapes are both shared and distinct; scored in
+    chunks that put some streams above SCORE_CHUNK and group others."""
+    instances = []
+    for n, (space, partition, f, n_points, _) in enumerate(
+            draw(st.lists(scoring_cases(), min_size=1, max_size=4))):
+        instances.append(Instance(f"case-{n}", space, partition, f, n_points))
+        for m in range(draw(st.integers(0, 2))):
+            pool = draw(st.sampled_from([st.sampled_from(TIED_VALUES), st.just(0.25),
+                                         st.floats(-1.0, 1.0)]))
+            values = draw(st.lists(pool, min_size=space.n_atoms, max_size=space.n_atoms))
+            g = FunctionModel(FiniteTable(tuple(values), space.labels))
+            instances.append(Instance(f"case-{n}-{m}", space, partition, g, n_points))
+    order = draw(st.permutations(range(len(instances))))
+    chunk = draw(st.sampled_from((1, 7, 64, 500, oracle.SCORE_CHUNK)))
+    return [instances[i] for i in order], chunk
+
+
+@settings(max_examples=75, deadline=None)
+@given(case=instance_lists())
+def test_batched_verdicts_equal_the_one_instance_verdicts(case):
+    assert_batch_verifies_like_each_instance(*case)
+
+
+def test_a_batch_with_a_stream_above_the_chunk():
+    # cells of 6 atoms with 8 nodes and of 6 atoms with 3 nodes: 1287 * 56
+    # = 72,072 configurations, scored in blocks beside small instances of
+    # the same and of other shapes
+    space = make_finite_space([(f"a{i}", 8 / 11 / 6 if i < 6 else 3 / 11 / 6)
+                               for i in range(12)])
+    p = make_partition(space, [FiniteCell(range(6)), FiniteCell(range(6, 12))])
+    rng = random.Random(4)
+    big = Instance("big", space, p, FunctionModel(FiniteTable(
+        tuple(rng.uniform(-1.0, 1.0) for _ in range(12)), space.labels)), 11)
+    assert len(enumerate_uniform(space, p, 11)) == 72_072 > oracle.SCORE_CHUNK
+    # 2 nodes on 3 atoms and 1 node on 6 atoms: 6 multisets each, so one
+    # group holds rows of different N; the singles' worst node, 10 against
+    # the integral 5, scores 0 when divided by the pairs' N
+    pairs = make_finite_space([(f"b{i}", 1 / 3) for i in range(3)])
+    singles = make_finite_space([(f"c{i}", 1 / 6) for i in range(6)])
+    same_shape = [
+        Instance(name, space, make_partition(space, [FiniteCell(range(space.n_atoms))]),
+                 FunctionModel(FiniteTable(values, space.labels)), n_points)
+        for name, space, values, n_points in (("pairs", pairs, (0.5, -0.25, 1.0), 2),
+                                              ("singles", singles, (10.0,) + (4.0,) * 5, 1))]
+    suite = small_exhaustive_suite()
+    instances = [*same_shape, suite[0], big, suite[1], suite[500], suite[0]]
+    assert_batch_verifies_like_each_instance(instances, oracle.SCORE_CHUNK)
+
+
+def test_verify_instances_refuses_a_missing_n_before_scoring():
+    good = random_instance(0)
+    stripped = type(good)("no-n", good.space, good.partition, good.function, None)
+    with pytest.raises(QmcBoundsError, match="instance 'no-n' declares no N"):
+        verify_instances([good, stripped])
+
+
 def test_scorer_rescores_what_rounding_ranks_lower():
     # Cells {a}, {b}, {c, d} with one node each.  Adding the cell sums
     # rounds (a, b, c) = 2^-52 + 3*2^-53 + 1 one ulp above its exact
@@ -409,18 +494,21 @@ def test_scoring_does_no_python_work_per_multiset(monkeypatch):
 @pytest.mark.parametrize("n_atoms, count",
                          [(1, 0), (1, 3), (2, 2), (3, 1), (4, 4), (6, 5), (40, 3)])
 def test_multiset_helpers_follow_the_enumeration_order(n_atoms, count):
+    # three cells of the same shape, summed in one run of the recurrence
     atoms = tuple(range(10, 10 + n_atoms))
     rng = random.Random(n_atoms * 100 + count)
-    values = [rng.uniform(-1.0, 1.0) for _ in range(n_atoms)]
+    rows = [[rng.uniform(-1.0, 1.0) for _ in range(n_atoms)] for _ in range(3)]
     multisets = list(combinations_with_replacement(range(n_atoms), count))
-    sums = oracle._multiset_sums(values, count)
-    assert len(sums) == len(multisets) == math.comb(n_atoms + count - 1, count)
+    sums = oracle._multiset_sums(np.array(rows), count)
+    assert sums.shape == (3, len(multisets))
+    assert len(multisets) == math.comb(n_atoms + count - 1, count)
     for rank, multiset in enumerate(multisets):
         assert oracle._multiset_at(atoms, count, rank) == tuple(atoms[i] for i in multiset)
-        from_the_right = 0.0
-        for i in reversed(multiset):
-            from_the_right = values[i] + from_the_right
-        assert sums[rank] == from_the_right
+        for values, row_sums in zip(rows, sums):
+            from_the_right = 0.0
+            for i in reversed(multiset):
+                from_the_right = values[i] + from_the_right
+            assert row_sums[rank] == from_the_right
 
 
 def test_enumeration_cap_is_reachable():

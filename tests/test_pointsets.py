@@ -30,7 +30,7 @@ from qmcbounds import (
 )
 from qmcbounds import pointsets
 from qmcbounds.pointsets import STRATEGIES, STRATEGY_RANDOM
-from oracles import brute_force_uniform_configs, sequential_seeded_placement
+from oracles import brute_force_uniform_configs, per_cell_counts, sequential_seeded_placement
 
 
 def two_cell_finite():
@@ -103,6 +103,37 @@ def test_allocation_without_a_feasible_size_says_so(monkeypatch):
     assert "no feasible size within ALLOCATION_TOL=1e-09 was found" in str(err.value)
     assert "None" not in str(err.value)
     assert len(tried) <= 4
+
+
+@st.composite
+def allocation_cases(draw):
+    """(measures, N): cells of a partition in units of 1/D, the same
+    moved by about the allocation tolerance, or arbitrary floats; N a
+    multiple of D, any small N, or a huge one."""
+    k = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(("units", "nudged", "floats")))
+    if kind == "floats":
+        measures = draw(st.lists(st.floats(1e-12, 1.0), min_size=k, max_size=k))
+        denominator = 1
+    else:
+        units = draw(st.lists(st.integers(1, 8), min_size=k, max_size=k))
+        denominator = sum(units)
+        measures = [u / denominator for u in units]
+        if kind == "nudged":
+            nudge = st.sampled_from((0.0, 5e-10, -5e-10, 2e-9, -2e-9, 1e-16))
+            measures = [m + draw(nudge) / denominator for m in measures]
+    n_points = draw(st.one_of(st.integers(1, 8).map(lambda c: c * denominator),
+                              st.integers(1, 256), st.integers(2**50, 2**70)))
+    return measures, n_points
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=allocation_cases())
+def test_counts_match_the_per_cell_loop(case):
+    measures, n_points = case
+    got = pointsets._counts(measures, n_points)
+    assert got == per_cell_counts(measures, n_points, pointsets.ALLOCATION_TOL)
+    assert got is None or all(type(c) is int for c in got)
 
 
 def test_allocation_is_kept_per_partition(monkeypatch):
