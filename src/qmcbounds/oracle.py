@@ -30,7 +30,7 @@ import random
 import sys
 from dataclasses import dataclass
 from itertools import accumulate, combinations_with_replacement
-from operator import mul, sub, truediv
+from operator import getitem, mul, sub, truediv
 from typing import Sequence
 
 from .bounds import (
@@ -69,11 +69,6 @@ MAX_CELLS = 3
 # scorer's outer sums holds more float64 values than this, and no wave's
 # multiset sums hold more either, unless one instance's own cells do.
 SCORE_CHUNK = 1 << 16
-
-# An instance whose N * max |atom value| passes this is refused: its sums
-# of N atom values, rounded, could overflow, which fsum reports as an
-# OverflowError.
-SCORE_SUM_LIMIT = sys.float_info.max / 2
 
 
 @dataclass(frozen=True)
@@ -167,17 +162,17 @@ def _multiset_at(atoms: tuple[int, ...], count: int, rank: int) -> tuple[int, ..
     return tuple(chosen)
 
 
-def _value_classes(values: list[float], count: int):
-    """For each multiset of ``count`` of ``values``, in enumeration order,
-    the rank of the first multiset holding the same values; None when no
-    two values are equal, so that every multiset is its own class
-    (sorting each multiset's values anyway would put Python work per
-    multiset back into the scorer)."""
+def _representatives(values: list[float], count: int):
+    """The ranks, in enumeration order, of the multisets of ``count`` of
+    ``values`` that are the first to hold their multiset of values: every
+    rank when no two values are equal, counted without sorting each
+    multiset's values (which would put Python work per multiset back into
+    the scorer)."""
     if len(set(values)) == len(values):
-        return None
+        return range(math.comb(len(values) + count - 1, count))
     first_with = {}
-    return [first_with.setdefault(tuple(sorted(multiset)), i)
-            for i, multiset in enumerate(combinations_with_replacement(values, count))]
+    return [i for i, multiset in enumerate(combinations_with_replacement(values, count))
+            if first_with.setdefault(tuple(sorted(multiset)), i) == i]
 
 
 def _waves(cell_multisets: list[int]):
@@ -205,11 +200,19 @@ def _score_configurations(jobs):
     multisets in all.  A wave's cells are grouped by shape (atom count,
     node count), and each shape's multiset sums come from one run of
     ``_multiset_sums`` with one row per cell, so the Python work is per
-    shape, cell and candidate, not per multiset.  The wave's jobs are
-    then grouped by their per-cell multiset counts, and each group is
+    shape, cell and candidate, not per multiset (but for cells with
+    repeated values, below).  The wave's jobs are then grouped by their
+    per-cell counts of kept multisets, and each group is
     scored in passes of as many jobs as SCORE_CHUNK configurations hold,
     one row per job (``_score_group``).  The 580 instances of the small
     suite (seed 0) make two waves, 54 cell shapes and 99 groups.
+
+    Configurations whose cells hold the same multisets of values have the
+    same exact score, and the first of them in stream order takes each
+    cell's first multiset holding its values.  So a cell with repeated
+    values keeps only those first multisets, found by sorting each of
+    its multisets once (``_representatives``); a cell of distinct values
+    keeps all of them.  A constant function scores one configuration.
 
     Rounding margin, with u = 2^-53, M = max |atom value| and k cells of
     c_j nodes: every atom value of the approximate sum t passes through
@@ -225,10 +228,7 @@ def _score_configurations(jobs):
     scores within 2 * delta of its row's running approximate maximum;
     only those are rescored, in stream order and with the reference
     loop's expression, keeping the first strict maximum, so the result
-    is bit for bit the reference loop's.  Candidates whose cells hold the
-    same multisets of values have the same exact score, so a pass
-    rescores only the first of each such class in a row (one per pass
-    for a constant function).
+    is bit for bit the reference loop's.
 
     The maximum itself comes from the enumeration, not from the extreme
     configurations the closed form names, so that a verdict checks two
@@ -236,11 +236,11 @@ def _score_configurations(jobs):
     """
     import numpy as np
 
-    shapes = [tuple(math.comb(len(atoms) + count - 1, count)
-                    for atoms, count in zip(stream.cells, stream.counts))
-              for stream, *_ in jobs]
+    multisets = [sum(math.comb(len(atoms) + count - 1, count)
+                     for atoms, count in zip(stream.cells, stream.counts))
+                 for stream, *_ in jobs]
     results = [None] * len(jobs)
-    for wave in _waves(list(map(sum, shapes))):
+    for wave in _waves(multisets):
         by_shape = {}
         for i in wave:
             stream, values = jobs[i][:2]
@@ -248,36 +248,33 @@ def _score_configurations(jobs):
                 by_shape.setdefault((len(atoms), count), []).append(
                     (i, j, [values[a] for a in atoms]))
         sums = {}
-        classes = {}
+        ranks = {}
         for (_, count), cells in by_shape.items():
             rows = _multiset_sums(np.array([cell_values for *_, cell_values in cells]), count)
             for (i, j, cell_values), row in zip(cells, rows):
-                sums[i, j] = row
-                classes[i, j] = _value_classes(cell_values, count)
+                ranks[i, j] = _representatives(cell_values, count)
+                sums[i, j] = row if len(ranks[i, j]) == len(row) else row[ranks[i, j]]
         groups = {}
         for i in wave:
-            groups.setdefault(shapes[i], []).append(i)
+            shape = tuple(len(ranks[i, j]) for j in range(len(jobs[i][0].counts)))
+            groups.setdefault(shape, []).append(i)
         for shape, members in groups.items():
             per_pass = max(1, SCORE_CHUNK // math.prod(shape))
             for first in range(0, len(members), per_pass):
                 batch = members[first:first + per_pass]
                 group_sums = [np.stack([sums[i, j] for i in batch]) for j in range(len(shape))]
-                group_classes = [
-                    None if all(classes[i, j] is None for i in batch) else np.array([
-                        range(size) if classes[i, j] is None else classes[i, j] for i in batch])
-                    for j, size in enumerate(shape)
-                ]
-                scored = _score_group([jobs[i] for i in batch], shape, group_sums, group_classes)
+                group_ranks = [[ranks[i, j] for j in range(len(shape))] for i in batch]
+                scored = _score_group([jobs[i] for i in batch], shape, group_sums, group_ranks)
                 for i, result in zip(batch, scored):
                     results[i] = result
     return results
 
 
-def _score_group(jobs, shape: tuple[int, ...], sums, classes):
-    """``_score_configurations`` for jobs whose cells hold ``shape[j]``
+def _score_group(jobs, shape: tuple[int, ...], sums, ranks):
+    """``_score_configurations`` for jobs whose cells keep ``shape[j]``
     multisets each, one row per job: ``sums[j]`` holds cell j's multiset
-    sums, a row per job, and ``classes[j]`` their value classes (None
-    when every multiset is its own class).
+    sums, a row per job, and ``ranks[r][j]`` the enumeration rank of each
+    multiset row r keeps in cell j.
 
     Approximate scores |t/N - I| come from outer-adding the cell sums in
     C order behind the row axis, so a flat index in a row is a
@@ -321,16 +318,10 @@ def _score_group(jobs, shape: tuple[int, ...], sums, classes):
         # (nonzero on the 2-D mask is some 30 times slower than this.)
         candidates = np.flatnonzero(scores >= (top - 2 * delta)[:, None]) + first * width
         hit_rows, *positions = np.unravel_index(candidates, (n_rows, *shape))
-        # a candidate's entry in a class table sits size * row entries in,
-        # which one row (every stream above SCORE_CHUNK) does without
-        keys = np.ravel_multi_index(
-            [hit_rows, *(p if c is None else np.take(c, p if n_rows == 1 else hit_rows * size + p)
-                         for c, p, size in zip(classes, positions, shape))],
-            (n_rows, *shape))
-        representatives = np.sort(np.unique(keys, return_index=True)[1])
-        for r, *position in zip(*(a[representatives].tolist() for a in (hit_rows, *positions))):
+        for r, *position in zip(*(a.tolist() for a in (hit_rows, *positions))):
             stream, values, n, integral = jobs[r]
-            config = tuple(map(_multiset_at, stream.cells, stream.counts, position))
+            config = tuple(map(_multiset_at, stream.cells, stream.counts,
+                               map(getitem, ranks[r], position)))
             err = abs(math.fsum(values[a] for cell in config for a in cell) / n - integral)
             if err > results[r][0]:
                 results[r] = (err, config)
@@ -365,13 +356,20 @@ def _worst_uniform_error(table: CellTable) -> float:
     return max(up, down, 0.0)
 
 
-def _atom_values(f: FunctionModel, space: FiniteSpace, n_points: int,
+def _atom_values(f: FunctionModel, space: FiniteSpace, n_points: int, n_cells: int,
                  instance_id: str) -> list[float]:
-    """f at every atom, one evaluate call each; refused when sums of
-    ``n_points`` of them could overflow (SCORE_SUM_LIMIT)."""
+    """f at every atom, one evaluate call each; refused when the scorer's
+    sums of ``n_points`` of them could overflow.
+
+    With M = max |value| and k = ``n_cells``, an approximate sum passes
+    through at most N + k - 2 roundings and the exact rescoring's fsum
+    keeps its partials within a rounding of the running sum, so every
+    sum stays within NM(1 + (N + k + 4)u); twice that margin below the
+    largest double keeps them finite (fsum would raise OverflowError).
+    """
     values = [f.evaluate(i) for i in range(space.n_atoms)]
     reach = n_points * max(map(abs, values))
-    if reach > SCORE_SUM_LIMIT:
+    if reach > sys.float_info.max / (1 + 2 * (n_points + n_cells + 4) * 2.0**-53):
         raise QmcBoundsError(
             f"instance {instance_id!r}: N * max|value| = {reach!r} could overflow the "
             f"sums of N atom values")
@@ -387,7 +385,7 @@ def worst_case_error(space: FiniteSpace, partition: Partition, f: FunctionModel,
     """
     stream = enumerate_uniform(space, partition, n_points, cap)
     integral = f.integral(space)
-    values = _atom_values(f, space, n_points, "")
+    values = _atom_values(f, space, n_points, len(stream.counts), "")
     return _score_configurations([(stream, values, n_points, integral)])[0]
 
 
@@ -422,9 +420,12 @@ def verify_instances(instances: Sequence[Instance],
         stream = enumerate_uniform(space, partition, n_points, cap)
         # one range per cell serves the bounds and the closed form alike
         table = cell_table(f, partition, integrals=True)
-        bounds = _bounds_from_table(table)
+        try:
+            bounds = _bounds_from_table(table)
+        except QmcBoundsError as exc:
+            raise QmcBoundsError(f"instance {instance.instance_id!r}: {exc}") from None
         integral = f.integral(space)
-        values = _atom_values(f, space, n_points, instance.instance_id)
+        values = _atom_values(f, space, n_points, len(stream.counts), instance.instance_id)
         jobs.append((stream, values, n_points, integral))
         checks.append((bounds, _worst_uniform_error(table),
                        certification_slack(table, integral, stream.counts)))

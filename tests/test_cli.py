@@ -356,7 +356,8 @@ def test_bounds_rejects_a_range_whose_width_overflows(runner, tmp_path):
 
 @pytest.mark.parametrize("values, message", [
     # a traceback: OverflowError: intermediate overflow in fsum
-    ([1.7e308, -1.7e308], "cell 0 has the range [-1.7e+308, 1.7e+308], whose width overflows"),
+    ([1.7e308, -1.7e308],
+     "instance 'big': cell 0 has the range [-1.7e+308, 1.7e+308], whose width overflows"),
     # a finite range, but two nodes of 1.7e308 sum past the largest double
     ([1.7e308, 1.6e308], "instance 'big': N * max|value| = inf could overflow"),
 ], ids=["width", "sum"])
@@ -370,6 +371,20 @@ def test_verify_rejects_sums_that_overflow(runner, tmp_path, values, message):
     result = runner.invoke(main, ["verify", "--config", config])
     assert result.exit_code == 2, result.output
     assert message in result.stderr
+
+
+def test_verify_accepts_sums_just_below_the_largest_double(runner, tmp_path):
+    # every sum of three values is at most 1.797e308, which is finite, so
+    # N * max|value| above half the largest double is no reason to refuse
+    instance = {"instance_id": "big",
+                "space": {"kind": "finite", "atoms": [["a", 0.5], ["b", 0.5]]},
+                "partition": {"cells": [{"atoms": [0, 1]}]},
+                "function": {"family": "finite_table", "params": {"values": [0.599e308, 0.3e308]}},
+                "N": 3}
+    config = write_json(tmp_path / "big.json", instance)
+    result = runner.invoke(main, ["verify", "--config", config])
+    assert result.exit_code == 0, result.output
+    assert '"passed": 1, "failed": 0' in result.stdout
 
 
 @pytest.mark.parametrize("patched, check", [

@@ -491,6 +491,23 @@ def test_scoring_does_no_python_work_per_multiset(monkeypatch):
                                                        space, f, 16)
 
 
+def test_a_constant_function_scores_one_configuration(monkeypatch):
+    # 4 cells of 4 tied atoms, N = 16: 1,500,625 configurations, one
+    # multiset of values per cell, so one configuration is rescored
+    space = make_finite_space([(f"a{i}", 1 / 16) for i in range(16)])
+    p = make_partition(space, [FiniteCell(tuple(range(4 * j, 4 * j + 4))) for j in range(4)])
+    f = FunctionModel(FiniteTable((0.5,) * 16, space.labels))
+    unranked = []
+    real = oracle._multiset_at
+    monkeypatch.setattr(oracle, "_multiset_at",
+                        lambda *args: unranked.append(args) or real(*args))
+    verdict = verify_bounds_exhaustive(space, p, f, 16)
+    assert verdict.total_configurations == 1_500_625
+    assert (verdict.worst_error, verdict.argmax_configuration) == (0.0, ((0,) * 4, (4,) * 4,
+                                                                        (8,) * 4, (12,) * 4))
+    assert len(unranked) == 4
+
+
 @pytest.mark.parametrize("n_atoms, count",
                          [(1, 0), (1, 3), (2, 2), (3, 1), (4, 4), (6, 5), (40, 3)])
 def test_multiset_helpers_follow_the_enumeration_order(n_atoms, count):
@@ -692,6 +709,30 @@ def test_verify_passes_at_every_magnitude(case):
     verdict = verify_bounds_exhaustive(space, partition, f, n_points)
     assert verdict.passed
     assert math.isfinite(verdict.tightness)
+
+
+@pytest.mark.parametrize("n_points", [1, 3, 16])
+def test_verify_accepts_sums_up_to_the_largest_double(n_points):
+    # stepping down from M = DBL_MAX / N, the values (M, M / 2) are
+    # refused until their sums of N values surely stay finite, a few
+    # dozen ulps below; the first accepted M scores without overflow
+    space = make_finite_space([("a", 0.5), ("b", 0.5)])
+    p = make_partition(space, [FiniteCell((0, 1))])
+    magnitude = sys.float_info.max / n_points
+    for _ in range(100):
+        f = FunctionModel(FiniteTable((magnitude, magnitude / 2), space.labels))
+        try:
+            verdict = verify_bounds_exhaustive(space, p, f, n_points, instance_id="big")
+            break
+        except QmcBoundsError as exc:
+            assert "instance 'big': N * max|value|" in str(exc)
+            magnitude = math.nextafter(magnitude, 0.0)
+    else:
+        pytest.fail("no magnitude below DBL_MAX / N was accepted")
+    assert magnitude > sys.float_info.max / n_points * (1 - 1e-13)
+    assert verdict.passed
+    assert abs(verdict.worst_error - magnitude / 4) <= verdict.slack
+    assert worst_case_error(space, p, f, n_points)[0] == verdict.worst_error
 
 
 def test_verify_passes_with_values_near_1e9():
