@@ -42,7 +42,6 @@ from .oracle import (
     random_instance,
     small_exhaustive_suite,
     verify_bounds_exhaustive,
-    verify_instance,
     verify_instances,
     worst_case_error,
     worst_uniform_error,

@@ -87,7 +87,6 @@ from .spaces import (
     FiniteSpace,
     Partition,
     Space,
-    box_edges,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -494,7 +493,7 @@ class PiecewiseConstant:
             raise OutOfDomainError(f"cell {cell!r} meets no piece with positive measure")
         return min(hits), max(hits)
 
-    def integral_over(self, cell: Cell, space: Space) -> float:
+    def integral_over(self, cell: Cell) -> float:
         return math.fsum(
             v * self._overlap_measure(piece, cell)
             for piece, v in zip(self.partition.cells, self.values)
@@ -528,9 +527,6 @@ class FiniteTable:
             raise OutOfDomainError(f"expected a finite cell, got {cell!r}")
         vals = [self.values[a] for a in cell.atoms]
         return min(vals), max(vals)
-
-    def integral_over(self, cell: FiniteCell, space: FiniteSpace) -> float:
-        return math.fsum(space.weights[a] * self.values[a] for a in cell.atoms)
 
 
 BaseFunction = Union[Affine, Quadratic, Sinusoid, PiecewiseConstant, FiniteTable]
@@ -632,43 +628,42 @@ class FunctionModel:
 
     def integral(self, space: Space) -> float:
         """Integral over the whole space; spikes are null and ignored."""
-        base = self.base
         if isinstance(space, FiniteSpace):
             if not self.is_finite:
                 raise OutOfDomainError("cube-family model integrated over a finite space")
+            base = self.base
             return math.fsum(
                 space.weights[i] * base.evaluate(i) for i in range(space.n_atoms)
             )
-        if self.is_finite:
-            raise OutOfDomainError("finite-space model integrated over a cube space")
         d = space.dimension
-        return self._box_integral(BoxCell((0.0,) * d, (1.0,) * d), space)
+        return self.cell_integral(BoxCell((0.0,) * d, (1.0,) * d), space)
 
     def cell_integral(self, cell: Cell, space: Space) -> float:
         """Integral restricted to one cell."""
         base = self.base
         if isinstance(space, FiniteSpace):
+            if not self.is_finite:
+                raise OutOfDomainError("cube-family model integrated over a finite space")
             if not isinstance(cell, FiniteCell):
                 raise OutOfDomainError("finite space needs finite cells")
             return math.fsum(space.weights[a] * base.evaluate(a) for a in cell.atoms)
-        return self._box_integral(cell, space)
+        if self.is_finite:
+            raise OutOfDomainError("finite-space model integrated over a cube space")
+        cell = _require_box(cell, base.dimension)
+        if isinstance(base, PiecewiseConstant):
+            return base.integral_over(cell)
+        # the one-cell case of the family's list pass over edge lists
+        return base.integrals([[l] for l in cell.lower], [[u] for u in cell.upper])[0]
 
     def cell_integrals(self, partition: Partition) -> list[float]:
         """cell_integral of every cell of the partition, in cell order.
 
         A continuous family integrates over the partition's per-axis edge
-        lists (``box_edges``) in one list pass, with the bits of the
+        lists (``partition.edges``) in one list pass, with the bits of the
         one-cell case; the jump families and finite spaces take the cells
         one at a time.
         """
         space = partition.space
         if isinstance(self.base, _CONTINUOUS_FAMILIES) and isinstance(space, CubeSpace):
-            return self.base.integrals(*box_edges(partition))
+            return self.base.integrals(*partition.edges)
         return [self.cell_integral(cell, space) for cell in partition.cells]
-
-    def _box_integral(self, cell: BoxCell, space: CubeSpace) -> float:
-        base = self.base
-        if isinstance(base, _CONTINUOUS_FAMILIES):
-            # the one-cell case of the family's list pass over edge lists
-            return base.integrals([[l] for l in cell.lower], [[u] for u in cell.upper])[0]
-        return base.integral_over(cell, space)

@@ -148,6 +148,12 @@ def _need(obj: dict, key: str, context: str):
     return obj[key]
 
 
+def _need_list(value, key: str, context: str) -> list:
+    if not isinstance(value, list):
+        raise InstanceFormatError(f"{context}: field {key!r} must be a list, got {value!r}")
+    return value
+
+
 def space_from_json(obj: dict) -> Space:
     kind = _need(obj, "kind", "space")
     if kind == "finite":
@@ -247,7 +253,7 @@ def function_from_json(obj: dict, space: Space,
             f"function: malformed params for {family!r}: {exc}"
         ) from exc
     spikes = []
-    for entry in obj.get("spikes", []):
+    for entry in _need_list(obj.get("spikes", []), "spikes", "function"):
         try:
             point, value = entry
             spikes.append((tuple(float(c) for c in point), float(value)))
@@ -264,7 +270,8 @@ def instance_from_json(obj: dict) -> Instance:
         raise InstanceFormatError(f"instance: expected an object, got {type(obj).__name__}")
     space = space_from_json(_need(obj, "space", "instance"))
     partition_obj = _need(obj, "partition", "instance")
-    cells = [cell_from_json(c, space) for c in _need(partition_obj, "cells", "partition")]
+    cells = _need_list(_need(partition_obj, "cells", "partition"), "cells", "partition")
+    cells = [cell_from_json(c, space) for c in cells]
     try:
         partition = make_partition(space, cells)
     except QmcBoundsError as exc:

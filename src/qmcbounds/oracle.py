@@ -458,12 +458,6 @@ def verify_bounds_exhaustive(space: FiniteSpace, partition: Partition,
     return verify_instances([Instance(instance_id, space, partition, f, n_points)], cap)[0]
 
 
-def verify_instance(instance: Instance,
-                    cap: int = DEFAULT_ENUMERATION_CAP) -> VerificationVerdict:
-    """``verify_instances`` of one instance."""
-    return verify_instances([instance], cap)[0]
-
-
 def minimax_distance_finite(space: FiniteSpace, family, f: FunctionModel) -> MinimaxCertificate:
     """Exact discrete minimax over the span of a family of finite cells.
 

@@ -30,12 +30,11 @@ from .errors import (
 )
 from .spaces import (
     BoxCell,
+    EdgeLists,
     FiniteCell,
     FiniteSpace,
     Partition,
     Space,
-    box_edges,
-    cell_edges,
     partition_hash,
 )
 
@@ -86,19 +85,13 @@ def _smallest_feasible(measures: Sequence[float], n_points: int) -> int | None:
 def allocation(partition: Partition, n_points: int) -> tuple[int, ...]:
     """Exact per-cell node counts N * measure(M_j), or a feasibility error.
 
-    Accepted counts are kept on the partition, so asking again for the
-    same N costs one lookup; a failure is worked out again every time.
+    Accepted counts are kept in ``partition.allocations``, so asking
+    again for the same N costs one lookup; a failure is worked out again
+    every time.
     """
     if n_points < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")
-    cache = getattr(partition, "_allocations", None)
-    if cache is None:
-        # Set as make_partition sets _slabs; a cached_property would build
-        # the instance __dict__, which halves the speed of every later
-        # attribute read on the partition.  Not a field, so equality,
-        # hashing and repr ignore it.
-        cache = {}
-        object.__setattr__(partition, "_allocations", cache)
+    cache = partition.allocations
     counts = cache.get(n_points)
     if counts is not None:
         return counts
@@ -153,12 +146,12 @@ class UniformityReport:
 
 def _place_in_boxes(cells: Sequence[BoxCell], counts: Sequence[int], strategy: str,
                     rng: random.Random, avoid: frozenset,
-                    edges=None) -> list[tuple[float, ...]]:
+                    edges: EdgeLists) -> list[tuple[float, ...]]:
     """Nodes for every box cell in cell order, counts[j] of them in cell j.
 
-    ``edges`` is the cells' per-axis ``(lowers, uppers)`` pair that
-    ``spaces.box_edges`` returns; seeded placement reads its first tries'
-    bounds from it, and from ``spaces.cell_edges(cells)`` when it is None.
+    ``edges`` is the cells' per-axis ``(lowers, uppers)`` pair, a cube
+    partition's ``edges``; seeded placement reads its first tries' bounds
+    from it.
 
     Seeded placement draws each node as ``lo + (hi - lo) * random()`` per
     axis, which is ``random.uniform(lo, hi)`` bit for bit, and redraws a
@@ -189,7 +182,7 @@ def _place_in_boxes(cells: Sequence[BoxCell], counts: Sequence[int], strategy: s
         return nodes
     # Every node's first try at once, drawn in node order and axis order
     # as the loop below would draw them, so axis i reads every dim-th draw.
-    lowers, uppers = cell_edges(cells) if edges is None else edges
+    lowers, uppers = edges
     dim = len(lowers)
     draws = list(islice(iter(rng.random, 1.0), sum(counts) * dim))  # random() < 1.0
     # With one node per cell (the refinement and perturbation runs) the
@@ -257,9 +250,8 @@ def construct_uniform(partition: Partition, n_points: int,
             nodes.extend(_place_in_finite_cell(cell, count, strategy, rng))
     else:
         avoid = frozenset(space.as_point(p) for p in avoid_points)
-        # only seeded placement reads the edges
-        edges = box_edges(partition) if strategy == STRATEGY_RANDOM else None
-        nodes = _place_in_boxes(partition.cells, counts, strategy, rng, avoid, edges)
+        nodes = _place_in_boxes(partition.cells, counts, strategy, rng, avoid,
+                                partition.edges)
     return UniformPointSet(tuple(nodes), counts, n_points)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from operator import lt, sub
 from typing import ClassVar, Mapping, Sequence, Union
@@ -226,7 +226,11 @@ def interval(a: float, b: float) -> BoxCell:
     return BoxCell((float(a),), (float(b),))
 
 
-def cell_edges(cells: Sequence[BoxCell]) -> tuple[list[list[float]], list[list[float]]]:
+# what cell_edges returns
+EdgeLists = tuple[list[list[float]], list[list[float]]]
+
+
+def cell_edges(cells: Sequence[BoxCell]) -> EdgeLists:
     """Per-axis edge lists ``(lowers, uppers)`` of boxes: box j is
     [lowers[i][j], uppers[i][j]) on axis i."""
     axes = range(cells[0].dimension)
@@ -234,8 +238,9 @@ def cell_edges(cells: Sequence[BoxCell]) -> tuple[list[list[float]], list[list[f
             [[c.upper[a] for c in cells] for a in axes])
 
 
-def _sweep(cells: Sequence[BoxCell]):
-    """Slab index of disjoint boxes; OverlapError on a positive-volume overlap.
+def _sweep(edges: EdgeLists):
+    """Slab index of disjoint boxes given by their per-axis edge lists
+    (``cell_edges``); OverlapError on a positive-volume overlap.
 
     Boxes are visited by lower edge on axis 0; at each distinct edge the
     boxes ending at or before it leave the active list, and the boxes
@@ -253,7 +258,7 @@ def _sweep(cells: Sequence[BoxCell]):
     in ``[edges[i], edges[i + 1])`` (or is 1.0, for the last edge) is
     in slab ``i``.
     """
-    lowers, uppers = cell_edges(cells)
+    lowers, uppers = edges
     last = len(lowers) - 1
 
     def sweep(members, axis):
@@ -276,7 +281,7 @@ def _sweep(cells: Sequence[BoxCell]):
             return edges, [slab[0] for slab in slabs]
         return edges, [sweep(slab, axis + 1) for slab in slabs]
 
-    return sweep(range(len(cells)), 0)
+    return sweep(range(len(lowers[0])), 0)
 
 
 def _validate_cell(space: Space, cell: Cell, index: int) -> float:
@@ -306,11 +311,26 @@ def _validate_cell(space: Space, cell: Cell, index: int) -> float:
 
 @dataclass(frozen=True)
 class Partition:
-    """An ordered, validated partition of a space into cells."""
+    """An ordered, validated partition of a space into cells.
+
+    Built by ``make_partition``, or by ``equal_partition_1d`` for k
+    equal cells of [0, 1].  A cube partition also holds the per-axis
+    edge lists of its cells (``edges``, as ``cell_edges`` gives them),
+    which passes over every cell read in place of the cells, and the
+    slab index that ``_sweep`` builds from those lists (``slabs``),
+    which cell lookup walks; a finite partition holds None for both.
+    ``allocations`` keeps the per-cell counts that
+    ``pointsets.allocation`` accepted, by N.  Equality, hashing and repr
+    ignore all three.
+    """
 
     space: Space
     cells: tuple[Cell, ...]
     measures: tuple[float, ...]
+    edges: EdgeLists | None = field(compare=False, repr=False)
+    slabs: tuple | None = field(compare=False, repr=False)
+    allocations: dict[int, tuple[int, ...]] = field(
+        init=False, compare=False, repr=False, default_factory=dict)
 
     @property
     def k(self) -> int:
@@ -328,17 +348,9 @@ class Partition:
         disjoint as sets, so the answer is the scan's.  The test rejects
         points in gaps the cover tolerance lets through.
         """
-        if isinstance(self.space, FiniteSpace):
+        node = self.slabs
+        if node is None:
             return next((j for j, c in enumerate(self.cells) if c.contains(point)), None)
-        try:
-            node = self._slabs
-        except AttributeError:
-            # The cube constructors store the index they validated with; a
-            # Partition built directly sweeps on its first lookup.  Set as
-            # the constructors set it, not as a field, so equality, hashing
-            # and repr ignore it.
-            node = _sweep(self.cells)
-            object.__setattr__(self, "_slabs", node)
         for c in point:
             edges, children = node
             i = bisect_right(edges, c) - 1
@@ -372,14 +384,13 @@ def make_partition(space: Space, cells: Sequence[Cell]) -> Partition:
         missing = [a for a in range(space.n_atoms) if a not in seen]
         if missing:
             raise CoverError(f"atoms {missing} belong to no cell")
-        return Partition(space, cells, measures)
-    slabs = _sweep(cells)
+        return Partition(space, cells, measures, None, None)
+    edges = cell_edges(cells)
+    slabs = _sweep(edges)
     total = math.fsum(measures)
     if abs(total - 1.0) > MASS_TOL:
         raise CoverError(f"cell volumes sum to {total!r}, expected 1")
-    partition = Partition(space, cells, measures)
-    object.__setattr__(partition, "_slabs", slabs)
-    return partition
+    return Partition(space, cells, measures, edges, slabs)
 
 
 def equal_partition_1d(k: int) -> Partition:
@@ -392,11 +403,6 @@ def equal_partition_1d(k: int) -> Partition:
     no sweep either: they are already sorted by lower edge, and the slab
     index of ordered disjoint intervals is their lower edges with slab j
     holding cell j.  Each measure is hi - lo, the float volume() gives.
-
-    The partition keeps its edge lists, which ``box_edges`` returns, so
-    that passes over every cell (integrals, node placement) read two
-    lists instead of k cells.  Like ``_slabs`` they are not a field:
-    equality, hashing and repr ignore them.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -416,23 +422,8 @@ def equal_partition_1d(k: int) -> Partition:
     for cell, lower, upper in zip(cells, zip(lowers), zip(uppers)):
         set_lower(cell, lower)
         set_upper(cell, upper)
-    partition = Partition(make_cube_space(1), cells, measures)
-    object.__setattr__(partition, "_slabs", (lowers, range(k)))
-    object.__setattr__(partition, "_edges", ([lowers], [uppers]))
-    return partition
-
-
-def box_edges(partition: Partition) -> tuple[list[list[float]], list[list[float]]]:
-    """Per-axis edge lists ``(lowers, uppers)`` of a cube partition: cell
-    j is [lowers[i][j], uppers[i][j]) on axis i.
-
-    ``equal_partition_1d`` keeps its lists; any other partition's are
-    read from its cells.
-    """
-    try:
-        return partition._edges
-    except AttributeError:
-        return cell_edges(partition.cells)
+    return Partition(make_cube_space(1), cells, measures, ([lowers], [uppers]),
+                     (lowers, range(k)))
 
 
 def _canonical_cell_text(cell: Cell) -> str:

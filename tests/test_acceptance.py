@@ -34,7 +34,7 @@ from qmcbounds import (
     qmc_estimate,
     random_instance,
     small_exhaustive_suite,
-    verify_instance,
+    verify_instances,
     worst_uniform_error,
 )
 from qmcbounds.experiments import named_function
@@ -65,7 +65,7 @@ def test_a1_exhaustive_suite_sound(capsys):
     if len(suite) < 500:
         failures.append(f"suite holds {len(suite)} instances, need >= 500")
     for inst in suite:
-        verdict = verify_instance(inst)
+        verdict = verify_instances([inst])[0]
         b = verdict.bounds
         if not verdict.passed:
             failures.append(f"{inst.instance_id}: worst {verdict.worst_error} "

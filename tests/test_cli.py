@@ -165,6 +165,20 @@ def test_config_that_is_not_utf8_exits_2(runner, tmp_path, command):
     assert f"cannot read {config}:" in result.stderr
 
 
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+@pytest.mark.parametrize("section, key, value", [("partition", "cells", 5),
+                                                 ("function", "spikes", 3)])
+def test_config_with_a_field_that_is_no_list_exits_2(runner, tmp_path, command,
+                                                     section, key, value):
+    # each printed a traceback with exit 1, the "check failed" code
+    obj = json.loads(json.dumps(X2_INSTANCE))
+    obj[section][key] = value
+    config = write_json(tmp_path / "bad.json", obj)
+    result = runner.invoke(main, [command, "--config", config])
+    assert result.exit_code == 2, result.output
+    assert f"{section}: field {key!r} must be a list, got {value}" in result.stderr
+
+
 def test_verify_rejects_cube_instance(runner, tmp_path):
     config = write_json(tmp_path / "cube.json", X2_INSTANCE)
     result = runner.invoke(main, ["verify", "--config", config])

@@ -404,6 +404,30 @@ def test_integral_affine_2d():
     assert f.integral(space) == 4.0
 
 
+TWO_ATOMS = make_finite_space([("a", 0.5), ("b", 0.5)])
+
+
+@pytest.mark.parametrize("f, cell, space", [
+    (FunctionModel(FiniteTable((1.0, 2.0))), interval(0, 1), make_cube_space(1)),
+    (X, FiniteCell((0, 1)), TWO_ATOMS),
+    (X, FiniteCell((0, 1)), make_cube_space(1)),
+    (X, box((0, 1), (0, 1)), make_cube_space(2)),
+    (FunctionModel(PiecewiseConstant(equal_partition_1d(2), (1.0, 4.0))),
+     box((0, 1), (0, 1)), make_cube_space(2)),
+], ids=["table-on-cube", "affine-on-atoms", "atoms-in-cube", "2d-box-1d-affine",
+        "2d-box-1d-pieces"])
+def test_cell_integral_refuses_a_cell_or_space_of_another_kind(f, cell, space):
+    # each raised AttributeError or TypeError, or integrated the 2-D box
+    # over its first axis alone
+    with pytest.raises(OutOfDomainError):
+        f.cell_integral(cell, space)
+
+
+def test_integral_refuses_a_cube_of_another_dimension():
+    with pytest.raises(OutOfDomainError):
+        X.integral(make_cube_space(2))
+
+
 def test_piecewise_constant_normalises_each_point_once(monkeypatch):
     p = equal_partition_1d(4)
     f = FunctionModel(PiecewiseConstant(p, (1.0, 2.0, 3.0, 4.0)))

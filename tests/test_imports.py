@@ -1,5 +1,6 @@
-"""Every module uses every name it imports, and every name the
-benchmark's tracer looks up exists.
+"""Every module uses every name it imports, every name the benchmark's
+tracer looks up exists, and the package sets frozen fields only while
+building an object.
 
 No linter is part of the toolchain, so this walks the syntax trees of
 the package, its tests and its benchmark with the standard library's
@@ -42,6 +43,46 @@ def test_no_unused_imports():
     assert SOURCES
     unused = [entry for path in SOURCES for entry in unused_imports(path)]
     assert unused == []
+
+
+def stray_frozen_sets(path):
+    """Uses of ``object.__setattr__`` outside ``__init__`` and
+    ``__post_init__``, or with a first argument other than ``self``.
+
+    That call gets past a frozen dataclass's ``__setattr__``; in the
+    constructor it sets the object's own fields, anywhere else it
+    attaches state that no field declares.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = set()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "__setattr__"
+                    and isinstance(child.value, ast.Name) and child.value.id == "object"
+                    and function not in ("__init__", "__post_init__")):
+                found.add(child.lineno)
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "__setattr__"
+                    and isinstance(child.func.value, ast.Name)
+                    and child.func.value.id == "object"
+                    and not (child.args and isinstance(child.args[0], ast.Name)
+                             and child.args[0].id == "self")):
+                found.add(child.lineno)
+            visit(child, function)
+
+    visit(tree, None)
+    return [f"{path.relative_to(ROOT)}:{line}" for line in sorted(found)]
+
+
+def test_frozen_fields_are_set_only_in_constructors():
+    paths = sorted(ROOT.glob("src/qmcbounds/*.py"))
+    assert paths
+    stray = [entry for path in paths for entry in stray_frozen_sets(path)]
+    assert stray == []
 
 
 def test_traced_layers_resolve():

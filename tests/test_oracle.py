@@ -31,7 +31,6 @@ from qmcbounds import (
     random_instance,
     small_exhaustive_suite,
     verify_bounds_exhaustive,
-    verify_instance,
     verify_instances,
     worst_case_error,
     worst_uniform_error,
@@ -230,7 +229,7 @@ def test_random_instance_deterministic_and_valid():
 
 def test_random_instance_verifies():
     for seed in (0, 1, 2, 3, 4):
-        verdict = verify_instance(random_instance(seed))
+        verdict = verify_instances([random_instance(seed)])[0]
         assert verdict.passed
 
 
@@ -249,7 +248,7 @@ def test_verify_instance_needs_n():
     stripped = type(inst)(inst.instance_id, inst.space, inst.partition,
                           inst.function, None)
     with pytest.raises(QmcBoundsError):
-        verify_instance(stripped)
+        verify_instances([stripped])
 
 
 # --- the vectorised scorer --------------------------------------------------

@@ -1,5 +1,6 @@
 """Allocation, construction, uniformity checks, enumeration, text format."""
 
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -30,6 +31,7 @@ from qmcbounds import (
 )
 from qmcbounds import pointsets
 from qmcbounds.pointsets import STRATEGIES, STRATEGY_RANDOM
+from qmcbounds.spaces import cell_edges
 from oracles import brute_force_uniform_configs, per_cell_counts, sequential_seeded_placement
 
 
@@ -161,7 +163,14 @@ def test_allocation_cache_is_not_part_of_the_partition():
     fresh = equal_partition_1d(4)
     text = repr(p)
     allocation(p, 8)
+    assert p.allocations == {8: (2, 2, 2, 2)} and fresh.allocations == {}
     assert p == fresh and hash(p) == hash(fresh) and repr(p) == text
+    # nor are the edge lists and the slab index: without them, and with
+    # no allocations, the partition still compares, hashes and prints
+    # the same
+    bare = dataclasses.replace(p, edges=None, slabs=None)
+    assert (bare.edges, bare.slabs, bare.allocations) == (None, None, {})
+    assert bare == p and hash(bare) == hash(p) and repr(bare) == text
 
 
 def test_allocation_failure_raises_on_every_call():
@@ -293,14 +302,14 @@ def test_seeded_placement_in_cells_one_ulp_wide(seed):
              BoxCell((0.0, lo), (1.0, ulp))]
     counts = [2, 5, 1, 0]
     nodes = pointsets._place_in_boxes(cells[:3], counts[:3], STRATEGY_RANDOM,
-                                      random.Random(seed), frozenset())
+                                      random.Random(seed), frozenset(), cell_edges(cells[:3]))
     assert _as_hex(nodes) == _as_hex(
         sequential_seeded_placement(cells[:3], counts[:3], seed))
     assert nodes[2:7] == [(lo,)] * 5
     # the same squeeze on axis 1 of a 2-D box, between two ordinary cells
     flat = [BoxCell((0.0, 0.0), (0.5, lo)), cells[3], BoxCell((0.0, ulp), (1.0, 1.0))]
     nodes = pointsets._place_in_boxes(flat, [3, 4, 3], STRATEGY_RANDOM,
-                                      random.Random(seed), frozenset())
+                                      random.Random(seed), frozenset(), cell_edges(flat))
     assert _as_hex(nodes) == _as_hex(sequential_seeded_placement(flat, [3, 4, 3], seed))
     assert all(node[1] == lo for node in nodes[3:7])
 
@@ -311,7 +320,7 @@ def test_seeded_placement_keeps_nodes_on_the_closed_face():
     below = math.nextafter(1.0, 0.0)
     cells = [BoxCell((0.0,), (below,)), BoxCell((below,), (1.0,))]
     nodes = pointsets._place_in_boxes(cells, [1, 16], STRATEGY_RANDOM,
-                                      random.Random(3), frozenset())
+                                      random.Random(3), frozenset(), cell_edges(cells))
     reference = sequential_seeded_placement(cells, [1, 16], 3)
     assert _as_hex(nodes) == _as_hex(reference)
     assert (1.0,) in nodes and (below,) in nodes

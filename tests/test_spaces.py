@@ -271,8 +271,8 @@ def test_equal_partition_matches_make_partition(monkeypatch):
         assert built.cells == checked.cells
         assert [m.hex() for m in built.measures] == [m.hex() for m in checked.measures]
         # the stored index is the one the sweep builds
-        edges, children = built._slabs
-        assert (edges, list(children)) == checked._slabs
+        edges, children = built.slabs
+        assert (edges, list(children)) == checked.slabs
         edges = edges + [1.0]
         for t in [0.0, *edges, 1.0, *(rng.random() for _ in range(50))]:
             assert built.cell_index_of(t) == checked.cell_index_of(t)
@@ -303,6 +303,19 @@ def test_grid_lookup_scans_one_column(monkeypatch):
             assert calls <= n
 
 
+def _plain_index(index):
+    """A slab index with its children as lists, for comparison."""
+    edges, children = index
+    return list(edges), [c if isinstance(c, int) else _plain_index(c) for c in children]
+
+
+def assert_stored_geometry(p):
+    """A cube partition holds its cells' edge lists and the slab index
+    the sweep builds from them."""
+    assert p.edges == spaces.cell_edges(p.cells)
+    assert _plain_index(p.slabs) == _plain_index(spaces._sweep(p.edges))
+
+
 @st.composite
 def nested_splits(draw):
     """A random nested box split of [0, 1]^d, cells in shuffled order."""
@@ -326,6 +339,7 @@ def nested_splits(draw):
 def test_sweep_index_matches_linear_scan(family, data):
     d, boxes = family
     p = make_partition(make_cube_space(d), [BoxCell(lo, hi) for lo, hi in boxes])
+    assert_stored_geometry(p)
     edges = [sorted({c for lo, hi in boxes for c in (lo[a], hi[a])}) for a in range(d)]
     unit = st.floats(min_value=0.0, max_value=1.0)
     for _ in range(30):
@@ -335,6 +349,21 @@ def test_sweep_index_matches_linear_scan(family, data):
             expected = scan_cell_index(boxes, point)
             assert expected is not None
             assert p.cell_index_of(point) == expected
+
+
+@pytest.mark.parametrize("build, arg", [
+    (_line, 1), (_line, 64), (_grid, 1), (_grid, 8),
+    (equal_partition_1d, 1), (equal_partition_1d, 7), (equal_partition_1d, 1024),
+], ids=["line1", "line64", "grid1", "grid8", "equal1", "equal7", "equal1024"])
+def test_cube_partitions_hold_edges_and_slab_index(build, arg):
+    assert_stored_geometry(build(arg))
+
+
+def test_finite_partitions_hold_no_edges_or_slab_index():
+    space = make_finite_space([("a", 0.25), ("b", 0.25), ("c", 0.5)])
+    p = make_partition(space, [FiniteCell((2,)), FiniteCell((0, 1))])
+    assert p.edges is None and p.slabs is None
+    assert [p.cell_index_of(a) for a in "abc"] == [1, 1, 0]
 
 
 @contextlib.contextmanager
