@@ -21,7 +21,7 @@ from typing import Sequence
 from .bounds import _bounds_from_table, bound_set, cell_table
 from .errors import QmcBoundsError
 from .estimator import integration_error, qmc_estimate
-from .funcmodel import Affine, FunctionModel, Quadratic, Sinusoid
+from .funcmodel import Affine, FunctionModel, Quadratic, Sinusoid, axis_samples
 from .instances import Instance, instance_to_json
 from .oracle import _worst_uniform_error, verify_instances, worst_uniform_error
 from .pointsets import DEFAULT_ENUMERATION_CAP, STRATEGY_RANDOM, construct_uniform
@@ -100,19 +100,18 @@ def convergence_table(f: FunctionModel, depth: int, strategy: str,
 def naive_pointwise_s(f: FunctionModel, partition: Partition) -> float:
     """Deliberately wrong baseline: the worst-cell POINTWISE oscillation.
 
-    Samples NAIVE_RESOLUTION + 1 grid points per cell and, unlike the
-    essential machinery, includes the spike coordinates, so a single
-    spike inflates it.  This is the foil the perturbation study reports
-    against the certified bounds; it certifies nothing.
+    Samples NAIVE_RESOLUTION + 1 grid points per cell, as grid range
+    mode samples an axis, and, unlike the essential machinery, includes
+    the spike coordinates, so a single spike inflates it.  This is the
+    foil the perturbation study reports against the certified bounds; it
+    certifies nothing.
     """
     space = partition.space
     if not isinstance(space, CubeSpace) or space.dimension != 1:
         raise QmcBoundsError("the naive baseline study is one-dimensional")
     worst = 0.0
     for cell in partition.cells:
-        lo, hi = cell.lower[0], cell.upper[0]
-        step = (hi - lo) / NAIVE_RESOLUTION
-        ts = [lo + i * step for i in range(NAIVE_RESOLUTION)] + [hi]
+        ts = axis_samples(cell.lower[0], cell.upper[0], NAIVE_RESOLUTION)
         ts.extend(p[0] for p, _ in f.spikes if cell.contains(p))
         values = list(map(f.evaluate, zip(ts)))  # zip yields the points (t,)
         worst = max(worst, max(values) - min(values))

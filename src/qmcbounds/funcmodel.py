@@ -44,14 +44,15 @@ time takes, so ``cell_integral`` is its one-cell case, bit for bit.
 
 Grid range mode replaces the closed forms of the continuous families
 with sampled ranges over the regular grid of n + 1 points per axis
-(n = GridRangeMode.intervals_per_axis, the samples of each axis built by
-numpy.linspace).  Sampled values are genuine function values, so the
-reported hi under-estimates the essential supremum (and lo
-over-estimates the infimum) by at most eps = lipschitz * spacing / 2,
-which is attached to the result and propagates an exact=False flag into
-every derived bound.  The jump families (PiecewiseConstant, FiniteTable)
-have no Lipschitz constant and cheap exact ranges, so they ignore grid
-mode and stay exact.
+(n = GridRangeMode.intervals_per_axis).  axis_samples lists each axis's
+samples with numpy.linspace's arithmetic, so they are linspace's bits,
+and the families take their per-axis terms from those lists.  Sampled
+values are genuine function values, so the reported hi under-estimates
+the essential supremum (and lo over-estimates the infimum) by at most
+eps = lipschitz * spacing / 2, which is attached to the result and
+propagates an exact=False flag into every derived bound.  The jump
+families (PiecewiseConstant, FiniteTable) have no Lipschitz constant and
+cheap exact ranges, so they ignore grid mode and stay exact.
 
 The extremes over the (n + 1)^d grid points come from O(d n) work per
 cell, with the bits of the pointwise values.  Affine and Quadratic
@@ -128,9 +129,18 @@ class EssentialRange:
         return self.hi - self.lo
 
 
+# Most intervals per axis that grid mode samples a cell with.  Each cell
+# builds a list of intervals + 1 samples per axis, so the cap holds that
+# list to 65,537 floats (about 2 MB) and the sampling of a 3-D quadratic
+# cell to about 13 ms per axis on a 2-core x86-64 host.  A range that
+# needs a finer grid than that has the closed forms of exact mode.
+GRID_INTERVAL_LIMIT = 2**16
+
+
 @dataclass(frozen=True)
 class GridRangeMode:
-    """Sampled-range fallback: resolution * 2**levels intervals per axis."""
+    """Sampled-range fallback: resolution * 2**levels intervals per axis,
+    at most GRID_INTERVAL_LIMIT."""
 
     resolution: int = 64
     levels: int = 2
@@ -138,6 +148,12 @@ class GridRangeMode:
     def __post_init__(self):
         if self.resolution < 1 or self.levels < 0:
             raise ValueError("grid mode needs resolution >= 1 and levels >= 0")
+        # levels is tested first, so that 2**levels is never a huge number
+        if (self.levels >= GRID_INTERVAL_LIMIT.bit_length()
+                or self.intervals_per_axis > GRID_INTERVAL_LIMIT):
+            raise ValueError(f"grid mode samples resolution * 2**levels intervals per axis, "
+                             f"at most {GRID_INTERVAL_LIMIT}; got resolution "
+                             f"{self.resolution} and levels {self.levels}")
 
     @property
     def intervals_per_axis(self) -> int:
@@ -206,16 +222,32 @@ def _require_bounded(fields: str, quantity: str, magnitude: float,
                          f"above the limit {limit!r}")
 
 
+def axis_samples(lo: float, hi: float, n: int) -> list[float]:
+    """The n + 1 samples of [lo, hi] that numpy.linspace(lo, hi, n + 1)
+    takes, bit for bit: i * step + lo for i < n, then hi itself.
+
+    When the step rounds to zero (a subnormal width), linspace scales
+    i / n by the width instead, and so does this list.
+    """
+    width = hi - lo
+    step = width / n
+    if step == 0.0:
+        samples = [i / n * width + lo for i in range(n)]
+    else:
+        samples = [i * step + lo for i in range(n)]
+    samples.append(hi)
+    return samples
+
+
 def _separable_extremes(intercept: float, terms) -> tuple[float, float]:
     """(min, max) of intercept + fsum(one term per axis) over the product
-    of the axes' samples; ``terms`` holds each axis's term array.
+    of the axes' samples; ``terms`` holds each axis's term list.
 
     Python's min and max return the first extreme sample of a list,
     which the module docstring's argument relies on.
     """
-    per_axis = [t.tolist() for t in terms]
-    return (intercept + math.fsum(min(t) for t in per_axis),
-            intercept + math.fsum(max(t) for t in per_axis))
+    return (intercept + math.fsum(map(min, terms)),
+            intercept + math.fsum(map(max, terms)))
 
 
 @dataclass(frozen=True)
@@ -248,8 +280,9 @@ class Affine:
         return lo, hi
 
     def sampled_range(self, axes) -> tuple[float, float]:
-        """(min, max) over the product of the per-axis sample arrays."""
-        return _separable_extremes(self.intercept, [a * x for a, x in zip(self.slopes, axes)])
+        """(min, max) over the product of the per-axis sample lists."""
+        return _separable_extremes(
+            self.intercept, [[a * t for t in ts] for a, ts in zip(self.slopes, axes)])
 
     def integrals(self, lowers, uppers) -> list[float]:
         """Each box's volume times the value at its centre."""
@@ -316,10 +349,11 @@ class Quadratic:
         return lo, hi
 
     def sampled_range(self, axes) -> tuple[float, float]:
-        """(min, max) over the product of the per-axis sample arrays."""
+        """(min, max) over the product of the per-axis sample lists."""
         return _separable_extremes(
             self.intercept,
-            [q * x * x + b * x for q, b, x in zip(self.quadratic, self.linear, axes)],
+            [[q * t * t + b * t for t in ts]
+             for q, b, ts in zip(self.quadratic, self.linear, axes)],
         )
 
     def integrals(self, lowers, uppers) -> list[float]:
@@ -409,11 +443,8 @@ class Sinusoid:
         return lo, hi
 
     def sampled_range(self, axes) -> tuple[float, float]:
-        """(min, max) over the samples of the axis the sine reads.
-
-        math.sin per sample, not numpy's, keeps the pointwise values.
-        """
-        values = [self._at(t) for t in axes[self.axis].tolist()]
+        """(min, max) over the samples of the axis the sine reads."""
+        values = list(map(self._at, axes[self.axis]))
         return min(values), max(values)
 
     def integrals(self, lowers, uppers) -> list[float]:
@@ -525,6 +556,11 @@ class FiniteTable:
     def range_on(self, cell: Cell) -> tuple[float, float]:
         if not isinstance(cell, FiniteCell):
             raise OutOfDomainError(f"expected a finite cell, got {cell!r}")
+        n = len(self.values)
+        # the atoms are sorted, so their ends decide
+        if cell.atoms and not (0 <= cell.atoms[0] and cell.atoms[-1] < n):
+            raise OutOfDomainError(f"cell atoms {cell.atoms!r} reach outside the "
+                                   f"{n}-value table")
         vals = [self.values[a] for a in cell.atoms]
         return min(vals), max(vals)
 
@@ -615,22 +651,30 @@ class FunctionModel:
         return self._grid_range(cell)
 
     def _grid_range(self, cell: Cell) -> EssentialRange:
-        import numpy as np
-
         base = self.base
         cell = _require_box(cell, base.dimension)
         n = self.range_mode.intervals_per_axis
-        axes = [np.linspace(lo, hi, n + 1) for lo, hi in zip(cell.lower, cell.upper)]
+        axes = [axis_samples(lo, hi, n) for lo, hi in zip(cell.lower, cell.upper)]
         lo, hi = base.sampled_range(axes)
         spacing = max((u - l) / n for l, u in zip(cell.lower, cell.upper))
         eps = base.lipschitz_bound() * spacing / 2.0
         return EssentialRange(lo, hi, exact=False, eps=eps)
 
+    def _require_integrable_over(self, space: FiniteSpace) -> None:
+        """OutOfDomainError unless this model can be integrated over the
+        finite space: a cube family never can, and a table needs one
+        value per atom."""
+        if not self.is_finite:
+            raise OutOfDomainError("cube-family model integrated over a finite space")
+        base = self.base
+        if isinstance(base, FiniteTable) and len(base.values) != space.n_atoms:
+            raise OutOfDomainError(f"a {len(base.values)}-value table integrated over "
+                                   f"a {space.n_atoms}-atom space")
+
     def integral(self, space: Space) -> float:
         """Integral over the whole space; spikes are null and ignored."""
         if isinstance(space, FiniteSpace):
-            if not self.is_finite:
-                raise OutOfDomainError("cube-family model integrated over a finite space")
+            self._require_integrable_over(space)
             base = self.base
             return math.fsum(
                 space.weights[i] * base.evaluate(i) for i in range(space.n_atoms)
@@ -642,8 +686,7 @@ class FunctionModel:
         """Integral restricted to one cell."""
         base = self.base
         if isinstance(space, FiniteSpace):
-            if not self.is_finite:
-                raise OutOfDomainError("cube-family model integrated over a finite space")
+            self._require_integrable_over(space)
             if not isinstance(cell, FiniteCell):
                 raise OutOfDomainError("finite space needs finite cells")
             return math.fsum(space.weights[a] * base.evaluate(a) for a in cell.atoms)

@@ -200,8 +200,8 @@ def range_mode_from_json(obj: dict | None) -> GridRangeMode | None:
                 resolution=int(obj.get("resolution", 64)),
                 levels=int(obj.get("levels", 2)),
             )
-        except (TypeError, ValueError) as exc:
-            raise InstanceFormatError(f"range_mode: malformed {obj!r}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InstanceFormatError(f"range_mode: malformed {obj!r}: {exc}") from exc
     raise InstanceFormatError(f"range_mode: unknown mode {mode!r}")
 
 

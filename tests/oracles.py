@@ -2,7 +2,8 @@
 
 Nothing here imports the code paths under test: ranges come from dense
 pointwise sampling, grid-mode ranges from evaluating every point of the
-product grid, integrals from scipy quadrature, the minimax from a
+product grid and from the numpy.linspace sampler that the per-axis
+sample lists replace, integrals from scipy quadrature, the minimax from a
 coefficient grid search, enumeration from brute force over ordered
 node tuples, box overlaps and cell lookups from pairwise tests and
 linear scans, and the exhaustive worst error from scoring every
@@ -42,6 +43,35 @@ def full_grid_range(base, cell, intervals):
     spacing = max((hi - lo) / intervals for lo, hi in zip(cell.lower, cell.upper))
     eps = base.lipschitz_bound() * spacing / 2.0
     return min(values), max(values), eps
+
+
+def linspace_samples(lo, hi, intervals):
+    """numpy.linspace's intervals + 1 samples of [lo, hi], as floats."""
+    return np.linspace(lo, hi, intervals + 1).tolist()
+
+
+def linspace_grid_range(base, cell, intervals):
+    """Grid-mode (lo, hi, eps) of a continuous family over a box cell, as
+    the numpy sampler computed it: each axis's samples from
+    numpy.linspace, a separable family's per-axis terms as array
+    arithmetic and its extremes from fsum of each axis's min and max
+    term, a sine through math.sin at each sample of its axis."""
+    axes = [np.linspace(lo, hi, intervals + 1) for lo, hi in zip(cell.lower, cell.upper)]
+    if hasattr(base, "axis"):
+        w = 2.0 * math.pi * base.frequency
+        values = [base.offset + base.amplitude * math.sin(w * t + base.phase)
+                  for t in axes[base.axis].tolist()]
+        lo, hi = min(values), max(values)
+    else:
+        if hasattr(base, "slopes"):
+            terms = [a * x for a, x in zip(base.slopes, axes)]
+        else:
+            terms = [q * x * x + b * x for q, b, x in zip(base.quadratic, base.linear, axes)]
+        per_axis = [t.tolist() for t in terms]
+        lo = base.intercept + math.fsum(min(t) for t in per_axis)
+        hi = base.intercept + math.fsum(max(t) for t in per_axis)
+    spacing = max((u - l) / intervals for l, u in zip(cell.lower, cell.upper))
+    return lo, hi, base.lipschitz_bound() * spacing / 2.0
 
 
 def quad_integral(fn, a, b):

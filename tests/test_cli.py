@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -341,6 +342,19 @@ def test_bounds_rejects_values_that_overflow(runner, tmp_path, instance, field):
         assert "above the limit" in result.stderr
 
 
+@pytest.mark.parametrize("levels", [2000, math.inf], ids=["2000", "infinity"])
+def test_bounds_rejects_a_grid_finer_than_the_limit(runner, tmp_path, levels):
+    # each printed a traceback with exit 1: numpy.linspace's "Maximum
+    # allowed size exceeded", and int() of an infinity
+    instance = _cube_instance(1, HALVES, {"family": "affine",
+                                          "params": {"intercept": 0.0, "slopes": [1.0]}})
+    instance["range_mode"] = {"mode": "grid", "resolution": 64, "levels": levels}
+    config = write_json(tmp_path / "fine.json", instance)
+    result = runner.invoke(main, ["bounds", "--config", config])
+    assert result.exit_code == 2, result.output
+    assert "range_mode: malformed" in result.stderr
+
+
 def test_bounds_points_averages_values_whose_sum_overflows(runner, tmp_path):
     # five node values of 4e307 sum past the largest double, and fsum
     # raised OverflowError: intermediate overflow, printed as a traceback
@@ -557,8 +571,30 @@ def test_convergence_leaves_numpy_unloaded():
     assert result.stdout.strip() == "False"
 
 
+def test_grid_mode_bounds_leaves_numpy_unloaded(tmp_path):
+    # grid mode sampled each axis with numpy.linspace; the sample lists
+    # are pure Python, like the rest of the cube path
+    src = Path(qmcbounds.__file__).resolve().parents[1]
+    cells = [[[i / 2, (i + 1) / 2], [j / 2, (j + 1) / 2]] for j in range(2) for i in range(2)]
+    instance = _cube_instance(2, cells, {"family": "quadratic", "params": {
+        "intercept": 0.1, "linear": [-0.7, 0.3], "quadratic": [0.9, -0.6]}})
+    instance["range_mode"] = {"mode": "grid", "resolution": 8, "levels": 2}
+    config = write_json(tmp_path / "grid.json", instance)
+    code = ("import sys\n"
+            "from qmcbounds.cli import main\n"
+            f"main(['bounds', '--config', {config!r}], standalone_mode=False)\n"
+            "print('numpy' in sys.modules)")
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    report, loaded = result.stdout.strip().rsplit("\n", 1)
+    assert report.endswith(",false")
+    assert loaded == "False"
+
+
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy is only needed by grid range mode, which imports it lazily
+    # numpy is only needed by the exhaustive scorer, which imports it lazily
     src = Path(qmcbounds.__file__).resolve().parents[1]
     code = "import sys, qmcbounds.experiments, qmcbounds.cli; print('numpy' in sys.modules)"
     result = subprocess.run(

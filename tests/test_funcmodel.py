@@ -5,7 +5,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmcbounds import (
@@ -29,8 +29,20 @@ from qmcbounds import (
     make_finite_space,
     qmc_estimate,
 )
-from qmcbounds.funcmodel import SINE_ARGUMENT_LIMIT, VALUE_LIMIT
-from oracles import dense_range_1d, full_grid_range, quad_integral, sine_extremes
+from qmcbounds.funcmodel import (
+    GRID_INTERVAL_LIMIT,
+    SINE_ARGUMENT_LIMIT,
+    VALUE_LIMIT,
+    axis_samples,
+)
+from oracles import (
+    dense_range_1d,
+    full_grid_range,
+    linspace_grid_range,
+    linspace_samples,
+    quad_integral,
+    sine_extremes,
+)
 
 X = FunctionModel(Affine(0.0, (1.0,)))
 X2 = FunctionModel(Quadratic(0.0, (0.0,), (1.0,)))
@@ -294,6 +306,77 @@ def test_grid_mode_reaches_the_default_resolution_in_3d(monkeypatch):
     assert exact.hi - approx.eps <= approx.hi <= exact.hi
 
 
+_COEFFICIENTS = st.one_of(st.sampled_from((0.0, -0.0)),
+                          st.floats(-1e8, 1e8, allow_nan=False, allow_infinity=False))
+SUBNORMAL = 5e-324
+
+
+@st.composite
+def _grid_axis(draw):
+    """One axis of a cell: running to 1.0, inside [0, 1], or of a
+    subnormal width, which rounds the grid step to zero."""
+    kind = draw(st.sampled_from(("to-one", "inside", "subnormal")))
+    if kind == "subnormal":
+        lo = draw(st.integers(0, 4)) * SUBNORMAL
+        return lo, lo + draw(st.integers(1, 3)) * SUBNORMAL
+    lo = draw(st.one_of(st.just(-0.0), st.floats(0.0, 1.0, exclude_max=True)))
+    if kind == "to-one":
+        return lo, 1.0
+    return lo, draw(st.floats(lo, 1.0, exclude_min=True))
+
+
+@st.composite
+def _grid_cases(draw):
+    d = draw(st.integers(1, 3))
+    coefs = st.tuples(*[_COEFFICIENTS] * d)
+    family = draw(st.sampled_from(("affine", "quadratic", "sinusoid")))
+    if family == "affine":
+        base = Affine(draw(_COEFFICIENTS), draw(coefs))
+    elif family == "quadratic":
+        base = Quadratic(draw(_COEFFICIENTS), draw(coefs), draw(coefs))
+    else:
+        base = Sinusoid(amplitude=draw(_COEFFICIENTS), frequency=abs(draw(_COEFFICIENTS)),
+                        phase=draw(_COEFFICIENTS), offset=draw(_COEFFICIENTS),
+                        axis=draw(st.integers(0, d - 1)), dimension=d)
+    cell = box(*[draw(_grid_axis()) for _ in range(d)])
+    return base, cell, GridRangeMode(draw(st.integers(1, 8)), draw(st.integers(0, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_cases())
+# a subnormal-width cell: the step 3 * 2**-1074 / 8 rounds to zero, so
+# linspace scales i / n by the width
+@example((Quadratic(0.5, (-1e-300,), (2.0,)), box((0.0, 3 * SUBNORMAL)), GridRangeMode(8, 0)))
+@example((Sinusoid(amplitude=1.0, frequency=3.0, phase=0.5, axis=1, dimension=2),
+          box((0.25, 1.0), (0.125, 1.0)), GridRangeMode(4, 1)))
+def test_grid_range_matches_the_linspace_sampler_bit_for_bit(case):
+    base, cell, mode = case
+    n = mode.intervals_per_axis
+    for lo, hi in zip(cell.lower, cell.upper):
+        assert [t.hex() for t in axis_samples(lo, hi, n)] == [
+            t.hex() for t in linspace_samples(lo, hi, n)]
+    got = FunctionModel(base, range_mode=mode).essential_range(cell)
+    want = linspace_grid_range(base, cell, n)
+    assert (got.lo.hex(), got.hi.hex(), got.eps.hex()) == tuple(v.hex() for v in want)
+
+
+def test_axis_samples_take_the_zero_step_branch_of_linspace():
+    # i * step + lo would put every sample but the last at 0.0
+    samples = axis_samples(0.0, 3 * SUBNORMAL, 8)
+    assert samples == linspace_samples(0.0, 3 * SUBNORMAL, 8)
+    assert len(set(samples)) == 4
+
+
+def test_grid_mode_refuses_more_intervals_than_the_limit():
+    # "levels": 2000 in an instance file made numpy.linspace raise
+    assert GridRangeMode(GRID_INTERVAL_LIMIT, 0).intervals_per_axis == GRID_INTERVAL_LIMIT
+    assert GridRangeMode(1, 16).intervals_per_axis == GRID_INTERVAL_LIMIT
+    for resolution, levels in ((GRID_INTERVAL_LIMIT + 1, 0), (1, 17), (64, 2000),
+                               (GRID_INTERVAL_LIMIT // 2 + 1, 1), (1, 10**18)):
+        with pytest.raises(ValueError, match=f"at most {GRID_INTERVAL_LIMIT}"):
+            GridRangeMode(resolution, levels)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("build,field", [
     pytest.param(lambda v: Affine(v, (1.0,)), "intercept", id="affine-intercept"),
@@ -421,6 +504,18 @@ def test_cell_integral_refuses_a_cell_or_space_of_another_kind(f, cell, space):
     # over its first axis alone
     with pytest.raises(OutOfDomainError):
         f.cell_integral(cell, space)
+
+
+def test_a_table_refuses_atoms_it_has_no_value_for():
+    # each raised IndexError, or read values[-1] for the atom -1
+    f = FunctionModel(FiniteTable((1.0,)))
+    for integrate in (lambda: f.integral(TWO_ATOMS),
+                      lambda: f.cell_integral(FiniteCell((0,)), TWO_ATOMS)):
+        with pytest.raises(OutOfDomainError, match="1-value table .* 2-atom space"):
+            integrate()
+    for atoms in ((0, 1), (-1,)):
+        with pytest.raises(OutOfDomainError, match="outside the 1-value table"):
+            f.essential_range(FiniteCell(atoms))
 
 
 def test_integral_refuses_a_cube_of_another_dimension():
