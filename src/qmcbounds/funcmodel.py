@@ -42,6 +42,13 @@ The continuous families integrate over many boxes at once:
 from list passes in the IEEE operations and order that one box at a
 time takes, so ``cell_integral`` is its one-cell case, bit for bit.
 
+A continuous family binds its constants once per model: ``evaluate``
+and ``range_on`` close over float copies of the intercept, per-axis
+coefficients, 2*pi*frequency and each Quadratic axis's vertex and value,
+in the operations and order of the closed forms above.  On one axis
+intercept + fsum([t]) is c0 + t, c0 = intercept + 0.0, bit for bit: with
+fsum([t]) = t + 0.0, each is intercept + t, save that a zero is +0.0.
+
 Grid range mode replaces the closed forms of the continuous families
 with sampled ranges over the regular grid of n + 1 points per axis
 (n = GridRangeMode.intervals_per_axis).  axis_samples lists each axis's
@@ -75,9 +82,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import mul, sub
-from typing import Union
+from typing import Callable, Union
 
 from .errors import OutOfDomainError, QmcBoundsError
 from .spaces import (
@@ -166,6 +173,15 @@ def _require_box(cell: Cell, dimension: int) -> BoxCell:
     return cell
 
 
+def _built():  # a field that __post_init__ builds: not in __init__, ==, hash or repr
+    return field(init=False, repr=False, compare=False, hash=False, default=None)
+
+
+def _require_atoms(cell: FiniteCell, n: int, of: str) -> None:  # atoms are sorted
+    if cell.atoms and not (0 <= cell.atoms[0] and cell.atoms[-1] < n):
+        raise OutOfDomainError(f"cell atoms {cell.atoms!r} reach outside the {n}-{of}")
+
+
 def _require_finite(**fields) -> None:
     """ValueError naming the first field entry that is NaN or infinite.
 
@@ -250,34 +266,48 @@ def _separable_extremes(intercept: float, terms) -> tuple[float, float]:
             intercept + math.fsum(map(max, terms)))
 
 
+class _PickledByFields:
+    def __reduce__(self):  # pickled as its init fields; loading builds the rest
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
 @dataclass(frozen=True)
-class Affine:
+class Affine(_PickledByFields):
     intercept: float
     slopes: tuple[float, ...]
+    evaluate: Callable[[tuple[float, ...]], float] = _built()
+    range_on: Callable[[Cell], tuple[float, float]] = _built()
 
     def __post_init__(self):
         _require_finite(intercept=self.intercept, slopes=self.slopes)
         _require_bounded("intercept and slopes", "the values",
                          abs(self.intercept) + sum(map(abs, self.slopes)))
+        c, slopes, d = float(self.intercept), tuple(map(float, self.slopes)), len(self.slopes)
+        if d == 1:  # c + fsum([t]) is c0 + t (module docstring)
+            (a,), c0 = slopes, c + 0.0
+
+            def evaluate(point):
+                return c0 + a * point[0]
+        else:
+            def evaluate(point):
+                return c + math.fsum(map(mul, slopes, point))
+
+        def range_on(cell):
+            cell = _require_box(cell, d)
+            lo = hi = c
+            for a, l, u in zip(slopes, cell.lower, cell.upper):
+                at_l, at_u = a * l, a * u
+                # min(at_l, at_u) and max(at_l, at_u), without the calls
+                lo += at_u if at_u < at_l else at_l
+                hi += at_u if at_u > at_l else at_l
+            return lo, hi
+
+        object.__setattr__(self, "evaluate", evaluate)
+        object.__setattr__(self, "range_on", range_on)
 
     @property
     def dimension(self) -> int:
         return len(self.slopes)
-
-    def evaluate(self, point: tuple[float, ...]) -> float:
-        return self.intercept + math.fsum(map(mul, self.slopes, point))
-
-    def range_on(self, cell: Cell) -> tuple[float, float]:
-        cell = _require_box(cell, self.dimension)
-        lo = self.intercept
-        hi = self.intercept
-        for a, l, u in zip(self.slopes, cell.lower, cell.upper):
-            at_l = a * l
-            at_u = a * u
-            # min(at_l, at_u) and max(at_l, at_u), without the calls
-            lo += at_u if at_u < at_l else at_l
-            hi += at_u if at_u > at_l else at_l
-        return lo, hi
 
     def sampled_range(self, axes) -> tuple[float, float]:
         """(min, max) over the product of the per-axis sample lists."""
@@ -299,12 +329,14 @@ class Affine:
 
 
 @dataclass(frozen=True)
-class Quadratic:
+class Quadratic(_PickledByFields):
     """Separable quadratic: intercept + sum_i (quad_i x_i^2 + lin_i x_i)."""
 
     intercept: float
     linear: tuple[float, ...]
     quadratic: tuple[float, ...]
+    evaluate: Callable[[tuple[float, ...]], float] = _built()
+    range_on: Callable[[Cell], tuple[float, float]] = _built()
 
     def __post_init__(self):
         if len(self.linear) != len(self.quadratic):
@@ -314,39 +346,50 @@ class Quadratic:
         _require_bounded("intercept, linear and quadratic", "the values",
                          abs(self.intercept) + sum(map(abs, self.linear))
                          + sum(map(abs, self.quadratic)))
+        qs, bs = tuple(map(float, self.quadratic)), tuple(map(float, self.linear))
+        # a range takes l, u, then an inside vertex, each replacing only a strictly
+        # smaller (larger) value, as min() and max() do; q == 0 has a NaN vertex
+        vs = [-b / (2.0 * q) if q != 0.0 else math.nan for q, b in zip(qs, bs)]
+        axes = tuple(zip(qs, bs, vs, [q * v * v + b * v for q, b, v in zip(qs, bs, vs)]))
+        c, d = float(self.intercept), len(axes)
+        if d == 1:  # c + fsum([t]) is c0 + t (module docstring)
+            ((q, b, v, at_v),), c0 = axes, c + 0.0
+
+            def evaluate(point):
+                x = point[0]
+                return c0 + (q * x * x + b * x)
+
+            def range_on(cell):
+                cell = _require_box(cell, 1)
+                (l,), (u,) = cell.lower, cell.upper
+                at_l, at_u = q * l * l + b * l, q * u * u + b * u
+                lo = at_u if at_u < at_l else at_l
+                hi = at_u if at_u > at_l else at_l
+                inside = l <= v <= u
+                return (c + (at_v if inside and at_v < lo else lo),
+                        c + (at_v if inside and at_v > hi else hi))
+        else:
+            def evaluate(point):
+                return c + math.fsum([q * x * x + b * x for q, b, x in zip(qs, bs, point)])
+
+            def range_on(cell):
+                cell = _require_box(cell, d)
+                lo = hi = c
+                for (q, b, v, at_v), l, u in zip(axes, cell.lower, cell.upper):
+                    at_l, at_u = q * l * l + b * l, q * u * u + b * u
+                    axis_lo = at_u if at_u < at_l else at_l
+                    axis_hi = at_u if at_u > at_l else at_l
+                    inside = l <= v <= u
+                    lo += at_v if inside and at_v < axis_lo else axis_lo
+                    hi += at_v if inside and at_v > axis_hi else axis_hi
+                return lo, hi
+
+        object.__setattr__(self, "evaluate", evaluate)
+        object.__setattr__(self, "range_on", range_on)
 
     @property
     def dimension(self) -> int:
         return len(self.linear)
-
-    def evaluate(self, point: tuple[float, ...]) -> float:
-        return self.intercept + math.fsum(
-            [q * x * x + b * x for q, b, x in zip(self.quadratic, self.linear, point)]
-        )
-
-    def range_on(self, cell: Cell) -> tuple[float, float]:
-        cell = _require_box(cell, self.dimension)
-        lo = self.intercept
-        hi = self.intercept
-        for q, b, l, u in zip(self.quadratic, self.linear, cell.lower, cell.upper):
-            # min and max of the values at l, u and an inside vertex, in
-            # that order: a later value replaces only a strictly smaller
-            # (larger) one, as min() and max() do
-            at_l = q * l * l + b * l
-            at_u = q * u * u + b * u
-            axis_lo = at_u if at_u < at_l else at_l
-            axis_hi = at_u if at_u > at_l else at_l
-            if q != 0.0:
-                vertex = -b / (2.0 * q)
-                if l <= vertex <= u:
-                    at_v = q * vertex * vertex + b * vertex
-                    if at_v < axis_lo:
-                        axis_lo = at_v
-                    if at_v > axis_hi:
-                        axis_hi = at_v
-            lo += axis_lo
-            hi += axis_hi
-        return lo, hi
 
     def sampled_range(self, axes) -> tuple[float, float]:
         """(min, max) over the product of the per-axis sample lists."""
@@ -375,7 +418,7 @@ class Quadratic:
 
 
 @dataclass(frozen=True)
-class Sinusoid:
+class Sinusoid(_PickledByFields):
     """offset + amplitude * sin(2*pi*frequency * x[axis] + phase)."""
 
     amplitude: float
@@ -384,8 +427,23 @@ class Sinusoid:
     offset: float = 0.0
     axis: int = 0
     dimension: int = 1
+    evaluate: Callable[[tuple[float, ...]], float] = _built()
+    range_on: Callable[[Cell], tuple[float, float]] = _built()
 
     def __post_init__(self):
+        """A range is the min and max of the values at a, b and the critical
+        points inside [a, b], in that order, as min() and max() pick them.
+        The critical point t_n solves w t + phase = pi/2 + n pi, where the
+        sine is 1 at even n and -1 at odd n, so its value is offset +
+        amplitude or offset - amplitude in closed form.  The rounded
+        bounds n_lo and n_hi are off by less than one under
+        SINE_ARGUMENT_LIMIT.  When they are at most eight apart every n
+        between them is tested against a <= t_n <= b; when they are
+        further apart, n_lo + 2 and n_lo + 3 lie inside the cell, so both
+        closed-form values count.  The work is constant in the number of
+        critical points.  The two values differ, as amplitude != 0, so the
+        order they come in cannot change which one min and max pick.
+        """
         _require_finite(amplitude=self.amplitude, frequency=self.frequency,
                         phase=self.phase, offset=self.offset)
         if not 0 <= self.axis < self.dimension:
@@ -396,55 +454,40 @@ class Sinusoid:
                          abs(self.offset) + abs(self.amplitude))
         _require_bounded("frequency and phase", "the sine's argument",
                          TWO_PI * self.frequency + abs(self.phase), SINE_ARGUMENT_LIMIT)
+        w, phase, offset = TWO_PI * float(self.frequency), float(self.phase), float(self.offset)
+        amplitude, axis, d = float(self.amplitude), self.axis, self.dimension
+        peaks = (float(self.offset + self.amplitude), float(self.offset - self.amplitude))
+        oscillates = self.frequency > 0.0 and self.amplitude != 0.0
 
-    def _at(self, t: float) -> float:
-        return self.offset + self.amplitude * math.sin(TWO_PI * self.frequency * t + self.phase)
+        def at(t):
+            return offset + amplitude * math.sin(w * t + phase)
 
-    def evaluate(self, point: tuple[float, ...]) -> float:
-        return self._at(point[self.axis])
+        def range_on(cell):
+            cell = _require_box(cell, d)
+            a, b = cell.lower[axis], cell.upper[axis]
+            at_a, at_b = at(a), at(b)
+            lo = at_b if at_b < at_a else at_a
+            hi = at_b if at_b > at_a else at_a
+            if oscillates:
+                n_lo = math.ceil((w * a + phase - math.pi / 2.0) / math.pi)
+                n_hi = math.floor((w * b + phase - math.pi / 2.0) / math.pi)
+                if n_hi - n_lo > 8:
+                    parities = (0, 1)
+                else:
+                    parities = {n % 2 for n in range(n_lo, n_hi + 1)
+                                if a <= (math.pi / 2.0 + n * math.pi - phase) / w <= b}
+                for odd in parities:
+                    value = peaks[odd]
+                    lo = value if value < lo else lo
+                    hi = value if value > hi else hi
+            return lo, hi
 
-    def range_on(self, cell: Cell) -> tuple[float, float]:
-        """min and max of the values at a, b and the critical points
-        inside [a, b], in that order, as min() and max() pick them.
-
-        The critical point t_n solves w t + phase = pi/2 + n pi, where the
-        sine is 1 at even n and -1 at odd n, so its value is offset +
-        amplitude or offset - amplitude in closed form.  The rounded
-        bounds n_lo and n_hi are off by less than one under
-        SINE_ARGUMENT_LIMIT.  When they are at most eight apart every n
-        between them is tested against a <= t_n <= b; when they are
-        further apart, n_lo + 2 and n_lo + 3 lie inside the cell, so both
-        closed-form values count.  The work is constant in the number of
-        critical points.
-        """
-        cell = _require_box(cell, self.dimension)
-        a, b = cell.lower[self.axis], cell.upper[self.axis]
-        at_a = self._at(a)
-        at_b = self._at(b)
-        lo = at_b if at_b < at_a else at_a
-        hi = at_b if at_b > at_a else at_a
-        if self.frequency > 0.0 and self.amplitude != 0.0:
-            w = TWO_PI * self.frequency
-            n_lo = math.ceil((w * a + self.phase - math.pi / 2.0) / math.pi)
-            n_hi = math.floor((w * b + self.phase - math.pi / 2.0) / math.pi)
-            if n_hi - n_lo > 8:
-                parities = (0, 1)
-            else:
-                parities = {n % 2 for n in range(n_lo, n_hi + 1)
-                            if a <= (math.pi / 2.0 + n * math.pi - self.phase) / w <= b}
-            for odd in parities:
-                # the two values differ, as amplitude != 0, so the order
-                # they come in cannot change which one min and max pick
-                value = self.offset - self.amplitude if odd else self.offset + self.amplitude
-                if value < lo:
-                    lo = value
-                if value > hi:
-                    hi = value
-        return lo, hi
+        object.__setattr__(self, "evaluate", lambda point: at(point[axis]))
+        object.__setattr__(self, "range_on", range_on)
 
     def sampled_range(self, axes) -> tuple[float, float]:
         """(min, max) over the samples of the axis the sine reads."""
-        values = list(map(self._at, axes[self.axis]))
+        values = [self.evaluate((t,) * self.dimension) for t in axes[self.axis]]
         return min(values), max(values)
 
     def integrals(self, lowers, uppers) -> list[float]:
@@ -556,11 +599,7 @@ class FiniteTable:
     def range_on(self, cell: Cell) -> tuple[float, float]:
         if not isinstance(cell, FiniteCell):
             raise OutOfDomainError(f"expected a finite cell, got {cell!r}")
-        n = len(self.values)
-        # the atoms are sorted, so their ends decide
-        if cell.atoms and not (0 <= cell.atoms[0] and cell.atoms[-1] < n):
-            raise OutOfDomainError(f"cell atoms {cell.atoms!r} reach outside the "
-                                   f"{n}-value table")
+        _require_atoms(cell, len(self.values), "value table")
         vals = [self.values[a] for a in cell.atoms]
         return min(vals), max(vals)
 
@@ -646,8 +685,8 @@ class FunctionModel:
         """Essential range over a positive-measure cell; spikes never matter."""
         base = self.base
         if self.range_mode is None or not isinstance(base, _CONTINUOUS_FAMILIES):
-            lo, hi = base.range_on(cell)
-            return EssentialRange(float(lo), float(hi), True)
+            lo, hi = base.range_on(cell)  # floats, from every family
+            return EssentialRange(lo, hi, True)
         return self._grid_range(cell)
 
     def _grid_range(self, cell: Cell) -> EssentialRange:
@@ -689,6 +728,7 @@ class FunctionModel:
             self._require_integrable_over(space)
             if not isinstance(cell, FiniteCell):
                 raise OutOfDomainError("finite space needs finite cells")
+            _require_atoms(cell, space.n_atoms, "atom space")
             return math.fsum(space.weights[a] * base.evaluate(a) for a in cell.atoms)
         if self.is_finite:
             raise OutOfDomainError("finite-space model integrated over a cube space")

@@ -13,7 +13,8 @@ one-node-per-cell placement on a grid; seeded placement from the
 one-try-at-a-time loop with its own membership test; cell integrals,
 bounds and the closed-form worst error from the one-cell-at-a-time
 loops that the list passes replace, and sine extremes from every
-critical point of the cell.
+critical point of the cell, and a continuous family's value and exact
+range from the closed forms read off its fields on every call.
 """
 
 from __future__ import annotations
@@ -252,6 +253,55 @@ def per_cell_integral(base, lower, upper):
         w = 2.0 * math.pi * base.frequency
         osc = (math.cos(w * a + base.phase) - math.cos(w * b + base.phase)) / w
     return cross * (base.offset * (b - a) + base.amplitude * osc)
+
+
+def fieldwise_value(base, point):
+    """A continuous family's value read off its fields: intercept + fsum
+    of one term per axis, or the sine of the coordinate on its axis."""
+    kind = type(base).__name__
+    if kind == "Sinusoid":
+        t = point[base.axis]
+        return base.offset + base.amplitude * math.sin(
+            2.0 * math.pi * base.frequency * t + base.phase)
+    if kind == "Affine":
+        return base.intercept + math.fsum(a * x for a, x in zip(base.slopes, point))
+    return base.intercept + math.fsum(
+        [q * x * x + b * x for q, b, x in zip(base.quadratic, base.linear, point)])
+
+
+def fieldwise_range(base, cell):
+    """A continuous family's exact (lo, hi) over a box cell, read off its
+    fields: the intercept plus each axis's smallest and largest term, in
+    axis order, a Quadratic's vertex found anew on every axis, or a
+    Sinusoid's ends and every critical point inside.  min() and max()
+    keep the first of equal values; float() comes last, after any exact
+    int arithmetic of int fields."""
+    if type(base).__name__ == "Sinusoid":
+        a, b = cell.lower[base.axis], cell.upper[base.axis]
+        at = [fieldwise_value(base, (t,) * base.dimension) for t in (a, b)]
+        if base.frequency > 0.0 and base.amplitude != 0.0:
+            w = 2.0 * math.pi * base.frequency
+            n_lo = math.ceil((w * a + base.phase - math.pi / 2.0) / math.pi)
+            n_hi = math.floor((w * b + base.phase - math.pi / 2.0) / math.pi)
+            for n in range(n_lo, n_hi + 1):
+                if a <= (math.pi / 2.0 + n * math.pi - base.phase) / w <= b:
+                    at.append(base.offset - base.amplitude if n % 2 else
+                              base.offset + base.amplitude)
+        return float(min(at)), float(max(at))
+    lo = hi = base.intercept
+    if type(base).__name__ == "Affine":
+        for a, l, u in zip(base.slopes, cell.lower, cell.upper):
+            lo += min(a * l, a * u)
+            hi += max(a * l, a * u)
+        return float(lo), float(hi)
+    for q, b, l, u in zip(base.quadratic, base.linear, cell.lower, cell.upper):
+        values = [q * l * l + b * l, q * u * u + b * u]
+        if q != 0.0 and l <= -b / (2.0 * q) <= u:
+            vertex = -b / (2.0 * q)
+            values.append(q * vertex * vertex + b * vertex)
+        lo += min(values)
+        hi += max(values)
+    return float(lo), float(hi)
 
 
 def per_cell_bounds(f, partition):

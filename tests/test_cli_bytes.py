@@ -7,12 +7,15 @@ this file catches a change that alters the bytes deterministically.
 """
 
 import hashlib
+import itertools
 import json
 
 import pytest
 from click.testing import CliRunner
 
 from qmcbounds.cli import main
+from qmcbounds.instances import load_instances
+from qmcbounds.pointsets import STRATEGY_RANDOM, construct_uniform, save_pointset
 
 SIN_QUADRANTS = {
     "instance_id": "sin-quadrants",
@@ -59,6 +62,36 @@ GRID_QUADRATIC = {
     "N": 16,
 }
 
+
+def _grid_cells(*edges):
+    """Box cells of the product of per-axis edge lists, in row-major order."""
+    spans = [list(zip(e, e[1:])) for e in edges]
+    return [{"box": [list(span) for span in box]} for box in itertools.product(*spans)]
+
+
+# Exact-mode continuous families in d >= 2, each scored against a
+# seeded-random uniform point set: (instance, construct_uniform seed).
+SEEDED_BOUNDS = {
+    "bounds-affine-2d": ({
+        "instance_id": "affine-2d",
+        "space": {"kind": "cube", "dimension": 2},
+        "partition": {"cells": _grid_cells(*[[i / 4 for i in range(5)]] * 2)},
+        "function": {"family": "affine",
+                     "params": {"intercept": 0.375, "slopes": [1.25, -0.5]}},
+        "N": 32,
+    }, 5),
+    "bounds-quadratic-3d": ({
+        "instance_id": "quadratic-3d",
+        "space": {"kind": "cube", "dimension": 3},
+        "partition": {"cells": _grid_cells([0.0, 0.25, 0.5, 0.75, 1.0],
+                                           [0.0, 0.5, 1.0], [0.0, 0.5, 1.0])},
+        "function": {"family": "quadratic",
+                     "params": {"intercept": -0.25, "linear": [-0.7, 0.3, 0.5],
+                                "quadratic": [0.9, 0.0, -0.6]}},
+        "N": 32,
+    }, 6),
+}
+
 # (case id, arguments, writes an --out file)
 CASES = []
 for family in ("x", "x2", "sin2pix", "const"):
@@ -81,6 +114,7 @@ for fmt in ("csv", "structured"):
     ], True))
 CASES.append(("bounds-points", ["bounds"], False))
 CASES.append(("bounds-grid-mode", ["bounds"], False))
+CASES.extend((case_id, ["bounds"], False) for case_id in SEEDED_BOUNDS)
 
 # case id -> (stdout sha256, --out file sha256 or None)
 DIGESTS = {
@@ -116,6 +150,10 @@ DIGESTS = {
         "a7ca7c258d8a710fc1e8ba241706f1d12c20ce995385995d085a352e1fc7c822", None),
     "bounds-grid-mode": (
         "5ad377bd29b9da605d2591b2f52adea6c46c6095a598533f85c862eea03cf0d1", None),
+    "bounds-affine-2d": (
+        "ab9b5ee554a37732a8f4b6eca9137abfc0411130b08292e101d0430418ea79f2", None),
+    "bounds-quadratic-3d": (
+        "eef0426b3bcd7680210c092bd460399067cd21c0194201de4dd009b51221b41b", None),
 }
 
 
@@ -137,6 +175,15 @@ def test_report_bytes_pinned(case_id, args, writes_out, tmp_path):
         config = tmp_path / "instance.json"
         config.write_text(json.dumps(GRID_QUADRATIC))
         args += ["--config", str(config)]
+    if case_id in SEEDED_BOUNDS:
+        instance, seed = SEEDED_BOUNDS[case_id]
+        config = tmp_path / "instance.json"
+        config.write_text(json.dumps(instance))
+        partition = load_instances(config)[0].partition
+        points = tmp_path / "nodes.txt"
+        save_pointset(points, construct_uniform(partition, instance["N"], STRATEGY_RANDOM,
+                                                seed=seed), partition)
+        args += ["--config", str(config), "--points", str(points)]
     out = tmp_path / "report"
     if writes_out:
         args += ["--out", str(out)]

@@ -1,6 +1,7 @@
 """Function models: evaluation, essential ranges, integrals, spikes."""
 
 import math
+import pickle
 import random
 import re
 
@@ -37,6 +38,8 @@ from qmcbounds.funcmodel import (
 )
 from oracles import (
     dense_range_1d,
+    fieldwise_range,
+    fieldwise_value,
     full_grid_range,
     linspace_grid_range,
     linspace_samples,
@@ -287,6 +290,19 @@ def test_grid_range_matches_the_full_grid_sampler_bit_for_bit():
             base, cell, mode)
 
 
+def test_grid_mode_never_calls_a_models_built_evaluate(monkeypatch):
+    # each model builds its own evaluate, which shadows the class's field
+    # default, so this refuses the instance's
+    base = Quadratic(0.1, (-1.0, 0.5, 0.0), (1.5, -1.0, 0.25))
+
+    def refused(point):
+        raise AssertionError("grid mode evaluated a grid point")
+
+    monkeypatch.setitem(base.__dict__, "evaluate", refused)
+    cell = box((0.0, 1.0), (0.125, 0.875), (0.25, 0.5))
+    assert not FunctionModel(base, range_mode=GridRangeMode()).essential_range(cell).exact
+
+
 def test_grid_mode_reaches_the_default_resolution_in_3d(monkeypatch):
     # 257 samples per axis make 257**3 (about 17M) grid points per cell;
     # the extremes come from per-axis work, never from pointwise values
@@ -518,6 +534,15 @@ def test_a_table_refuses_atoms_it_has_no_value_for():
             f.essential_range(FiniteCell(atoms))
 
 
+@pytest.mark.parametrize("atoms", [(-1,), (5,), (0, 2)])
+def test_cell_integral_refuses_atoms_outside_the_space(atoms):
+    # (-1,) read the last atom's value, 1.0, and (5,) raised IndexError
+    f = FunctionModel(FiniteTable((1.0, 2.0)))
+    with pytest.raises(OutOfDomainError, match=re.escape(
+            f"cell atoms {atoms!r} reach outside the 2-atom space")):
+        f.cell_integral(FiniteCell(atoms), TWO_ATOMS)
+
+
 def test_integral_refuses_a_cube_of_another_dimension():
     with pytest.raises(OutOfDomainError):
         X.integral(make_cube_space(2))
@@ -624,3 +649,68 @@ def test_ranges_and_integrals_spike_invariant(spikes):
         r1 = spiked.essential_range(interval(a, b))
         assert (r0.lo, r0.hi) == (r1.lo, r1.hi)
     assert clean.integral(space) == spiked.integral(space)
+
+
+# Fields as the constructors may get them: signed zeros, integer-valued
+# floats (as load_instances yields them), ints and arbitrary floats.
+_FIELDS = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -2.0)), st.integers(-3, 3),
+                    st.floats(-1e8, 1e8, allow_nan=False, allow_infinity=False))
+_COORDS = st.one_of(st.sampled_from((0.0, -0.0, 0.25, 0.5, 1.0)), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _built_cases(draw):
+    """A continuous family in d = 1..3, a point and a box cell."""
+    d = draw(st.integers(1, 3))
+    per_axis = st.tuples(*[_FIELDS] * d)
+    family = draw(st.sampled_from(("affine", "quadratic", "sinusoid")))
+    if family == "affine":
+        base = Affine(draw(_FIELDS), draw(per_axis))
+    elif family == "quadratic":
+        base = Quadratic(draw(_FIELDS), draw(per_axis), draw(per_axis))
+    else:
+        base = Sinusoid(amplitude=draw(_FIELDS),
+                        frequency=draw(st.one_of(st.integers(0, 3), st.floats(0.0, 64.0))),
+                        phase=draw(_FIELDS), offset=draw(_FIELDS),
+                        axis=draw(st.integers(0, d - 1)), dimension=d)
+    point = draw(st.tuples(*[_COORDS] * d))
+    cell = box(*[sorted(draw(st.tuples(_COORDS, _COORDS))) for _ in range(d)])
+    return base, point, cell
+
+
+@settings(max_examples=500, deadline=None)
+@given(_built_cases())
+# -0.0 + fsum([-0.0]) is 0.0, and so is a zero intercept plus a -0.0 term
+@example((Affine(-0.0, (-1.0,)), (0.0,), box((0.0, 0.5))))
+@example((Quadratic(-0.0, (-1.0, 0.0), (0.0, -0.0)), (0.0, 1.0), box((0.0, 0.5), (-0.0, 1.0))))
+# a vertex on the cell's lower end, and int peaks offset +- amplitude
+@example((Quadratic(0.0, (-1.0,), (2.0,)), (0.25,), box((0.25, 0.5))))
+@example((Sinusoid(amplitude=1, frequency=1, offset=2), (0.25,), box((0.0, 1.0))))
+def test_built_arithmetic_matches_the_fieldwise_closed_forms_bit_for_bit(case):
+    base, point, cell = case
+    assert base.evaluate(point).hex() == fieldwise_value(base, point).hex()
+    want = tuple(v.hex() for v in fieldwise_range(base, cell))
+    assert tuple(v.hex() for v in base.range_on(cell)) == want
+    got = FunctionModel(base).essential_range(cell)
+    assert type(got.lo) is float and type(got.hi) is float
+    assert (got.lo.hex(), got.hi.hex()) == want
+
+
+@pytest.mark.parametrize("make, text", [
+    (lambda: Affine(0.5, (1.0, -2.0)), "Affine(intercept=0.5, slopes=(1.0, -2.0))"),
+    (lambda: Quadratic(0.1, (-0.7,), (0.9,)),
+     "Quadratic(intercept=0.1, linear=(-0.7,), quadratic=(0.9,))"),
+    (lambda: Sinusoid(amplitude=1.5, frequency=2.0, axis=1, dimension=2),
+     "Sinusoid(amplitude=1.5, frequency=2.0, phase=0.0, offset=0.0, axis=1, dimension=2)"),
+], ids=["affine", "quadratic", "sinusoid"])
+def test_built_fields_stay_out_of_equality_hash_repr_and_pickles(make, text):
+    a, b = make(), make()
+    assert a.evaluate is not b.evaluate  # each model builds its own
+    assert a == b and hash(a) == hash(b) and repr(a) == text
+    assert FunctionModel(a) == FunctionModel(b)
+    assert hash(FunctionModel(a)) == hash(FunctionModel(b))
+    loaded = pickle.loads(pickle.dumps(FunctionModel(a)))
+    point, cell = (0.25,) * a.dimension, box(*[(0.0, 0.5)] * a.dimension)
+    assert loaded == FunctionModel(a) and repr(loaded.base) == text
+    assert loaded.evaluate(point) == a.evaluate(point)
+    assert loaded.base.range_on(cell) == a.range_on(cell)
