@@ -1,5 +1,6 @@
 """Function models: evaluation, essential ranges, integrals, spikes."""
 
+import dataclasses
 import math
 import pickle
 import random
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from qmcbounds import (
     Affine,
     CubeSpace,
+    EssentialRange,
     FiniteCell,
     FiniteTable,
     FunctionModel,
@@ -230,6 +232,31 @@ def test_essential_range_finite_table():
     f = FunctionModel(FiniteTable((0.0, 1.0, 2.0, 4.0)))
     rng = f.essential_range(FiniteCell((2, 3)))
     assert (rng.lo, rng.hi) == (2.0, 4.0)
+
+
+def test_essential_range_keeps_its_frozen_dataclass_contract():
+    r = EssentialRange(0.25, 1.5, True)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.lo = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del r.eps
+    assert not hasattr(r, "__dict__")
+    assert (r.lo, r.hi, r.exact, r.eps, r.width) == (0.25, 1.5, True, 0.0, 1.25)
+    keyword = EssentialRange(hi=1.5, lo=0.25, eps=0.0, exact=True)
+    assert r == keyword and hash(r) == hash(keyword)
+    assert r != EssentialRange(0.25, 1.5, False) and r != (0.25, 1.5, True, 0.0)
+    assert repr(r) == "EssentialRange(lo=0.25, hi=1.5, exact=True, eps=0.0)"
+    assert [f.name for f in dataclasses.fields(EssentialRange)] == ["lo", "hi", "exact", "eps"]
+    assert dataclasses.fields(r)[3].default == 0.0
+    sampled = dataclasses.replace(r, exact=False, eps=0.125)
+    assert sampled == EssentialRange(0.25, 1.5, False, 0.125) and r.exact
+    with pytest.raises(ValueError):
+        dataclasses.replace(r, lo=2.0)
+    loaded = pickle.loads(pickle.dumps(sampled))
+    assert loaded == sampled and repr(loaded) == repr(sampled)
+    assert loaded.width == 1.25 and EssentialRange(-1.0, -1.0, True).width == 0.0
+    with pytest.raises(TypeError):
+        EssentialRange(0.0, 1.0)
 
 
 def test_grid_mode_sandwiches_exact_range():
