@@ -48,6 +48,9 @@ coefficients, 2*pi*frequency and each Quadratic axis's vertex and value,
 in the operations and order of the closed forms above.  On one axis
 intercept + fsum([t]) is c0 + t, c0 = intercept + 0.0, bit for bit: with
 fsum([t]) = t + 0.0, each is intercept + t, save that a zero is +0.0.
+On two axes fsum([t0, t1]) is (t0 + t1) + 0.0, bit for bit: both round
+the exact sum correctly, + 0.0 makes a zero +0.0, and VALUE_LIMIT keeps
+the sum finite over the cube, so fsum's overflow error cannot occur.
 
 Grid range mode replaces the closed forms of the continuous families
 with sampled ranges over the regular grid of n + 1 points per axis
@@ -113,7 +116,7 @@ VALUE_LIMIT = sys.float_info.max / 4
 SINE_ARGUMENT_LIMIT = 2.0**50
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class EssentialRange:
     """Essential infimum and supremum of a model over one cell.
 
@@ -127,13 +130,23 @@ class EssentialRange:
     exact: bool
     eps: float = 0.0
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"range with lo {self.lo!r} > hi {self.hi!r}")
+    def __init__(self, lo, hi, exact, eps=0.0):
+        # each slot is set once through its descriptor; NaN fails the test
+        if not (lo <= hi and eps >= 0.0):
+            raise ValueError(f"range needs lo <= hi and eps >= 0, got lo {lo!r}, "
+                             f"hi {hi!r} and eps {eps!r}")
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+        _set_exact(self, exact)
+        _set_eps(self, eps)
 
     @property
     def width(self) -> float:
         return self.hi - self.lo
+
+
+_set_lo, _set_hi, _set_exact, _set_eps = (
+    getattr(EssentialRange, name).__set__ for name in EssentialRange.__slots__)
 
 
 # Most intervals per axis that grid mode samples a cell with.  Each cell
@@ -288,6 +301,11 @@ class Affine(_PickledByFields):
 
             def evaluate(point):
                 return c0 + a * point[0]
+        elif d == 2:  # c + fsum([t0, t1]) is c + ((t0 + t1) + 0.0) (module docstring)
+            a0, a1 = slopes
+
+            def evaluate(point):
+                return c + ((a0 * point[0] + a1 * point[1]) + 0.0)
         else:
             def evaluate(point):
                 return c + math.fsum(map(mul, slopes, point))
@@ -369,8 +387,15 @@ class Quadratic(_PickledByFields):
                 return (c + (at_v if inside and at_v < lo else lo),
                         c + (at_v if inside and at_v > hi else hi))
         else:
-            def evaluate(point):
-                return c + math.fsum([q * x * x + b * x for q, b, x in zip(qs, bs, point)])
+            if d == 2:  # c + fsum([t0, t1]) is c + ((t0 + t1) + 0.0) (module docstring)
+                (q0, q1), (b0, b1) = qs, bs
+
+                def evaluate(point):
+                    x0, x1 = point
+                    return c + ((q0 * x0 * x0 + b0 * x0) + (q1 * x1 * x1 + b1 * x1) + 0.0)
+            else:
+                def evaluate(point):
+                    return c + math.fsum([q * x * x + b * x for q, b, x in zip(qs, bs, point)])
 
             def range_on(cell):
                 cell = _require_box(cell, d)

@@ -259,6 +259,16 @@ def test_essential_range_keeps_its_frozen_dataclass_contract():
         EssentialRange(0.0, 1.0)
 
 
+@pytest.mark.parametrize("lo, hi, eps", [
+    (math.nan, 1.0, 0.0), (0.0, math.nan, 0.0), (2.0, 1.0, 0.0),
+    (0.0, 1.0, -1.0), (0.0, 1.0, math.nan),
+])
+def test_essential_range_refuses_nan_ends_and_a_negative_or_nan_eps(lo, hi, eps):
+    named = f"got lo {lo!r}, hi {hi!r} and eps {eps!r}"
+    with pytest.raises(ValueError, match=re.escape(named)):
+        EssentialRange(lo, hi, False, eps)
+
+
 def test_grid_mode_sandwiches_exact_range():
     mode = GridRangeMode(resolution=16, levels=2)
     for f_exact, fn in ((X2, lambda t: t * t), (SIN, None)):
@@ -721,6 +731,37 @@ def test_built_arithmetic_matches_the_fieldwise_closed_forms_bit_for_bit(case):
     got = FunctionModel(base).essential_range(cell)
     assert type(got.lo) is float and type(got.hi) is float
     assert (got.lo.hex(), got.hi.hex()) == want
+
+
+# Fields up to an eighth of VALUE_LIMIT, so that the five of a two-axis
+# Quadratic stay within it.
+_TWO_AXIS_FIELDS = st.one_of(_FIELDS, st.floats(-VALUE_LIMIT / 8, VALUE_LIMIT / 8))
+_TWO_AXES = st.tuples(_TWO_AXIS_FIELDS, _TWO_AXIS_FIELDS)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from((Affine, Quadratic)), _TWO_AXIS_FIELDS, _TWO_AXES, _TWO_AXES,
+       st.tuples(_COORDS, _COORDS))
+# two -0.0 terms add to -0.0, where fsum gives 0.0
+@example(Affine, -0.0, (-1.0, -1.0), (0.0, 0.0), (0.0, 0.0))
+@example(Quadratic, -0.0, (-1.0, -1.0), (-1.0, -0.0), (0.0, 0.0))
+@example(Quadratic, 1, (0, -2), (0, 3), (1.0, 1.0))
+def test_two_axis_values_match_the_fieldwise_fsum_bit_for_bit(family, c, first, second, point):
+    base = Affine(c, first) if family is Affine else Quadratic(c, first, second)
+    want = fieldwise_value(base, point).hex()
+    assert base.evaluate(point).hex() == want
+    assert FunctionModel(base).evaluate(point).hex() == want
+
+
+@settings(max_examples=1000)
+@given(st.floats(-VALUE_LIMIT, VALUE_LIMIT), st.floats(-VALUE_LIMIT, VALUE_LIMIT))
+@example(-0.0, -0.0)
+@example(1.0, 2.0**-53)  # ties round to even, up or down
+@example(1.0 + 2.0**-52, 2.0**-53)
+@example(VALUE_LIMIT, VALUE_LIMIT)
+@example(-VALUE_LIMIT, -VALUE_LIMIT)
+def test_fsum_of_two_terms_is_one_addition_plus_zero(a, b):
+    assert math.fsum([a, b]).hex() == ((a + b) + 0.0).hex()
 
 
 @pytest.mark.parametrize("make, text", [
