@@ -34,7 +34,9 @@ an infinite value would turn every bound into inf or nan.  Finite fields
 can still overflow in sum, so a continuous family also rejects fields
 whose magnitudes add up to more than VALUE_LIMIT, a bound on its values
 over the cube and on every partial sum of them.  A sine's argument is
-held to SINE_ARGUMENT_LIMIT, under which its range is counted exactly.
+held to SINE_ARGUMENT_LIMIT, under which its range is counted exactly,
+and its slope |amplitude| * 2*pi*frequency to VALUE_LIMIT, so every
+family's Lipschitz bound, and a grid range's eps, is finite.
 
 The continuous families integrate over many boxes at once:
 ``integrals(lowers, uppers)`` takes per-axis edge lists, box j being
@@ -48,9 +50,10 @@ coefficients, 2*pi*frequency and each Quadratic axis's vertex and value,
 in the operations and order of the closed forms above.  On one axis
 intercept + fsum([t]) is c0 + t, c0 = intercept + 0.0, bit for bit: with
 fsum([t]) = t + 0.0, each is intercept + t, save that a zero is +0.0.
-On two axes fsum([t0, t1]) is (t0 + t1) + 0.0, bit for bit: both round
-the exact sum correctly, + 0.0 makes a zero +0.0, and VALUE_LIMIT keeps
-the sum finite over the cube, so fsum's overflow error cannot occur.
+On two axes a Quadratic takes fsum([t0, t1]) as (t0 + t1) + 0.0, bit for
+bit: both round the exact sum correctly, + 0.0 makes a zero +0.0, and
+VALUE_LIMIT keeps the sum finite over the cube, so fsum's overflow error
+cannot occur.
 
 Grid range mode replaces the closed forms of the continuous families
 with sampled ranges over the regular grid of n + 1 points per axis
@@ -301,11 +304,6 @@ class Affine(_PickledByFields):
 
             def evaluate(point):
                 return c0 + a * point[0]
-        elif d == 2:  # c + fsum([t0, t1]) is c + ((t0 + t1) + 0.0) (module docstring)
-            a0, a1 = slopes
-
-            def evaluate(point):
-                return c + ((a0 * point[0] + a1 * point[1]) + 0.0)
         else:
             def evaluate(point):
                 return c + math.fsum(map(mul, slopes, point))
@@ -479,6 +477,7 @@ class Sinusoid(_PickledByFields):
                          abs(self.offset) + abs(self.amplitude))
         _require_bounded("frequency and phase", "the sine's argument",
                          TWO_PI * self.frequency + abs(self.phase), SINE_ARGUMENT_LIMIT)
+        _require_bounded("amplitude and frequency", "the slope", self.lipschitz_bound())
         w, phase, offset = TWO_PI * float(self.frequency), float(self.phase), float(self.offset)
         amplitude, axis, d = float(self.amplitude), self.axis, self.dimension
         peaks = (float(self.offset + self.amplitude), float(self.offset - self.amplitude))
@@ -537,7 +536,7 @@ class Sinusoid(_PickledByFields):
         return list(values)
 
     def lipschitz_bound(self) -> float:
-        return abs(self.amplitude) * TWO_PI * self.frequency
+        return abs(self.amplitude) * (TWO_PI * self.frequency)
 
 
 @dataclass(frozen=True)

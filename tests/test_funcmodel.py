@@ -467,6 +467,8 @@ def test_non_finite_numbers_rejected_at_construction(build, field, bad):
                  "offset and amplitude", VALUE_LIMIT, id="sinusoid-values"),
     pytest.param(lambda v: Sinusoid(amplitude=1.0, frequency=v), "frequency and phase",
                  SINE_ARGUMENT_LIMIT, id="sinusoid-argument"),
+    pytest.param(lambda v: Sinusoid(amplitude=v, frequency=1.0), "amplitude and frequency",
+                 VALUE_LIMIT, id="sinusoid-slope"),
 ])
 def test_values_that_can_overflow_rejected_at_construction(build, fields, limit):
     # each field is finite, but values over the cube, or their sums (the
@@ -481,6 +483,21 @@ def test_sine_argument_limit_admits_frequencies_up_to_about_1_8e14():
     Sinusoid(amplitude=1.0, frequency=1.7e14, phase=1.0)
     with pytest.raises(ValueError, match=r"^frequency and phase: .* above the limit"):
         Sinusoid(amplitude=1.0, frequency=1.8e14)
+
+
+def test_every_grid_range_has_a_finite_eps():
+    # amplitude * 2 pi * frequency was inf here, so eps was inf, and NaN
+    # (inf * 0.0) where a subnormal cell width gives a zero spacing
+    with pytest.raises(ValueError, match=r"^amplitude and frequency: the slope .* above"):
+        Sinusoid(amplitude=1e300, frequency=1e14)
+    mode = GridRangeMode(8, 0)
+    # VALUE_LIMIT * 2 pi alone overflows; at frequency 0 the slope is 0.0
+    for base in (Sinusoid(amplitude=VALUE_LIMIT, frequency=0.0),
+                 Sinusoid(amplitude=1e300, frequency=1e6)):
+        f = FunctionModel(base, range_mode=mode)
+        assert f.essential_range(box((0.0, 3 * SUBNORMAL))).eps == 0.0
+        eps = f.essential_range(box((0.0, 1.0))).eps
+        assert eps == base.lipschitz_bound() / 16.0 and math.isfinite(eps)
 
 
 def test_loader_names_a_non_finite_spike_value():
