@@ -13,7 +13,9 @@ fails, 2 for usage and configuration errors.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -34,9 +36,21 @@ from .experiments import (
 from .instances import load_instances
 from .oracle import small_exhaustive_suite
 from .pointsets import DEFAULT_ENUMERATION_CAP, STRATEGIES, load_pointset
-from .spaces import FiniteSpace
 
 FORMAT_CHOICE = click.Choice(["csv", "structured"])
+
+
+def _usage_errors(command):
+    """Turn a library error that the command lets through into a usage
+    error, exit 2.  Applied below the click decorators, it raises in the
+    command's context, so the usage line names the command."""
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except QmcBoundsError as exc:
+            raise click.UsageError(str(exc)) from None
+    return run
 
 
 def _echo_rows(rows, columns) -> None:
@@ -73,6 +87,7 @@ def main():
               help="Seed offset for the built-in suite.")
 @click.option("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, show_default=True,
               help="Refuse instances with more configurations than this.")
+@_usage_errors
 def cmd_verify(suite, config_path, out_path, fmt, seed, cap):
     """Exhaustively verify the bounds on finite-space instances."""
     if (suite is None) == (config_path is None):
@@ -80,23 +95,8 @@ def cmd_verify(suite, config_path, out_path, fmt, seed, cap):
     if suite is not None:
         instances = small_exhaustive_suite(seed_offset=seed)
     else:
-        try:
-            instances = load_instances(config_path)
-        except QmcBoundsError as exc:
-            raise click.UsageError(str(exc))
-        for inst in instances:
-            if not isinstance(inst.space, FiniteSpace):
-                raise click.UsageError(
-                    f"instance {inst.instance_id!r}: verification is finite-space only"
-                )
-            if inst.n_points is None:
-                raise click.UsageError(
-                    f"instance {inst.instance_id!r}: verification needs N"
-                )
-    try:
-        verdicts, summary, _ = run_verification(instances, cap=cap)
-    except QmcBoundsError as exc:
-        raise click.UsageError(str(exc))
+        instances = load_instances(config_path)
+    verdicts, summary, _ = run_verification(instances, cap=cap)
     rows = [reports.verdict_row(v) for v in verdicts]
     if out_path is not None:
         reports.emit(out_path, rows, reports.VERDICT_COLUMNS, fmt, summary)
@@ -115,28 +115,20 @@ def cmd_verify(suite, config_path, out_path, fmt, seed, cap):
               help="Point-set file to score against the bounds.")
 @click.option("--out", "out_path", type=click.Path(path_type=Path), default=None)
 @click.option("--format", "fmt", type=FORMAT_CHOICE, default="csv", show_default=True)
+@_usage_errors
 def cmd_bounds(config_path, points_path, out_path, fmt):
     """Bound values for an instance; with --points, the full report."""
-    try:
-        instances = load_instances(config_path)
-    except QmcBoundsError as exc:
-        raise click.UsageError(str(exc))
+    instances = load_instances(config_path)
     if len(instances) != 1:
         raise click.UsageError("bounds needs exactly one instance")
     inst = instances[0]
-    try:
-        bounds = bound_set(inst.function, inst.partition)
-    except QmcBoundsError as exc:
-        raise click.UsageError(str(exc))
+    bounds = bound_set(inst.function, inst.partition)
     if points_path is None:
         rows = [reports.boundset_row(bounds, inst.instance_id, inst.n_points,
                                      inst.partition.k)]
         columns = reports.BOUNDSET_COLUMNS
     else:
-        try:
-            nodes = load_pointset(points_path, inst.space, inst.partition)
-        except QmcBoundsError as exc:
-            raise click.UsageError(str(exc))
+        nodes = load_pointset(points_path, inst.space, inst.partition)
         try:
             report = bound_report(inst.function, inst.partition, nodes,
                                   inst.instance_id)
@@ -163,13 +155,10 @@ def cmd_bounds(config_path, points_path, out_path, fmt):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(path_type=Path), default=None)
 @click.option("--format", "fmt", type=FORMAT_CHOICE, default="csv", show_default=True)
+@_usage_errors
 def cmd_convergence(family, depth, strategy, seed, out_path, fmt):
     """Bounds and realized errors under dyadic refinement of [0,1]."""
-    try:
-        f = named_function(family)
-        rows = convergence_table(f, depth, strategy, seed)
-    except QmcBoundsError as exc:
-        raise click.UsageError(str(exc))
+    rows = convergence_table(named_function(family), depth, strategy, seed)
     if out_path is not None:
         reports.emit(out_path, rows, reports.CONVERGENCE_COLUMNS, fmt)
     _echo_rows(rows, reports.CONVERGENCE_COLUMNS)
@@ -187,19 +176,16 @@ def cmd_convergence(family, depth, strategy, seed, out_path, fmt):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(path_type=Path), default=None)
 @click.option("--format", "fmt", type=FORMAT_CHOICE, default="csv", show_default=True)
+@_usage_errors
 def cmd_perturb(family, k, n_spikes, spike_magnitude, placement_seeds, seed,
                 out_path, fmt):
     """Show that spike overrides cannot move the certified bounds."""
-    if k < 1 or n_spikes < 0 or placement_seeds < 0:
-        raise click.UsageError("cells must be >= 1, spikes and seeds >= 0")
-    try:
-        f = named_function(family)
-        rows, summary = perturb_table(
-            f, k, n_spikes, seed=seed, magnitude=spike_magnitude,
-            placement_seeds=placement_seeds,
-        )
-    except QmcBoundsError as exc:
-        raise click.UsageError(str(exc))
+    magnitude_ok = spike_magnitude is None or math.isfinite(spike_magnitude)
+    if k < 1 or n_spikes < 0 or placement_seeds < 0 or not magnitude_ok:
+        raise click.UsageError("--cells must be >= 1, --spikes and --placement-seeds >= 0, "
+                               "and --spike-magnitude a finite number")
+    rows, summary = perturb_table(named_function(family), k, n_spikes, seed=seed,
+                                  magnitude=spike_magnitude, placement_seeds=placement_seeds)
     if out_path is not None:
         reports.emit(out_path, rows, reports.PERTURB_COLUMNS, fmt, summary)
     click.echo(json.dumps(summary))

@@ -101,6 +101,7 @@ from .spaces import (
     FiniteSpace,
     Partition,
     Space,
+    atom_index,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -233,15 +234,15 @@ def _volumes(lowers, uppers):
                               for ls, us in zip(lowers, uppers)])
 
 
-def _fsum_per_cell(terms):
-    """math.fsum of each cell's per-axis terms, one iterable per axis.
+def _fsum_per_cell(intercept, terms, lowers, uppers) -> list[float]:
+    """Each box's volume times intercept + math.fsum of its per-axis
+    terms, one iterable of terms per axis.
 
     An fsum of one term t is t + 0.0: t itself, except that -0.0 becomes
     0.0.
     """
-    if len(terms) == 1:
-        return (t + 0.0 for t in terms[0])
-    return map(math.fsum, zip(*terms))
+    sums = (t + 0.0 for t in terms[0]) if len(terms) == 1 else map(math.fsum, zip(*terms))
+    return [vol * (intercept + t) for vol, t in zip(_volumes(lowers, uppers), sums)]
 
 
 def _require_bounded(fields: str, quantity: str, magnitude: float,
@@ -336,9 +337,7 @@ class Affine(_PickledByFields):
             return (a * ((l + u) / 2.0) for l, u in zip(ls, us))
 
         terms = list(map(axis_terms, self.slopes, lowers, uppers))
-        intercept = self.intercept
-        return [vol * (intercept + t)
-                for vol, t in zip(_volumes(lowers, uppers), _fsum_per_cell(terms))]
+        return _fsum_per_cell(self.intercept, terms, lowers, uppers)
 
     def lipschitz_bound(self) -> float:
         return math.fsum(abs(a) for a in self.slopes)
@@ -430,9 +429,7 @@ class Quadratic(_PickledByFields):
                     for l, u in zip(ls, us))
 
         terms = list(map(axis_terms, self.quadratic, self.linear, lowers, uppers))
-        intercept = self.intercept
-        return [vol * (intercept + t)
-                for vol, t in zip(_volumes(lowers, uppers), _fsum_per_cell(terms))]
+        return _fsum_per_cell(self.intercept, terms, lowers, uppers)
 
     def lipschitz_bound(self) -> float:
         return math.fsum(
@@ -617,6 +614,11 @@ class FiniteTable:
     def dimension(self) -> None:
         return None
 
+    def as_point(self, value) -> int:
+        """Normalize an atom reference (index, or label of a labeled
+        table) to an index, as FiniteSpace.as_point does."""
+        return atom_index(value, self.labels or (), len(self.values))
+
     def evaluate(self, point: int) -> float:
         return self.values[point]
 
@@ -648,18 +650,18 @@ class FunctionModel:
     spikes: tuple[tuple[tuple[float, ...], float], ...] = ()
     range_mode: GridRangeMode | None = None
 
-    _spike_map: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
-    # The space points are normalised against; None for a FiniteTable,
-    # whose atoms are looked up in the table itself.
-    _domain: Space | None = field(init=False, repr=False, compare=False, hash=False,
-                                  default=None)
+    _spike_map: dict = _built()
+    # What points are normalised against, by its as_point: the cube, a
+    # piecewise constant's own space, or a FiniteTable itself, whose
+    # atoms are its values' indices and its labels.
+    _domain: Space | FiniteTable = _built()
 
     def __post_init__(self):
         base = self.base
         if isinstance(base, PiecewiseConstant):
             domain = base.partition.space
         elif isinstance(base, FiniteTable):
-            domain = None
+            domain = base
         else:
             domain = CubeSpace(base.dimension)
         object.__setattr__(self, "_domain", domain)
@@ -681,25 +683,9 @@ class FunctionModel:
     def dimension(self) -> int | None:
         return self.base.dimension
 
-    def _table_atom(self, point) -> int:
-        table = self.base
-        if isinstance(point, str):
-            if table.labels is None:
-                raise OutOfDomainError("label lookup needs a labeled table")
-            if point not in table.labels:
-                raise OutOfDomainError(f"unknown atom label {point!r}")
-            return table.labels.index(point)
-        if isinstance(point, bool) or not isinstance(point, int):
-            raise OutOfDomainError(f"not an atom reference: {point!r}")
-        n = len(table.values)
-        if not 0 <= point < n:
-            raise OutOfDomainError(f"atom index {point} out of range 0..{n - 1}")
-        return point
-
     def evaluate(self, point) -> float:
         """Pointwise value; spike overrides win on exact coordinate match."""
-        domain = self._domain
-        point = self._table_atom(point) if domain is None else domain.as_point(point)
+        point = self._domain.as_point(point)
         spikes = self._spike_map
         if spikes and point in spikes:
             return spikes[point]
@@ -723,25 +709,22 @@ class FunctionModel:
         eps = base.lipschitz_bound() * spacing / 2.0
         return EssentialRange(lo, hi, exact=False, eps=eps)
 
-    def _require_integrable_over(self, space: FiniteSpace) -> None:
-        """OutOfDomainError unless this model can be integrated over the
-        finite space: a cube family never can, and a table needs one
-        value per atom."""
+    def _atom_integral(self, space: FiniteSpace, atoms) -> float:
+        """fsum of weight times value over atoms of the finite space;
+        OutOfDomainError unless the model can be integrated over it: a
+        cube family never can, and a table needs one value per atom."""
         if not self.is_finite:
             raise OutOfDomainError("cube-family model integrated over a finite space")
         base = self.base
         if isinstance(base, FiniteTable) and len(base.values) != space.n_atoms:
             raise OutOfDomainError(f"a {len(base.values)}-value table integrated over "
                                    f"a {space.n_atoms}-atom space")
+        return math.fsum(space.weights[a] * base.evaluate(a) for a in atoms)
 
     def integral(self, space: Space) -> float:
         """Integral over the whole space; spikes are null and ignored."""
         if isinstance(space, FiniteSpace):
-            self._require_integrable_over(space)
-            base = self.base
-            return math.fsum(
-                space.weights[i] * base.evaluate(i) for i in range(space.n_atoms)
-            )
+            return self._atom_integral(space, range(space.n_atoms))
         d = space.dimension
         return self.cell_integral(BoxCell((0.0,) * d, (1.0,) * d), space)
 
@@ -749,11 +732,10 @@ class FunctionModel:
         """Integral restricted to one cell."""
         base = self.base
         if isinstance(space, FiniteSpace):
-            self._require_integrable_over(space)
             if not isinstance(cell, FiniteCell):
                 raise OutOfDomainError("finite space needs finite cells")
             _require_atoms(cell, space.n_atoms, "atom space")
-            return math.fsum(space.weights[a] * base.evaluate(a) for a in cell.atoms)
+            return self._atom_integral(space, cell.atoms)
         if self.is_finite:
             raise OutOfDomainError("finite-space model integrated over a cube space")
         cell = _require_box(cell, base.dimension)

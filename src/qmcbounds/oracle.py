@@ -397,7 +397,8 @@ def verify_instances(instances: Sequence[Instance],
     Every instance is enumerated and read (one essential range per cell,
     one value per atom) in declared order, so the first one that cannot
     be verified raises what it would raise alone; then all of them are
-    scored together by ``_score_configurations``.
+    scored together by ``_score_configurations``.  An instance on a cube
+    space, or one that declares no N, raises a QmcBoundsError naming it.
 
     A verdict also fails when the enumerated worst error and the closed
     form ``worst_uniform_error`` differ, so the scorer and the closed
@@ -415,6 +416,9 @@ def verify_instances(instances: Sequence[Instance],
     for instance in instances:
         space, partition, f, n_points = (instance.space, instance.partition,
                                          instance.function, instance.n_points)
+        if not isinstance(space, FiniteSpace):
+            raise QmcBoundsError(
+                f"instance {instance.instance_id!r}: verification is finite-space only")
         if n_points is None:
             raise QmcBoundsError(f"instance {instance.instance_id!r} declares no N")
         stream = enumerate_uniform(space, partition, n_points, cap)

@@ -39,6 +39,21 @@ from .errors import (
 MASS_TOL = 1e-12
 
 
+def atom_index(value, labels: Sequence[str], n: int) -> int:
+    """The index of an atom reference: an int in 0..n-1, or one of the
+    labels.  A bool is not an index."""
+    if isinstance(value, str):
+        try:
+            return labels.index(value)
+        except ValueError:
+            raise OutOfDomainError(f"unknown atom label {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise OutOfDomainError(f"not an atom reference: {value!r}")
+    if not 0 <= value < n:
+        raise OutOfDomainError(f"atom index {value} out of range 0..{n - 1}")
+    return value
+
+
 @dataclass(frozen=True)
 class FiniteSpace:
     """Finite atomic probability space with labeled atoms."""
@@ -60,20 +75,7 @@ class FiniteSpace:
 
     def as_point(self, value) -> int:
         """Normalize an atom reference (index or label) to an index."""
-        if isinstance(value, str):
-            return self.index_of(value)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise OutOfDomainError(f"not an atom of a finite space: {value!r}")
-        if not 0 <= value < self.n_atoms:
-            raise OutOfDomainError(f"atom index {value} out of range 0..{self.n_atoms - 1}")
-        return value
-
-    def contains(self, point) -> bool:
-        try:
-            self.as_point(point)
-        except OutOfDomainError:
-            return False
-        return True
+        return atom_index(value, self.labels, self.n_atoms)
 
 
 @dataclass(frozen=True)
@@ -115,13 +117,6 @@ class CubeSpace:
                 raise OutOfDomainError(f"coordinate {c!r} outside [0, 1]")
         return coords
 
-    def contains(self, point) -> bool:
-        try:
-            self.as_point(point)
-        except OutOfDomainError:
-            return False
-        return True
-
 
 Space = Union[FiniteSpace, CubeSpace]
 
@@ -132,10 +127,7 @@ def make_finite_space(atoms: Sequence[tuple[str, float]] | Mapping[str, float]) 
     Weights must be strictly positive and sum to 1 within MASS_TOL; no
     renormalization is performed, a bad sum is an error.
     """
-    if isinstance(atoms, Mapping):
-        pairs = list(atoms.items())
-    else:
-        pairs = [(str(label), float(w)) for label, w in atoms]
+    pairs = list(atoms.items() if isinstance(atoms, Mapping) else atoms)
     if not pairs:
         raise EmptyCellError("a finite space needs at least one atom")
     labels = tuple(str(label) for label, _ in pairs)

@@ -187,6 +187,20 @@ def test_verify_rejects_cube_instance(runner, tmp_path):
     assert "finite-space" in result.output + result.stderr
 
 
+@pytest.mark.parametrize("command, args", [
+    ("verify", ["--config", "BAD"]),
+    ("bounds", ["--config", "BAD"]),
+    ("convergence", ["--depth", "21"]),
+])
+def test_library_errors_exit_2_with_the_command_usage_line(runner, tmp_path, command, args):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    result = runner.invoke(main, [command] + [str(bad) if a == "BAD" else a for a in args])
+    assert result.exit_code == 2
+    usage = next(line for line in result.stderr.splitlines() if line.startswith("Usage:"))
+    assert f" {command} [OPTIONS]" in usage
+
+
 def test_verify_rejects_missing_n(runner, tmp_path):
     obj = instance_to_json(random_instance(0))
     del obj["N"]
@@ -530,6 +544,14 @@ def test_perturb_without_spikes_matches_certified(runner):
     assert summary["naive_before"] == 0.25
     assert summary["naive_after"] == 0.25
     assert summary["identical_errors"] == 3
+
+
+@pytest.mark.parametrize("magnitude", ["nan", "inf", "1e400"])
+def test_perturb_refuses_a_spike_magnitude_that_is_not_finite(runner, magnitude):
+    # each printed a ValueError traceback from the spike values and exited 1
+    result = runner.invoke(main, ["perturb", "--spike-magnitude", magnitude])
+    assert result.exit_code == 2
+    assert "--spike-magnitude" in result.stderr
 
 
 def test_perturb_rows_layout(runner, tmp_path):

@@ -86,6 +86,28 @@ def test_evaluate_out_of_domain():
         f.evaluate(5)
 
 
+TWO_LABELS = make_finite_space([("a", 0.25), ("b", 0.75)])
+
+
+@pytest.mark.parametrize("read_atom", [
+    TWO_LABELS.as_point,
+    FunctionModel(FiniteTable((0.0, 1.0), TWO_LABELS.labels)).evaluate,
+], ids=["space", "table"])
+def test_a_space_and_a_table_read_atoms_by_one_rule(read_atom):
+    # the table's value at each atom is the atom's index
+    assert read_atom(1) == read_atom("b") == 1
+    for bad in (True, 1.0, -1, 2, "c"):
+        with pytest.raises(OutOfDomainError):
+            read_atom(bad)
+
+
+def test_an_unlabeled_table_refuses_every_label():
+    f = FunctionModel(FiniteTable((0.0, 1.0)))
+    for label in ("a", "0", ""):
+        with pytest.raises(OutOfDomainError, match="unknown atom label"):
+            f.evaluate(label)
+
+
 def test_spikes_rejected_on_finite_space():
     with pytest.raises(QmcBoundsError):
         FunctionModel(FiniteTable((0.0, 1.0)), spikes=(((0.5,), 3.0),))

@@ -25,6 +25,7 @@ from qmcbounds import (
     bound_set,
     enumerate_uniform,
     equal_partition_1d,
+    make_cube_space,
     make_finite_space,
     make_partition,
     minimax_distance_finite,
@@ -417,6 +418,14 @@ def test_verify_instances_refuses_a_missing_n_before_scoring():
     stripped = type(good)("no-n", good.space, good.partition, good.function, None)
     with pytest.raises(QmcBoundsError, match="instance 'no-n' declares no N"):
         verify_instances([good, stripped])
+
+
+def test_verify_instances_refuses_a_cube_instance_by_name():
+    cube = Instance("cube-n", make_cube_space(1), equal_partition_1d(2),
+                    FunctionModel(Quadratic(0.0, (0.0,), (1.0,))), 2)
+    with pytest.raises(QmcBoundsError,
+                       match="instance 'cube-n': verification is finite-space only"):
+        verify_instances([random_instance(0), cube])
 
 
 def test_scorer_rescores_what_rounding_ranks_lower():

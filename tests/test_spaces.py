@@ -39,6 +39,14 @@ def test_make_finite_space_basic():
     assert space.index_of("b") == 1
 
 
+def test_index_of_reads_a_non_string_as_an_unknown_label():
+    # never converted with str(), so the int 1 is not the label "1"
+    space = make_finite_space([("0", 0.5), ("1", 0.5)])
+    assert space.index_of("1") == 1
+    with pytest.raises(OutOfDomainError, match="unknown atom label 1"):
+        space.index_of(1)
+
+
 def test_make_finite_space_rejects_bad_sum():
     # {a: 0.3, b: 0.3} sums to 0.6
     with pytest.raises(WeightSumError):
