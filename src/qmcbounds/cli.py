@@ -60,14 +60,9 @@ def _echo_rows(rows, columns) -> None:
 def _failure_line(verdict) -> str:
     """Why a verdict failed: its instance, the first check it fails, that
     check's margin and the slack every check allows."""
-    instance_id = verdict.instance.instance_id
-    failed = verdict.failed_check()
-    if failed is None:
-        return (f"verify: instance {instance_id!r} is marked failed, but every check "
-                f"holds within the slack {verdict.slack!r}")
-    check, margin = failed
-    return (f"verify: instance {instance_id!r} fails {check}: margin {margin!r}, "
-            f"slack {verdict.slack!r}")
+    check, margin = verdict.failure
+    return (f"verify: instance {verdict.instance.instance_id!r} fails {check}: "
+            f"margin {margin!r}, slack {verdict.slack!r}")
 
 
 @click.group()
@@ -122,10 +117,9 @@ def cmd_bounds(config_path, points_path, out_path, fmt):
     if len(instances) != 1:
         raise click.UsageError("bounds needs exactly one instance")
     inst = instances[0]
-    bounds = bound_set(inst.function, inst.partition)
     if points_path is None:
-        rows = [reports.boundset_row(bounds, inst.instance_id, inst.n_points,
-                                     inst.partition.k)]
+        rows = [reports.boundset_row(bound_set(inst.function, inst.partition),
+                                     inst.instance_id, inst.n_points, inst.partition.k)]
         columns = reports.BOUNDSET_COLUMNS
     else:
         nodes = load_pointset(points_path, inst.space, inst.partition)

@@ -177,6 +177,7 @@ def perturb_table(f_base: FunctionModel, k: int, n_spikes: int, seed: int = 0,
             "metric": "realized_error", "seed": seed + 1 + i,
             "before": err_before, "after": err_after, "identical": same,
         })
+    blowup = naive_after / naive_before if naive_before > 0 else math.inf
     summary = {
         "bounds_identical": all(
             r["identical"] for r in rows
@@ -184,7 +185,7 @@ def perturb_table(f_base: FunctionModel, k: int, n_spikes: int, seed: int = 0,
         ),
         "naive_before": naive_before,
         "naive_after": naive_after,
-        "naive_blowup": naive_after / naive_before if naive_before > 0 else math.inf,
+        "naive_blowup": blowup if math.isfinite(blowup) else None,  # null, not Infinity
         "placement_seeds": placement_seeds,
         "identical_errors": identical_errors,
         "spikes": n_spikes,

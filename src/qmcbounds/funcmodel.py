@@ -564,35 +564,34 @@ class PiecewiseConstant:
             raise OutOfDomainError(f"point {point!r} lies in no cell of the piece layout")
         return self.values[j]
 
-    def _overlap_measure(self, piece: Cell, cell: Cell) -> float:
-        if isinstance(piece, FiniteCell):
-            if not isinstance(cell, FiniteCell):
-                raise OutOfDomainError("mixed cell kinds")
-            space = self.partition.space
-            shared = set(piece.atoms) & set(cell.atoms)
-            return math.fsum(space.weights[a] for a in shared)
-        if not isinstance(cell, BoxCell):
-            raise OutOfDomainError("mixed cell kinds")
-        m = 1.0
-        for plo, phi, clo, chi in zip(piece.lower, piece.upper, cell.lower, cell.upper):
-            m *= max(min(phi, chi) - max(plo, clo), 0.0)
-        return m
+    def _overlap_measures(self, cell: Cell):
+        """Each piece's overlap measure with a box cell of the layout's
+        cube, in piece order."""
+        cell = _require_box(cell, self.dimension)
+        for piece in self.partition.cells:
+            m = 1.0
+            for plo, phi, clo, chi in zip(piece.lower, piece.upper, cell.lower, cell.upper):
+                m *= max(min(phi, chi) - max(plo, clo), 0.0)
+            yield m
 
     def range_on(self, cell: Cell) -> tuple[float, float]:
-        hits = [
-            v
-            for piece, v in zip(self.partition.cells, self.values)
-            if self._overlap_measure(piece, cell) > 0.0
-        ]
+        partition = self.partition
+        if isinstance(partition.space, FiniteSpace):
+            # every atom has positive weight, so the pieces met are the
+            # atoms' own; in piece order, min and max keep the first of
+            # 0.0 and -0.0 as a scan of every piece does
+            if not isinstance(cell, FiniteCell):
+                raise OutOfDomainError(f"expected a finite cell, got {cell!r}")
+            _require_atoms(cell, partition.space.n_atoms, "atom space")
+            hits = [self.values[j] for j in sorted({partition.slabs[a] for a in cell.atoms})]
+        else:
+            hits = [v for v, m in zip(self.values, self._overlap_measures(cell)) if m > 0.0]
         if not hits:
             raise OutOfDomainError(f"cell {cell!r} meets no piece with positive measure")
         return min(hits), max(hits)
 
     def integral_over(self, cell: Cell) -> float:
-        return math.fsum(
-            v * self._overlap_measure(piece, cell)
-            for piece, v in zip(self.partition.cells, self.values)
-        )
+        return math.fsum(v * m for v, m in zip(self.values, self._overlap_measures(cell)))
 
 
 @dataclass(frozen=True)

@@ -74,21 +74,22 @@ SCORE_CHUNK = 1 << 16
 @dataclass(frozen=True)
 class VerificationVerdict:
     """One instance's exhaustive check against its three bounds and the
-    closed-form worst error ``closed_form``, each within ``slack``."""
+    closed-form worst error ``closed_form``, each within ``slack``;
+    ``failure`` is the first check it fails, as (check, margin), or None."""
 
     instance: Instance
     worst_error: float
     argmax_configuration: tuple[tuple[int, ...], ...]
     bounds: BoundSet
-    passed: bool
+    failure: tuple[str, float] | None
     tightness: float
     total_configurations: int
     closed_form: float
     slack: float
 
-    def failed_check(self) -> tuple[str, float] | None:
-        """The first check this verdict fails, as (check, margin), or None."""
-        return _failed_check(self.worst_error, self.bounds, self.closed_form, self.slack)
+    @property
+    def passed(self) -> bool:
+        return self.failure is None
 
 
 def _failed_check(worst: float, bounds: BoundSet, closed_form: float, slack: float):
@@ -445,7 +446,7 @@ def verify_instances(instances: Sequence[Instance],
             worst_error=worst,
             argmax_configuration=argmax,
             bounds=bounds,
-            passed=_failed_check(worst, bounds, closed_form, slack) is None,
+            failure=_failed_check(worst, bounds, closed_form, slack),
             tightness=tightness,
             total_configurations=stream.total_count,
             closed_form=closed_form,

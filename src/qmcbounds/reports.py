@@ -18,7 +18,6 @@ import tempfile
 from .bounds import BoundSet
 from .estimator import BoundReport
 from .oracle import VerificationVerdict
-from .spaces import FiniteSpace
 
 BOUNDSET_COLUMNS = (
     "instance_id", "N", "k", "theorem1", "corollary1", "corollary2", "D", "exact",
@@ -67,11 +66,9 @@ def report_row(report: BoundReport, k: int) -> dict:
 
 
 def _serialize_configuration(verdict: VerificationVerdict) -> str:
-    space = verdict.instance.space
-    if not isinstance(space, FiniteSpace) or verdict.argmax_configuration is None:
-        return ""
+    labels = verdict.instance.space.labels
     return "|".join(
-        ",".join(space.labels[a] for a in cell_nodes)
+        ",".join(labels[a] for a in cell_nodes)
         for cell_nodes in verdict.argmax_configuration
     )
 

@@ -67,12 +67,6 @@ class FiniteSpace:
     def n_atoms(self) -> int:
         return len(self.labels)
 
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise OutOfDomainError(f"unknown atom label {label!r}") from None
-
     def as_point(self, value) -> int:
         """Normalize an atom reference (index or label) to an index."""
         return atom_index(value, self.labels, self.n_atoms)
@@ -158,9 +152,6 @@ class FiniteCell:
     def __post_init__(self):
         normalized = tuple(sorted(set(int(a) for a in self.atoms)))
         object.__setattr__(self, "atoms", normalized)
-
-    def contains(self, point: int) -> bool:
-        return point in self.atoms
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -306,11 +297,12 @@ class Partition:
     """An ordered, validated partition of a space into cells.
 
     Built by ``make_partition``, or by ``equal_partition_1d`` for k
-    equal cells of [0, 1].  A cube partition also holds the per-axis
-    edge lists of its cells (``edges``, as ``cell_edges`` gives them),
-    which passes over every cell read in place of the cells, and the
-    slab index that ``_sweep`` builds from those lists (``slabs``),
-    which cell lookup walks; a finite partition holds None for both.
+    equal cells of [0, 1].  Cell lookup reads the partition's index,
+    ``slabs``: on a finite space the tuple of each atom's cell, on the
+    cube the slab index that ``_sweep`` builds from the per-axis edge
+    lists of the cells.  A cube partition also holds those lists
+    (``edges``, as ``cell_edges`` gives them), which passes over every
+    cell read in place of the cells; a finite partition holds None.
     ``allocations`` keeps the per-cell counts that
     ``pointsets.allocation`` accepted, by N.  Equality, hashing and repr
     ignore all three.
@@ -320,7 +312,7 @@ class Partition:
     cells: tuple[Cell, ...]
     measures: tuple[float, ...]
     edges: EdgeLists | None = field(compare=False, repr=False)
-    slabs: tuple | None = field(compare=False, repr=False)
+    slabs: tuple = field(compare=False, repr=False)
     allocations: dict[int, tuple[int, ...]] = field(
         init=False, compare=False, repr=False, default_factory=dict)
 
@@ -335,14 +327,15 @@ class Partition:
     def _locate(self, point) -> int | None:
         """``cell_index_of`` for a point already normalized by ``space``.
 
-        A cube point is found by one bisect per coordinate in the slab
-        index, then tested against the one cell that leaves; cells are
-        disjoint as sets, so the answer is the scan's.  The test rejects
-        points in gaps the cover tolerance lets through.
+        An atom's cell is read from the finite index.  A cube point is
+        found by one bisect per coordinate in the slab index, then tested
+        against the one cell that leaves; cells are disjoint as sets, so
+        the answer is a scan's.  The test rejects points in gaps the
+        cover tolerance lets through.
         """
         node = self.slabs
-        if node is None:
-            return next((j for j, c in enumerate(self.cells) if c.contains(point)), None)
+        if self.edges is None:
+            return node[point]
         for c in point:
             edges, children = node
             i = bisect_right(edges, c) - 1
@@ -367,16 +360,16 @@ def make_partition(space: Space, cells: Sequence[Cell]) -> Partition:
         if not m > 0.0:
             raise EmptyCellError(f"cell {j} has measure {m!r}")
     if isinstance(space, FiniteSpace):
-        seen: dict[int, int] = {}
+        owners: list[int | None] = [None] * space.n_atoms  # each atom's cell
         for j, cell in enumerate(cells):
             for a in cell.atoms:
-                if a in seen:
-                    raise OverlapError(f"cells {seen[a]} and {j} share atom {a}")
-                seen[a] = j
-        missing = [a for a in range(space.n_atoms) if a not in seen]
+                if owners[a] is not None:
+                    raise OverlapError(f"cells {owners[a]} and {j} share atom {a}")
+                owners[a] = j
+        missing = [a for a, j in enumerate(owners) if j is None]
         if missing:
             raise CoverError(f"atoms {missing} belong to no cell")
-        return Partition(space, cells, measures, None, None)
+        return Partition(space, cells, measures, None, tuple(owners))
     edges = cell_edges(cells)
     slabs = _sweep(edges)
     total = math.fsum(measures)

@@ -5,8 +5,9 @@ pointwise sampling, grid-mode ranges from evaluating every point of the
 product grid and from the numpy.linspace sampler that the per-axis
 sample lists replace, integrals from scipy quadrature, the minimax from a
 coefficient grid search, enumeration from brute force over ordered
-node tuples, box overlaps and cell lookups from pairwise tests and
-linear scans, and the exhaustive worst error from scoring every
+node tuples, box overlaps and cell lookups (of boxes and of atoms) from
+pairwise tests and linear scans, a finite piecewise constant's range
+from every piece, and the exhaustive worst error from scoring every
 configuration one by one; node counts per cell one cell at a time;
 the cube worst error from every
 one-node-per-cell placement on a grid; seeded placement from the
@@ -162,6 +163,23 @@ def scan_cell_index(boxes, point):
         if _in_box(point, lower, upper):
             return j
     return None
+
+
+def scan_atom_cell(cells, atom):
+    """Index of the first cell (a sequence of atom indices) holding the
+    atom, by a linear scan."""
+    for j, atoms in enumerate(cells):
+        if atom in atoms:
+            return j
+    return None
+
+
+def all_pieces_range(pieces, values, atoms):
+    """(min, max) of the values of every piece (a sequence of atom
+    indices) that shares an atom with ``atoms``, testing each piece in
+    turn; min() and max() keep the first of equal values."""
+    hits = [v for piece, v in zip(pieces, values) if set(piece) & set(atoms)]
+    return min(hits), max(hits)
 
 
 def scan_worst_configuration(stream, space, f, n_points):

@@ -107,7 +107,8 @@ def test_verify_structured_output(runner, tmp_path):
 def test_verify_injected_violation_fails(runner, tmp_path, monkeypatch):
     # a verdict that fails, as a real soundness bug would produce one
     def failing(instances, cap):
-        return [dataclasses.replace(v, passed=False) for v in verify_instances(instances, cap)]
+        return [dataclasses.replace(v, failure=("corollary2", 0.5))
+                for v in verify_instances(instances, cap)]
 
     monkeypatch.setattr(qmcbounds.experiments, "verify_instances", failing)
     config = tmp_path / "instances.json"
@@ -121,7 +122,7 @@ def test_verify_injected_violation_fails(runner, tmp_path, monkeypatch):
     rows = parse_csv(out.read_text())
     assert rows[-1]["instance_id"] == "rand-0"
     assert rows[-1]["passed"] == "false"
-    assert result.stderr.startswith("verify: instance 'rand-0' is marked failed")
+    assert result.stderr.startswith("verify: instance 'rand-0' fails corollary2: margin 0.5, ")
 
 
 def test_verify_refuses_the_first_instance_over_the_cap(runner, tmp_path):
@@ -238,6 +239,30 @@ def test_bounds_with_points_report(runner, tmp_path):
     assert abs(float(row["integral"]) - 1 / 3) < 1e-15
     assert abs(float(row["error"]) - (1 / 3 - 0.3125)) < 1e-15
     assert row["corollary2"] == "0.5"
+
+
+def test_bounds_with_points_reads_each_range_once(runner, tmp_path, monkeypatch):
+    # the bound table was built for the bounds row and built again by the
+    # report: 2k essential_range calls
+    k = 8
+    instance = dict(X2_INSTANCE, instance_id="x2-eight", N=k, partition={
+        "cells": [{"box": [[j / k, (j + 1) / k]]} for j in range(k)]})
+    config = write_json(tmp_path / "x2.json", instance)
+    partition = equal_partition_1d(k)
+    points = tmp_path / "nodes.txt"
+    save_pointset(points, construct_uniform(partition, k), partition)
+    calls = 0
+    essential_range = qmcbounds.FunctionModel.essential_range
+
+    def counting(self, cell):
+        nonlocal calls
+        calls += 1
+        return essential_range(self, cell)
+
+    monkeypatch.setattr(qmcbounds.FunctionModel, "essential_range", counting)
+    result = runner.invoke(main, ["bounds", "--config", config, "--points", str(points)])
+    assert result.exit_code == 0, result.output
+    assert calls == k
 
 
 def test_bounds_rejects_non_uniform_points(runner, tmp_path):
@@ -451,11 +476,11 @@ def test_verify_explains_a_failed_verdict(runner, tmp_path, monkeypatch, patched
     assert result.exit_code == 1
     verdicts = verify_instances([random_instance(i) for i in range(3)])
     failed = [v for v in verdicts if not v.passed]
-    assert failed and all(v.failed_check()[0] == check for v in failed)
+    assert failed and all(v.failure[0] == check for v in failed)
     lines = result.stderr.splitlines()
     assert len(lines) == len(failed)
     for line, verdict in zip(lines, failed):
-        margin = verdict.failed_check()[1]
+        margin = verdict.failure[1]
         assert margin > verdict.slack
         assert line == (f"verify: instance {verdict.instance.instance_id!r} fails {check}: "
                         f"margin {margin!r}, slack {verdict.slack!r}")
@@ -544,6 +569,27 @@ def test_perturb_without_spikes_matches_certified(runner):
     assert summary["naive_before"] == 0.25
     assert summary["naive_after"] == 0.25
     assert summary["identical_errors"] == 3
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, as strict JSON parsers do."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("args", [
+    ["--family", "const", "--cells", "2", "--spikes", "1", "--placement-seeds", "1"],
+    ["--cells", "4", "--spikes", "5", "--spike-magnitude", "1e308", "--placement-seeds", "3"],
+], ids=["zero-before", "overflowing-quotient"])
+def test_perturb_reports_a_blowup_that_is_not_finite_as_null(runner, tmp_path, args):
+    # both printed "naive_blowup": Infinity with exit 0
+    out = tmp_path / "perturb.json"
+    result = runner.invoke(main, ["perturb", *args, "--out", str(out),
+                                  "--format", "structured"])
+    assert result.exit_code == 0, result.output
+    assert strict_json(result.stdout)["naive_blowup"] is None
+    assert strict_json(out.read_text())["summary"]["naive_blowup"] is None
 
 
 @pytest.mark.parametrize("magnitude", ["nan", "inf", "1e400"])

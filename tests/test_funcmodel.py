@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qmcbounds import (
     Affine,
+    BoxCell,
     CubeSpace,
     EssentialRange,
     FiniteCell,
@@ -30,6 +31,7 @@ from qmcbounds import (
     interval,
     make_cube_space,
     make_finite_space,
+    make_partition,
     qmc_estimate,
 )
 from qmcbounds.funcmodel import (
@@ -39,6 +41,7 @@ from qmcbounds.funcmodel import (
     axis_samples,
 )
 from oracles import (
+    all_pieces_range,
     dense_range_1d,
     fieldwise_range,
     fieldwise_value,
@@ -46,6 +49,7 @@ from oracles import (
     linspace_grid_range,
     linspace_samples,
     quad_integral,
+    scan_atom_cell,
     sine_extremes,
 )
 
@@ -248,6 +252,16 @@ def test_essential_range_piecewise_constant_overlap():
     assert (rng.lo, rng.hi) == (1.0, 4.0)
     rng2 = f.essential_range(interval(0.5, 0.75))
     assert (rng2.lo, rng2.hi) == (4.0, 4.0)
+
+
+@pytest.mark.parametrize("cell", [box((0, 0.4), (0, 1)), BoxCell((), ()), FiniteCell((0,))],
+                         ids=["2d-box", "0d-box", "atoms"])
+def test_essential_range_piecewise_constant_refuses_a_cell_of_another_kind(cell):
+    # the 2-D box read [1.0, 1.0] from its first axis alone, and the 0-D
+    # box [1.0, 4.0]: zip stopped at the shorter corner
+    f = FunctionModel(PiecewiseConstant(equal_partition_1d(2), (1.0, 4.0)))
+    with pytest.raises(OutOfDomainError, match="expected a 1-dimensional box cell"):
+        f.essential_range(cell)
 
 
 def test_essential_range_finite_table():
@@ -617,6 +631,50 @@ def test_cell_integral_refuses_atoms_outside_the_space(atoms):
     with pytest.raises(OutOfDomainError, match=re.escape(
             f"cell atoms {atoms!r} reach outside the 2-atom space")):
         f.cell_integral(FiniteCell(atoms), TWO_ATOMS)
+
+
+@st.composite
+def _finite_layouts(draw):
+    """Plain data for a piecewise constant on a random finite space:
+    (weights, pieces as atom tuples, values, query atoms).  The pieces
+    interleave and come in any order, signed zeros are common values, and
+    the query may name the atoms -1 and n, which the space lacks."""
+    n = draw(st.integers(1, 8))
+    counts = draw(st.lists(st.integers(1, 16), min_size=n, max_size=n))
+    owners = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    pieces = draw(st.permutations(
+        [tuple(a for a in range(n) if owners[a] == j) for j in sorted(set(owners))]))
+    values = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-1e6, 1e6),
+                           min_size=len(pieces), max_size=len(pieces)))
+    query = draw(st.lists(st.integers(-1, n), min_size=1, max_size=n + 1))
+    total = sum(counts)
+    return tuple(c / total for c in counts), tuple(pieces), tuple(values), tuple(query)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_finite_layouts())
+# the range of a one-piece layout over atoms (0, 99) of a 2-atom space
+# came back [3.0, 3.0]: the missing atom was matched by no piece
+@example(((0.5, 0.5), ((0, 1),), (3.0,), (0, 99)))
+def test_finite_piece_lookups_match_scans(layout):
+    weights, pieces, values, query = layout
+    n = len(weights)
+    # labels that are digits, but not the atoms' own indices
+    space = make_finite_space([(str(n - 1 - a), w) for a, w in enumerate(weights)])
+    partition = make_partition(space, [FiniteCell(piece) for piece in pieces])
+    for a, label in enumerate(space.labels):
+        want = scan_atom_cell(pieces, a)
+        assert partition.cell_index_of(a) == partition.cell_index_of(label) == want
+    f = FunctionModel(PiecewiseConstant(partition, values))
+    cell = FiniteCell(query)
+    if not all(0 <= a < n for a in query):
+        with pytest.raises(OutOfDomainError, match=re.escape(
+                f"cell atoms {cell.atoms!r} reach outside the {n}-atom space")):
+            f.essential_range(cell)
+        return
+    rng = f.essential_range(cell)
+    assert (rng.lo.hex(), rng.hi.hex()) == tuple(
+        v.hex() for v in all_pieces_range(pieces, values, cell.atoms))
 
 
 def test_integral_refuses_a_cube_of_another_dimension():

@@ -36,15 +36,14 @@ def test_make_finite_space_basic():
     assert space.labels == ("a", "b")
     assert space.weights == (0.25, 0.75)
     assert space.n_atoms == 2
-    assert space.index_of("b") == 1
+    assert space.as_point("b") == 1
 
 
-def test_index_of_reads_a_non_string_as_an_unknown_label():
+def test_as_point_reads_a_string_as_a_label_and_an_int_as_an_index():
     # never converted with str(), so the int 1 is not the label "1"
-    space = make_finite_space([("0", 0.5), ("1", 0.5)])
-    assert space.index_of("1") == 1
-    with pytest.raises(OutOfDomainError, match="unknown atom label 1"):
-        space.index_of(1)
+    space = make_finite_space([("1", 0.5), ("0", 0.5)])
+    assert space.as_point("1") == 0
+    assert space.as_point(1) == 1
 
 
 def test_make_finite_space_rejects_bad_sum():
@@ -367,10 +366,10 @@ def test_cube_partitions_hold_edges_and_slab_index(build, arg):
     assert_stored_geometry(build(arg))
 
 
-def test_finite_partitions_hold_no_edges_or_slab_index():
+def test_finite_partitions_hold_an_atom_index_and_no_edges():
     space = make_finite_space([("a", 0.25), ("b", 0.25), ("c", 0.5)])
     p = make_partition(space, [FiniteCell((2,)), FiniteCell((0, 1))])
-    assert p.edges is None and p.slabs is None
+    assert p.edges is None and p.slabs == (1, 1, 0)
     assert [p.cell_index_of(a) for a in "abc"] == [1, 1, 0]
 
 
