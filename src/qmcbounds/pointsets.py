@@ -270,17 +270,16 @@ def is_uniform(pointset, partition: Partition) -> UniformityReport:
     nodes = _as_nodes(pointset)
     n = len(nodes)
     counts = [0] * partition.k
-    for node in nodes:
-        j = partition.cell_index_of(node)
+    for j in map(partition.cell_index_of, nodes):
         if j is not None:
             counts[j] += 1
-    expected = tuple(n * m for m in partition.measures)
-    off = []
-    for j, (got, want) in enumerate(zip(counts, expected)):
-        nearest = round(want)
-        if abs(want - nearest) > ALLOCATION_TOL or got != nearest:
-            off.append(j)
-    return UniformityReport(n > 0 and not off, tuple(counts), expected, n, tuple(off))
+    expected = [n * m for m in partition.measures]
+    nearest = list(map(round, expected))
+    off = ()
+    if counts != nearest or max(map(abs, map(sub, expected, nearest))) > ALLOCATION_TOL:
+        off = tuple(j for j, (got, want, near) in enumerate(zip(counts, expected, nearest))
+                    if abs(want - near) > ALLOCATION_TOL or got != near)
+    return UniformityReport(n > 0 and not off, tuple(counts), tuple(expected), n, off)
 
 
 @dataclass(frozen=True)

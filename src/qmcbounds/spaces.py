@@ -86,12 +86,23 @@ class CubeSpace:
         A tuple of floats of the right length inside the cube is already
         normal and comes back as it is, not copied.
         """
-        if type(value) is tuple and len(value) == self.dimension:
-            for c in value:
-                if type(c) is not float or not 0.0 <= c <= 1.0:
-                    break
+        d = self.dimension
+        if type(value) is tuple and len(value) == d:
+            if d == 1:  # one and two axes take straight-line checks
+                (c,) = value
+                if type(c) is float and 0.0 <= c <= 1.0:
+                    return value
+            elif d == 2:
+                c, c2 = value
+                if (type(c) is float and 0.0 <= c <= 1.0
+                        and type(c2) is float and 0.0 <= c2 <= 1.0):
+                    return value
             else:
-                return value
+                for c in value:
+                    if type(c) is not float or not 0.0 <= c <= 1.0:
+                        break
+                else:
+                    return value
         if isinstance(value, (str, bytes, bytearray)):  # iterable, but not coordinates
             raise OutOfDomainError(f"not a cube point: {value!r}")
         scalar = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -186,6 +197,8 @@ class BoxCell:
         return v
 
     def contains(self, point: Sequence[float]) -> bool:
+        if len(point) != len(self.lower):  # zip would stop at the shorter side
+            return False
         for c, lo, hi in zip(point, self.lower, self.upper):
             if c < lo:
                 return False
@@ -239,7 +252,8 @@ def _sweep(edges: EdgeLists):
     axis and, for each, its slab's index on the next axis or, on the
     last axis, its one box.  A box holding a point whose coordinate is
     in ``[edges[i], edges[i + 1])`` (or is 1.0, for the last edge) is
-    in slab ``i``.
+    in slab ``i``, and every box in slab ``i`` starts at or below
+    ``edges[i]``, so it holds that coordinate or ends before it.
     """
     lowers, uppers = edges
     last = len(lowers) - 1
@@ -328,8 +342,10 @@ class Partition:
         """``cell_index_of`` for a point already normalized by ``space``.
 
         An atom's cell is read from the finite index.  A cube point is
-        found by one bisect per coordinate in the slab index, then tested
-        against the one cell that leaves; cells are disjoint as sets, so
+        found by one bisect per coordinate in the slab index.  Every slab
+        it passes through starts at or below the point, so the one cell
+        that leaves has the point past its lower faces, and only its upper
+        faces are tested, closed at 1.0; cells are disjoint as sets, so
         the answer is a scan's.  The test rejects points in gaps the
         cover tolerance lets through.
         """
@@ -342,7 +358,12 @@ class Partition:
             if i < 0:
                 return None
             node = children[i]
-        return node if self.cells[node].contains(point) else None
+        upper = self.cells[node].upper
+        # below every upper face, or else on a face at 1.0, closed and above every c
+        if all(map(lt, point, upper)) or all(
+                c < hi or hi == 1.0 for c, hi in zip(point, upper)):
+            return node
+        return None
 
 
 def make_partition(space: Space, cells: Sequence[Cell]) -> Partition:

@@ -11,7 +11,10 @@ from every piece, and the exhaustive worst error from scoring every
 configuration one by one; node counts per cell one cell at a time;
 the cube worst error from every
 one-node-per-cell placement on a grid; seeded placement from the
-one-try-at-a-time loop with its own membership test; cell integrals,
+one-try-at-a-time loop with its own membership test; cube point
+normalisation from the generic coordinate loop, with the library's
+error class only; a uniformity verdict from counting each node by a
+scan and testing each cell in turn; cell integrals,
 bounds and the closed-form worst error from the one-cell-at-a-time
 loops that the list passes replace, and sine extremes from every
 critical point of the cell, and a continuous family's value and exact
@@ -26,6 +29,8 @@ import random
 
 import numpy as np
 from scipy import integrate
+
+from qmcbounds.errors import OutOfDomainError
 
 
 def dense_range_1d(fn, a, b, n=20001):
@@ -374,3 +379,53 @@ def per_cell_counts(measures, n_points, tol):
             return None
         counts.append(nearest)
     return tuple(counts) if sum(counts) == n_points else None
+
+
+def generic_cube_point(dimension, value):
+    """A point of [0, 1]^dimension normalised by one loop for every
+    dimension: a tuple of in-range floats of the right length comes back
+    as it is, anything else goes through float() coordinate by
+    coordinate, with OutOfDomainError and its message on a refusal."""
+    if type(value) is tuple and len(value) == dimension:
+        for c in value:
+            if type(c) is not float or not 0.0 <= c <= 1.0:
+                break
+        else:
+            return value
+    if isinstance(value, (str, bytes, bytearray)):
+        raise OutOfDomainError(f"not a cube point: {value!r}")
+    scalar = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        coords = tuple(map(float, (value,) if scalar else value))
+    except OverflowError:
+        raise OutOfDomainError("a coordinate too large for a float lies outside [0, 1]"
+                               ) from None
+    except (TypeError, ValueError):
+        raise OutOfDomainError(f"not a cube point: {value!r}") from None
+    if len(coords) != dimension:
+        raise OutOfDomainError(
+            f"point has {len(coords)} coordinates, space has dimension {dimension}"
+        )
+    for c in coords:
+        if not 0.0 <= c <= 1.0:
+            raise OutOfDomainError(f"coordinate {c!r} outside [0, 1]")
+    return coords
+
+
+def per_cell_uniformity(boxes, measures, nodes, tol):
+    """(ok, counts, expected, off) of a uniformity check: each node
+    counted in the first box (lower, upper) a scan finds, then each cell
+    tested in turn against N * measure and its nearest integer."""
+    n = len(nodes)
+    counts = [0] * len(boxes)
+    for node in nodes:
+        j = scan_cell_index(boxes, node)
+        if j is not None:
+            counts[j] += 1
+    expected = tuple(n * m for m in measures)
+    off = []
+    for j, (got, want) in enumerate(zip(counts, expected)):
+        nearest = round(want)
+        if abs(want - nearest) > tol or got != nearest:
+            off.append(j)
+    return n > 0 and not off, tuple(counts), expected, tuple(off)

@@ -1,12 +1,13 @@
 """Allocation, construction, uniformity checks, enumeration, text format."""
 
 import dataclasses
+import itertools
 import math
 import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmcbounds import (
@@ -32,7 +33,12 @@ from qmcbounds import (
 from qmcbounds import pointsets
 from qmcbounds.pointsets import STRATEGIES, STRATEGY_RANDOM
 from qmcbounds.spaces import cell_edges
-from oracles import brute_force_uniform_configs, per_cell_counts, sequential_seeded_placement
+from oracles import (
+    brute_force_uniform_configs,
+    per_cell_counts,
+    per_cell_uniformity,
+    sequential_seeded_placement,
+)
 
 
 def two_cell_finite():
@@ -368,6 +374,72 @@ def test_is_uniform_tests_one_cell_per_node(monkeypatch):
     monkeypatch.setattr(BoxCell, "contains", counting)
     assert is_uniform(nodes, p)
     assert calls <= 8192
+
+
+def _uniformity_partition(spec):
+    """("line", k) is equal_partition_1d(k); ("grid", cuts) is the
+    product of the intervals that each axis's inner cuts make."""
+    if spec[0] == "line":
+        return equal_partition_1d(spec[1])
+    axes = [list(zip((0.0,) + cuts, cuts + (1.0,))) for cuts in spec[1]]
+    cells = [box(*spans) for spans in itertools.product(*axes)]
+    return make_partition(make_cube_space(len(axes)), cells)
+
+
+CUTS = st.lists(st.sampled_from([1 / 8, 0.25, 0.3, 1 / 3, 0.5, 2 / 3, 0.7, 0.75, 0.9]),
+                unique=True, max_size=3).map(lambda cuts: tuple(sorted(cuts)))
+
+
+@st.composite
+def uniformity_cases(draw):
+    """(partition spec, nodes): a uniform set of the partition when its
+    size is feasible, else random nodes, then nodes moved, dropped or
+    added, often onto cell edges."""
+    if draw(st.booleans()):
+        spec = ("line", draw(st.integers(1, 16)))
+        ticks = [[j / spec[1] for j in range(spec[1])] + [1.0]]
+    else:
+        spec = ("grid", tuple(draw(CUTS) for _ in range(draw(st.integers(1, 2)))))
+        ticks = [[0.0, *cuts, 1.0] for cuts in spec[1]]
+    p = _uniformity_partition(spec)
+    point = st.tuples(*(st.one_of(st.floats(0.0, 1.0), st.sampled_from(t)) for t in ticks))
+    n_points = draw(st.integers(0, 24))
+    try:
+        nodes = list(construct_uniform(p, n_points, STRATEGY_RANDOM,
+                                       seed=draw(st.integers(0, 99))).nodes)
+    except (NonIntegerAllocationError, ValueError):  # ValueError: no nodes
+        nodes = draw(st.lists(point, min_size=n_points, max_size=n_points))
+    for _ in range(draw(st.integers(0, 3))):
+        change = draw(st.sampled_from(("move", "drop", "add")))
+        if change == "add" or not nodes:
+            nodes.append(draw(point))
+        elif change == "drop":
+            nodes.pop(draw(st.integers(0, len(nodes) - 1)))
+        else:
+            nodes[draw(st.integers(0, len(nodes) - 1))] = draw(point)
+    return spec, nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=uniformity_cases())
+@example(case=(("line", 3), []))  # the empty set
+@example(case=(("line", 3), [(0.1,), (0.5,), (0.9,), (0.2,)]))  # 4/3 nodes per cell
+# N * measure is 0.5 and 1.5: the counts equal the nearest integers,
+# which miss the products by a half
+@example(case=(("grid", ((0.25,),)), [(0.5,), (0.6,)]))
+@example(case=(("grid", ((1 / 3, 2 / 3), (0.5,))), [(0.1, 0.1)] * 10))
+def test_is_uniform_matches_the_per_cell_loop(case):
+    spec, nodes = case
+    p = _uniformity_partition(spec)
+    report = is_uniform(nodes, p)
+    ok, counts, expected, off = per_cell_uniformity(
+        [(c.lower, c.upper) for c in p.cells], p.measures, nodes, pointsets.ALLOCATION_TOL)
+    assert report.ok is ok
+    assert report.counts == counts
+    assert type(report.expected) is tuple
+    assert list(map(float.hex, report.expected)) == list(map(float.hex, expected))
+    assert report.off == off
+    assert report.n_points == len(nodes)
 
 
 def test_is_uniform_rejects_out_of_space():

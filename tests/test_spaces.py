@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmcbounds import (
@@ -28,7 +28,7 @@ from qmcbounds import (
     partition_hash,
 )
 from qmcbounds import spaces
-from oracles import first_overlapping_pair, scan_cell_index
+from oracles import first_overlapping_pair, generic_cube_point, scan_cell_index
 
 
 def test_make_finite_space_basic():
@@ -127,6 +127,71 @@ def test_cube_as_point_accepts_numpy_scalars_and_numeric_text():
     point = make_cube_space(2).as_point(("0.5", np.float64(1.0)))
     assert point == (0.5, 1.0)
     assert all(type(c) is float for c in point)
+
+
+# coordinates on both sides of every check the normalisation makes
+COORDINATES = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([0.0, -0.0, 1.0, 0.5, math.nan, math.inf, -math.inf,
+                     math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0), -1.0, 2.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-2, 3),
+    st.booleans(),
+    st.floats(min_value=0.0, max_value=1.0).map(np.float64),
+    st.floats(width=32).map(np.float32),
+)
+
+
+@st.composite
+def cube_point_inputs(draw):
+    """(dimension, value): a tuple or list of coordinates, often of the
+    right length and often normal but for one coordinate, or a bare
+    coordinate."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.sampled_from([d, d, d, d - 1, d + 1]))
+    if draw(st.booleans()):
+        coords = draw(st.lists(COORDINATES, min_size=n, max_size=n))
+    else:
+        coords = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+        if coords:
+            coords[draw(st.integers(0, n - 1))] = draw(COORDINATES)
+    kind = draw(st.sampled_from([tuple, tuple, list, "scalar"]))
+    if kind == "scalar":
+        return d, coords[0] if coords else 0.5
+    return d, kind(coords)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=cube_point_inputs())
+@example(case=(1, (0.5,)))
+@example(case=(2, (-0.0, 1.0)))
+@example(case=(2, (0.5, math.nan)))
+@example(case=(2, (0.5, 1)))
+@example(case=(2, (True, 0.5)))
+@example(case=(1, (math.nextafter(1.0, 2.0),)))
+@example(case=(2, (0.5, math.nextafter(1.0, 2.0))))
+@example(case=(3, (0.5, 0.5)))
+def test_cube_as_point_matches_the_generic_loop(case):
+    d, value = case
+    try:
+        expected = generic_cube_point(d, value)
+    except OutOfDomainError as err:
+        with pytest.raises(OutOfDomainError) as got:
+            make_cube_space(d).as_point(value)
+        assert type(got.value) is type(err) and str(got.value) == str(err)
+        return
+    result = make_cube_space(d).as_point(value)
+    assert (result is value) == (expected is value)
+    assert type(result) is tuple
+    assert [(type(c), repr(c)) for c in result] == [(type(c), repr(c)) for c in expected]
+
+
+def test_box_contains_refuses_a_point_of_another_dimension():
+    cell = box((0.0, 1.0), (0.0, 0.5))
+    assert cell.contains((0.7, 0.2))
+    assert not cell.contains((0.7,))
+    assert not cell.contains((0.7, 0.2, 5.0))
+    assert not cell.contains(())
 
 
 def test_make_partition_cube_quarters():
