@@ -606,7 +606,7 @@ class FiniteTable:
         _require_finite(values=self.values)
         if self.labels is not None:
             if len(self.labels) != len(self.values):
-                raise ValueError("labels and values differ in length")
+                raise ValueError(f"{len(self.values)} values for {len(self.labels)} labels")
             object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
 
     @property

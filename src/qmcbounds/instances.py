@@ -28,16 +28,23 @@ Families and their params:
                         (cells form their own partition of the space)
     finite_table        {"values": [v1, ...]}  (aligned with the atoms)
 
-Spikes are cube-space only, like everywhere else.  Every parameter,
-value and spike value must be a finite number: Python's json module
-reads NaN and Infinity, and the models reject them with a message
-naming the field, which the loader passes on.
+Reading is strict, and a malformed field exits the CLI with 2 and a
+message naming its path, such as ``partition: field 'cells[3].box[1]'
+must be a two-entry list, got {}``.  An integer (atom index,
+dimension, axis, resolution, levels, N) is a JSON integer, not true,
+1.0 or "1"; a number is a JSON integer or float, not a boolean or a
+string; instance_id, kind, family, mode and atom labels are strings.
+Spikes are cube-space only.  Every parameter, value and spike value
+must also be finite: Python's json module reads NaN and Infinity, and
+the models reject them with a message naming the field.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import InstanceFormatError, QmcBoundsError
 from .funcmodel import (
@@ -142,152 +149,141 @@ def instance_to_json(instance: Instance) -> dict:
     return out
 
 
-def _need(obj: dict, key: str, context: str):
-    if not isinstance(obj, dict) or key not in obj:
-        raise InstanceFormatError(f"{context}: missing field {key!r}")
-    return obj[key]
+def _scalar(kind: str, types: tuple, convert, value, path: str):
+    """convert(value) if its type is exactly one of the types, so a boolean is
+    not an integer; finiteness is the models' check, with their messages."""
+    if type(value) in types:
+        try:
+            return convert(value)
+        except OverflowError:  # float() of an integer past the largest double
+            pass
+    section, _, field = path.partition(".")
+    raise InstanceFormatError(
+        f"{section}: malformed field {field!r}: {reprlib.repr(value)} is not {kind}")
 
 
-def _need_list(value, key: str, context: str) -> list:
-    if not isinstance(value, list):
-        raise InstanceFormatError(f"{context}: field {key!r} must be a list, got {value!r}")
-    return value
+def _misshapen(path: str, value, kind: str) -> InstanceFormatError:
+    """The error for a list or object at path that is not of its kind."""
+    section, _, field = path.partition(".")
+    name = f" field {field!r}" if field else ""
+    return InstanceFormatError(f"{section}:{name} must be {kind}, got {reprlib.repr(value)}")
+
+
+def _field(obj, key: str, path: str, read=None, default=...):
+    """read(obj[key], path.key), or obj[key] if read is None; default if key is absent."""
+    if type(obj) is not dict:
+        raise _misshapen(path, obj, "an object")
+    if key in obj:
+        return obj[key] if read is None else read(obj[key], f"{path}.{key}")
+    if default is ...:  # required
+        section, _, field = f"{path}.{key}".partition(".")
+        raise InstanceFormatError(f"{section}: missing field {field!r}")
+    return default
+
+
+def _array(item, value, path: str) -> tuple:
+    """A JSON list, each entry read by item(entry, path[i])."""
+    if type(value) is not list:
+        raise _misshapen(path, value, "a list")
+    return tuple([item(entry, f"{path}[{i}]") for i, entry in enumerate(value)])
+
+
+def _pair(first, second, value, path: str) -> tuple:
+    if type(value) is not list or len(value) != 2:
+        raise _misshapen(path, value, "a two-entry list")
+    return first(value[0], f"{path}[0]"), second(value[1], f"{path}[1]")
+
+
+_number = partial(_scalar, "a number", (int, float), float)
+_integer = partial(_scalar, "an integer", (int,), int)
+_text = partial(_scalar, "a string", (str,), str)
+_numbers = partial(_array, _number)
+_indices = partial(_array, _integer)
+_atoms = partial(_array, partial(_pair, _text, _number))
+_box = partial(_array, partial(_pair, _number, _number))
+_spikes = partial(_array, partial(_pair, _numbers, _number))
+
+
+def _build(section: str, make, *args, **kwargs):
+    """make(*args, **kwargs); what it refuses is malformed in the section."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, QmcBoundsError) as exc:
+        raise InstanceFormatError(f"{section}: malformed: {exc}") from exc
 
 
 def space_from_json(obj: dict) -> Space:
-    kind = _need(obj, "kind", "space")
+    kind = _field(obj, "kind", "space", _text)
     if kind == "finite":
-        atoms = _need(obj, "atoms", "space")
-        try:
-            return make_finite_space([(str(a[0]), float(a[1])) for a in atoms])
-        except (TypeError, ValueError, IndexError) as exc:
-            raise InstanceFormatError(f"space: malformed atoms {atoms!r}") from exc
+        return _build("space", make_finite_space, _field(obj, "atoms", "space", _atoms))
     if kind == "cube":
-        dimension = _need(obj, "dimension", "space")
-        if type(dimension) is not int or dimension < 1:  # bool is an int subclass
-            raise InstanceFormatError(f"space: bad dimension {dimension!r}")
-        return make_cube_space(dimension)
+        return _build("space", make_cube_space, _field(obj, "dimension", "space", _integer))
     raise InstanceFormatError(f"space: unknown kind {kind!r}")
 
 
-def cell_from_json(obj: dict, space: Space) -> Cell:
-    if not isinstance(obj, dict):
-        raise InstanceFormatError(f"cell: expected an object, got {obj!r}")
+def cell_from_json(obj: dict, space: Space, path: str = "cell") -> Cell:
     if isinstance(space, FiniteSpace):
-        atoms = _need(obj, "atoms", "cell")
-        try:
-            return FiniteCell(tuple(int(a) for a in atoms))
-        except (TypeError, ValueError) as exc:
-            raise InstanceFormatError(f"cell: malformed atoms {atoms!r}") from exc
-    spans = _need(obj, "box", "cell")
-    try:
-        lower = tuple(float(s[0]) for s in spans)
-        upper = tuple(float(s[1]) for s in spans)
-    except (TypeError, ValueError, IndexError) as exc:
-        raise InstanceFormatError(f"cell: malformed box {spans!r}") from exc
-    return BoxCell(lower, upper)
+        return FiniteCell(_field(obj, "atoms", path, _indices))
+    spans = _field(obj, "box", path, _box)
+    return BoxCell([lo for lo, _ in spans], [hi for _, hi in spans])
+
+
+def _cells(value, path: str, space: Space) -> Partition:
+    cells = _array(lambda cell, at: cell_from_json(cell, space, at), value, path)
+    return _build(path.partition(".")[0], make_partition, space, cells)
 
 
 def range_mode_from_json(obj: dict | None) -> GridRangeMode | None:
-    if obj is None:
-        return None
-    mode = _need(obj, "mode", "range_mode")
+    mode = "exact" if obj is None else _field(obj, "mode", "range_mode", _text)
     if mode == "exact":
         return None
     if mode == "grid":
-        try:
-            return GridRangeMode(
-                resolution=int(obj.get("resolution", 64)),
-                levels=int(obj.get("levels", 2)),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InstanceFormatError(f"range_mode: malformed {obj!r}: {exc}") from exc
+        return _build("range_mode", GridRangeMode,
+                      _field(obj, "resolution", "range_mode", _integer, 64),
+                      _field(obj, "levels", "range_mode", _integer, 2))
     raise InstanceFormatError(f"range_mode: unknown mode {mode!r}")
 
 
 def function_from_json(obj: dict, space: Space,
                        range_mode: GridRangeMode | None = None) -> FunctionModel:
-    family = _need(obj, "family", "function")
-    params = _need(obj, "params", "function")
-    try:
-        if family == "affine":
-            base = Affine(
-                float(params["intercept"]),
-                tuple(float(a) for a in params["slopes"]),
-            )
-        elif family == "quadratic":
-            base = Quadratic(
-                float(params["intercept"]),
-                tuple(float(b) for b in params["linear"]),
-                tuple(float(q) for q in params["quadratic"]),
-            )
-        elif family == "sinusoid":
-            dimension = space.dimension if isinstance(space, CubeSpace) else 1
-            base = Sinusoid(
-                amplitude=float(params["amplitude"]),
-                frequency=float(params["frequency"]),
-                phase=float(params.get("phase", 0.0)),
-                offset=float(params.get("offset", 0.0)),
-                axis=int(params.get("axis", 0)),
-                dimension=dimension,
-            )
-        elif family == "piecewise_constant":
-            cells = [cell_from_json(c, space) for c in params["cells"]]
-            inner = make_partition(space, cells)
-            base = PiecewiseConstant(inner, tuple(float(v) for v in params["values"]))
-        elif family == "finite_table":
-            if not isinstance(space, FiniteSpace):
-                raise InstanceFormatError("function: finite_table needs a finite space")
-            values = tuple(float(v) for v in params["values"])
-            if len(values) != space.n_atoms:
-                raise InstanceFormatError(
-                    f"function: {len(values)} values for {space.n_atoms} atoms"
-                )
-            base = FiniteTable(values, space.labels)
-        else:
-            raise InstanceFormatError(f"function: unknown family {family!r}")
-    except InstanceFormatError:
-        raise
-    except (KeyError, TypeError, ValueError, QmcBoundsError) as exc:
-        raise InstanceFormatError(
-            f"function: malformed params for {family!r}: {exc}"
-        ) from exc
-    spikes = []
-    for entry in _need_list(obj.get("spikes", []), "spikes", "function"):
-        try:
-            point, value = entry
-            spikes.append((tuple(float(c) for c in point), float(value)))
-        except (TypeError, ValueError) as exc:
-            raise InstanceFormatError(f"function: malformed spike {entry!r}") from exc
-    try:
-        return FunctionModel(base, tuple(spikes), range_mode)
-    except (QmcBoundsError, ValueError) as exc:
-        raise InstanceFormatError(str(exc)) from exc
+    family = _field(obj, "family", "function", _text)
+    params = _field(obj, "params", "function")
+    def param(key, read=_number, default=...):
+        return _field(params, key, "function.params", read, default)
+    if family == "affine":
+        base = _build("function", Affine, param("intercept"), param("slopes", _numbers))
+    elif family == "quadratic":
+        base = _build("function", Quadratic, param("intercept"), param("linear", _numbers),
+                      param("quadratic", _numbers))
+    elif family == "sinusoid":
+        base = _build("function", Sinusoid, param("amplitude"), param("frequency"),
+                      param("phase", default=0.0), param("offset", default=0.0),
+                      param("axis", _integer, 0),
+                      space.dimension if isinstance(space, CubeSpace) else 1)
+    elif family == "piecewise_constant":
+        base = _build("function", PiecewiseConstant, param("cells", partial(_cells, space=space)),
+                      param("values", _numbers))
+    elif family == "finite_table":
+        if not isinstance(space, FiniteSpace):
+            raise InstanceFormatError("function: finite_table needs a finite space")
+        base = _build("function", FiniteTable, param("values", _numbers), space.labels)
+    else:
+        raise InstanceFormatError(f"function: unknown family {family!r}")
+    spikes = _field(obj, "spikes", "function", _spikes, ())
+    return _build("function", FunctionModel, base, spikes, range_mode)
 
 
 def instance_from_json(obj: dict) -> Instance:
-    if not isinstance(obj, dict):
-        raise InstanceFormatError(f"instance: expected an object, got {type(obj).__name__}")
-    space = space_from_json(_need(obj, "space", "instance"))
-    partition_obj = _need(obj, "partition", "instance")
-    cells = _need_list(_need(partition_obj, "cells", "partition"), "cells", "partition")
-    cells = [cell_from_json(c, space) for c in cells]
-    try:
-        partition = make_partition(space, cells)
-    except QmcBoundsError as exc:
-        raise InstanceFormatError(f"partition: {exc}") from exc
-    range_mode = range_mode_from_json(obj.get("range_mode"))
-    function = function_from_json(_need(obj, "function", "instance"), space, range_mode)
-    n_points = obj.get("N")
-    if n_points is not None and (type(n_points) is not int or n_points < 1):  # excludes bool
+    space = space_from_json(_field(obj, "space", "instance"))
+    partition = _field(_field(obj, "partition", "instance"), "cells", "partition",
+                       partial(_cells, space=space))
+    range_mode = range_mode_from_json(_field(obj, "range_mode", "instance", default=None))
+    function = function_from_json(_field(obj, "function", "instance"), space, range_mode)
+    n_points = _field(obj, "N", "instance", _integer, None)
+    if n_points is not None and n_points < 1:
         raise InstanceFormatError(f"instance: bad N {n_points!r}")
-    return Instance(
-        instance_id=str(obj.get("instance_id", "")),
-        space=space,
-        partition=partition,
-        function=function,
-        n_points=n_points,
-    )
+    instance_id = _field(obj, "instance_id", "instance", _text, "")
+    return Instance(instance_id, space, partition, function, n_points)
 
 
 def load_instances(path) -> list[Instance]:
@@ -297,7 +293,7 @@ def load_instances(path) -> list[Instance]:
             payload = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise InstanceFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # json's decode errors, and integers past 4300 digits
         raise InstanceFormatError(f"{path} is not valid JSON: {exc}") from exc
     if isinstance(payload, dict) and "instances" in payload:
         payload = payload["instances"]

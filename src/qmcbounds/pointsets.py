@@ -27,6 +27,7 @@ from .errors import (
     InstanceFormatError,
     NonIntegerAllocationError,
     OutOfDomainError,
+    QmcBoundsError,
 )
 from .spaces import (
     BoxCell,
@@ -57,8 +58,11 @@ def _counts(measures: Sequence[float], n_points: int) -> tuple[int, ...] | None:
     The sum matters for huge N, where every float product is a whole
     number and the per-cell test alone passes without meaning anything.
     """
-    targets = [n_points * m for m in measures]
-    counts = tuple(map(round, targets))
+    try:
+        targets = [n_points * m for m in measures]
+        counts = tuple(map(round, targets))
+    except OverflowError:
+        raise QmcBoundsError(f"N = {n_points} is past the largest float") from None
     if max(map(abs, map(sub, targets, counts)), default=0.0) > ALLOCATION_TOL:
         return None
     return counts if sum(counts) == n_points else None

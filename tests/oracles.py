@@ -18,7 +18,9 @@ scan and testing each cell in turn; cell integrals,
 bounds and the closed-form worst error from the one-cell-at-a-time
 loops that the list passes replace, and sine extremes from every
 critical point of the cell, and a continuous family's value and exact
-range from the closed forms read off its fields on every call.
+range from the closed forms read off its fields on every call; and
+uniform sets that no construction of the library makes, the base-2
+van der Corput and Hammersley digital nets, from bit reversal.
 """
 
 from __future__ import annotations
@@ -429,3 +431,17 @@ def per_cell_uniformity(boxes, measures, nodes, tol):
         if abs(want - nearest) > tol or got != nearest:
             off.append(j)
     return n > 0 and not off, tuple(counts), expected, tuple(off)
+
+
+def van_der_corput(m):
+    """The first 2**m points of the base-2 van der Corput sequence:
+    phi_2(i), the m bits of i mirrored about the binary point.  Each is a
+    dyadic float, exact."""
+    return [int(format(i, f"0{m}b")[::-1], 2) / 2**m for i in range(2**m)]
+
+
+def hammersley_2d(m):
+    """The 2-D Hammersley set (i / 2**m, phi_2(i)) for i < 2**m: a
+    (0, m, 2)-net in base 2, so every 2**p x 2**(m - p) grid of
+    equal boxes holds one point per box."""
+    return [(i / 2**m, y) for i, y in enumerate(van_der_corput(m))]

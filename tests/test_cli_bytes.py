@@ -16,6 +16,7 @@ from click.testing import CliRunner
 from qmcbounds.cli import main
 from qmcbounds.instances import load_instances
 from qmcbounds.pointsets import STRATEGY_RANDOM, construct_uniform, save_pointset
+from oracles import hammersley_2d
 
 SIN_QUADRANTS = {
     "instance_id": "sin-quadrants",
@@ -192,3 +193,28 @@ def test_report_bytes_pinned(case_id, args, writes_out, tmp_path):
     want_stdout, want_out = DIGESTS[case_id]
     got_out = _sha(out.read_bytes()) if writes_out else None
     assert (_sha(result.stdout.encode("utf-8")), got_out) == (want_stdout, want_out)
+
+
+# A 2-D quadratic on the 4 x 8 grid of dyadic boxes, scored against the
+# 32-point Hammersley net, one node per box on the box's lower faces.
+NET_QUADRATIC = {
+    "instance_id": "hammersley-32",
+    "space": {"kind": "cube", "dimension": 2},
+    "partition": {"cells": _grid_cells([i / 4 for i in range(5)], [j / 8 for j in range(9)])},
+    "function": {"family": "quadratic",
+                 "params": {"intercept": 0.1, "linear": [-0.7, 0.3],
+                            "quadratic": [0.9, -0.6]}},
+    "N": 32,
+}
+NET_DIGEST = "cb773202de0909ff3c195d96fff8bca392b42a4c85502f18c76defc8b4078f46"
+
+
+def test_net_report_bytes_pinned(tmp_path):
+    config = tmp_path / "instance.json"
+    config.write_text(json.dumps(NET_QUADRATIC))
+    points = tmp_path / "nodes.txt"
+    save_pointset(points, hammersley_2d(5), load_instances(config)[0].partition)
+    result = CliRunner().invoke(main, ["bounds", "--config", str(config),
+                                       "--points", str(points)])
+    assert result.exit_code == 0, result.output
+    assert _sha(result.stdout.encode("utf-8")) == NET_DIGEST

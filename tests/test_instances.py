@@ -1,8 +1,10 @@
 """JSON serialization of instance descriptors."""
 
 import json
+import math
 
 import pytest
+from click.testing import CliRunner
 
 from qmcbounds import (
     Affine,
@@ -26,6 +28,7 @@ from qmcbounds import (
     random_instance,
     save_instances,
 )
+from qmcbounds.cli import main
 
 
 def roundtrip(instance):
@@ -235,3 +238,89 @@ def test_load_wrong_payload_type(tmp_path):
 def test_load_missing_file(tmp_path):
     with pytest.raises(InstanceFormatError):
         load_instances(tmp_path / "absent.json")
+
+
+def _finite_json(atoms=(0, 1)):
+    return {"instance_id": "two", "space": {"kind": "finite", "atoms": [["a", 0.5], ["b", 0.5]]},
+            "partition": {"cells": [{"atoms": list(atoms)}]},
+            "function": {"family": "finite_table", "params": {"values": [1.0, 2.0]}}, "N": 2}
+
+
+def _edited(obj, *path_and_value):
+    *path, key, value = path_and_value
+    node = obj
+    for step in path:
+        node = node[step]
+    node[key] = value
+    return obj
+
+
+@pytest.mark.parametrize("obj, field", [
+    # each loaded, as the cell (0, 1), axis 0, GridRangeMode(8, ...),
+    # levels 1, the values (1.0, 1.0) and the intercept 2.5
+    (_finite_json([0.9, 1]), "'cells[0].atoms[0]'"),
+    (_finite_json([True, 0]), "'cells[0].atoms[0]'"),
+    (_finite_json(["1", "0"]), "'cells[0].atoms[0]'"),
+    (_edited(line_instance_json(), "function", {
+        "family": "sinusoid", "params": {"amplitude": 1.0, "frequency": 1.0, "axis": 0.7}}),
+     "'params.axis'"),
+    (_edited(line_instance_json(), "range_mode", {"mode": "grid", "resolution": 8.9}),
+     "'resolution'"),
+    (_edited(line_instance_json(), "range_mode", {"mode": "grid", "levels": True}),
+     "'levels'"),
+    (_edited(_finite_json(), "function", "params", "values", ["1", True]),
+     "'params.values[0]'"),
+    (_edited(line_instance_json(), "function", "params", "intercept", "2.5"),
+     "'params.intercept'"),
+], ids=["atom-0.9", "atom-true", "atom-strings", "axis-0.7", "resolution-8.9",
+        "levels-true", "values-strings", "intercept-string"])
+def test_loosely_typed_field_exits_2_naming_it(tmp_path, obj, field):
+    config = tmp_path / "instance.json"
+    config.write_text(json.dumps(obj))
+    result = CliRunner().invoke(main, ["bounds", "--config", str(config)])
+    assert result.exit_code == 2, result.output
+    assert f"field {field}" in result.stderr
+
+
+@pytest.mark.parametrize("edit", [
+    # str() made these "None", "inf" and "inf", and the last two reached
+    # an exit-0 report
+    ("instance_id", None), ("instance_id", math.inf), ("space", "atoms", 0, 0, math.inf),
+], ids=["id-null", "id-infinity", "label-infinity"])
+def test_non_string_id_or_label_rejected(edit):
+    with pytest.raises(InstanceFormatError, match="is not a string"):
+        instance_from_json(_edited(_finite_json(), *edit))
+
+
+def test_omitted_id_loads_as_empty():
+    obj = _finite_json()
+    del obj["instance_id"]
+    assert instance_from_json(obj).instance_id == ""
+
+
+QUADRANTS = make_partition(make_cube_space(2), [
+    box((0.0, 0.5), (0.0, 0.5)), box((0.5, 1.0), (0.0, 0.5)),
+    box((0.0, 0.5), (0.5, 1.0)), box((0.5, 1.0), (0.5, 1.0))])
+
+
+@pytest.mark.parametrize("base", [
+    Affine(0.25, (1.0, -0.5)),
+    Quadratic(0.1, (-0.7, 0.3), (0.9, -0.6)),
+    Sinusoid(2.0, 1.5, 0.5, 1.0, axis=1, dimension=2),
+    PiecewiseConstant(QUADRANTS, (1.0, -2.0, 0.5, 3e-300)),
+], ids=["affine", "quadratic", "sinusoid", "piecewise_constant"])
+@pytest.mark.parametrize("range_mode", [None, GridRangeMode(16, 1)], ids=["exact", "grid"])
+def test_saved_cube_instances_load_back_equal(tmp_path, base, range_mode):
+    f = FunctionModel(base, spikes=(((0.25, 0.75), 9.0), ((1.0, 0.0), -3.5)),
+                      range_mode=range_mode)
+    inst = Instance("cube", QUADRANTS.space, QUADRANTS, f, 8)
+    path = tmp_path / "cube.json"
+    save_instances(path, [inst])
+    assert load_instances(path) == [inst]
+
+
+def test_saved_random_instances_load_back_equal(tmp_path):
+    instances = [random_instance(seed) for seed in range(100)]
+    path = tmp_path / "random.json"
+    save_instances(path, instances)
+    assert load_instances(path) == instances

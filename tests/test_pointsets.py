@@ -1,5 +1,7 @@
 """Allocation, construction, uniformity checks, enumeration, text format."""
 
+import bisect
+import collections
 import dataclasses
 import itertools
 import math
@@ -11,13 +13,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmcbounds import (
+    Affine,
     BoxCell,
     EnumerationTooLargeError,
     FiniteCell,
+    FunctionModel,
     InstanceFormatError,
     NonIntegerAllocationError,
     OutOfDomainError,
+    Partition,
+    PiecewiseConstant,
+    Quadratic,
+    Sinusoid,
     allocation,
+    bound_report,
     box,
     construct_uniform,
     enumerate_uniform,
@@ -35,9 +44,11 @@ from qmcbounds.pointsets import STRATEGIES, STRATEGY_RANDOM
 from qmcbounds.spaces import cell_edges
 from oracles import (
     brute_force_uniform_configs,
+    hammersley_2d,
     per_cell_counts,
     per_cell_uniformity,
     sequential_seeded_placement,
+    van_der_corput,
 )
 
 
@@ -599,3 +610,97 @@ def test_construct_uniform_property(seed, k, mult):
     report = is_uniform(ps, p)
     assert report.ok
     assert report.counts == ps.allocation
+
+
+def _counted(partition):
+    """The partition with its cells, and the lists inside its edges and
+    slab index, rebuilt as sequences that count item reads and iterations."""
+    seen = collections.Counter()
+
+    class Counted:
+        def __getitem__(self, i):
+            seen["reads"] += 1
+            return super().__getitem__(i)
+
+        def __iter__(self):
+            seen["iterations"] += 1
+            return super().__iter__()
+
+    counted_list = type("CountedList", (Counted, list), {})
+
+    def rebuild(node):
+        if isinstance(node, tuple):  # (lowers, uppers) or (edges, children)
+            return tuple(map(rebuild, node))
+        return counted_list(map(rebuild, node)) if isinstance(node, (list, range)) else node
+
+    cells = type("CountedTuple", (Counted, tuple), {})(partition.cells)
+    return Partition(partition.space, cells, partition.measures,
+                     rebuild(partition.edges), rebuild(partition.slabs)), seen
+
+
+def test_counted_sequences_see_the_reads_of_bisect():
+    counted, seen = _counted(equal_partition_1d(1024))
+    bisect.bisect_right(counted.slabs[0], 0.3)
+    assert seen == {"reads": 10}  # log2(1024); the (edges, children) pair is uncounted
+
+
+@pytest.mark.parametrize("n_axis, n_points", [(None, 4096), (64, 8192)],
+                         ids=["line-4096", "grid-64x64"])
+def test_is_uniform_reads_logarithmically_many_items(n_axis, n_points):
+    # counts what the lookup reads rather than BoxCell.contains calls, so
+    # an inline scan of the cells or of an edge list would show
+    if n_axis is None:
+        p = equal_partition_1d(n_points)
+    else:
+        p = make_partition(make_cube_space(2), [
+            box((i / n_axis, (i + 1) / n_axis), (j / n_axis, (j + 1) / n_axis))
+            for i in range(n_axis) for j in range(n_axis)])
+    nodes = construct_uniform(p, n_points, STRATEGY_RANDOM, seed=9).nodes
+    counted, seen = _counted(p)
+    assert is_uniform(nodes, counted)
+    per_node = 2 * math.ceil(math.log2(p.k)) + 4
+    assert n_points * math.log2(p.k) <= seen["reads"] <= n_points * per_node
+    assert seen["iterations"] == 0
+
+
+def _dyadic_grid(p, q):
+    """The 2**p x 2**q grid of equal boxes of the unit square."""
+    return make_partition(make_cube_space(2), [
+        box((i / 2**p, (i + 1) / 2**p), (j / 2**q, (j + 1) / 2**q))
+        for i in range(2**p) for j in range(2**q)])
+
+
+def _moved(nodes, i, axis, width):
+    """nodes with node i moved by width on the axis, to the next interval
+    up or, from the last one, down."""
+    node = list(nodes[i])
+    node[axis] += width if node[axis] + width < 1.0 else -width
+    return [*nodes[:i], tuple(node), *nodes[i + 1:]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(0, 10), data=st.data())
+def test_digital_nets_are_uniform(m, data):
+    # every node sits on lower faces of the dyadic cells, where the
+    # lookup tests only upper faces
+    p, j = data.draw(st.integers(0, m)), data.draw(st.integers(0, m))
+    i = data.draw(st.integers(0, 2**m - 1))
+    net, grid = hammersley_2d(m), _dyadic_grid(p, m - p)
+    line, intervals = [(x,) for x in van_der_corput(m)], equal_partition_1d(2**j)
+    assert is_uniform(net, grid) and is_uniform(line, intervals)
+    for partition, nodes in [(grid, net), (intervals, line)]:
+        d = partition.space.dimension
+        thirds = make_partition(partition.space, [
+            box((0.0, 1 / 3), *[(0.0, 1.0)] * (d - 1)),
+            box((1 / 3, 1.0), *[(0.0, 1.0)] * (d - 1))])
+        for base in (Affine(0.25, (1.0, -0.5)[:d]),
+                     Quadratic(0.1, (-0.7, 0.3)[:d], (0.9, -0.6)[:d]),
+                     Sinusoid(1.0, 3.0, 0.5, axis=d - 1, dimension=d),
+                     PiecewiseConstant(thirds, (2.0, -1.0))):
+            report = bound_report(FunctionModel(base), partition, nodes)
+            assert report.error <= report.bounds.corollary2
+    if j > 0:
+        assert not is_uniform(_moved(line, i, 0, 2.0**-j), intervals)
+    if m > 0:  # across the columns of the grid, or its rows when it has one column
+        axis, width = (0, 2.0**-p) if p > 0 else (1, 2.0**-m)
+        assert not is_uniform(_moved(net, i, axis, width), grid)
