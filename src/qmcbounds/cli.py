@@ -26,6 +26,9 @@ from .bounds import bound_set
 from .errors import BoundViolationError, NotUniformError, QmcBoundsError
 from .estimator import bound_report
 from .experiments import (
+    MAX_PERTURB_CELLS,
+    MAX_PERTURB_SPIKES,
+    MAX_PLACEMENT_SEEDS,
     MAX_REFINEMENT_DEPTH,
     NAMED_FUNCTIONS,
     convergence_table,
@@ -174,10 +177,14 @@ def cmd_convergence(family, depth, strategy, seed, out_path, fmt):
 def cmd_perturb(family, k, n_spikes, spike_magnitude, placement_seeds, seed,
                 out_path, fmt):
     """Show that spike overrides cannot move the certified bounds."""
-    magnitude_ok = spike_magnitude is None or math.isfinite(spike_magnitude)
-    if k < 1 or n_spikes < 0 or placement_seeds < 0 or not magnitude_ok:
-        raise click.UsageError("--cells must be >= 1, --spikes and --placement-seeds >= 0, "
-                               "and --spike-magnitude a finite number")
+    for option, size, least, most in (("--cells", k, 1, MAX_PERTURB_CELLS),
+                                      ("--spikes", n_spikes, 0, MAX_PERTURB_SPIKES),
+                                      ("--placement-seeds", placement_seeds, 0,
+                                       MAX_PLACEMENT_SEEDS)):
+        if not least <= size <= most:
+            raise click.UsageError(f"{option} must be in {least}..{most}, got {size}")
+    if spike_magnitude is not None and not math.isfinite(spike_magnitude):
+        raise click.UsageError("--spike-magnitude must be a finite number")
     rows, summary = perturb_table(named_function(family), k, n_spikes, seed=seed,
                                   magnitude=spike_magnitude, placement_seeds=placement_seeds)
     if out_path is not None:

@@ -29,6 +29,15 @@ from .spaces import CubeSpace, Partition, equal_partition_1d
 
 MAX_REFINEMENT_DEPTH = 20
 
+# Largest perturb study: as many cells as the deepest refinement, at most
+# 2^20 spikes and point sets, and at most MAX_PERTURB_EVALUATIONS point
+# evaluations and spike tests in all, about 18 minutes at 0.5 us each;
+# past these the study runs out of memory or does not end.
+MAX_PERTURB_CELLS = 2 ** MAX_REFINEMENT_DEPTH
+MAX_PERTURB_SPIKES = 2 ** 20
+MAX_PLACEMENT_SEEDS = 2 ** 20
+MAX_PERTURB_EVALUATIONS = 2 ** 31
+
 NAMED_FUNCTIONS = ("x", "x2", "sin2pix", "const")
 
 # Grid intervals per cell sampled by naive_pointwise_s.
@@ -131,6 +140,21 @@ def perturb_table(f_base: FunctionModel, k: int, n_spikes: int, seed: int = 0,
     _require_study_function(f_base)
     if f_base.spikes:
         raise QmcBoundsError("the perturbation study adds its own spikes")
+    for name, size, least, most in (("k", k, 1, MAX_PERTURB_CELLS),
+                                    ("n_spikes", n_spikes, 0, MAX_PERTURB_SPIKES),
+                                    ("placement_seeds", placement_seeds, 0,
+                                     MAX_PLACEMENT_SEEDS)):
+        if not least <= size <= most:
+            raise QmcBoundsError(f"{name} must be in {least}..{most}, got {size}")
+    # the naive baseline evaluates both functions at NAIVE_RESOLUTION + 1
+    # points per cell and tests every spike against every cell, and each
+    # point set is evaluated by both
+    evaluations = k * (2 * (NAIVE_RESOLUTION + 1 + placement_seeds) + n_spikes)
+    if evaluations > MAX_PERTURB_EVALUATIONS:
+        raise QmcBoundsError(
+            f"{k} cells, {n_spikes} spikes and {placement_seeds} placement seeds take "
+            f"{evaluations} point evaluations, more than the limit of "
+            f"{MAX_PERTURB_EVALUATIONS}")
     partition = equal_partition_1d(k)
     space = partition.space
     rng = random.Random(seed)

@@ -558,8 +558,8 @@ class PiecewiseConstant:
 
     def evaluate(self, point) -> float:
         # The point arrives normalized by FunctionModel's domain, which is
-        # this partition's space.
-        j = self.partition._locate(point)
+        # this partition's space, so the lookup takes it as it is.
+        j = self.partition.cell_index_of(point, normal=True)
         if j is None:
             raise OutOfDomainError(f"point {point!r} lies in no cell of the piece layout")
         return self.values[j]

@@ -311,12 +311,15 @@ class Partition:
     """An ordered, validated partition of a space into cells.
 
     Built by ``make_partition``, or by ``equal_partition_1d`` for k
-    equal cells of [0, 1].  Cell lookup reads the partition's index,
-    ``slabs``: on a finite space the tuple of each atom's cell, on the
-    cube the slab index that ``_sweep`` builds from the per-axis edge
-    lists of the cells.  A cube partition also holds those lists
-    (``edges``, as ``cell_edges`` gives them), which passes over every
-    cell read in place of the cells; a finite partition holds None.
+    equal cells of [0, 1].  Cell lookup, ``cell_index_of``, reads the
+    partition's index, ``slabs``: on a finite space the tuple of each
+    atom's cell, on the cube the slab index that ``_sweep`` builds from
+    the per-axis edge lists of the cells.  It is one call in one frame,
+    normalisation included, so a traced run counts one call per lookup.
+    A cube partition also holds those lists (``edges``, as
+    ``cell_edges`` gives them), which passes over every cell and the
+    lookup's upper-face test read in place of the cells; a finite
+    partition holds None.
     ``allocations`` keeps the per-cell counts that
     ``pointsets.allocation`` accepted, by N.  Equality, hashing and repr
     ignore all three.
@@ -334,24 +337,51 @@ class Partition:
     def k(self) -> int:
         return len(self.cells)
 
-    def cell_index_of(self, point) -> int | None:
-        """Index of the cell containing the point, None if no cell does."""
-        return self._locate(self.space.as_point(point))
+    def cell_index_of(self, point, *, normal: bool = False) -> int | None:
+        """Index of the cell containing the point, None if no cell does.
 
-    def _locate(self, point) -> int | None:
-        """``cell_index_of`` for a point already normalized by ``space``.
-
+        The space normalises the point once, unless ``normal`` says that
+        it already did, as for a point that a function model evaluates.
         An atom's cell is read from the finite index.  A cube point is
         found by one bisect per coordinate in the slab index.  Every slab
         it passes through starts at or below the point, so the one cell
         that leaves has the point past its lower faces, and only its upper
         faces are tested, closed at 1.0; cells are disjoint as sets, so
-        the answer is a scan's.  The test rejects points in gaps the
-        cover tolerance lets through.
+        the answer is a scan's.  The test rejects points in gaps the cover
+        tolerance lets through.  One and two axes take straight-line paths
+        that read the upper faces from the edge lists; three or more take
+        a loop.
         """
+        if not normal:
+            point = self.space.as_point(point)
         node = self.slabs
         if self.edges is None:
             return node[point]
+        uppers = self.edges[1]
+        if len(uppers) == 1:
+            (c,) = point
+            edges, children = node
+            i = bisect_right(edges, c) - 1
+            if i < 0:
+                return None
+            j = children[i]
+            hi = uppers[0][j]
+            return j if c < hi or hi == 1.0 else None
+        if len(uppers) == 2:
+            c, c2 = point
+            edges, children = node
+            i = bisect_right(edges, c) - 1
+            if i < 0:
+                return None
+            edges, children = children[i]
+            i = bisect_right(edges, c2) - 1
+            if i < 0:
+                return None
+            j = children[i]
+            hi, hi2 = uppers[0][j], uppers[1][j]
+            if (c < hi or hi == 1.0) and (c2 < hi2 or hi2 == 1.0):
+                return j
+            return None
         for c in point:
             edges, children = node
             i = bisect_right(edges, c) - 1

@@ -29,6 +29,14 @@ from qmcbounds import (
     verify_instances,
 )
 from qmcbounds.cli import main
+from qmcbounds.errors import QmcBoundsError
+from qmcbounds.experiments import (
+    MAX_PERTURB_CELLS,
+    MAX_PERTURB_SPIKES,
+    MAX_PLACEMENT_SEEDS,
+    named_function,
+    perturb_table,
+)
 
 
 X2_INSTANCE = {
@@ -598,6 +606,47 @@ def test_perturb_refuses_a_spike_magnitude_that_is_not_finite(runner, magnitude)
     result = runner.invoke(main, ["perturb", "--spike-magnitude", magnitude])
     assert result.exit_code == 2
     assert "--spike-magnitude" in result.stderr
+
+
+@pytest.mark.parametrize("option, size", [
+    ("--cells", 10**33), ("--cells", MAX_PERTURB_CELLS + 1),
+    ("--spikes", 10**32), ("--spikes", MAX_PERTURB_SPIKES + 1),
+    ("--placement-seeds", 10**23), ("--placement-seeds", MAX_PLACEMENT_SEEDS + 1),
+])
+def test_perturb_refuses_a_size_past_its_limit(runner, option, size):
+    # 10**33 cells ran out of memory with a traceback, and 10**32 spikes
+    # or 10**23 point sets ran without end
+    args = ["perturb", option, str(size)]
+    if option != "--placement-seeds":
+        args += ["--placement-seeds", "1"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert f"{option} must be in" in result.stderr and str(size) in result.stderr
+
+
+def test_perturb_refuses_sizes_whose_work_is_past_the_limit(runner):
+    # each size is inside its own limit, but 2^20 cells and the default
+    # 1000 point sets take about 3.2e9 evaluations
+    result = runner.invoke(main, ["perturb", "--cells", str(MAX_PERTURB_CELLS)])
+    assert result.exit_code == 2
+    assert "point evaluations, more than the limit" in result.stderr
+
+
+@pytest.mark.parametrize("k, n_spikes, seeds, message", [
+    (MAX_PERTURB_CELLS + 1, 0, 0, "k must be in"), (0, 0, 0, "k must be in"),
+    (1, MAX_PERTURB_SPIKES + 1, 0, "n_spikes must be in"), (1, -1, 0, "n_spikes must be in"),
+    (1, 0, MAX_PLACEMENT_SEEDS + 1, "placement_seeds must be in"),
+    (MAX_PERTURB_CELLS, 0, 1000, "point evaluations"),
+])
+def test_perturb_table_refuses_sizes_past_the_limits(k, n_spikes, seeds, message):
+    with pytest.raises(QmcBoundsError, match=message):
+        perturb_table(named_function("x"), k, n_spikes, placement_seeds=seeds)
+
+
+def test_perturb_limits_admit_the_benchmark_study():
+    # the benchmark's and CI's 64 cells, 5 spikes and 1000 point sets
+    rows, summary = perturb_table(named_function("x"), 64, 5, seed=1, placement_seeds=1000)
+    assert summary["identical_errors"] == 1000 and len(rows) == 1004
 
 
 def test_perturb_rows_layout(runner, tmp_path):

@@ -24,7 +24,12 @@ from hypothesis import strategies as st
 
 from qmcbounds import construct_uniform, instance_from_json, save_pointset
 from qmcbounds.cli import main
-from qmcbounds.experiments import NAMED_FUNCTIONS
+from qmcbounds.experiments import (
+    MAX_PERTURB_CELLS,
+    MAX_PERTURB_SPIKES,
+    MAX_PLACEMENT_SEEDS,
+    NAMED_FUNCTIONS,
+)
 from qmcbounds.pointsets import STRATEGIES
 
 HALVES = [{"box": [[0.0, 0.5]]}, {"box": [[0.5, 1.0]]}]
@@ -84,8 +89,9 @@ OPTIONS = {
     },
     "perturb": {
         "--family": [*NAMED_FUNCTIONS, "bogus"],
-        "--cells": ["-1", "0", "1", "3", "x"],
-        "--spikes": ["-1", "0", "2", "x"],
+        # past its limit, a size is refused with exit 2
+        "--cells": ["-1", "0", "1", "3", "x", str(MAX_PERTURB_CELLS + 1), "1" + "0" * 33],
+        "--spikes": ["-1", "0", "2", "x", str(MAX_PERTURB_SPIKES + 1), "1" + "0" * 32],
         "--spike-magnitude": ["nan", "inf", "-inf", "1e400", "5e-324", "-1.7e308", "1e308",
                               "0", "x"],
         "--seed": ["0", "7", "-1", HUGE, "x"],
@@ -169,7 +175,8 @@ def cases(draw):
             if value is not None:
                 options += [name, value]
         if command == "perturb":  # the default of 1000 sets is slow for a fuzz
-            options += ["--placement-seeds", draw(st.sampled_from(["-1", "0", "2", "x"]))]
+            options += ["--placement-seeds", draw(st.sampled_from(
+                ["-1", "0", "2", "x", str(MAX_PLACEMENT_SEEDS + 1), "1" + "0" * 23]))]
         return command, None, None, options
     base = draw(st.integers(0, len(BASES) - 1))
     doc = BASES[base]

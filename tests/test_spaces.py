@@ -1,6 +1,7 @@
 """Spaces, cells, partitions."""
 
 import contextlib
+import itertools
 import math
 import random
 import re
@@ -508,6 +509,130 @@ def test_lookup_in_a_partition_with_gaps(boxes, gap_points):
     grid = [(t,) for t in ticks] if d == 1 else [(s, t) for s in ticks for t in ticks]
     for point in grid:
         assert p.cell_index_of(point) == scan_cell_index(boxes, point)
+
+
+def _ticks(values):
+    """Each value with the floats next to it on both sides."""
+    return sorted({t for v in values
+                   for t in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))})
+
+
+def assert_lookup_agrees(p, boxes, point):
+    """cell_index_of answers as a scan does inside the cube, and refuses a
+    point outside it as the space does."""
+    if all(0.0 <= c <= 1.0 for c in point):
+        assert p.cell_index_of(point) == scan_cell_index(boxes, point)
+    else:
+        with pytest.raises(OutOfDomainError, match="outside"):
+            p.cell_index_of(point)
+
+
+def _product_grid(cuts, data):
+    """make_partition over the product of per-axis cuts, cells in a drawn
+    order, and the cells as (lower, upper) pairs in that order."""
+    boxes = [((), ())]
+    for axis_cuts in cuts:
+        boxes = [(lo + (a,), hi + (b,)) for lo, hi in boxes
+                 for a, b in zip(axis_cuts, axis_cuts[1:])]
+    boxes = data.draw(st.permutations(boxes))
+    return make_partition(make_cube_space(len(cuts)), [BoxCell(lo, hi) for lo, hi in boxes]), boxes
+
+
+# Above this many cells a layout's edges are sampled, since each scan reads every cell.
+EVERY_EDGE_CELLS = 256
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(k=st.one_of(st.integers(1, 64), st.integers(65, 2 ** 12), st.just(2 ** 12)),
+       data=st.data())
+def test_one_axis_lookup_agrees_with_a_scan_at_every_edge(k, data):
+    p = equal_partition_1d(k)
+    boxes = [(c.lower, c.upper) for c in p.cells]
+    edges = [*p.edges[0][0], 1.0]
+    if k > EVERY_EDGE_CELLS:
+        edges = [0.0, 1.0, *data.draw(st.lists(st.sampled_from(edges), max_size=48))]
+    for t in _ticks(edges):
+        assert_lookup_agrees(p, boxes, (t,))
+        if 0.0 <= t <= 1.0:  # a bare coordinate is the same point
+            assert p.cell_index_of(t) == p.cell_index_of((t,))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(shape=st.one_of(st.tuples(st.integers(1, 64)),
+                       st.tuples(st.integers(1, 64), st.integers(1, 64)),
+                       st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6))),
+       data=st.data())
+def test_grid_lookup_agrees_with_a_scan_at_every_edge(shape, data):
+    # one and two axes take the straight-line paths, three the loop
+    cuts = [[i / n for i in range(n)] + [1.0] for n in shape]
+    p, boxes = _product_grid(cuts, data)
+    ticks = [_ticks(axis_cuts) for axis_cuts in cuts]
+    if len(boxes) > EVERY_EDGE_CELLS:
+        ticks = [[*t[:3], *t[-3:], *data.draw(st.lists(st.sampled_from(t), max_size=24))]
+                 for t in ticks]
+    # every tick of each axis, with drawn ticks of the other axes
+    for axis, axis_ticks in enumerate(ticks):
+        for t in axis_ticks:
+            point = [data.draw(st.sampled_from(other)) for other in ticks]
+            point[axis] = t
+            assert_lookup_agrees(p, boxes, tuple(point))
+
+
+@pytest.mark.parametrize("shape", [(1,), (5,), (1, 1), (3, 2), (2, 2, 2)],
+                         ids=["1", "5", "1x1", "3x2", "2x2x2"])
+def test_lookup_at_the_corners_of_the_cube(shape):
+    d = len(shape)
+    p = make_partition(make_cube_space(d), [
+        BoxCell([c / n for c, n in zip(corner, shape)],
+                [(c + 1) / n for c, n in zip(corner, shape)])
+        for corner in itertools.product(*map(range, shape))])
+    boxes = [(c.lower, c.upper) for c in p.cells]
+    for point in itertools.product([0.0, -0.0, 1.0], repeat=d):
+        expected = scan_cell_index(boxes, point)
+        assert expected is not None
+        assert p.cell_index_of(point) == expected
+    assert p.cell_index_of((-0.0,) * d) == p.cell_index_of((0.0,) * d) == 0
+    assert p.cell_index_of((1.0,) * d) == p.k - 1
+
+
+@pytest.mark.parametrize("boxes", [
+    [((0.0,), (0.5,)), ((0.5 + GAP,), (1.0,))],
+    [((GAP,), (0.5,)), ((0.5,), (1.0,))],
+    [((0.0, 0.0), (0.5 - GAP, 1.0)), ((0.5, 0.0), (1.0, 0.5)), ((0.5, 0.5 + GAP), (1.0, 1.0))],
+    [((GAP, 0.0), (0.5, 1.0)), ((0.5, GAP), (1.0, 0.5)), ((0.5, 0.5), (1.0, 1.0))],
+], ids=["1d", "1d-at-0", "2d", "2d-at-0"])
+def test_lookup_in_a_gap_at_every_edge(boxes):
+    d = len(boxes[0][0])
+    p = make_partition(make_cube_space(d), [BoxCell(lo, hi) for lo, hi in boxes])
+    ticks = [_ticks({c[a] for lo, hi in boxes for c in (lo, hi)} | {0.0, 0.25, 0.75, 1.0})
+             for a in range(d)]
+    misses = 0
+    for point in itertools.product(*ticks):
+        assert_lookup_agrees(p, boxes, point)
+        misses += all(0.0 <= c <= 1.0 for c in point) and p.cell_index_of(point) is None
+    for lower, upper in boxes:  # a point just inside a gap
+        for axis, (lo, hi) in enumerate(zip(lower, upper)):
+            for t in (lo - GAP / 2, hi + GAP / 2):
+                point = (*lower[:axis], t, *lower[axis + 1:])
+                if 0.0 <= t <= 1.0 and scan_cell_index(boxes, point) is None:
+                    assert p.cell_index_of(point) is None
+                    misses += 1
+    assert misses > 2
+
+
+@pytest.mark.parametrize("build, points", [
+    (lambda: equal_partition_1d(8), [(0.5, 0.5), (), [0.1, 0.2]]),
+    (lambda: _grid(4), [(0.5,), (0.5, 0.5, 0.5), 0.5]),
+    (lambda: make_partition(make_cube_space(3), [box((0, 1), (0, 1), (0, 1))]),
+     [(0.5, 0.5), (0.5,) * 4]),
+], ids=["1d", "2d", "3d"])
+def test_lookup_refuses_a_point_of_another_dimension(build, points):
+    p = build()
+    for point in points:
+        with pytest.raises(OutOfDomainError) as raised:
+            p.space.as_point(point)
+        with pytest.raises(OutOfDomainError, match=re.escape(str(raised.value))):
+            p.cell_index_of(point)
 
 
 @settings(max_examples=100, deadline=None)
