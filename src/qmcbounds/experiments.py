@@ -119,9 +119,12 @@ def naive_pointwise_s(f: FunctionModel, partition: Partition) -> float:
     if not isinstance(space, CubeSpace) or space.dimension != 1:
         raise QmcBoundsError("the naive baseline study is one-dimensional")
     worst = 0.0
-    for cell in partition.cells:
-        ts = axis_samples(cell.lower[0], cell.upper[0], NAIVE_RESOLUTION)
-        ts.extend(p[0] for p, _ in f.spikes if cell.contains(p))
+    spikes = [p[0] for p, _ in f.spikes]
+    (lowers,), (uppers,) = partition.edges
+    for lo, hi in zip(lowers, uppers):
+        ts = axis_samples(lo, hi, NAIVE_RESOLUTION)
+        # the spikes the cell holds: half-open, closed at 1.0
+        ts.extend(t for t in spikes if lo <= t and (t < hi or t == hi == 1.0))
         values = list(map(f.evaluate, zip(ts)))  # zip yields the points (t,)
         worst = max(worst, max(values) - min(values))
     return worst

@@ -38,7 +38,7 @@ held to SINE_ARGUMENT_LIMIT, under which its range is counted exactly,
 and its slope |amplitude| * 2*pi*frequency to VALUE_LIMIT, so every
 family's Lipschitz bound, and a grid range's eps, is finite.
 
-The continuous families integrate over many boxes at once:
+Every cube family integrates over many boxes at once:
 ``integrals(lowers, uppers)`` takes per-axis edge lists, box j being
 [lowers[i][j], uppers[i][j]) on axis i, and returns each box's integral
 from list passes in the IEEE operations and order that one box at a
@@ -564,15 +564,13 @@ class PiecewiseConstant:
             raise OutOfDomainError(f"point {point!r} lies in no cell of the piece layout")
         return self.values[j]
 
-    def _overlap_measures(self, cell: Cell):
-        """Each piece's overlap measure with a box cell of the layout's
-        cube, in piece order."""
-        cell = _require_box(cell, self.dimension)
-        for piece in self.partition.cells:
-            m = 1.0
-            for plo, phi, clo, chi in zip(piece.lower, piece.upper, cell.lower, cell.upper):
-                m *= max(min(phi, chi) - max(plo, clo), 0.0)
-            yield m
+    def _overlap_measures(self, lower, upper):
+        """Each piece's overlap measure with the box [lower, upper), in
+        piece order: one list pass per axis over the layout's edges, and
+        ``_per_cell_product`` multiplies the axes."""
+        return _per_cell_product([
+            [max(min(phi, hi) - max(plo, lo), 0.0) for plo, phi in zip(plos, phis)]
+            for plos, phis, lo, hi in zip(*self.partition.edges, lower, upper)])
 
     def range_on(self, cell: Cell) -> tuple[float, float]:
         partition = self.partition
@@ -585,13 +583,18 @@ class PiecewiseConstant:
             _require_atoms(cell, partition.space.n_atoms, "atom space")
             hits = [self.values[j] for j in sorted({partition.slabs[a] for a in cell.atoms})]
         else:
-            hits = [v for v, m in zip(self.values, self._overlap_measures(cell)) if m > 0.0]
+            cell = _require_box(cell, self.dimension)
+            hits = [v for v, m in zip(self.values, self._overlap_measures(cell.lower, cell.upper))
+                    if m > 0.0]
         if not hits:
             raise OutOfDomainError(f"cell {cell!r} meets no piece with positive measure")
         return min(hits), max(hits)
 
-    def integral_over(self, cell: Cell) -> float:
-        return math.fsum(v * m for v, m in zip(self.values, self._overlap_measures(cell)))
+    def integrals(self, lowers, uppers) -> list[float]:
+        """Each box's fsum, in piece order, of the piece values times
+        their overlap measures with it."""
+        return [math.fsum(map(mul, self.values, self._overlap_measures(lower, upper)))
+                for lower, upper in zip(zip(*lowers), zip(*uppers))]
 
 
 @dataclass(frozen=True)
@@ -729,7 +732,6 @@ class FunctionModel:
 
     def cell_integral(self, cell: Cell, space: Space) -> float:
         """Integral restricted to one cell."""
-        base = self.base
         if isinstance(space, FiniteSpace):
             if not isinstance(cell, FiniteCell):
                 raise OutOfDomainError("finite space needs finite cells")
@@ -737,21 +739,21 @@ class FunctionModel:
             return self._atom_integral(space, cell.atoms)
         if self.is_finite:
             raise OutOfDomainError("finite-space model integrated over a cube space")
-        cell = _require_box(cell, base.dimension)
-        if isinstance(base, PiecewiseConstant):
-            return base.integral_over(cell)
+        cell = _require_box(cell, self.base.dimension)
         # the one-cell case of the family's list pass over edge lists
-        return base.integrals([[l] for l in cell.lower], [[u] for u in cell.upper])[0]
+        return self.base.integrals([[l] for l in cell.lower], [[u] for u in cell.upper])[0]
 
     def cell_integrals(self, partition: Partition) -> list[float]:
         """cell_integral of every cell of the partition, in cell order.
 
-        A continuous family integrates over the partition's per-axis edge
-        lists (``partition.edges``) in one list pass, with the bits of the
-        one-cell case; the jump families and finite spaces take the cells
-        one at a time.
+        A cube partition of the model's dimension, checked once, is
+        integrated over its per-axis edge lists (``partition.edges``) in
+        one list pass, with the bits of the one-cell case.  Any other
+        partition takes its cells one at a time through cell_integral,
+        which integrates a finite space's cells and refuses the first
+        cell of any other partition with its own error.
         """
         space = partition.space
-        if isinstance(self.base, _CONTINUOUS_FAMILIES) and isinstance(space, CubeSpace):
+        if isinstance(space, CubeSpace) and space.dimension == self.dimension:
             return self.base.integrals(*partition.edges)
         return [self.cell_integral(cell, space) for cell in partition.cells]

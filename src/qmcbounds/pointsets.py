@@ -30,7 +30,6 @@ from .errors import (
     QmcBoundsError,
 )
 from .spaces import (
-    BoxCell,
     EdgeLists,
     FiniteCell,
     FiniteSpace,
@@ -148,77 +147,67 @@ class UniformityReport:
         return self.ok
 
 
-def _place_in_boxes(cells: Sequence[BoxCell], counts: Sequence[int], strategy: str,
-                    rng: random.Random, avoid: frozenset,
-                    edges: EdgeLists) -> list[tuple[float, ...]]:
-    """Nodes for every box cell in cell order, counts[j] of them in cell j.
+def _place_in_boxes(edges: EdgeLists, counts: Sequence[int], strategy: str,
+                    rng: random.Random, avoid: frozenset) -> list[tuple[float, ...]]:
+    """Nodes for every box in cell order, counts[j] of them in box j.
 
-    ``edges`` is the cells' per-axis ``(lowers, uppers)`` pair, a cube
-    partition's ``edges``; seeded placement reads its first tries' bounds
-    from it.
+    ``edges`` is the boxes' per-axis ``(lowers, uppers)`` pair, a cube
+    partition's ``edges``.  Every strategy is one list pass per axis over
+    the bounds of each node's box: a midpoint is ``(lo + hi) / 2.0``, and
+    an equispaced or seeded node is ``lo + (hi - lo) * u``, with u the
+    ``(i - 0.5) / count`` of a box's i-th node, or a ``random()`` draw,
+    which makes it ``random.uniform(lo, hi)`` bit for bit.
 
-    Seeded placement draws each node as ``lo + (hi - lo) * random()`` per
-    axis, which is ``random.uniform(lo, hi)`` bit for bit, and redraws a
-    node that leaves its cell or hits a vetoed point.  The first try of
-    every node is drawn and tested in one pass, and that is exact for
-    two reasons.  The lower face always holds: the product
-    ``fl(hi - lo) * r`` is nonnegative and rounding is monotone, so
-    adding it to ``lo`` never gives less than ``lo``; only the open upper
-    face and the veto can reject a try.  And when a try is rejected, the
-    nodes before it are what the one-node loop would have kept, and the
-    loop resumes from that node, fed first by the draws already taken
-    after the rejected try, then by fresh ones, which is the order the
-    loop would have drawn them in.
+    A seeded node that leaves its box or hits a vetoed point is drawn
+    again.  The first try of every node is drawn and tested in one pass,
+    and that is exact for two reasons.  The lower face always holds: the
+    product ``fl(hi - lo) * r`` is nonnegative and rounding is monotone,
+    so adding it to ``lo`` never gives less than ``lo``; only the open
+    upper face, closed at 1.0, and the veto can reject a try.  And when a
+    try is rejected, the nodes before it are what the one-node loop would
+    have kept, and the loop resumes from that node, fed first by the
+    draws already taken after the rejected try, then by fresh ones, which
+    is the order the loop would have drawn them in.
     """
-    nodes = []
-    if strategy == STRATEGY_MIDPOINT:
-        for cell, count in zip(cells, counts):
-            center = tuple([(lo + hi) / 2.0 for lo, hi in zip(cell.lower, cell.upper)])
-            nodes.extend([center] * count)
-        return nodes
-    if strategy == STRATEGY_EQUISPACED:
-        # nodes at offsets (i - 1/2)/count along every axis of the cell
-        for cell, count in zip(cells, counts):
-            spans = list(zip(cell.lower, cell.upper))
-            for i in range(1, count + 1):
-                t = (i - 0.5) / count
-                nodes.append(tuple([lo + (hi - lo) * t for lo, hi in spans]))
-        return nodes
-    # Every node's first try at once, drawn in node order and axis order
-    # as the loop below would draw them, so axis i reads every dim-th draw.
     lowers, uppers = edges
     dim = len(lowers)
-    draws = list(islice(iter(rng.random, 1.0), sum(counts) * dim))  # random() < 1.0
-    # With one node per cell (the refinement and perturbation runs) the
+    # With one node per box (the refinement and perturbation runs) the
     # edge lists are the per-node lists; expanding them through one
-    # repeat() per cell took about half of the placement's time.
-    one_each = counts.count(1) == len(counts)
-    axes = []
-    inside = True
-    for axis, side_lo, side_hi in zip(range(dim), lowers, uppers):
-        if one_each:
-            los, his = side_lo, side_hi
-        else:
-            los, his = [list(chain.from_iterable(map(repeat, ends, counts)))
-                        for ends in (side_lo, side_hi)]
-        coords = list(map(add, los, map(mul, map(sub, his, los),
-                                        islice(draws, axis, None, dim))))
-        inside = inside and all(map(lt, coords, his))
-        axes.append(coords)
+    # repeat() per box took about half of the seeded placement's time.
+    if counts.count(1) == len(counts):
+        los, his = lowers, uppers
+    else:
+        los, his = [[list(chain.from_iterable(map(repeat, ends, counts))) for ends in side]
+                    for side in (lowers, uppers)]
+    if strategy == STRATEGY_MIDPOINT:
+        return list(zip(*[[(lo + hi) / 2.0 for lo, hi in zip(ls, hs)]
+                          for ls, hs in zip(los, his)]))
+    if strategy == STRATEGY_EQUISPACED:
+        us = [[(i - 0.5) / count for count in counts for i in range(1, count + 1)]] * dim
+    else:
+        # every node's first try at once, drawn in node order and axis order
+        # as the loop below would draw them, so axis i reads every dim-th draw
+        draws = list(islice(iter(rng.random, 1.0), sum(counts) * dim))  # random() < 1.0
+        us = [islice(draws, axis, None, dim) for axis in range(dim)]
+    axes = [list(map(add, ls, map(mul, map(sub, hs, ls), u))) for ls, hs, u in zip(los, his, us)]
     nodes = list(zip(*axes))
-    if inside and avoid.isdisjoint(nodes):
+    if strategy == STRATEGY_EQUISPACED or (
+            all(all(map(lt, coords, hs)) for coords, hs in zip(axes, his))
+            and avoid.isdisjoint(nodes)):
         return nodes
-    owners = list(chain.from_iterable(map(repeat, cells, counts)))
-    first = next((i for i, (cell, node) in enumerate(zip(owners, nodes))
-                  if not cell.contains(node) or node in avoid), len(nodes))
+
+    def fits(node, tops):  # below every upper face, or on one at 1.0, which is closed
+        return node not in avoid and all(c < hi or c == hi == 1.0 for c, hi in zip(node, tops))
+
+    first = next((n for n, (node, tops) in enumerate(zip(nodes, zip(*his)))
+                  if not fits(node, tops)), len(nodes))
     del nodes[first:]
     draw = chain(islice(draws, (first + 1) * dim, None), iter(rng.random, 1.0)).__next__
-    for cell in islice(owners, first, None):
-        spans = list(zip(cell.lower, cell.upper))
+    for bottoms, tops in islice(zip(zip(*los), zip(*his)), first, None):
         while True:
-            node = tuple([lo + (hi - lo) * draw() for lo, hi in spans])
-            # the draw may round to the open endpoint; spike coordinates are vetoed
-            if cell.contains(node) and node not in avoid:
+            # the draw may round to the open face; spike coordinates are vetoed
+            node = tuple([lo + (hi - lo) * draw() for lo, hi in zip(bottoms, tops)])
+            if fits(node, tops):
                 nodes.append(node)
                 break
     return nodes
@@ -254,8 +243,7 @@ def construct_uniform(partition: Partition, n_points: int,
             nodes.extend(_place_in_finite_cell(cell, count, strategy, rng))
     else:
         avoid = frozenset(space.as_point(p) for p in avoid_points)
-        nodes = _place_in_boxes(partition.cells, counts, strategy, rng, avoid,
-                                partition.edges)
+        nodes = _place_in_boxes(partition.edges, counts, strategy, rng, avoid)
     return UniformPointSet(tuple(nodes), counts, n_points)
 
 

@@ -23,7 +23,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import lt, sub
+from operator import sub
 from typing import ClassVar, Mapping, Sequence, Union
 
 from .errors import (
@@ -317,12 +317,12 @@ class Partition:
     the per-axis edge lists of the cells.  It is one call in one frame,
     normalisation included, so a traced run counts one call per lookup.
     A cube partition also holds those lists (``edges``, as
-    ``cell_edges`` gives them), which passes over every cell and the
-    lookup's upper-face test read in place of the cells; a finite
-    partition holds None.
-    ``allocations`` keeps the per-cell counts that
-    ``pointsets.allocation`` accepted, by N.  Equality, hashing and repr
-    ignore all three.
+    ``cell_edges`` gives them), which node placement, cell integrals,
+    the naive baseline and the lookup's upper-face test read; of the
+    library's passes only the range oracle reads the cells.  A finite
+    partition holds None.  ``allocations`` keeps the per-cell counts
+    that ``pointsets.allocation`` accepted, by N.  Equality, hashing and
+    repr ignore all three.
     """
 
     space: Space
@@ -346,11 +346,10 @@ class Partition:
         found by one bisect per coordinate in the slab index.  Every slab
         it passes through starts at or below the point, so the one cell
         that leaves has the point past its lower faces, and only its upper
-        faces are tested, closed at 1.0; cells are disjoint as sets, so
-        the answer is a scan's.  The test rejects points in gaps the cover
-        tolerance lets through.  One and two axes take straight-line paths
-        that read the upper faces from the edge lists; three or more take
-        a loop.
+        faces are tested, closed at 1.0, read from the edge lists; cells are
+        disjoint as sets, so the answer is a scan's.  The test rejects
+        points in gaps the cover tolerance lets through.  One and two axes
+        take straight-line paths; three or more take a loop.
         """
         if not normal:
             point = self.space.as_point(point)
@@ -388,12 +387,11 @@ class Partition:
             if i < 0:
                 return None
             node = children[i]
-        upper = self.cells[node].upper
-        # below every upper face, or else on a face at 1.0, closed and above every c
-        if all(map(lt, point, upper)) or all(
-                c < hi or hi == 1.0 for c, hi in zip(point, upper)):
-            return node
-        return None
+        for c, side in zip(point, uppers):
+            hi = side[node]
+            if not (c < hi or hi == 1.0):
+                return None
+        return node
 
 
 def make_partition(space: Space, cells: Sequence[Cell]) -> Partition:
@@ -435,21 +433,20 @@ def equal_partition_1d(k: int) -> Partition:
     Edges that strictly increase from 0 to 1 are all make_partition
     would check: every cell [edges[j], edges[j + 1]) then lies in [0, 1]
     and is nonempty, consecutive cells share only an endpoint, so the
-    cells are disjoint, and together they cover [0, 1].  The cells need
-    no sweep either: they are already sorted by lower edge, and the slab
-    index of ordered disjoint intervals is their lower edges with slab j
-    holding cell j.  Each measure is hi - lo, the float volume() gives.
+    cells are disjoint, and together they cover [0, 1].  The edges i / k
+    strictly increase: neighbours differ by 1 / k, more than two ulps of
+    any number below 1 for every k < 2**52, so they round apart.  Each
+    measure hi - lo, the float volume() gives, is exact by Sterbenz's
+    lemma, as lo = 0 or lo >= hi / 2, so their fsum telescopes to exactly
+    1.0.  The cells need no sweep either: they are already sorted by
+    lower edge, and the slab index of ordered disjoint intervals is their
+    lower edges with slab j holding cell j.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     edges = [i / k for i in range(k)] + [1.0]
     lowers, uppers = edges[:-1], edges[1:]
-    if not all(map(lt, lowers, uppers)):
-        raise EmptyCellError(f"the edges of {k} equal cells do not strictly increase")
     measures = tuple(map(sub, uppers, lowers))
-    total = math.fsum(measures)
-    if abs(total - 1.0) > MASS_TOL:
-        raise CoverError(f"cell volumes sum to {total!r}, expected 1")
     # BoxCell.__init__ would run float() over floats again, so the fields
     # are set through the slot descriptors, past the frozen __setattr__;
     # zip over one list yields the 1-tuples (lo,) and (hi,)

@@ -11,12 +11,14 @@ from every piece, and the exhaustive worst error from scoring every
 configuration one by one; node counts per cell one cell at a time;
 the cube worst error from every
 one-node-per-cell placement on a grid; seeded placement from the
-one-try-at-a-time loop with its own membership test; cube point
+one-try-at-a-time loop with its own membership test, and midpoint and
+equispaced placement from the cell-by-cell loops; cube point
 normalisation from the generic coordinate loop, with the library's
 error class only; a uniformity verdict from counting each node by a
 scan and testing each cell in turn; cell integrals,
 bounds and the closed-form worst error from the one-cell-at-a-time
-loops that the list passes replace, and sine extremes from every
+loops that the list passes replace (a piecewise constant's from a
+scan of its pieces), and sine extremes from every
 critical point of the cell, and a continuous family's value and exact
 range from the closed forms read off its fields on every call; and
 uniform sets that no construction of the library makes, the base-2
@@ -248,6 +250,39 @@ def sequential_seeded_placement(cells, counts, seed, avoid=()):
                 nodes.append(node)
                 placed += 1
     return nodes
+
+
+def per_cell_placement(cells, counts, strategy):
+    """Midpoint (``"cell-midpoint"``) or equispaced nodes placed cell by
+    cell, in the loops that the list passes over edge lists replace."""
+    nodes = []
+    if strategy == "cell-midpoint":
+        for cell, count in zip(cells, counts):
+            center = tuple([(lo + hi) / 2.0 for lo, hi in zip(cell.lower, cell.upper)])
+            nodes.extend([center] * count)
+        return nodes
+    if strategy == "per-cell-equispaced":
+        # nodes at offsets (i - 1/2)/count along every axis of the cell
+        for cell, count in zip(cells, counts):
+            spans = list(zip(cell.lower, cell.upper))
+            for i in range(1, count + 1):
+                t = (i - 0.5) / count
+                nodes.append(tuple([lo + (hi - lo) * t for lo, hi in spans]))
+        return nodes
+    raise ValueError(f"no per-cell loop for {strategy!r}")
+
+
+def per_piece_integral(pieces, values, lower, upper):
+    """A piecewise constant's integral over the box [lower, upper): the
+    fsum, in piece order, of each value times its piece's overlap
+    measure, a product over the axes taken from 1.0."""
+    measures = []
+    for piece in pieces:
+        m = 1.0
+        for plo, phi, clo, chi in zip(piece.lower, piece.upper, lower, upper):
+            m *= max(min(phi, chi) - max(plo, clo), 0.0)
+        measures.append(m)
+    return math.fsum(v * m for v, m in zip(values, measures))
 
 
 def per_cell_integral(base, lower, upper):

@@ -1,6 +1,7 @@
 """Function models: evaluation, essential ranges, integrals, spikes."""
 
 import dataclasses
+import itertools
 import math
 import pickle
 import random
@@ -48,6 +49,7 @@ from oracles import (
     full_grid_range,
     linspace_grid_range,
     linspace_samples,
+    per_piece_integral,
     quad_integral,
     scan_atom_cell,
     sine_extremes,
@@ -738,6 +740,81 @@ def test_cell_integral_pieces():
     space = make_cube_space(1)
     assert f.cell_integral(interval(0.25, 0.75), space) == 1.0 * 0.25 + 4.0 * 0.25
     assert f.integral(space) == 2.5
+
+
+CUBE_HALVES_2D = make_partition(make_cube_space(2), [box((0.0, 0.5), (0.0, 1.0)),
+                                                    box((0.5, 1.0), (0.0, 1.0))])
+
+
+@pytest.mark.parametrize("f, partition", [
+    # these read [0.0417, 0.2917], [0.125, 0.375] (zip stopped at the
+    # shorter side) and an IndexError, where cell_integral refused the cells
+    (FunctionModel(Quadratic(0.0, (0.0,), (1.0,))), CUBE_HALVES_2D),
+    (FunctionModel(Affine(0.5, (1.0, -2.0))), equal_partition_1d(2)),
+    (FunctionModel(Sinusoid(1.0, 1.0, axis=1, dimension=2)), equal_partition_1d(2)),
+    (FunctionModel(PiecewiseConstant(equal_partition_1d(2), (1.0, 4.0))), CUBE_HALVES_2D),
+    (FunctionModel(FiniteTable((1.0, 2.0))), equal_partition_1d(2)),
+    (FunctionModel(PiecewiseConstant(
+        make_partition(make_finite_space([("a", 0.5), ("b", 0.5)]), [FiniteCell((0, 1))]),
+        (1.0,))), equal_partition_1d(2)),
+    (FunctionModel(Affine(0.5, (1.0,))),
+     make_partition(make_finite_space([("a", 0.5), ("b", 0.5)]), [FiniteCell((0, 1))])),
+], ids=["1d-over-2d", "2d-over-1d", "axis-1-over-1d", "pieces-over-2d", "table-over-cube",
+        "finite-pieces-over-cube", "cube-over-finite"])
+def test_cell_integrals_refuse_a_partition_cell_integral_refuses(f, partition):
+    with pytest.raises(OutOfDomainError) as refused:
+        f.cell_integral(partition.cells[0], partition.space)
+    with pytest.raises(OutOfDomainError, match=re.escape(str(refused.value))):
+        f.cell_integrals(partition)
+
+
+@st.composite
+def piece_layouts(draw):
+    """A 1-D or 2-D product grid of pieces with values, and a query
+    partition of the same cube cut at other float edges."""
+    dimension = draw(st.integers(1, 2))
+
+    def grid():
+        axes = []
+        for _ in range(dimension):
+            # no cut within 2**-20 of a face, so no cell's measure underflows
+            cuts = draw(st.lists(st.floats(2.0 ** -20, 1.0 - 2.0 ** -20),
+                                 max_size=4, unique=True))
+            edges = [0.0, *sorted(cuts), 1.0]
+            axes.append(list(zip(edges, edges[1:])))
+        return make_partition(make_cube_space(dimension),
+                              [BoxCell(*zip(*spans)) for spans in itertools.product(*axes)])
+
+    pieces = grid()
+    values = draw(st.lists(st.floats(-1e6, 1e6), min_size=pieces.k, max_size=pieces.k))
+    return PiecewiseConstant(pieces, tuple(values)), grid()
+
+
+@settings(max_examples=200, deadline=None)
+@given(piece_layouts())
+def test_piecewise_integrals_match_a_scan_of_the_pieces(layout):
+    base, query = layout
+    f = FunctionModel(base)
+    expected = [per_piece_integral(base.partition.cells, base.values, c.lower, c.upper)
+                for c in query.cells]
+    assert [v.hex() for v in f.cell_integrals(query)] == [v.hex() for v in expected]
+    assert [f.cell_integral(c, query.space).hex() for c in query.cells] == [
+        v.hex() for v in expected]
+
+
+def test_piece_layout_with_a_gap_refuses_points_and_cells_in_it():
+    # a gap of 2**-44 between the pieces passes the cover tolerance
+    gap = 2.0 ** -44
+    pieces = make_partition(make_cube_space(1), [interval(0.0, 0.5), interval(0.5 + gap, 1.0)])
+    f = FunctionModel(PiecewiseConstant(pieces, (1.0, 4.0)))
+    assert (f.evaluate(0.5 - gap), f.evaluate(0.5 + gap), f.evaluate(1.0)) == (1.0, 4.0, 4.0)
+    for point in (0.5, 0.5 + gap / 2):
+        with pytest.raises(OutOfDomainError, match="lies in no cell of the piece layout"):
+            f.evaluate(point)
+    with pytest.raises(OutOfDomainError, match="meets no piece with positive measure"):
+        f.essential_range(interval(0.5, 0.5 + gap))
+    rng = f.essential_range(interval(0.5 - gap, 0.5 + 2 * gap))
+    assert (rng.lo, rng.hi) == (1.0, 4.0)
 
 
 def test_cell_integral_matches_quadrature():

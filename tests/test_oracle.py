@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmcbounds import (
+    Affine,
     FiniteCell,
     FiniteTable,
     FunctionModel,
@@ -44,6 +45,7 @@ from qmcbounds.experiments import (
     naive_pointwise_s,
 )
 from qmcbounds.bounds import CellTable
+from qmcbounds.funcmodel import axis_samples
 from qmcbounds.oracle import MAX_ATOMS, MAX_CELLS, VERIFY_SLACK
 from qmcbounds.pointsets import DEFAULT_ENUMERATION_CAP
 from oracles import (
@@ -662,6 +664,30 @@ def test_naive_baseline_evaluates_each_sample_once(monkeypatch):
     assert len(evaluations) == 2 * (NAIVE_RESOLUTION + 1) + 1
     assert evaluations[NAIVE_RESOLUTION + 1] == (0.3,)
     assert all(type(p) is tuple and len(p) == 1 for p in evaluations)
+
+
+def test_naive_baseline_counts_each_spike_in_the_cell_that_holds_it(monkeypatch):
+    evaluations = []
+    real_evaluate = FunctionModel.evaluate
+
+    def counting_evaluate(self, point):
+        evaluations.append(point)
+        return real_evaluate(self, point)
+
+    monkeypatch.setattr(FunctionModel, "evaluate", counting_evaluate)
+    # an interior spike of cell 1, one on the edge that cells 1 and 2 share,
+    # which is cell 2's, and one on the closed face at 1.0, which is cell 3's
+    spikes = (((0.3,), -1.0), ((0.5,), 7.0), ((1.0,), -3.0))
+    f = FunctionModel(Affine(0.0, (1.0,)), spikes)
+    partition = equal_partition_1d(4)
+    worst = naive_pointwise_s(f, partition)
+    held = [[], [0.3], [0.5], [1.0]]
+    expected = []
+    for j, extra in enumerate(held):
+        expected += axis_samples(j / 4, (j + 1) / 4, NAIVE_RESOLUTION) + extra
+    assert evaluations == [(t,) for t in expected]
+    # cell 1 reads -1.0 at its spike and 7.0 at 0.5, the top of its grid
+    assert worst == 8.0
 
 
 @pytest.mark.parametrize("k, points", [(1, 10_001), (2, 1001), (3, 101), (4, 31)])

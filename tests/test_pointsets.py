@@ -46,6 +46,7 @@ from oracles import (
     brute_force_uniform_configs,
     hammersley_2d,
     per_cell_counts,
+    per_cell_placement,
     per_cell_uniformity,
     sequential_seeded_placement,
     van_der_corput,
@@ -318,15 +319,15 @@ def test_seeded_placement_in_cells_one_ulp_wide(seed):
     cells = [BoxCell((0.0,), (lo,)), BoxCell((lo,), (ulp,)), BoxCell((ulp,), (1.0,)),
              BoxCell((0.0, lo), (1.0, ulp))]
     counts = [2, 5, 1, 0]
-    nodes = pointsets._place_in_boxes(cells[:3], counts[:3], STRATEGY_RANDOM,
-                                      random.Random(seed), frozenset(), cell_edges(cells[:3]))
+    nodes = pointsets._place_in_boxes(cell_edges(cells[:3]), counts[:3], STRATEGY_RANDOM,
+                                      random.Random(seed), frozenset())
     assert _as_hex(nodes) == _as_hex(
         sequential_seeded_placement(cells[:3], counts[:3], seed))
     assert nodes[2:7] == [(lo,)] * 5
     # the same squeeze on axis 1 of a 2-D box, between two ordinary cells
     flat = [BoxCell((0.0, 0.0), (0.5, lo)), cells[3], BoxCell((0.0, ulp), (1.0, 1.0))]
-    nodes = pointsets._place_in_boxes(flat, [3, 4, 3], STRATEGY_RANDOM,
-                                      random.Random(seed), frozenset(), cell_edges(flat))
+    nodes = pointsets._place_in_boxes(cell_edges(flat), [3, 4, 3], STRATEGY_RANDOM,
+                                      random.Random(seed), frozenset())
     assert _as_hex(nodes) == _as_hex(sequential_seeded_placement(flat, [3, 4, 3], seed))
     assert all(node[1] == lo for node in nodes[3:7])
 
@@ -336,14 +337,73 @@ def test_seeded_placement_keeps_nodes_on_the_closed_face():
     # the closed face keeps; no try is rejected
     below = math.nextafter(1.0, 0.0)
     cells = [BoxCell((0.0,), (below,)), BoxCell((below,), (1.0,))]
-    nodes = pointsets._place_in_boxes(cells, [1, 16], STRATEGY_RANDOM,
-                                      random.Random(3), frozenset(), cell_edges(cells))
+    nodes = pointsets._place_in_boxes(cell_edges(cells), [1, 16], STRATEGY_RANDOM,
+                                      random.Random(3), frozenset())
     reference = sequential_seeded_placement(cells, [1, 16], 3)
     assert _as_hex(nodes) == _as_hex(reference)
     assert (1.0,) in nodes and (below,) in nodes
     rng = random.Random(3)
     assert [n[0] for n in nodes] == [below * rng.random()] + [
         below + (1.0 - below) * rng.random() for _ in range(16)]
+
+
+@st.composite
+def product_grid_axes(draw):
+    """The (lo, hi) spans of 1-3 axes, each cut at the partial sums of
+    integer weights over their total, and a node multiplier: a grid cell
+    holds the product of its spans' weights times the multiplier, 1-4
+    nodes in all.  Totals such as 3 or 5 give edges that are not dyadic."""
+    budget, axes, totals = 4, [], []
+    for _ in range(draw(st.integers(1, 3))):
+        weights = draw(st.lists(st.integers(1, budget), min_size=1, max_size=5))
+        budget //= max(weights)
+        cuts = list(itertools.accumulate(weights, initial=0))
+        axes.append([(a / cuts[-1], b / cuts[-1]) for a, b in zip(cuts, cuts[1:])])
+        totals.append(cuts[-1])
+    return axes, draw(st.integers(1, budget)) * math.prod(totals)
+
+
+def _grid_cells(axes):
+    return [BoxCell(*zip(*spans)) for spans in itertools.product(*axes)]
+
+
+def _per_cell_nodes(cells, counts, strategy, seed, avoid):
+    if strategy == STRATEGY_RANDOM:
+        return sequential_seeded_placement(cells, counts, seed, avoid)
+    return per_cell_placement(cells, counts, strategy)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(st.integers(1, 48), st.integers(1, 4)), product_grid_axes()),
+       st.sampled_from(STRATEGIES), st.integers(0, 2 ** 64),
+       st.lists(st.integers(0, 2 ** 16), max_size=4))
+def test_placement_matches_the_per_cell_loops(layout, strategy, seed, vetoed):
+    # equal_partition_1d(k) with 1-4 nodes per cell, or a product grid
+    if isinstance(layout[0], int):
+        k, per_cell = layout
+        partition, n_points, axes = equal_partition_1d(k), k * per_cell, None
+    else:
+        axes, n_points = layout
+        partition = make_partition(make_cube_space(len(axes)), _grid_cells(axes))
+    counts = allocation(partition, n_points)
+    assert 1 <= min(counts) and max(counts) <= 4
+    first_tries = construct_uniform(partition, n_points, strategy, seed=seed).nodes
+    avoid = [first_tries[i % n_points] for i in vetoed]
+    nodes = construct_uniform(partition, n_points, strategy, seed=seed, avoid_points=avoid).nodes
+    assert _as_hex(nodes) == _as_hex(
+        _per_cell_nodes(partition.cells, counts, strategy, seed, avoid))
+    if axes is None:
+        return
+    # the top cell of every axis cut in two squeezed to one ulp below 1.0,
+    # where about half of the seeded tries round onto the closed face; no
+    # veto, which could take both values a 1-D squeezed cell can hold
+    below = math.nextafter(1.0, 0.0)
+    axes = [spans[:-2] + [(spans[-2][0], below), (below, 1.0)] if len(spans) > 1 else spans
+            for spans in axes]
+    cells = _grid_cells(axes)
+    nodes = pointsets._place_in_boxes(cell_edges(cells), counts, strategy,
+                                      random.Random(seed), frozenset())
+    assert _as_hex(nodes) == _as_hex(_per_cell_nodes(cells, counts, strategy, seed, ()))
 
 
 def test_is_uniform_trivial_partition():

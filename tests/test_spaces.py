@@ -3,6 +3,7 @@
 import contextlib
 import itertools
 import math
+import operator
 import random
 import re
 
@@ -618,6 +619,33 @@ def test_lookup_in_a_gap_at_every_edge(boxes):
                     assert p.cell_index_of(point) is None
                     misses += 1
     assert misses > 2
+
+
+def test_three_axis_lookup_refuses_points_outside_every_cell():
+    # each axis cut at 0.5 and short of both 0 and 0.5 by GAP: 8 cells
+    spans = [(GAP, 0.5), (0.5 + GAP, 1.0)]
+    boxes = [tuple(zip(*c)) for c in itertools.product(spans, repeat=3)]
+    p = make_partition(make_cube_space(3), [BoxCell(lo, hi) for lo, hi in boxes])
+    below_first_edge = [(0.0, 0.7, 0.7), (0.7, GAP / 2, 0.7), (0.7, 0.7, 0.0)]
+    in_gap = [(0.5, 0.7, 0.7), (0.7, 0.5 + GAP / 2, 0.7), (0.2, 0.2, 0.5)]
+    for point in below_first_edge + in_gap:
+        assert scan_cell_index(boxes, point) is None
+        assert p.cell_index_of(point) is None
+    on_faces_at_1 = {(1.0, 1.0, 1.0): 7, (1.0, 0.2, 0.7): 5, (0.2, 1.0, 0.2): 2,
+                     (0.7, 0.7, 1.0): 7, (0.5 + GAP, 0.5 + GAP, 1.0): 7}
+    for point, j in on_faces_at_1.items():
+        assert scan_cell_index(boxes, point) == j
+        assert p.cell_index_of(point) == j
+
+
+def test_equal_partition_edges_increase_and_measures_sum_to_exactly_one():
+    # the checks equal_partition_1d leaves out, on the partitions it builds
+    for k in [*range(1, 4097), 2 ** 20]:
+        p = equal_partition_1d(k)
+        (lowers,), (uppers,) = p.edges
+        assert lowers[0] == 0.0 and uppers[-1] == 1.0 and lowers[1:] == uppers[:-1]
+        assert all(map(operator.lt, lowers, uppers))
+        assert math.fsum(p.measures) == 1.0
 
 
 @pytest.mark.parametrize("build, points", [
