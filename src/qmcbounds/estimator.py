@@ -30,8 +30,11 @@ class BoundReport:
     bounds: BoundSet
 
 
-def qmc_estimate(f: FunctionModel, pointset) -> float:
+def qmc_estimate(f: FunctionModel, pointset, *, normal: bool = False) -> float:
     """Equal-weight node average of f.
+
+    ``normal`` is passed on to every ``f.evaluate``: it says that the
+    nodes already are in the model's normal form, so none is checked.
 
     The sum of N values can pass the largest double while their average
     does not; then the average is the fsum of the values each divided
@@ -41,10 +44,11 @@ def qmc_estimate(f: FunctionModel, pointset) -> float:
     if not nodes:
         raise ValueError("cannot average over an empty point set")
     n = len(nodes)
+    evaluate = f.evaluate
     try:
-        return math.fsum(map(f.evaluate, nodes)) / n
+        return math.fsum([evaluate(node, normal=normal) for node in nodes]) / n
     except OverflowError:  # intermediate overflow in fsum
-        return math.fsum([f.evaluate(node) / n for node in nodes])
+        return math.fsum([evaluate(node, normal=normal) / n for node in nodes])
 
 
 def integration_error(f: FunctionModel, pointset, space: Space) -> float:
@@ -61,7 +65,13 @@ def bound_report(f: FunctionModel, partition: Partition, pointset,
     exhaustive verdict allows, scaled to the data; breaking that
     certification is an internal bug and raises.
     """
-    report = is_uniform(pointset, partition)
+    space = partition.space
+    # each node is normalised once; the uniformity check takes that column
+    # as it is, and so does the estimate where the model's normal form is
+    # the space's (a table without the space's labels reads the nodes as
+    # given)
+    nodes = tuple(map(space.as_point, _as_nodes(pointset)))
+    report = is_uniform(nodes, partition, normal=True)
     if not report:
         detail = "it has no nodes"
         if report.off:
@@ -73,8 +83,9 @@ def bound_report(f: FunctionModel, partition: Partition, pointset,
     # one range per cell serves the bounds and the slack alike
     table = cell_table(f, partition, integrals=False)
     bounds = _bounds_from_table(table)
-    estimate = qmc_estimate(f, pointset)
-    integral = f.integral(partition.space)
+    shared = f._normal_in(space)
+    estimate = qmc_estimate(f, nodes if shared else pointset, normal=shared)
+    integral = f.integral(space)
     error = abs(estimate - integral)
     # the slack is never negative, so it is worked out only for an error
     # above the bound itself

@@ -685,13 +685,32 @@ class FunctionModel:
     def dimension(self) -> int | None:
         return self.base.dimension
 
-    def evaluate(self, point) -> float:
-        """Pointwise value; spike overrides win on exact coordinate match."""
-        point = self._domain.as_point(point)
+    def evaluate(self, point, *, normal: bool = False) -> float:
+        """Pointwise value; spike overrides win on exact coordinate match.
+
+        The model's domain normalises the point, unless ``normal`` says
+        that it already is in that normal form, as a node the library
+        built is; then nothing is checked.
+        """
+        if not normal:
+            point = self._domain.as_point(point)
         spikes = self._spike_map
         if spikes and point in spikes:
             return spikes[point]
         return self.base.evaluate(point)
+
+    def _normal_in(self, space: Space) -> bool:
+        """Whether every point in the space's normal form, as its
+        ``as_point`` gives it, is in the model's too, so that evaluating
+        it with ``normal=True`` gives what evaluating it checked does: a
+        cube model of the space's dimension, pieces on that space, or a
+        table labelled as the space's atoms are.  A table without the
+        space's labels refuses, or reads other atoms for, labels that
+        the space takes."""
+        domain = self._domain
+        if isinstance(domain, FiniteTable):
+            return isinstance(space, FiniteSpace) and domain.labels == space.labels
+        return domain == space
 
     def essential_range(self, cell: Cell) -> EssentialRange:
         """Essential range over a positive-measure cell; spikes never matter."""

@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement, islice, product, repeat
+from itertools import accumulate, chain, combinations_with_replacement, islice, product, repeat
 from operator import add, lt, mul, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -203,14 +203,40 @@ def _place_in_boxes(edges: EdgeLists, counts: Sequence[int], strategy: str,
                   if not fits(node, tops)), len(nodes))
     del nodes[first:]
     draw = chain(islice(draws, (first + 1) * dim, None), iter(rng.random, 1.0)).__next__
-    for bottoms, tops in islice(zip(zip(*los), zip(*his)), first, None):
+    for n, (bottoms, tops) in enumerate(islice(zip(zip(*los), zip(*his)), first, None), first):
         while True:
             # the draw may round to the open face; spike coordinates are vetoed
             node = tuple([lo + (hi - lo) * draw() for lo, hi in zip(bottoms, tops)])
             if fits(node, tops):
                 nodes.append(node)
                 break
+            if _every_point_vetoed(bottoms, tops, avoid):
+                cell = next(j for j, end in enumerate(accumulate(counts)) if end > n)
+                raise QmcBoundsError(f"every point of cell {cell} is vetoed, so no node "
+                                     f"can be placed in it")
     return nodes
+
+
+def _every_point_vetoed(bottoms, tops, avoid: frozenset) -> bool:
+    """Whether ``avoid`` holds every float point of the box, whose
+    seeded tries then never fit.
+
+    An axis holds at least (hi - lo) / ulp(hi) floats, as no two of them
+    below hi are more than ulp(hi) apart, so a box with more than
+    len(avoid) of them on one axis is never all vetoed.  Below that
+    bound lo is near hi, and the floats of each axis are listed one
+    ``nextafter`` at a time, up to hi, which only 1.0 includes.
+    """
+    axes = []
+    for lo, hi in zip(bottoms, tops):
+        if hi - lo > len(avoid) * math.ulp(hi):
+            return False
+        floats = [lo]
+        while (c := math.nextafter(floats[-1], 2.0)) < hi or c == hi == 1.0:
+            floats.append(c)
+        axes.append(floats)
+    return (math.prod(map(len, axes)) <= len(avoid)
+            and all(point in avoid for point in product(*axes)))
 
 
 def _place_in_finite_cell(cell: FiniteCell, count: int, strategy: str,
@@ -253,16 +279,20 @@ def _as_nodes(pointset) -> tuple:
     return tuple(pointset)
 
 
-def is_uniform(pointset, partition: Partition) -> UniformityReport:
+def is_uniform(pointset, partition: Partition, *, normal: bool = False) -> UniformityReport:
     """Count nodes per cell and compare with the exact products N * measure.
 
     Nodes must lie in the space (error otherwise); a node in no cell is
-    counted nowhere and shows up as a shortfall.
+    counted nowhere and shows up as a shortfall.  ``normal`` is passed on
+    to every ``partition.cell_index_of``: it says that the nodes already
+    are in the space's normal form, so none is checked.
     """
     nodes = _as_nodes(pointset)
     n = len(nodes)
     counts = [0] * partition.k
-    for j in map(partition.cell_index_of, nodes):
+    lookup = partition.cell_index_of
+    for node in nodes:
+        j = lookup(node, normal=normal)
         if j is not None:
             counts[j] += 1
     expected = [n * m for m in partition.measures]

@@ -70,8 +70,11 @@ def _grid_cells(*edges):
     return [{"box": [list(span) for span in box]} for box in itertools.product(*spans)]
 
 
-# Exact-mode continuous families in d >= 2, each scored against a
-# seeded-random uniform point set: (instance, construct_uniform seed).
+# Exact-mode instances, each scored against a seeded-random uniform point
+# set that save_pointset writes, atom labels on a finite space:
+# (instance, construct_uniform seed).  Beside the continuous families in
+# d >= 2, a labelled finite table and a piece layout on the cube are the
+# other domains that a report normalises its nodes against.
 SEEDED_BOUNDS = {
     "bounds-affine-2d": ({
         "instance_id": "affine-2d",
@@ -91,6 +94,24 @@ SEEDED_BOUNDS = {
                                 "quadratic": [0.9, 0.0, -0.6]}},
         "N": 32,
     }, 6),
+    "bounds-finite-table": ({
+        "instance_id": "finite-table",
+        "space": {"kind": "finite", "atoms": [["a", 0.25], ["b", 0.25], ["c", 0.125],
+                                              ["d", 0.125], ["e", 0.125], ["f", 0.125]]},
+        "partition": {"cells": [{"atoms": [0, 1]}, {"atoms": [2, 3, 4, 5]}]},
+        "function": {"family": "finite_table",
+                     "params": {"values": [0.5, -1.25, 3.0, 0.75, -0.5, 2.0]}},
+        "N": 8,
+    }, 7),
+    "bounds-piecewise-constant-2d": ({
+        "instance_id": "piecewise-constant-2d",
+        "space": {"kind": "cube", "dimension": 2},
+        "partition": {"cells": _grid_cells(*[[0.0, 0.5, 1.0]] * 2)},
+        "function": {"family": "piecewise_constant",
+                     "params": {"values": [1.5, -0.25, 0.625],
+                                "cells": _grid_cells([0.0, 0.25, 0.75, 1.0], [0.0, 1.0])}},
+        "N": 8,
+    }, 8),
 }
 
 # (case id, arguments, writes an --out file)
@@ -155,6 +176,10 @@ DIGESTS = {
         "ab9b5ee554a37732a8f4b6eca9137abfc0411130b08292e101d0430418ea79f2", None),
     "bounds-quadratic-3d": (
         "eef0426b3bcd7680210c092bd460399067cd21c0194201de4dd009b51221b41b", None),
+    "bounds-finite-table": (
+        "440273aa4b9846c94e34b5ebcd510436871311de6ca53481ec57dea5375d720a", None),
+    "bounds-piecewise-constant-2d": (
+        "442d868f350108ff9e0cd43ad6417cc15606733836bbcd0c9363b306e0efcb86", None),
 }
 
 

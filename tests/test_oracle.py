@@ -627,9 +627,9 @@ def test_convergence_reads_each_range_once_and_allocates_once(monkeypatch):
         ranges.append(cell)
         return real_range(self, cell)
 
-    def counting_evaluate(self, point):
+    def counting_evaluate(self, point, *, normal=False):
         evaluations.append(point)
-        return real_evaluate(self, point)
+        return real_evaluate(self, point, normal=normal)
 
     def counting_allocation(partition, n_points):
         allocations.append(partition.k)
@@ -652,9 +652,9 @@ def test_naive_baseline_evaluates_each_sample_once(monkeypatch):
     evaluations = []
     real_evaluate = FunctionModel.evaluate
 
-    def counting_evaluate(self, point):
+    def counting_evaluate(self, point, *, normal=False):
         evaluations.append(point)
-        return real_evaluate(self, point)
+        return real_evaluate(self, point, normal=normal)
 
     monkeypatch.setattr(FunctionModel, "evaluate", counting_evaluate)
     f = FunctionModel(Quadratic(0.0, (0.0,), (1.0,)), (((0.3,), 5.0),))
@@ -670,9 +670,9 @@ def test_naive_baseline_counts_each_spike_in_the_cell_that_holds_it(monkeypatch)
     evaluations = []
     real_evaluate = FunctionModel.evaluate
 
-    def counting_evaluate(self, point):
+    def counting_evaluate(self, point, *, normal=False):
         evaluations.append(point)
-        return real_evaluate(self, point)
+        return real_evaluate(self, point, normal=normal)
 
     monkeypatch.setattr(FunctionModel, "evaluate", counting_evaluate)
     # an interior spike of cell 1, one on the edge that cells 1 and 2 share,

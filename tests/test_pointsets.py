@@ -23,6 +23,7 @@ from qmcbounds import (
     OutOfDomainError,
     Partition,
     PiecewiseConstant,
+    QmcBoundsError,
     Quadratic,
     Sinusoid,
     allocation,
@@ -345,6 +346,37 @@ def test_seeded_placement_keeps_nodes_on_the_closed_face():
     rng = random.Random(3)
     assert [n[0] for n in nodes] == [below * rng.random()] + [
         below + (1.0 - below) * rng.random() for _ in range(16)]
+
+
+# Boxes one float step below 1.0 on every axis, after an ordinary box,
+# hold two floats per axis: the one below 1.0 and the closed face.
+_BELOW = math.nextafter(1.0, 0.0)
+_SQUEEZED = {
+    1: [BoxCell((0.0,), (_BELOW,)), BoxCell((_BELOW,), (1.0,))],
+    2: [BoxCell((0.0, 0.0), (1.0, 0.5)), BoxCell((_BELOW, _BELOW), (1.0, 1.0))],
+}
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_seeded_placement_refuses_a_box_whose_every_point_is_vetoed(dimension):
+    # the redraw loop would draw forever: no try can fit
+    cells = _SQUEEZED[dimension]
+    every = frozenset(itertools.product([_BELOW, 1.0], repeat=dimension))
+    with pytest.raises(QmcBoundsError, match="every point of cell 1 is vetoed"):
+        pointsets._place_in_boxes(cell_edges(cells), [1, 2], STRATEGY_RANDOM,
+                                  random.Random(3), every)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_seeded_placement_finds_the_one_point_a_veto_leaves(dimension):
+    cells = _SQUEEZED[dimension]
+    every = sorted(itertools.product([_BELOW, 1.0], repeat=dimension))
+    for left in every:
+        avoid = frozenset(every) - {left}
+        nodes = pointsets._place_in_boxes(cell_edges(cells), [1, 2], STRATEGY_RANDOM,
+                                          random.Random(3), avoid)
+        assert nodes[1:] == [left, left]
+        assert _as_hex(nodes) == _as_hex(sequential_seeded_placement(cells, [1, 2], 3, avoid))
 
 
 @st.composite
