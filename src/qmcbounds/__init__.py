@@ -17,7 +17,7 @@ from .errors import (
     QmcBoundsError,
     WeightSumError,
 )
-from .estimator import BoundReport, bound_report, integration_error, qmc_estimate
+from .estimator import BoundReport, bound_report, qmc_estimate
 from .funcmodel import (
     Affine,
     EssentialRange,

@@ -15,7 +15,7 @@ from .bounds import BoundSet, _bounds_from_table, cell_table, certification_slac
 from .errors import BoundViolationError, NotUniformError
 from .funcmodel import FunctionModel
 from .pointsets import _as_nodes, is_uniform
-from .spaces import Partition, Space
+from .spaces import Partition
 
 
 @dataclass(frozen=True)
@@ -38,22 +38,18 @@ def qmc_estimate(f: FunctionModel, pointset, *, normal: bool = False) -> float:
 
     The sum of N values can pass the largest double while their average
     does not; then the average is the fsum of the values each divided
-    by N, which evaluates every node a second time.
+    by N.
     """
     nodes = _as_nodes(pointset)
     if not nodes:
         raise ValueError("cannot average over an empty point set")
     n = len(nodes)
     evaluate = f.evaluate
+    values = [evaluate(node, normal=normal) for node in nodes]
     try:
-        return math.fsum([evaluate(node, normal=normal) for node in nodes]) / n
+        return math.fsum(values) / n
     except OverflowError:  # intermediate overflow in fsum
-        return math.fsum([evaluate(node, normal=normal) / n for node in nodes])
-
-
-def integration_error(f: FunctionModel, pointset, space: Space) -> float:
-    """|node average - integral| for nodes lying in the space."""
-    return abs(qmc_estimate(f, pointset) - f.integral(space))
+        return math.fsum([value / n for value in values])
 
 
 def bound_report(f: FunctionModel, partition: Partition, pointset,
@@ -66,10 +62,8 @@ def bound_report(f: FunctionModel, partition: Partition, pointset,
     certification is an internal bug and raises.
     """
     space = partition.space
-    # each node is normalised once; the uniformity check takes that column
-    # as it is, and so does the estimate where the model's normal form is
-    # the space's (a table without the space's labels reads the nodes as
-    # given)
+    # each node is normalised once; the uniformity check and the estimate
+    # both take that column as it is
     nodes = tuple(map(space.as_point, _as_nodes(pointset)))
     report = is_uniform(nodes, partition, normal=True)
     if not report:
@@ -80,11 +74,13 @@ def bound_report(f: FunctionModel, partition: Partition, pointset,
                       f"{report.expected[j]!r}; {len(report.off)} of {partition.k} "
                       f"cells are off")
         raise NotUniformError(f"point set is not uniform for the partition: {detail}")
-    # one range per cell serves the bounds and the slack alike
+    # one range per cell serves the bounds and the slack alike. The table
+    # comes first: it refuses a model off the partition's space with the
+    # model's own error, so the unchecked estimate reads each node as the
+    # space does, the set the uniformity check counted
     table = cell_table(f, partition, integrals=False)
     bounds = _bounds_from_table(table)
-    shared = f._normal_in(space)
-    estimate = qmc_estimate(f, nodes if shared else pointset, normal=shared)
+    estimate = qmc_estimate(f, nodes, normal=True)
     integral = f.integral(space)
     error = abs(estimate - integral)
     # the slack is never negative, so it is worked out only for an error

@@ -125,7 +125,7 @@ def naive_pointwise_s(f: FunctionModel, partition: Partition) -> float:
     # grid points of [0, 1] and spikes, which the model normalised, are in
     # the normal form of a model on this line; any other model checks
     # each point, and refuses the first as it always did
-    normal = f._normal_in(space)
+    normal = not f.is_finite and f.dimension == 1
     evaluate = f.evaluate
     (lowers,), (uppers,) = partition.edges
     for lo, hi in zip(lowers, uppers):

@@ -699,19 +699,6 @@ class FunctionModel:
             return spikes[point]
         return self.base.evaluate(point)
 
-    def _normal_in(self, space: Space) -> bool:
-        """Whether every point in the space's normal form, as its
-        ``as_point`` gives it, is in the model's too, so that evaluating
-        it with ``normal=True`` gives what evaluating it checked does: a
-        cube model of the space's dimension, pieces on that space, or a
-        table labelled as the space's atoms are.  A table without the
-        space's labels refuses, or reads other atoms for, labels that
-        the space takes."""
-        domain = self._domain
-        if isinstance(domain, FiniteTable):
-            return isinstance(space, FiniteSpace) and domain.labels == space.labels
-        return domain == space
-
     def essential_range(self, cell: Cell) -> EssentialRange:
         """Essential range over a positive-measure cell; spikes never matter."""
         base = self.base

@@ -196,16 +196,6 @@ class BoxCell:
             v *= 0.0 if extent < 0.0 else extent  # max(extent, 0.0), bit for bit
         return v
 
-    def contains(self, point: Sequence[float]) -> bool:
-        if len(point) != len(self.lower):  # zip would stop at the shorter side
-            return False
-        for c, lo, hi in zip(point, self.lower, self.upper):
-            if c < lo:
-                return False
-            if c >= hi and not (hi == 1.0 and c == 1.0):
-                return False
-        return True
-
 
 Cell = Union[FiniteCell, BoxCell]
 

@@ -38,7 +38,6 @@ from qmcbounds import (
     qmc_estimate,
 )
 from qmcbounds import estimator, experiments
-from qmcbounds.errors import BoundViolationError
 from qmcbounds.experiments import named_function, naive_pointwise_s, perturb_table
 from qmcbounds.funcmodel import FiniteTable
 from qmcbounds.pointsets import STRATEGIES, STRATEGY_RANDOM
@@ -140,7 +139,6 @@ def test_evaluating_a_normal_point_unchecked_gives_its_value(name, data):
         coords = st.tuples(*[st.floats(0.0, 1.0)] * f.dimension)
         points = [p for p, _ in f.spikes] + [data.draw(coords)]
     for point in map(space.as_point, points):
-        assert f._normal_in(space)
         assert f.evaluate(point, normal=True).hex() == f.evaluate(point).hex()
 
 
@@ -242,6 +240,28 @@ def test_naive_baseline_refuses_a_model_of_another_dimension():
         naive_pointwise_s(f, equal_partition_1d(4))
 
 
+_PLANE = make_partition(make_cube_space(2), [BoxCell((0.0, 0.0), (1.0, 0.5)),
+                                             BoxCell((0.0, 0.5), (1.0, 1.0))])
+_ATOM_CELLS = make_partition(_ATOMS, [FiniteCell((0, 1)), FiniteCell((2,))])
+
+
+@pytest.mark.parametrize("f, message", [
+    (FunctionModel(Quadratic(0.1, (-0.7, 0.3), (0.9, -0.6))),
+     r"point has 1 coordinates, space has dimension 2"),
+    (FunctionModel(PiecewiseConstant(_PLANE, (1.0, 2.0))),
+     r"point has 1 coordinates, space has dimension 2"),
+    (FunctionModel(PiecewiseConstant(_ATOM_CELLS, (1.0, 2.0))),
+     r"not an atom reference: \(0\.0,\)"),
+    (FunctionModel(FiniteTable((1.0, 2.0, -4.0), _ATOMS.labels)),
+     r"not an atom reference: \(0\.0,\)"),
+], ids=["cube-2d", "pieces-2d", "pieces-finite", "table"])
+def test_naive_baseline_checks_every_point_of_a_model_off_the_line(f, message):
+    # only a cube model of dimension 1 takes the grid points unchecked;
+    # any other normalises the first one, and refuses it
+    with pytest.raises(OutOfDomainError, match=f"^{message}$"):
+        naive_pointwise_s(f, equal_partition_1d(4))
+
+
 def test_bound_report_refuses_a_model_of_another_dimension():
     f = FunctionModel(Affine(0.5, (1.0, -2.0)))
     partition = equal_partition_1d(4)
@@ -250,25 +270,19 @@ def test_bound_report_refuses_a_model_of_another_dimension():
         bound_report(f, partition, construct_uniform(partition, 4))
 
 
-@pytest.mark.parametrize("labels, nodes, outcome", [
-    (None, ["a", "b", "c", "c"], (OutOfDomainError, "unknown atom label 'a'")),
-    (None, [0, 1, 2, 2], 2.75),
-    (("c", "b", "a"), ["b", "b", "c", "c"],
-     (BoundViolationError, "realized error 1.25 exceeds the certified bound corollary2 = 0.5")),
-    (("c", "b", "a"), [0, 1, 2, 2], 2.75),
-    (("a", "b", "c"), ["b", "b", "c", "c"], 3.0),
-], ids=["unlabelled-labels", "unlabelled-indices", "reordered-labels",
-        "reordered-indices", "same-labels"])
-def test_bound_report_reads_a_table_by_its_own_labels(labels, nodes, outcome):
-    # the table reads a label by its own labels, not the space's, so the
-    # reordered table reads "b" as its second value and "c" as its first
-    space = make_finite_space([("a", 0.25), ("b", 0.25), ("c", 0.5)])
-    partition = make_partition(space, [FiniteCell((0, 1)), FiniteCell((2,))])
+@pytest.mark.parametrize("nodes, estimate", [
+    (["a", "b", "c", "c"], 2.75),
+    ([0, 1, 2, 2], 2.75),
+    (["b", "b", "c", "c"], 3.0),
+], ids=["abcc", "0122", "bbcc"])
+@pytest.mark.parametrize("labels", [None, ("c", "b", "a"), ("a", "b", "c")],
+                         ids=["unlabelled", "reordered", "same"])
+def test_bound_report_reads_a_table_by_the_space_labels(labels, nodes, estimate):
+    # the uniformity check counts each node as the space reads it, and the
+    # estimate reads that same atom, whatever labels the table has: "b" is
+    # the space's second atom, with the table's second value
     f = FunctionModel(FiniteTable((1.0, 2.0, 4.0), labels))
-    assert f._normal_in(space) == (labels == space.labels)
-    if isinstance(outcome, float):
-        assert bound_report(f, partition, nodes).estimate == outcome
-    else:
-        error, message = outcome
-        with pytest.raises(error, match=f"^{message}$"):
-            bound_report(f, partition, nodes)
+    report = bound_report(f, _ATOM_CELLS, nodes)
+    assert report.estimate == estimate
+    assert report.error == abs(estimate - 2.75)
+    assert report.error <= report.bounds.corollary2 == 0.5

