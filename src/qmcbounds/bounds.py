@@ -45,20 +45,27 @@ from .spaces import Partition
 
 @dataclass(frozen=True)
 class BoundSet:
-    """The three bound values, the span distance, and exactness."""
+    """The three bound values and exactness.  On a partition theorem1 is
+    corollary1 and the span distance is half of it (see above), so both
+    are read from corollary1, not stored."""
 
-    theorem1: float
     corollary1: float
     corollary2: float
-    distance: float
     exact: bool
+
+    @property
+    def theorem1(self) -> float:
+        return self.corollary1
+
+    @property
+    def distance(self) -> float:
+        return self.corollary1 / 2.0
 
 
 class CellTable(NamedTuple):
     """A function's per-cell data over a partition, as columns in cell
-    order: the cell's measure, its essential range [lo, hi], whether that
-    range came from an exact oracle, and the cell integral (None when the
-    table was built for the bounds alone).  A named tuple, which is
+    order: the cell's measure, its essential range [lo, hi], and whether
+    that range came from an exact oracle.  A named tuple, which is
     cheaper to build than a frozen dataclass for the many small tables
     of the exhaustive verdict."""
 
@@ -66,22 +73,17 @@ class CellTable(NamedTuple):
     lo: list[float]
     hi: list[float]
     exact: list[bool]
-    integral: list[float] | None
 
 
 _LO, _HI, _EXACT = attrgetter("lo"), attrgetter("hi"), attrgetter("exact")
 
 
-def cell_table(f: FunctionModel, partition: Partition, integrals: bool) -> CellTable:
+def cell_table(f: FunctionModel, partition: Partition) -> CellTable:
     """Read every cell's essential range once, one essential_range call
-    per cell, and its integral when asked (``FunctionModel.cell_integrals``)."""
+    per cell."""
     ranges = [f.essential_range(cell) for cell in partition.cells]
-    lo = list(map(_LO, ranges))
-    hi = list(map(_HI, ranges))
-    exact = list(map(_EXACT, ranges))
-    del ranges  # before the integrals, to keep peak memory down
-    return CellTable(partition.measures, lo, hi, exact,
-                     f.cell_integrals(partition) if integrals else None)
+    return CellTable(partition.measures, list(map(_LO, ranges)), list(map(_HI, ranges)),
+                     list(map(_EXACT, ranges)))
 
 
 def bound_set(f: FunctionModel, partition: Partition) -> BoundSet:
@@ -91,7 +93,7 @@ def bound_set(f: FunctionModel, partition: Partition) -> BoundSet:
     compensated summation; exact is True only when every cell range came
     from an exact oracle.
     """
-    return _bounds_from_table(cell_table(f, partition, integrals=False))
+    return _bounds_from_table(cell_table(f, partition))
 
 
 def _bounds_from_table(table: CellTable) -> BoundSet:
@@ -108,13 +110,7 @@ def _bounds_from_table(table: CellTable) -> BoundSet:
         raise QmcBoundsError(f"cell {j} has the range [{table.lo[j]!r}, {table.hi[j]!r}], "
                              f"whose width overflows")
     weighted = math.fsum(map(mul, table.measure, widths))
-    return BoundSet(
-        theorem1=s,
-        corollary1=s,
-        corollary2=weighted,
-        distance=s / 2.0,
-        exact=all(table.exact),
-    )
+    return BoundSet(corollary1=s, corollary2=weighted, exact=all(table.exact))
 
 
 def _rounding_margin(magnitude: float, integral: float, roundings: int) -> float:

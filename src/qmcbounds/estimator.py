@@ -78,7 +78,7 @@ def bound_report(f: FunctionModel, partition: Partition, pointset,
     # comes first: it refuses a model off the partition's space with the
     # model's own error, so the unchecked estimate reads each node as the
     # space does, the set the uniformity check counted
-    table = cell_table(f, partition, integrals=False)
+    table = cell_table(f, partition)
     bounds = _bounds_from_table(table)
     estimate = qmc_estimate(f, nodes, normal=True)
     integral = f.integral(space)

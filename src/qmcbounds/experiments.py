@@ -86,11 +86,13 @@ def convergence_table(f: FunctionModel, depth: int, strategy: str,
         k = 2 ** m
         partition = equal_partition_1d(k)
         # one range per cell serves the bounds and the adversary; the table
-        # is dropped before the point set is built, to keep peak memory down
-        table = cell_table(f, partition, integrals=True)
+        # and the integrals are dropped before the point set is built, to
+        # keep peak memory down
+        table = cell_table(f, partition)
+        integrals = f.cell_integrals(partition)
         bounds = _bounds_from_table(table)
-        adversarial = _worst_uniform_error(table)
-        del table
+        adversarial = _worst_uniform_error(table, integrals)
+        del table, integrals
         pointset = construct_uniform(
             partition, k, strategy, seed=seed, avoid_points=spike_points
         )

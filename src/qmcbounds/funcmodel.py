@@ -101,6 +101,8 @@ from .spaces import (
     FiniteSpace,
     Partition,
     Space,
+    _per_cell_product,
+    _volumes,
     atom_index,
 )
 
@@ -143,10 +145,6 @@ class EssentialRange:
         _set_hi(self, hi)
         _set_exact(self, exact)
         _set_eps(self, eps)
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
 
 _set_lo, _set_hi, _set_exact, _set_eps = (
@@ -212,26 +210,6 @@ def _require_finite(**fields) -> None:
         for i, v in enumerate(value):
             if not math.isfinite(v):
                 raise ValueError(f"{name}[{i}] is {v!r}, not a finite number")
-
-
-def _per_cell_product(factors):
-    """Each cell's product of its per-axis factors, one iterable per axis.
-
-    The products are taken in axis order, as a per-cell loop from 1.0
-    takes them; 1.0 * x is x, so that loop's first product is the first
-    axis's factor itself.
-    """
-    product, *rest = factors
-    for factor in rest:
-        product = map(mul, product, factor)
-    return product
-
-
-def _volumes(lowers, uppers):
-    """BoxCell.volume of every box: the product of its extents, each
-    clamped at 0.0."""
-    return _per_cell_product([(0.0 if e < 0.0 else e for e in map(sub, us, ls))
-                              for ls, us in zip(lowers, uppers)])
 
 
 def _fsum_per_cell(intercept, terms, lowers, uppers) -> list[float]:

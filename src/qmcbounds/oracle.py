@@ -93,13 +93,12 @@ class VerificationVerdict:
 
 
 def _failed_check(worst: float, bounds: BoundSet, closed_form: float, slack: float):
-    """The first of a verdict's four checks that fails, as (check,
-    margin), or None when all hold within ``slack``: the worst error
-    against corollary2, corollary1 and theorem1 (the margin is how far it
-    passes the bound), then against the closed form (the margin is how
-    far apart the two are)."""
-    for check, bound in (("corollary2", bounds.corollary2), ("corollary1", bounds.corollary1),
-                         ("theorem1", bounds.theorem1)):
+    """The first of a verdict's checks that fails, as (check, margin), or
+    None when all hold within ``slack``: the worst error against
+    corollary2 and corollary1 (the margin is how far it passes the
+    bound; theorem1 is corollary1, so its check is that one), then
+    against the closed form (the margin is how far apart the two are)."""
+    for check, bound in (("corollary2", bounds.corollary2), ("corollary1", bounds.corollary1)):
         if not worst <= bound + slack:
             return check, worst - bound
     gap = abs(worst - closed_form)
@@ -342,16 +341,17 @@ def worst_uniform_error(f: FunctionModel, partition: Partition) -> float:
     sampled range raises QmcBoundsError, since the true supremum is not
     known from it.
     """
-    return _worst_uniform_error(cell_table(f, partition, integrals=True))
+    return _worst_uniform_error(cell_table(f, partition), f.cell_integrals(partition))
 
 
-def _worst_uniform_error(table: CellTable) -> float:
-    """worst_uniform_error as list passes over a cell table's columns."""
+def _worst_uniform_error(table: CellTable, integrals: list[float]) -> float:
+    """worst_uniform_error as list passes over a cell table's columns and
+    the cell ``integrals``."""
     if not all(table.exact):
         raise QmcBoundsError(f"cell {table.exact.index(False)} has a sampled range; the "
                              f"worst uniform error needs exact essential ranges")
     measure = table.measure
-    averages = list(map(truediv, table.integral, measure))
+    averages = list(map(truediv, integrals, measure))
     up = math.fsum(map(mul, measure, map(sub, table.hi, averages)))
     down = math.fsum(map(mul, measure, map(sub, averages, table.lo)))
     return max(up, down, 0.0)
@@ -424,7 +424,8 @@ def verify_instances(instances: Sequence[Instance],
             raise QmcBoundsError(f"instance {instance.instance_id!r} declares no N")
         stream = enumerate_uniform(space, partition, n_points, cap)
         # one range per cell serves the bounds and the closed form alike
-        table = cell_table(f, partition, integrals=True)
+        table = cell_table(f, partition)
+        integrals = f.cell_integrals(partition)
         try:
             bounds = _bounds_from_table(table)
         except QmcBoundsError as exc:
@@ -432,7 +433,7 @@ def verify_instances(instances: Sequence[Instance],
         integral = f.integral(space)
         values = _atom_values(f, space, n_points, len(stream.counts), instance.instance_id)
         jobs.append((stream, values, n_points, integral))
-        checks.append((bounds, _worst_uniform_error(table),
+        checks.append((bounds, _worst_uniform_error(table, integrals),
                        certification_slack(table, integral, stream.counts)))
     verdicts = []
     for instance, (stream, *_), (bounds, closed_form, slack), (worst, argmax) in zip(

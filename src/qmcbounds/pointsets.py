@@ -130,7 +130,6 @@ class UniformPointSet:
 
     nodes: tuple
     allocation: tuple[int, ...]
-    n_points: int
 
 
 @dataclass(frozen=True)
@@ -270,7 +269,7 @@ def construct_uniform(partition: Partition, n_points: int,
     else:
         avoid = frozenset(space.as_point(p) for p in avoid_points)
         nodes = _place_in_boxes(partition.edges, counts, strategy, rng, avoid)
-    return UniformPointSet(tuple(nodes), counts, n_points)
+    return UniformPointSet(tuple(nodes), counts)
 
 
 def _as_nodes(pointset) -> tuple:

@@ -23,8 +23,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import sub
-from typing import ClassVar, Mapping, Sequence, Union
+from operator import mul, sub
+from typing import Mapping, Sequence, Union
 
 from .errors import (
     CoverError,
@@ -61,8 +61,6 @@ class FiniteSpace:
     labels: tuple[str, ...]
     weights: tuple[float, ...]
 
-    kind: ClassVar[str] = "finite"
-
     @property
     def n_atoms(self) -> int:
         return len(self.labels)
@@ -77,8 +75,6 @@ class CubeSpace:
     """The unit cube [0,1]^dimension with Lebesgue measure."""
 
     dimension: int
-
-    kind: ClassVar[str] = "cube"
 
     def as_point(self, value) -> tuple[float, ...]:
         """Normalize a point to a coordinate tuple inside the closed cube.
@@ -189,13 +185,6 @@ class BoxCell:
     def dimension(self) -> int:
         return len(self.lower)
 
-    def volume(self) -> float:
-        v = 1.0
-        for lo, hi in zip(self.lower, self.upper):
-            extent = hi - lo
-            v *= 0.0 if extent < 0.0 else extent  # max(extent, 0.0), bit for bit
-        return v
-
 
 Cell = Union[FiniteCell, BoxCell]
 
@@ -222,6 +211,27 @@ def cell_edges(cells: Sequence[BoxCell]) -> EdgeLists:
     axes = range(cells[0].dimension)
     return ([[c.lower[a] for c in cells] for a in axes],
             [[c.upper[a] for c in cells] for a in axes])
+
+
+def _per_cell_product(factors):
+    """Each cell's product of its per-axis factors, one iterable per axis.
+
+    The products are taken in axis order, as a per-cell loop from 1.0
+    takes them; 1.0 * x is x, so that loop's first product is the first
+    axis's factor itself.
+    """
+    product, *rest = factors
+    for factor in rest:
+        product = map(mul, product, factor)
+    return product
+
+
+def _volumes(lowers, uppers):
+    """The volume of every box given by its per-axis edge lists: the
+    product of its extents in axis order, each clamped at 0.0, the bits
+    of a per-box loop ``v *= max(hi - lo, 0.0)`` from ``v = 1.0``."""
+    return _per_cell_product([(0.0 if e < 0.0 else e for e in map(sub, us, ls))
+                              for ls, us in zip(lowers, uppers)])
 
 
 def _sweep(edges: EdgeLists):
@@ -271,8 +281,8 @@ def _sweep(edges: EdgeLists):
     return sweep(range(len(lowers[0])), 0)
 
 
-def _validate_cell(space: Space, cell: Cell, index: int) -> float:
-    """Check one cell against its space and return its measure."""
+def _validate_cell(space: Space, cell: Cell, index: int) -> None:
+    """Check one cell against its space."""
     if isinstance(space, FiniteSpace):
         if not isinstance(cell, FiniteCell):
             raise OutOfDomainError(f"cell {index} is not a finite cell")
@@ -281,7 +291,7 @@ def _validate_cell(space: Space, cell: Cell, index: int) -> float:
         for a in cell.atoms:
             if not 0 <= a < space.n_atoms:
                 raise OutOfDomainError(f"cell {index} references missing atom {a}")
-        return math.fsum(space.weights[a] for a in cell.atoms)
+        return
     if not isinstance(cell, BoxCell):
         raise OutOfDomainError(f"cell {index} is not a box cell")
     if cell.dimension != space.dimension:
@@ -293,7 +303,6 @@ def _validate_cell(space: Space, cell: Cell, index: int) -> float:
             raise OutOfDomainError(f"cell {index} bounds outside the unit cube")
         if not lo < hi:
             raise EmptyCellError(f"cell {index} has empty extent [{lo!r}, {hi!r})")
-    return cell.volume()
 
 
 @dataclass(frozen=True)
@@ -307,12 +316,12 @@ class Partition:
     the per-axis edge lists of the cells.  It is one call in one frame,
     normalisation included, so a traced run counts one call per lookup.
     A cube partition also holds those lists (``edges``, as
-    ``cell_edges`` gives them), which node placement, cell integrals,
-    the naive baseline and the lookup's upper-face test read; of the
-    library's passes only the range oracle reads the cells.  A finite
-    partition holds None.  ``allocations`` keeps the per-cell counts
-    that ``pointsets.allocation`` accepted, by N.  Equality, hashing and
-    repr ignore all three.
+    ``cell_edges`` gives them), which the measures, node placement, cell
+    integrals, the naive baseline and the lookup's upper-face test read;
+    of the library's passes only the range oracle reads the cells.  A
+    finite partition holds None.  ``allocations`` keeps the per-cell
+    counts that ``pointsets.allocation`` accepted, by N.  Equality,
+    hashing and repr ignore all three.
     """
 
     space: Space
@@ -394,11 +403,18 @@ def make_partition(space: Space, cells: Sequence[Cell]) -> Partition:
     cells = tuple(cells)
     if not cells:
         raise CoverError("a partition needs at least one cell")
-    measures = tuple(_validate_cell(space, cell, j) for j, cell in enumerate(cells))
+    for j, cell in enumerate(cells):
+        _validate_cell(space, cell, j)
+    if isinstance(space, FiniteSpace):
+        edges = None
+        measures = tuple(math.fsum(space.weights[a] for a in cell.atoms) for cell in cells)
+    else:
+        edges = cell_edges(cells)
+        measures = tuple(_volumes(*edges))
     for j, m in enumerate(measures):
         if not m > 0.0:
             raise EmptyCellError(f"cell {j} has measure {m!r}")
-    if isinstance(space, FiniteSpace):
+    if edges is None:
         owners: list[int | None] = [None] * space.n_atoms  # each atom's cell
         for j, cell in enumerate(cells):
             for a in cell.atoms:
@@ -409,7 +425,6 @@ def make_partition(space: Space, cells: Sequence[Cell]) -> Partition:
         if missing:
             raise CoverError(f"atoms {missing} belong to no cell")
         return Partition(space, cells, measures, None, tuple(owners))
-    edges = cell_edges(cells)
     slabs = _sweep(edges)
     total = math.fsum(measures)
     if abs(total - 1.0) > MASS_TOL:
@@ -426,9 +441,9 @@ def equal_partition_1d(k: int) -> Partition:
     cells are disjoint, and together they cover [0, 1].  The edges i / k
     strictly increase: neighbours differ by 1 / k, more than two ulps of
     any number below 1 for every k < 2**52, so they round apart.  Each
-    measure hi - lo, the float volume() gives, is exact by Sterbenz's
-    lemma, as lo = 0 or lo >= hi / 2, so their fsum telescopes to exactly
-    1.0.  The cells need no sweep either: they are already sorted by
+    measure hi - lo, the float ``_volumes`` gives for one axis, is exact
+    by Sterbenz's lemma, as lo = 0 or lo >= hi / 2, so their fsum
+    telescopes to exactly 1.0.  The cells need no sweep either: they are already sorted by
     lower edge, and the slab index of ordered disjoint intervals is their
     lower edges with slab j holding cell j.
     """

@@ -285,13 +285,21 @@ def per_piece_integral(pieces, values, lower, upper):
     return math.fsum(v * m for v, m in zip(values, measures))
 
 
-def per_cell_integral(base, lower, upper):
-    """A continuous family's integral over the box [lower, upper), one
-    box at a time, in the IEEE operations and order of the closed forms
-    (volume as BoxCell.volume takes it, per-axis terms summed by fsum)."""
+def per_box_volume(lower, upper):
+    """The volume of the box [lower, upper), its extents multiplied in
+    axis order from 1.0, each clamped at 0.0."""
     vol = 1.0
     for l, u in zip(lower, upper):
         vol *= max(u - l, 0.0)
+    return vol
+
+
+def per_cell_integral(base, lower, upper):
+    """A continuous family's integral over the box [lower, upper), one
+    box at a time, in the IEEE operations and order of the closed forms
+    (volume as ``per_box_volume`` takes it, per-axis terms summed by
+    fsum)."""
+    vol = per_box_volume(lower, upper)
     kind = type(base).__name__
     if kind == "Affine":
         center = [(l + u) / 2.0 for l, u in zip(lower, upper)]

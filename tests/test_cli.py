@@ -474,8 +474,8 @@ def test_verify_explains_a_failed_verdict(runner, tmp_path, monkeypatch, patched
             bounds = real(table)
             return dataclasses.replace(bounds, corollary2=bounds.corollary2 / 4)
     else:
-        def broken(table):
-            return real(table) + 1e-6
+        def broken(table, integrals):
+            return real(table, integrals) + 1e-6
     monkeypatch.setattr(qmcbounds.oracle, patched, broken)
     config = tmp_path / "instances.json"
     save_instances(config, [random_instance(i) for i in range(3)])

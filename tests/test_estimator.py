@@ -202,7 +202,7 @@ def test_bound_report_slack_scales_with_small_values(monkeypatch):
     # off, which an absolute slack of 1e-9 let through, is a violation
     f = FunctionModel(Affine(1e-12, (1e-12,)))
     p = equal_partition_1d(8)
-    table = cell_table(f, p, integrals=False)
+    table = cell_table(f, p)
     assert certification_slack(table, f.integral(p.space), allocation(p, 8)) < 1e-25
     monkeypatch.setattr(estimator, "qmc_estimate", lambda f, nodes, *, normal=False: 1.5e-12 + 1e-10)
     with pytest.raises(BoundViolationError, match="exceeds the certified bound"):

@@ -460,15 +460,6 @@ def test_is_uniform_lists_the_cells_that_are_off():
     assert not is_uniform([], p)
 
 
-def test_is_uniform_tests_one_cell_per_node():
-    n = 64
-    cells = [box((i / n, (i + 1) / n), (j / n, (j + 1) / n))
-             for i in range(n) for j in range(n)]
-    p = make_partition(make_cube_space(2), cells)
-    nodes = construct_uniform(p, 8192, STRATEGY_RANDOM, seed=64)
-    assert is_uniform(nodes, p)
-
-
 def _uniformity_partition(spec):
     """("line", k) is equal_partition_1d(k); ("grid", cuts) is the
     product of the intervals that each axis's inner cuts make."""

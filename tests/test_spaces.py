@@ -29,7 +29,7 @@ from qmcbounds import (
     partition_hash,
 )
 from qmcbounds import spaces
-from oracles import first_overlapping_pair, generic_cube_point, scan_cell_index
+from oracles import first_overlapping_pair, generic_cube_point, per_box_volume, scan_cell_index
 
 
 def test_make_finite_space_basic():
@@ -219,6 +219,13 @@ def test_make_partition_rejects_empty_cell():
     space = make_cube_space(1)
     with pytest.raises(EmptyCellError):
         make_partition(space, [interval(0, 0.5), interval(0.5, 0.5), interval(0.5, 1)])
+
+
+def test_make_partition_rejects_a_volume_that_underflows():
+    # every extent is positive, but their product 1e-400 rounds to 0.0
+    cell = box((0.0, 1e-200), (0.0, 1e-200))
+    with pytest.raises(EmptyCellError, match=re.escape("cell 0 has measure 0.0")):
+        make_partition(make_cube_space(2), [cell])
 
 
 def test_make_partition_finite_measures():
@@ -416,6 +423,15 @@ def test_sweep_index_matches_linear_scan(family, data):
             assert p.cell_index_of(point) == expected
 
 
+@settings(max_examples=100, deadline=None)
+@given(family=nested_splits())
+def test_cube_measures_match_a_per_box_loop_bit_for_bit(family):
+    d, boxes = family
+    p = make_partition(make_cube_space(d), [BoxCell(lo, hi) for lo, hi in boxes])
+    assert ([m.hex() for m in p.measures]
+            == [per_box_volume(lo, hi).hex() for lo, hi in boxes])
+
+
 @pytest.mark.parametrize("build, arg", [
     (_line, 1), (_line, 64), (_grid, 1), (_grid, 8),
     (equal_partition_1d, 1), (equal_partition_1d, 7), (equal_partition_1d, 1024),
@@ -429,29 +445,6 @@ def test_finite_partitions_hold_an_atom_index_and_no_edges():
     p = make_partition(space, [FiniteCell((2,)), FiniteCell((0, 1))])
     assert p.edges is None and p.slabs == (1, 1, 0)
     assert [p.cell_index_of(a) for a in "abc"] == [1, 1, 0]
-
-
-def test_grid_lookup_tests_one_cell():
-    n = 32
-    p = _grid(n)
-    for i in range(n):
-        for j in range(n):
-            assert p.cell_index_of(((i + 0.5) / n, (j + 0.5) / n)) == i * n + j
-
-
-@settings(max_examples=100, deadline=None)
-@given(family=nested_splits(), data=st.data())
-def test_sweep_index_tests_at_most_one_cell(family, data):
-    d, boxes = family
-    p = make_partition(make_cube_space(d), [BoxCell(lo, hi) for lo, hi in boxes])
-    p.cell_index_of((0.5,) * d)  # builds the index outside the count
-    edges = [sorted({c for lo, hi in boxes for c in (lo[a], hi[a])}) for a in range(d)]
-    unit = st.floats(min_value=0.0, max_value=1.0)
-    for _ in range(30):
-        random_point = tuple(data.draw(unit) for _ in range(d))
-        edge_point = tuple(data.draw(st.sampled_from(edges[a])) for a in range(d))
-        for point in (random_point, edge_point, (1.0,) * d):
-            assert p.cell_index_of(point) == scan_cell_index(boxes, point)
 
 
 # Narrower than the cover tolerance, so make_partition accepts the gaps.
