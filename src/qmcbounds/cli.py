@@ -125,7 +125,7 @@ def cmd_bounds(config_path, points_path, out_path, fmt):
                                      inst.instance_id, inst.n_points, inst.partition.k)]
         columns = reports.BOUNDSET_COLUMNS
     else:
-        nodes = load_pointset(points_path, inst.space, inst.partition)
+        nodes = load_pointset(points_path, inst.partition)
         try:
             report = bound_report(inst.function, inst.partition, nodes,
                                   inst.instance_id)

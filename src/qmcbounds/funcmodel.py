@@ -698,13 +698,17 @@ class FunctionModel:
     def _atom_integral(self, space: FiniteSpace, atoms) -> float:
         """fsum of weight times value over atoms of the finite space;
         OutOfDomainError unless the model can be integrated over it: a
-        cube family never can, and a table needs one value per atom."""
+        cube family never can, a table needs one value per atom, and a
+        piece layout must lie on a space with as many atoms."""
         if not self.is_finite:
             raise OutOfDomainError("cube-family model integrated over a finite space")
         base = self.base
         if isinstance(base, FiniteTable) and len(base.values) != space.n_atoms:
             raise OutOfDomainError(f"a {len(base.values)}-value table integrated over "
                                    f"a {space.n_atoms}-atom space")
+        if isinstance(base, PiecewiseConstant) and self._domain.n_atoms != space.n_atoms:
+            raise OutOfDomainError(f"a piece layout on {self._domain.n_atoms} atoms "
+                                   f"integrated over a {space.n_atoms}-atom space")
         return math.fsum(space.weights[a] * base.evaluate(a) for a in atoms)
 
     def integral(self, space: Space) -> float:

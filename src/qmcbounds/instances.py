@@ -46,7 +46,7 @@ import reprlib
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import InstanceFormatError, QmcBoundsError
+from .errors import InstanceFormatError, OutOfDomainError, QmcBoundsError
 from .funcmodel import (
     Affine,
     FiniteTable,
@@ -77,6 +77,10 @@ class Instance:
     partition: Partition
     function: FunctionModel
     n_points: int | None = None
+
+    def __post_init__(self):
+        if self.space != self.partition.space:
+            raise OutOfDomainError(f"instance {self.instance_id!r}: space is not partition.space")
 
 
 def space_to_json(space: Space) -> dict:

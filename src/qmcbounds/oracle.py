@@ -377,16 +377,17 @@ def _atom_values(f: FunctionModel, space: FiniteSpace, n_points: int, n_cells: i
     return values
 
 
-def worst_case_error(space: FiniteSpace, partition: Partition, f: FunctionModel,
-                     n_points: int, cap: int = DEFAULT_ENUMERATION_CAP):
-    """Maximum |average - integral| over every uniform configuration.
+def worst_case_error(partition: Partition, f: FunctionModel, n_points: int,
+                     cap: int = DEFAULT_ENUMERATION_CAP):
+    """Maximum |average - integral| over every uniform configuration of
+    the partition's finite space, integrating over that space.
 
     Returns (error, configuration); ties keep the lexicographically
     first configuration, so reruns are reproducible.
     """
-    stream = enumerate_uniform(space, partition, n_points, cap)
-    integral = f.integral(space)
-    values = _atom_values(f, space, n_points, len(stream.counts), "")
+    stream = enumerate_uniform(partition, n_points, cap)
+    integral = f.integral(partition.space)
+    values = _atom_values(f, partition.space, n_points, len(stream.counts), "")
     return _score_configurations([(stream, values, n_points, integral)])[0]
 
 
@@ -422,7 +423,7 @@ def verify_instances(instances: Sequence[Instance],
                 f"instance {instance.instance_id!r}: verification is finite-space only")
         if n_points is None:
             raise QmcBoundsError(f"instance {instance.instance_id!r} declares no N")
-        stream = enumerate_uniform(space, partition, n_points, cap)
+        stream = enumerate_uniform(partition, n_points, cap)
         # one range per cell serves the bounds and the closed form alike
         table = cell_table(f, partition)
         integrals = f.cell_integrals(partition)
@@ -460,7 +461,8 @@ def verify_bounds_exhaustive(space: FiniteSpace, partition: Partition,
                              f: FunctionModel, n_points: int,
                              cap: int = DEFAULT_ENUMERATION_CAP,
                              instance_id: str = "") -> VerificationVerdict:
-    """``verify_instances`` of the one instance these fields make up."""
+    """``verify_instances`` of the one instance these fields make up;
+    ``Instance`` refuses a space that is not the partition's."""
     return verify_instances([Instance(instance_id, space, partition, f, n_points)], cap)[0]
 
 

@@ -34,7 +34,6 @@ from .spaces import (
     FiniteCell,
     FiniteSpace,
     Partition,
-    Space,
     partition_hash,
 )
 
@@ -126,10 +125,9 @@ def allocation(partition: Partition, n_points: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class UniformPointSet:
-    """Nodes grouped by cell order, with the allocation that produced them."""
+    """Nodes grouped by cell order, as ``partition.allocations[N]`` counts them."""
 
     nodes: tuple
-    allocation: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -269,7 +267,7 @@ def construct_uniform(partition: Partition, n_points: int,
     else:
         avoid = frozenset(space.as_point(p) for p in avoid_points)
         nodes = _place_in_boxes(partition.edges, counts, strategy, rng, avoid)
-    return UniformPointSet(tuple(nodes), counts)
+    return UniformPointSet(tuple(nodes))
 
 
 def _as_nodes(pointset) -> tuple:
@@ -325,14 +323,15 @@ class ConfigurationStream:
         return self.total_count
 
 
-def enumerate_uniform(space: Space, partition: Partition, n_points: int,
+def enumerate_uniform(partition: Partition, n_points: int,
                       cap: int = DEFAULT_ENUMERATION_CAP) -> ConfigurationStream:
-    """All uniform configurations, as per-cell multisets of atom indices.
+    """All uniform configurations of the partition's finite space, as
+    per-cell multisets of atom indices.
 
     The count is the product over cells of multichoose(|cell|, count);
     anything above ``cap`` raises before any work is done.
     """
-    if not isinstance(space, FiniteSpace):
+    if not isinstance(partition.space, FiniteSpace):
         raise OutOfDomainError("exhaustive enumeration is defined for finite spaces only")
     counts = allocation(partition, n_points)
     total = 1
@@ -347,22 +346,30 @@ def enumerate_uniform(space: Space, partition: Partition, n_points: int,
 
 def save_pointset(path, pointset, partition: Partition) -> None:
     """Write the text form: a header with N and the partition hash, then
-    one node per line (atom label, or coordinates separated by spaces)."""
+    one node per line (atom label, or coordinates separated by spaces).
+    A label that ``load_pointset``'s stripped lines would not read back
+    as itself (empty, padded with whitespace, or holding a line break)
+    is refused."""
     nodes = _as_nodes(pointset)
     space = partition.space
     lines = [f"# qmcbounds-pointset N={len(nodes)} partition={partition_hash(partition)}"]
     for node in nodes:
         if isinstance(space, FiniteSpace):
-            lines.append(space.labels[space.as_point(node)])
+            atom = space.as_point(node)
+            label = space.labels[atom]
+            if not label or label != label.strip() or "\n" in label or "\r" in label:
+                raise InstanceFormatError(f"atom {atom}'s label {label!r} would not read back: "
+                                          "it is empty, padded or holds a line break")
+            lines.append(label)
         else:
             lines.append(" ".join(repr(c) for c in space.as_point(node)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_pointset(path, space: Space, partition: Partition | None = None) -> tuple:
-    """Read the text form back; verifies the header hash when a partition
-    is supplied."""
+def load_pointset(path, partition: Partition) -> tuple:
+    """Read the text form back as points of the partition's space, after
+    checking that the header's hash is the partition's."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = [(n, line.strip()) for n, line in enumerate(fh, 1) if line.strip()]
@@ -379,10 +386,11 @@ def load_pointset(path, space: Space, partition: Partition | None = None) -> tup
         hash_declared = fields["partition"]
     except (KeyError, ValueError) as exc:
         raise InstanceFormatError(f"{path}: malformed header {header!r}") from exc
-    if partition is not None and partition_hash(partition) != hash_declared:
+    if partition_hash(partition) != hash_declared:
         raise InstanceFormatError(
             f"{path}: point set was written for a different partition"
         )
+    space = partition.space
     nodes = []
     for lineno, line in raw[1:]:
         try:

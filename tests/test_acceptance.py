@@ -232,7 +232,7 @@ def test_a7_enumeration_counts(capsys):
         expected = 1
         for cell, count in zip(inst.partition.cells, counts):
             expected *= math.comb(len(cell.atoms) + count - 1, count)
-        stream = enumerate_uniform(inst.space, inst.partition, inst.n_points)
+        stream = enumerate_uniform(inst.partition, inst.n_points)
         walked = sum(1 for _ in stream)
         total += walked
         if stream.total_count != expected or walked != expected:

@@ -137,7 +137,7 @@ def test_verify_refuses_the_first_instance_over_the_cap(runner, tmp_path):
     # the second and third instances exceed the cap; the error names the
     # second, as when each instance was enumerated and scored in turn
     suite = [random_instance(i) for i in range(10)]
-    sizes = [len(enumerate_uniform(i.space, i.partition, i.n_points)) for i in suite]
+    sizes = [len(enumerate_uniform(i.partition, i.n_points)) for i in suite]
     cap = sizes[0]
     over = [i for i, size in enumerate(sizes) if size > cap]
     chosen = [suite[0], suite[over[0]], suite[over[1]]]

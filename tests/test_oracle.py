@@ -66,7 +66,7 @@ def test_worst_case_error_example():
     # errors over the 4 configs are {0.75, 0.25, 0.25, 0.75}; the first
     # argmax in lexicographic order is ({1},{3})
     space, p, f = finite_example()
-    worst, config = worst_case_error(space, p, f, 2)
+    worst, config = worst_case_error(p, f, 2)
     assert worst == 0.75
     assert config == ((0,), (2,))
 
@@ -88,7 +88,7 @@ def test_verify_enumerates_once(monkeypatch):
 def test_worst_case_error_constant():
     space, p, _ = finite_example()
     f = FunctionModel(FiniteTable((2.0,) * 4, space.labels))
-    worst, config = worst_case_error(space, p, f, 2)
+    worst, config = worst_case_error(p, f, 2)
     assert worst == 0.0
     assert config == ((0,), (2,))  # first configuration wins ties
 
@@ -98,7 +98,7 @@ def test_worst_case_error_singletons():
     space = make_finite_space([("a", 0.5), ("b", 0.5)])
     p = make_partition(space, [FiniteCell((0,)), FiniteCell((1,))])
     f = FunctionModel(FiniteTable((3.0, -1.0), space.labels))
-    worst, _ = worst_case_error(space, p, f, 2)
+    worst, _ = worst_case_error(p, f, 2)
     assert worst <= 1e-15
 
 
@@ -320,10 +320,10 @@ def scoring_cases(draw, kinds=VALUE_KINDS, min_cells=1, max_points=16):
 
 def assert_scores_like_the_reference_loop(case):
     space, partition, f, n_points, chunk = case
-    stream = enumerate_uniform(space, partition, n_points)
+    stream = enumerate_uniform(partition, n_points)
     want_worst, want_argmax = scan_worst_configuration(stream, space, f, n_points)
     with mock.patch.object(oracle, "SCORE_CHUNK", chunk):
-        worst, argmax = worst_case_error(space, partition, f, n_points)
+        worst, argmax = worst_case_error(partition, f, n_points)
     assert worst.hex() == want_worst.hex()
     assert argmax == want_argmax
 
@@ -356,7 +356,7 @@ def assert_batch_verifies_like_each_instance(instances, chunk):
     assert [verdict_bits(v) for v in batched] == [verdict_bits(v) for v in alone]
     for instance, verdict in zip(instances, batched):
         assert verdict.instance is instance
-        stream = enumerate_uniform(instance.space, instance.partition, instance.n_points)
+        stream = enumerate_uniform(instance.partition, instance.n_points)
         worst, argmax = scan_worst_configuration(stream, instance.space, instance.function,
                                                  instance.n_points)
         assert (verdict.worst_error.hex(), verdict.argmax_configuration) == (worst.hex(), argmax)
@@ -399,7 +399,7 @@ def test_a_batch_with_a_stream_above_the_chunk():
     rng = random.Random(4)
     big = Instance("big", space, p, FunctionModel(FiniteTable(
         tuple(rng.uniform(-1.0, 1.0) for _ in range(12)), space.labels)), 11)
-    assert len(enumerate_uniform(space, p, 11)) == 72_072 > oracle.SCORE_CHUNK
+    assert len(enumerate_uniform(p, 11)) == 72_072 > oracle.SCORE_CHUNK
     # 2 nodes on 3 atoms and 1 node on 6 atoms: 6 multisets each, so one
     # group holds rows of different N; the singles' worst node, 10 against
     # the integral 5, scores 0 when divided by the pairs' N
@@ -438,10 +438,10 @@ def test_scorer_rescores_what_rounding_ranks_lower():
     space = make_finite_space([("a", 1 / 3), ("b", 1 / 3), ("c", 1 / 6), ("d", 1 / 6)])
     p = make_partition(space, [FiniteCell((0,)), FiniteCell((1,)), FiniteCell((2, 3))])
     f = FunctionModel(FiniteTable((2.0**-52, 3 * 2.0**-53, 1.0, 3 * 2.0**-53), space.labels))
-    stream = enumerate_uniform(space, p, 3)
+    stream = enumerate_uniform(p, 3)
     assert scan_worst_configuration(stream, space, f, 3) == (0.1666666666666666,
                                                              ((0,), (1,), (3,)))
-    assert worst_case_error(space, p, f, 3) == (0.1666666666666666, ((0,), (1,), (3,)))
+    assert worst_case_error(p, f, 3) == (0.1666666666666666, ((0,), (1,), (3,)))
 
 
 @pytest.mark.parametrize("values", [
@@ -465,12 +465,12 @@ def test_scoring_sums_each_multiset_once_in_bounded_memory(monkeypatch, values):
     monkeypatch.setattr(math, "fsum", counting_fsum)
     tracemalloc.start()
     try:
-        worst, _ = worst_case_error(space, p, f, 16)
+        worst, _ = worst_case_error(p, f, 16)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     monkeypatch.undo()
-    assert len(enumerate_uniform(space, p, 16)) == 1_500_625
+    assert len(enumerate_uniform(p, 16)) == 1_500_625
     assert calls <= multisets + 100
     assert peak < 8 * 2**20
     assert abs(worst - worst_uniform_error(f, p)) <= 1e-15
@@ -493,11 +493,11 @@ def test_scoring_does_no_python_work_per_multiset(monkeypatch):
         return real_fsum(values)
 
     monkeypatch.setattr(math, "fsum", counting_fsum)
-    worst, argmax = worst_case_error(space, p, f, 16)
+    worst, argmax = worst_case_error(p, f, 16)
     monkeypatch.undo()
-    assert len(enumerate_uniform(space, p, 16)) == 20_349
+    assert len(enumerate_uniform(p, 16)) == 20_349
     assert calls <= 20
-    assert (worst, argmax) == scan_worst_configuration(enumerate_uniform(space, p, 16),
+    assert (worst, argmax) == scan_worst_configuration(enumerate_uniform(p, 16),
                                                        space, f, 16)
 
 
@@ -566,7 +566,7 @@ def test_scoring_rejects_non_finite_values(bad):
 def test_worst_uniform_error_matches_enumeration():
     for seed in range(60):
         inst = random_instance(seed)
-        worst, _ = worst_case_error(inst.space, inst.partition, inst.function, 16)
+        worst, _ = worst_case_error(inst.partition, inst.function, 16)
         assert abs(worst - worst_uniform_error(inst.function, inst.partition)) <= 1e-15
 
 
@@ -766,7 +766,7 @@ def test_verify_accepts_sums_up_to_the_largest_double(n_points):
     assert magnitude > sys.float_info.max / n_points * (1 - 1e-13)
     assert verdict.passed
     assert abs(verdict.worst_error - magnitude / 4) <= verdict.slack
-    assert worst_case_error(space, p, f, n_points)[0] == verdict.worst_error
+    assert worst_case_error(p, f, n_points)[0] == verdict.worst_error
 
 
 def test_verify_passes_with_values_near_1e9():

@@ -5,7 +5,9 @@ import collections
 import dataclasses
 import itertools
 import math
+import os
 import random
+import tempfile
 import tracemalloc
 
 import pytest
@@ -205,9 +207,10 @@ def test_allocation_failure_raises_on_every_call():
 
 def test_construct_midpoint_quarters():
     # 4 equal cells, N=4: nodes (0.125, 0.375, 0.625, 0.875)
-    ps = construct_uniform(equal_partition_1d(4), 4, "cell-midpoint")
+    p = equal_partition_1d(4)
+    ps = construct_uniform(p, 4, "cell-midpoint")
     assert ps.nodes == ((0.125,), (0.375,), (0.625,), (0.875,))
-    assert ps.allocation == (1, 1, 1, 1)
+    assert p.allocations[4] == (1, 1, 1, 1)
 
 
 def test_construct_equispaced_two_cells():
@@ -555,7 +558,7 @@ def test_enumerate_two_atoms_single_cell():
     # {a: .5, b: .5}, one cell, N=2: multisets {aa, ab, bb}
     space = make_finite_space([("a", 0.5), ("b", 0.5)])
     p = make_partition(space, [FiniteCell(range(space.n_atoms))])
-    stream = enumerate_uniform(space, p, 2)
+    stream = enumerate_uniform(p, 2)
     assert stream.total_count == 3
     assert list(stream) == [((0, 0),), ((0, 1),), ((1, 1),)]
     # re-iterable: a second pass yields the same configurations
@@ -565,7 +568,7 @@ def test_enumerate_two_atoms_single_cell():
 def test_enumerate_two_cells_product():
     # cells {1,2} and {3,4}, one node each: 2 x 2 configurations
     space, p = two_cell_finite()
-    stream = enumerate_uniform(space, p, 2)
+    stream = enumerate_uniform(p, 2)
     assert stream.total_count == 4
     assert list(stream) == [
         ((0,), (2,)), ((0,), (3,)), ((1,), (2,)), ((1,), (3,)),
@@ -576,7 +579,7 @@ def test_enumerate_singleton_cells():
     # every cell a singleton: exactly one configuration
     space = make_finite_space([("a", 0.5), ("b", 0.5)])
     p = make_partition(space, [FiniteCell((0,)), FiniteCell((1,))])
-    stream = enumerate_uniform(space, p, 2)
+    stream = enumerate_uniform(p, 2)
     assert stream.total_count == 1
     assert list(stream) == [((0,), (1,))]
 
@@ -586,7 +589,7 @@ def test_enumerate_counts_match_multichoose():
     p = make_partition(space, [FiniteCell((0, 1, 2)), FiniteCell((3, 4)),
                                FiniteCell((5, 6, 7))])
     counts = allocation(p, 8)  # (3, 2, 3)
-    stream = enumerate_uniform(space, p, 8)
+    stream = enumerate_uniform(p, 8)
     expected = 1
     for cell, c in zip(p.cells, counts):
         expected *= math.comb(len(cell.atoms) + c - 1, c)
@@ -606,7 +609,7 @@ def test_enumerate_matches_brute_force():
         space = make_finite_space(atoms)
         p = make_partition(space, [FiniteCell(c) for c in cells])
         counts = allocation(p, n_points)
-        stream = enumerate_uniform(space, p, n_points)
+        stream = enumerate_uniform(p, n_points)
         got = set(stream)
         want = brute_force_uniform_configs(space.n_atoms, [set(c) for c in cells], counts)
         assert got == want
@@ -620,7 +623,7 @@ def test_enumerate_builds_no_multiset_before_iteration():
     p = make_partition(space, [FiniteCell(range(space.n_atoms))])
     tracemalloc.start()
     try:
-        stream = enumerate_uniform(space, p, 16)
+        stream = enumerate_uniform(p, 16)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -633,13 +636,13 @@ def test_enumerate_respects_cap():
     space = make_finite_space([(f"a{i}", 0.125) for i in range(8)])
     p = make_partition(space, [FiniteCell(range(space.n_atoms))])
     with pytest.raises(EnumerationTooLargeError):
-        enumerate_uniform(space, p, 16, cap=100)
+        enumerate_uniform(p, 16, cap=100)
 
 
 def test_enumerate_rejects_cube_space():
     p = equal_partition_1d(2)
     with pytest.raises(OutOfDomainError):
-        enumerate_uniform(p.space, p, 2)
+        enumerate_uniform(p, 2)
 
 
 def test_pointset_text_roundtrip_cube(tmp_path):
@@ -647,7 +650,7 @@ def test_pointset_text_roundtrip_cube(tmp_path):
     ps = construct_uniform(p, 8, STRATEGY_RANDOM, seed=3)
     path = tmp_path / "nodes.txt"
     save_pointset(path, ps, p)
-    back = load_pointset(path, p.space, p)
+    back = load_pointset(path, p)
     assert back == ps.nodes
 
 
@@ -656,9 +659,26 @@ def test_pointset_text_roundtrip_finite(tmp_path):
     ps = construct_uniform(p, 4, "per-cell-equispaced")
     path = tmp_path / "nodes.txt"
     save_pointset(path, ps, p)
-    assert load_pointset(path, space, p) == ps.nodes
+    assert load_pointset(path, p) == ps.nodes
     text = path.read_text()
     assert text.splitlines()[0].startswith("# qmcbounds-pointset N=4 partition=")
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=st.lists(st.text(), min_size=2, max_size=2, unique=True))
+def test_pointset_labels_round_trip_or_are_refused(labels):
+    """load_pointset strips each line, so save_pointset refuses, naming
+    it, a label that would not read back as itself."""
+    space = make_finite_space([(label, 0.5) for label in labels])
+    p = make_partition(space, [FiniteCell((0, 1))])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "nodes.txt")
+        try:
+            save_pointset(path, (1, 0), p)
+        except InstanceFormatError as exc:
+            assert any(repr(label) in str(exc) for label in labels)
+            return
+        assert load_pointset(path, p) == (1, 0)
 
 
 def test_pointset_load_rejects_wrong_partition(tmp_path):
@@ -668,7 +688,7 @@ def test_pointset_load_rejects_wrong_partition(tmp_path):
     path = tmp_path / "nodes.txt"
     save_pointset(path, ps, p4)
     with pytest.raises(InstanceFormatError):
-        load_pointset(path, p2.space, p2)
+        load_pointset(path, p2)
 
 
 @settings(max_examples=30, deadline=None)
@@ -682,7 +702,7 @@ def test_construct_uniform_property(seed, k, mult):
     ps = construct_uniform(p, n_points, STRATEGY_RANDOM, seed=seed)
     report = is_uniform(ps, p)
     assert report.ok
-    assert report.counts == ps.allocation
+    assert report.counts == p.allocations[n_points]
 
 
 def _counted(partition):

@@ -30,6 +30,7 @@ from qmcbounds import (
     make_finite_space,
     make_partition,
     qmc_estimate,
+    verify_bounds_exhaustive,
 )
 from qmcbounds.experiments import (
     convergence_table,
@@ -45,6 +46,10 @@ X = FunctionModel(Affine(0.0, (1.0,)))
 FINITE = make_finite_space([("a", 0.5), ("b", 0.5)])
 HALVES_2D = make_partition(make_cube_space(2), [BoxCell((0.0, 0.0), (0.5, 1.0)),
                                                 BoxCell((0.5, 0.0), (1.0, 1.0))])
+# a partition of another two-atom space, and a layout on FINITE
+SINGLETONS_B = make_partition(make_finite_space([("x", 0.25), ("y", 0.75)]),
+                              [FiniteCell((0,)), FiniteCell((1,))])
+FINITE_HALVES = make_partition(FINITE, [FiniteCell((0,)), FiniteCell((1,))])
 THIRDS = make_partition(make_cube_space(1),
                         [interval(0.0, 1 / 3), interval(1 / 3, 2 / 3), interval(2 / 3, 1.0)])
 
@@ -86,6 +91,9 @@ REFUSALS = [
                  OutOfDomainError, "expected a finite cell", id="finite-pieces-box"),
     pytest.param(lambda: FiniteTable((1.0, 2.0)).range_on(interval(0.0, 1.0)),
                  OutOfDomainError, "expected a finite cell", id="table-box"),
+    pytest.param(lambda: FunctionModel(PiecewiseConstant(FINITE_HALVES, (1.0, 2.0))).integral(
+        make_finite_space([("a", 0.25), ("b", 0.25), ("c", 0.5)])), OutOfDomainError,
+        "a piece layout on 2 atoms integrated over a 3-atom space", id="pieces-atom-count"),
     pytest.param(lambda: FunctionModel(FiniteTable((1.0, 2.0))).cell_integral(
         interval(0.0, 1.0), FINITE), OutOfDomainError, "finite space needs finite cells",
         id="table-integral-box"),
@@ -97,6 +105,11 @@ REFUSALS = [
     pytest.param(lambda: function_from_json(
         {"family": "finite_table", "params": {"values": [1.0]}}, make_cube_space(1)),
         InstanceFormatError, "finite_table needs a finite space", id="table-on-cube"),
+    # oracle
+    pytest.param(lambda: verify_bounds_exhaustive(FINITE, SINGLETONS_B,
+                                                  FunctionModel(FiniteTable((0.0, 1.0))), 4),
+                 OutOfDomainError, "instance '': space is not partition.space",
+                 id="instance-space-mismatch"),
     # pointsets
     pytest.param(lambda: allocation(THIRDS, 2 ** 60 + 1), NonIntegerAllocationError,
                  "rounded cell counts sum to 1152921504606846976, not 1152921504606846977",
