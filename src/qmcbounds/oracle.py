@@ -29,7 +29,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from itertools import accumulate, combinations_with_replacement
+from itertools import accumulate, chain, combinations_with_replacement, islice, product
 from operator import getitem, mul, sub, truediv
 from typing import Sequence
 
@@ -64,6 +64,10 @@ WEIGHT_UNIT = 16
 # Size envelope of random_instance.
 MAX_ATOMS = 6
 MAX_CELLS = 3
+
+# Streams of at most this many configurations skip numpy (see
+# _score_configurations).
+SCAN_LIMIT = 64
 
 # Configurations scored per pass: no working array of the exhaustive
 # scorer's outer sums holds more float64 values than this, and no wave's
@@ -196,6 +200,46 @@ def _score_configurations(jobs):
     A job is (stream, atom values, N, integral), with the integral of f
     over the space; the result is one (worst, argmax) per job, in order.
 
+    A stream of at most SCAN_LIMIT configurations is scored by the
+    reference loop (``_scan``) and the longer ones together by numpy
+    (``_score_batched``), bit for bit alike; numpy is imported only when
+    some stream is longer.  The cut sits where the two cost the same per
+    stream: on the small suites of seeds 0, 5 and 9 (2-core x86-64,
+    Python 3.11.7, numpy 2.4.6) the loop took 37 us per stream of 33-48
+    configurations and 70-75 us per stream of 65-96, and numpy 36-44 us
+    and 48-64 us for the same streams added to its batch.
+
+    The maximum itself comes from the enumeration, not from the extreme
+    configurations the closed form names, so that a verdict checks two
+    independent computations of the worst error.
+    """
+    results = [_scan(*job) if len(job[0]) <= SCAN_LIMIT else None for job in jobs]
+    long = [i for i, result in enumerate(results) if result is None]
+    if long:
+        for i, result in zip(long, _score_batched([jobs[i] for i in long])):
+            results[i] = result
+    return results
+
+
+def _scan(stream, values, n_points, integral):
+    """The reference loop: every configuration of ``stream`` scored with
+    its own fsum, keeping the first strict maximum.  Each cell's
+    multisets of values are listed once, in the stream's order, and the
+    argmax is read back from the stream at its position."""
+    fsum = math.fsum
+    cells = [list(combinations_with_replacement([values[a] for a in atoms], count))
+             for atoms, count in zip(stream.cells, stream.counts)]
+    worst, best = -1.0, 0
+    for position, config in enumerate(product(*cells)):
+        err = abs(fsum(chain.from_iterable(config)) / n_points - integral)
+        if err > worst:
+            worst, best = err, position
+    return worst, next(islice(stream, best, None))
+
+
+def _score_batched(jobs):
+    """``_score_configurations`` with numpy, for jobs of any size.
+
     Jobs are taken in waves whose cells hold at most SCORE_CHUNK
     multisets in all.  A wave's cells are grouped by shape (atom count,
     node count), and each shape's multiset sums come from one run of
@@ -204,8 +248,9 @@ def _score_configurations(jobs):
     repeated values, below).  The wave's jobs are then grouped by their
     per-cell counts of kept multisets, and each group is
     scored in passes of as many jobs as SCORE_CHUNK configurations hold,
-    one row per job (``_score_group``).  The 580 instances of the small
-    suite (seed 0) make two waves, 54 cell shapes and 99 groups.
+    one row per job (``_score_group``).  The 71 streams of the small
+    suite (seed 0) above SCAN_LIMIT make two waves, 36 cell shapes and
+    25 groups.
 
     Configurations whose cells hold the same multisets of values have the
     same exact score, and the first of them in stream order takes each
@@ -229,10 +274,6 @@ def _score_configurations(jobs):
     only those are rescored, in stream order and with the reference
     loop's expression, keeping the first strict maximum, so the result
     is bit for bit the reference loop's.
-
-    The maximum itself comes from the enumeration, not from the extreme
-    configurations the closed form names, so that a verdict checks two
-    independent computations of the worst error.
     """
     import numpy as np
 

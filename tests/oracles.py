@@ -8,7 +8,8 @@ coefficient grid search, enumeration from brute force over ordered
 node tuples, box overlaps and cell lookups (of boxes and of atoms) from
 pairwise tests and linear scans, a finite piecewise constant's range
 from every piece, and the exhaustive worst error from scoring every
-configuration one by one; node counts per cell one cell at a time;
+configuration one by one; a finite table's worst error, W and bounds
+in exact rational arithmetic; node counts per cell one cell at a time;
 the cube worst error from every
 one-node-per-cell placement on a grid; seeded placement from the
 one-try-at-a-time loop with its own membership test, and midpoint and
@@ -30,6 +31,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
@@ -206,6 +209,47 @@ def scan_worst_configuration(stream, space, f, n_points):
             worst = err
             argmax = config
     return worst, argmax
+
+
+class ExactFiniteVerdict(NamedTuple):
+    worst_error: Fraction
+    closed_form: Fraction
+    corollary1: Fraction
+    corollary2: Fraction
+
+
+def exact_finite_verdict(weights, cells, counts, values):
+    """A finite table's exhaustive worst error, closed-form worst error W
+    and bounds s and sum_j m_j (G_j - g_j), exactly, as Fractions of the
+    float atom ``weights`` and ``values``: ``cells`` lists each cell's
+    atoms and ``counts`` its nodes.
+
+    The worst error is max |S/N - I| over the node sum S of every
+    configuration, each S summed exactly (as integers over the largest
+    denominator of the values, a power of two that every other divides).
+    m_j is the exact sum of cell j's weights, and [g_j, G_j] the least and
+    greatest value of its atoms, which all have positive weight.
+    """
+    w = list(map(Fraction, weights))
+    v = list(map(Fraction, values))
+    integral = sum(a * b for a, b in zip(w, v))
+    scale = max(x.denominator for x in v)
+    scaled = [int(x * scale) for x in v]
+    sums = [sum(scaled[a] for cell in config for a in cell) for config in
+            itertools.product(*map(itertools.combinations_with_replacement, cells, counts))]
+    total = scale * sum(counts)
+    worst = max(Fraction(max(sums), total) - integral, integral - Fraction(min(sums), total))
+    measures = [sum(w[a] for a in cell) for cell in cells]
+    lows = [min(v[a] for a in cell) for cell in cells]
+    highs = [max(v[a] for a in cell) for cell in cells]
+    up = sum(m * g for m, g in zip(measures, highs)) - integral
+    down = integral - sum(m * g for m, g in zip(measures, lows))
+    return ExactFiniteVerdict(
+        worst_error=worst,
+        closed_form=max(up, down, Fraction(0)),
+        corollary1=max(g - h for g, h in zip(highs, lows)),
+        corollary2=sum(m * (g - h) for m, g, h in zip(measures, highs, lows)),
+    )
 
 
 def grid_worst_placement(fn, intervals, points_per_cell):

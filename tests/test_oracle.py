@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from unittest import mock
 
@@ -50,6 +51,7 @@ from qmcbounds.oracle import MAX_ATOMS, MAX_CELLS, VERIFY_SLACK
 from qmcbounds.pointsets import DEFAULT_ENUMERATION_CAP
 from oracles import (
     brute_minimax_single_cell,
+    exact_finite_verdict,
     grid_worst_placement,
     scan_worst_configuration,
 )
@@ -318,26 +320,39 @@ def scoring_cases(draw, kinds=VALUE_KINDS, min_cells=1, max_points=16):
     return space, partition, f, n_points, chunk
 
 
-def assert_scores_like_the_reference_loop(case):
+# Cutoffs below which the scorer runs the reference loop: 0 sends every
+# stream to numpy, and 6 splits the small cases between the two paths.
+SCAN_LIMITS = st.sampled_from((0, 6, oracle.SCAN_LIMIT))
+
+
+def scoring_paths(limit):
+    """The cutoff 0, under which numpy scores every stream, and
+    ``limit`` if it is another."""
+    return sorted({0, limit})
+
+
+def assert_scores_like_the_reference_loop(case, limit):
     space, partition, f, n_points, chunk = case
     stream = enumerate_uniform(partition, n_points)
     want_worst, want_argmax = scan_worst_configuration(stream, space, f, n_points)
-    with mock.patch.object(oracle, "SCORE_CHUNK", chunk):
-        worst, argmax = worst_case_error(partition, f, n_points)
-    assert worst.hex() == want_worst.hex()
-    assert argmax == want_argmax
+    for scan_limit in scoring_paths(limit):
+        with mock.patch.object(oracle, "SCORE_CHUNK", chunk), \
+                mock.patch.object(oracle, "SCAN_LIMIT", scan_limit):
+            worst, argmax = worst_case_error(partition, f, n_points)
+        assert worst.hex() == want_worst.hex()
+        assert argmax == want_argmax
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=scoring_cases())
-def test_scorer_matches_the_reference_loop_bit_for_bit(case):
-    assert_scores_like_the_reference_loop(case)
+@given(case=scoring_cases(), limit=SCAN_LIMITS)
+def test_scorer_matches_the_reference_loop_bit_for_bit(case, limit):
+    assert_scores_like_the_reference_loop(case, limit)
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=scoring_cases(kinds=("rounding",), min_cells=2, max_points=9))
-def test_scorer_keeps_near_ties_that_rounding_separates(case):
-    assert_scores_like_the_reference_loop(case)
+@given(case=scoring_cases(kinds=("rounding",), min_cells=2, max_points=9), limit=SCAN_LIMITS)
+def test_scorer_keeps_near_ties_that_rounding_separates(case, limit):
+    assert_scores_like_the_reference_loop(case, limit)
 
 
 def verdict_bits(verdict):
@@ -349,8 +364,9 @@ def verdict_bits(verdict):
             verdict.total_configurations, b.exact, *(x.hex() for x in floats))
 
 
-def assert_batch_verifies_like_each_instance(instances, chunk):
-    with mock.patch.object(oracle, "SCORE_CHUNK", chunk):
+def assert_batch_verifies_like_each_instance(instances, chunk, limit=oracle.SCAN_LIMIT):
+    with mock.patch.object(oracle, "SCORE_CHUNK", chunk), \
+            mock.patch.object(oracle, "SCAN_LIMIT", limit):
         batched = verify_instances(instances)
         alone = [verify_instances([instance])[0] for instance in instances]
     assert [verdict_bits(v) for v in batched] == [verdict_bits(v) for v in alone]
@@ -364,10 +380,12 @@ def assert_batch_verifies_like_each_instance(instances, chunk):
 
 @st.composite
 def instance_lists(draw):
-    """(instances, chunk): 1-4 scoring cases, each maybe followed by
-    instances on its own partition and N with other values (tied, constant
-    or uniform), so that shapes are both shared and distinct; scored in
-    chunks that put some streams above SCORE_CHUNK and group others."""
+    """(instances, chunk, limit): 1-4 scoring cases, each maybe followed
+    by instances on its own partition and N with other values (tied,
+    constant or uniform), so that shapes are both shared and distinct;
+    scored in chunks that put some streams above SCORE_CHUNK and group
+    others, and with cutoffs that send every stream to numpy or mix the
+    two paths in one batch."""
     instances = []
     for n, (space, partition, f, n_points, _) in enumerate(
             draw(st.lists(scoring_cases(), min_size=1, max_size=4))):
@@ -380,7 +398,7 @@ def instance_lists(draw):
             instances.append(Instance(f"case-{n}-{m}", space, partition, g, n_points))
     order = draw(st.permutations(range(len(instances))))
     chunk = draw(st.sampled_from((1, 7, 64, 500, oracle.SCORE_CHUNK)))
-    return [instances[i] for i in order], chunk
+    return [instances[i] for i in order], chunk, draw(SCAN_LIMITS)
 
 
 @settings(max_examples=75, deadline=None)
@@ -412,7 +430,65 @@ def test_a_batch_with_a_stream_above_the_chunk():
                                               ("singles", singles, (10.0,) + (4.0,) * 5, 1))]
     suite = small_exhaustive_suite()
     instances = [*same_shape, suite[0], big, suite[1], suite[500], suite[0]]
-    assert_batch_verifies_like_each_instance(instances, oracle.SCORE_CHUNK)
+    # the small instances join the big one's numpy batch at the cutoff 0
+    for limit in scoring_paths(oracle.SCAN_LIMIT):
+        assert_batch_verifies_like_each_instance(instances, oracle.SCORE_CHUNK, limit)
+
+
+def _cells_instance(name, sizes, counts, values):
+    """An instance of cells of ``sizes`` atoms holding ``counts`` nodes,
+    each cell's mass its share of the nodes, spread evenly on its atoms."""
+    n_points = sum(counts)
+    weights = [count / n_points / size for size, count in zip(sizes, counts)
+               for _ in range(size)]
+    space = make_finite_space([(f"a{i}", w) for i, w in enumerate(weights)])
+    firsts = [sum(sizes[:j]) for j in range(len(sizes))]
+    partition = make_partition(space, [FiniteCell(range(first, first + size))
+                                       for first, size in zip(firsts, sizes)])
+    return Instance(name, space, partition,
+                    FunctionModel(FiniteTable(tuple(values), space.labels)), n_points)
+
+
+def test_streams_at_the_scan_limit_score_alike_on_both_paths():
+    # streams of exactly SCAN_LIMIT configurations are scanned and those
+    # of one more go to numpy; at the cutoff 0 numpy scores them all
+    limit = oracle.SCAN_LIMIT
+    rng = random.Random(29)
+
+    def tied(n):
+        return [rng.choice(TIED_VALUES) for _ in range(n)]
+
+    def uniform(n):
+        return [rng.uniform(-1.0, 1.0) for _ in range(n)]
+
+    assert limit % 2 == 0
+    # a cell of 2 atoms with c nodes holds c + 1 multisets
+    at = [_cells_instance("at-distinct", [limit], [1], uniform(limit)),
+          _cells_instance("at-tied", [2, limit // 2], [1, 1], tied(2 + limit // 2)),
+          _cells_instance("at-pair", [2], [limit - 1], tied(2)),
+          _cells_instance("at-constant", [2], [limit - 1], [0.25, 0.25])]
+    over = [_cells_instance("over-distinct", [limit + 1], [1], uniform(limit + 1)),
+            _cells_instance("over-tied", [limit + 1], [1], tied(limit + 1)),
+            _cells_instance("over-pair", [2], [limit], [1.0, -0.5]),
+            _cells_instance("over-constant", [limit + 1], [1], [-0.75] * (limit + 1))]
+    instances = [over[0], at[0], at[1], over[1], over[2], at[2], at[3], over[3]]
+    sizes = [len(enumerate_uniform(i.partition, i.n_points)) for i in instances]
+    assert sizes == [limit + 1, limit, limit, limit + 1, limit + 1, limit, limit, limit + 1]
+    real = oracle._score_batched
+    verdicts = []
+    for scan_limit in (limit, 0):
+        batched = []
+
+        def recording(jobs):
+            batched.append(sorted(len(stream) for stream, *_ in jobs))
+            return real(jobs)
+
+        with mock.patch.object(oracle, "_score_batched", recording), \
+                mock.patch.object(oracle, "SCAN_LIMIT", scan_limit):
+            verdicts.append([verdict_bits(v) for v in verify_instances(instances)])
+        assert batched == [sorted(size for size in sizes if size > scan_limit)]
+        assert_batch_verifies_like_each_instance(instances, oracle.SCORE_CHUNK, scan_limit)
+    assert verdicts[0] == verdicts[1]
 
 
 def test_verify_instances_refuses_a_missing_n_before_scoring():
@@ -441,7 +517,10 @@ def test_scorer_rescores_what_rounding_ranks_lower():
     stream = enumerate_uniform(p, 3)
     assert scan_worst_configuration(stream, space, f, 3) == (0.1666666666666666,
                                                              ((0,), (1,), (3,)))
-    assert worst_case_error(p, f, 3) == (0.1666666666666666, ((0,), (1,), (3,)))
+    # the 2 configurations are scanned, and numpy scores them at the cutoff 0
+    for limit in scoring_paths(oracle.SCAN_LIMIT):
+        with mock.patch.object(oracle, "SCAN_LIMIT", limit):
+            assert worst_case_error(p, f, 3) == (0.1666666666666666, ((0,), (1,), (3,)))
 
 
 @pytest.mark.parametrize("values", [
@@ -745,6 +824,27 @@ def test_verify_passes_at_every_magnitude(case):
     assert math.isfinite(verdict.tightness)
 
 
+@settings(max_examples=150, deadline=None)
+@given(case=scoring_cases(), limit=SCAN_LIMITS)
+def test_verdict_floats_lie_within_the_slack_of_their_exact_values(case, limit):
+    # each certified float is within the verdict's slack of its value in
+    # exact arithmetic over the same float weights and values
+    space, partition, f, n_points, _ = case
+    exact = exact_finite_verdict(space.weights, [cell.atoms for cell in partition.cells],
+                                 allocation(partition, n_points), f.base.values)
+    for scan_limit in scoring_paths(limit):
+        with mock.patch.object(oracle, "SCAN_LIMIT", scan_limit):
+            verdict = verify_bounds_exhaustive(space, partition, f, n_points)
+        b = verdict.bounds
+        for got, want in ((verdict.worst_error, exact.worst_error),
+                          (verdict.closed_form, exact.closed_form),
+                          (b.corollary1, exact.corollary1),
+                          (b.theorem1, exact.corollary1),
+                          (b.corollary2, exact.corollary2),
+                          (b.distance, exact.corollary1 / 2)):
+            assert abs(Fraction(got) - want) <= Fraction(verdict.slack)
+
+
 @pytest.mark.parametrize("n_points", [1, 3, 16])
 def test_verify_accepts_sums_up_to_the_largest_double(n_points):
     # stepping down from M = DBL_MAX / N, the values (M, M / 2) are
@@ -766,7 +866,10 @@ def test_verify_accepts_sums_up_to_the_largest_double(n_points):
     assert magnitude > sys.float_info.max / n_points * (1 - 1e-13)
     assert verdict.passed
     assert abs(verdict.worst_error - magnitude / 4) <= verdict.slack
-    assert worst_case_error(p, f, n_points)[0] == verdict.worst_error
+    # numpy's sums from the right stay finite too, at the cutoff 0
+    for limit in scoring_paths(oracle.SCAN_LIMIT):
+        with mock.patch.object(oracle, "SCAN_LIMIT", limit):
+            assert worst_case_error(p, f, n_points)[0] == verdict.worst_error
 
 
 def test_verify_passes_with_values_near_1e9():
