@@ -11,6 +11,9 @@ only.  ``worst_uniform_error`` gives the same worst error in closed
 form on either kind of space; the exhaustive verdict checks the two
 against each other.
 
+Each instance's stream is scored on its own, a short one by the
+reference fsum loop and a long one by numpy, to the same bits.
+
 ``minimax_distance_finite`` solves the discrete Chebyshev problem
 
     minimize  max_i |f(x_i) - c_0 - sum_j c_j * 1[x_i in M_j]|
@@ -70,8 +73,8 @@ MAX_CELLS = 3
 SCAN_LIMIT = 64
 
 # Configurations scored per pass: no working array of the exhaustive
-# scorer's outer sums holds more float64 values than this, and no wave's
-# multiset sums hold more either, unless one instance's own cells do.
+# scorer's outer sums holds more float64 values than this, unless the
+# last cell's own multiset sums do.
 SCORE_CHUNK = 1 << 16
 
 
@@ -129,25 +132,25 @@ class MinimaxCertificate:
 
 
 def _multiset_sums(values, count: int):
-    """Sums of the multisets of ``count`` of the values in each row of
-    ``values`` (a 2-D array, one row per cell), in the order
+    """Sums of the multisets of ``count`` of ``values``, in the order
     ``combinations_with_replacement`` yields them, each summed from the
-    right: v[p_0] + (v[p_1] + (... + v[p_last])); one row of sums per row.
+    right: v[p_0] + (v[p_1] + (... + v[p_last])).
 
-    Built one size at a time: the multisets of size r are, for each
-    first element p in turn, v[p] plus those of size r - 1 drawn from
-    ``v[p:]``, which are the suffix ``sums[:, starts[p]:]`` of the
-    previous size's array.  Every row takes the same additions in the
-    same order, so its sums have the bits they would have alone.
+    Built one size at a time from the multisets of size 1, the values
+    themselves: those of size r are, for each first element p in turn,
+    v[p] plus those of size r - 1 drawn from ``v[p:]``, the suffix
+    ``sums[starts[p]:]`` of the previous size's array, so each size
+    takes one repeat, one concatenation and one addition.
     """
     import numpy as np
 
-    sums = np.zeros((len(values), 1))
-    starts = [0] * values.shape[1]
-    for _ in range(count):
-        pieces = [values[:, p, None] + sums[:, start:] for p, start in enumerate(starts)]
-        starts = list(accumulate((piece.shape[1] for piece in pieces[:-1]), initial=0))
-        sums = np.concatenate(pieces, axis=1)
+    values = np.array(values, dtype=float)
+    sums = values if count else np.zeros(1)
+    starts = list(range(len(values)))
+    for _ in range(count - 1):
+        lengths = [sums.size - start for start in starts]
+        sums = np.repeat(values, lengths) + np.concatenate([sums[start:] for start in starts])
+        starts = list(accumulate(lengths[:-1], initial=0))
     return sums
 
 
@@ -179,46 +182,26 @@ def _representatives(values: list[float], count: int):
             if first_with.setdefault(tuple(sorted(multiset)), i) == i]
 
 
-def _waves(cell_multisets: list[int]):
-    """Consecutive runs of job indices whose cells hold at most
-    SCORE_CHUNK multisets in all; a job holding more is a run of its own."""
-    wave, held = [], 0
-    for i, size in enumerate(cell_multisets):
-        if wave and held + size > SCORE_CHUNK:
-            yield wave
-            wave, held = [], 0
-        wave.append(i)
-        held += size
-    if wave:
-        yield wave
-
-
-def _score_configurations(jobs):
-    """Worst |average - integral| over each job's configuration stream,
-    with the lexicographically first configuration attaining it.
-
-    A job is (stream, atom values, N, integral), with the integral of f
-    over the space; the result is one (worst, argmax) per job, in order.
+def _score_configurations(stream, values, n_points, integral):
+    """Worst |average - integral| over the configuration stream, with the
+    lexicographically first configuration attaining it; ``values`` holds
+    f at every atom and ``integral`` the integral of f over the space.
 
     A stream of at most SCAN_LIMIT configurations is scored by the
-    reference loop (``_scan``) and the longer ones together by numpy
-    (``_score_batched``), bit for bit alike; numpy is imported only when
-    some stream is longer.  The cut sits where the two cost the same per
-    stream: on the small suites of seeds 0, 5 and 9 (2-core x86-64,
-    Python 3.11.7, numpy 2.4.6) the loop took 37 us per stream of 33-48
-    configurations and 70-75 us per stream of 65-96, and numpy 36-44 us
-    and 48-64 us for the same streams added to its batch.
+    reference loop (``_scan``) and a longer one by numpy
+    (``_score_stream``), bit for bit alike; numpy is imported only when
+    some stream is longer.  On the small suites of seeds 0, 5 and 9
+    (2-core x86-64, Python 3.11.7, numpy 2.4.6) the loop took 26-27 us
+    per stream of 33-48 configurations and 50 us per stream of 65-96,
+    and ``_score_stream`` 50-54 us and 68-69 us, so the loop would pay
+    beyond the cut too, to about 100 configurations.
 
     The maximum itself comes from the enumeration, not from the extreme
     configurations the closed form names, so that a verdict checks two
     independent computations of the worst error.
     """
-    results = [_scan(*job) if len(job[0]) <= SCAN_LIMIT else None for job in jobs]
-    long = [i for i, result in enumerate(results) if result is None]
-    if long:
-        for i, result in zip(long, _score_batched([jobs[i] for i in long])):
-            results[i] = result
-    return results
+    score = _scan if len(stream) <= SCAN_LIMIT else _score_stream
+    return score(stream, values, n_points, integral)
 
 
 def _scan(stream, values, n_points, integral):
@@ -226,31 +209,28 @@ def _scan(stream, values, n_points, integral):
     its own fsum, keeping the first strict maximum.  Each cell's
     multisets of values are listed once, in the stream's order, and the
     argmax is read back from the stream at its position."""
-    fsum = math.fsum
     cells = [list(combinations_with_replacement([values[a] for a in atoms], count))
              for atoms, count in zip(stream.cells, stream.counts)]
     worst, best = -1.0, 0
-    for position, config in enumerate(product(*cells)):
-        err = abs(fsum(chain.from_iterable(config)) / n_points - integral)
+    for position, total in enumerate(map(math.fsum, map(chain.from_iterable, product(*cells)))):
+        err = abs(total / n_points - integral)
         if err > worst:
             worst, best = err, position
     return worst, next(islice(stream, best, None))
 
 
-def _score_batched(jobs):
-    """``_score_configurations`` with numpy, for jobs of any size.
+def _score_stream(stream, values, n_points, integral):
+    """``_scan`` with numpy, for a stream of any size.
 
-    Jobs are taken in waves whose cells hold at most SCORE_CHUNK
-    multisets in all.  A wave's cells are grouped by shape (atom count,
-    node count), and each shape's multiset sums come from one run of
-    ``_multiset_sums`` with one row per cell, so the Python work is per
-    shape, cell and candidate, not per multiset (but for cells with
-    repeated values, below).  The wave's jobs are then grouped by their
-    per-cell counts of kept multisets, and each group is
-    scored in passes of as many jobs as SCORE_CHUNK configurations hold,
-    one row per job (``_score_group``).  The 71 streams of the small
-    suite (seed 0) above SCAN_LIMIT make two waves, 36 cell shapes and
-    25 groups.
+    Each cell's multiset sums come from one run of ``_multiset_sums``,
+    so the Python work is per cell and candidate, not per multiset (but
+    for cells with repeated values, below).  Approximate scores
+    |t/N - I| come from outer-adding the cell sums in C order, so a flat
+    index is a configuration's position in the stream.  The last cell,
+    with the longest run of cells before it whose outer sum fits
+    SCORE_CHUNK, makes the tail, added once; the head cells' sums are
+    added to it in blocks of at most SCORE_CHUNK configurations, or of
+    one head row when the tail alone holds more.
 
     Configurations whose cells hold the same multisets of values have the
     same exact score, and the first of them in stream order takes each
@@ -270,103 +250,56 @@ def _score_batched(jobs):
     ``delta``, (N + k + 4) roundings, covers (N + k + 3)uM + 2u|I| +
     2 * 2^-1075 with room for second-order terms and the rounding of the
     threshold.  Every configuration attaining the exact maximum thus
-    scores within 2 * delta of its row's running approximate maximum;
-    only those are rescored, in stream order and with the reference
-    loop's expression, keeping the first strict maximum, so the result
-    is bit for bit the reference loop's.
+    scores within 2 * delta of the running approximate maximum; only
+    those are rescored, in stream order and with the reference loop's
+    expression, keeping the first strict maximum, so the result is bit
+    for bit the reference loop's.
     """
     import numpy as np
 
-    multisets = [sum(math.comb(len(atoms) + count - 1, count)
-                     for atoms, count in zip(stream.cells, stream.counts))
-                 for stream, *_ in jobs]
-    results = [None] * len(jobs)
-    for wave in _waves(multisets):
-        by_shape = {}
-        for i in wave:
-            stream, values = jobs[i][:2]
-            for j, (atoms, count) in enumerate(zip(stream.cells, stream.counts)):
-                by_shape.setdefault((len(atoms), count), []).append(
-                    (i, j, [values[a] for a in atoms]))
-        sums = {}
-        ranks = {}
-        for (_, count), cells in by_shape.items():
-            rows = _multiset_sums(np.array([cell_values for *_, cell_values in cells]), count)
-            for (i, j, cell_values), row in zip(cells, rows):
-                ranks[i, j] = _representatives(cell_values, count)
-                sums[i, j] = row if len(ranks[i, j]) == len(row) else row[ranks[i, j]]
-        groups = {}
-        for i in wave:
-            shape = tuple(len(ranks[i, j]) for j in range(len(jobs[i][0].counts)))
-            groups.setdefault(shape, []).append(i)
-        for shape, members in groups.items():
-            per_pass = max(1, SCORE_CHUNK // math.prod(shape))
-            for first in range(0, len(members), per_pass):
-                batch = members[first:first + per_pass]
-                group_sums = [np.stack([sums[i, j] for i in batch]) for j in range(len(shape))]
-                group_ranks = [[ranks[i, j] for j in range(len(shape))] for i in batch]
-                scored = _score_group([jobs[i] for i in batch], shape, group_sums, group_ranks)
-                for i, result in zip(batch, scored):
-                    results[i] = result
-    return results
-
-
-def _score_group(jobs, shape: tuple[int, ...], sums, ranks):
-    """``_score_configurations`` for jobs whose cells keep ``shape[j]``
-    multisets each, one row per job: ``sums[j]`` holds cell j's multiset
-    sums, a row per job, and ``ranks[r][j]`` the enumeration rank of each
-    multiset row r keeps in cell j.
-
-    Approximate scores |t/N - I| come from outer-adding the cell sums in
-    C order behind the row axis, so a flat index in a row is a
-    configuration's position in that job's stream.  The longest suffix
-    of cells whose outer sum fits SCORE_CHUNK is added once; the head
-    rows are added to it one block at a time.  Only a job with more than
-    SCORE_CHUNK configurations, which always scores as a group of one
-    row, has head rows.
-    """
-    import numpy as np
-
-    n_rows = len(jobs)
-    k = len(shape)
-    n_points = np.array([[n] for _, _, n, _ in jobs], dtype=float)
-    integrals = np.array([[integral] for *_, integral in jobs])
-    delta = np.array([_rounding_margin(max(map(abs, values)), integral, n + k + 4)
-                      for _, values, n, integral in jobs])
-    head = k
-    tail = np.zeros((n_rows, 1))
-    while head > 0 and tail.shape[1] * shape[head - 1] <= SCORE_CHUNK:
+    sums, ranks = [], []
+    for atoms, count in zip(stream.cells, stream.counts):
+        cell_values = [values[a] for a in atoms]
+        kept = _representatives(cell_values, count)
+        cell_sums = _multiset_sums(cell_values, count)
+        sums.append(cell_sums if len(kept) == len(cell_sums) else cell_sums[kept])
+        ranks.append(kept)
+    shape = [len(kept) for kept in ranks]
+    delta = _rounding_margin(max(map(abs, values)), integral, n_points + len(shape) + 4)
+    head = len(shape) - 1
+    tail = sums[head]
+    while head > 0 and tail.size * shape[head - 1] <= SCORE_CHUNK:
         head -= 1
-        tail = (sums[head][:, :, None] + tail[:, None, :]).reshape(n_rows, -1)
-    width = tail.shape[1]
+        tail = np.add.outer(sums[head], tail).ravel()
+    width = tail.size
     rows = math.prod(shape[:head])
-    rows_per_block = SCORE_CHUNK // (n_rows * width)
-    top = np.full(n_rows, -math.inf)
-    results = [(-1.0, None)] * n_rows
+    rows_per_block = max(1, SCORE_CHUNK // width)
+    top = -math.inf
+    worst, best = -1.0, None
     for first in range(0, rows, rows_per_block):
-        row = np.arange(first, min(first + rows_per_block, rows))
-        head_sums = np.zeros((n_rows, row.size))
-        for j in reversed(range(head)):
-            row, index = np.divmod(row, shape[j])
-            head_sums += sums[j][:, index]
-        scores = (head_sums[:, :, None] + tail[:, None, :]).reshape(n_rows, -1)
-        scores /= n_points
-        scores -= integrals
+        if head:
+            row = np.arange(first, min(first + rows_per_block, rows))
+            head_sums = np.zeros(row.size)
+            for j in reversed(range(head)):
+                row, index = np.divmod(row, shape[j])
+                head_sums += sums[j][index]
+            scores = np.add.outer(head_sums, tail).ravel()
+            scores /= n_points
+        else:
+            scores = tail / n_points
+        scores -= integral
         np.abs(scores, out=scores)
-        top = np.maximum(top, scores.max(axis=1))
-        # Row r's configuration p is candidate r * width + p, and a block of
-        # one row starts first * width configurations into its stream.
-        # (nonzero on the 2-D mask is some 30 times slower than this.)
-        candidates = np.flatnonzero(scores >= (top - 2 * delta)[:, None]) + first * width
-        hit_rows, *positions = np.unravel_index(candidates, (n_rows, *shape))
-        for r, *position in zip(*(a.tolist() for a in (hit_rows, *positions))):
-            stream, values, n, integral = jobs[r]
+        top = max(top, scores.max())
+        # a block starts first * width configurations into the stream
+        candidates = (scores >= top - 2 * delta).nonzero()[0] + first * width
+        for position in zip(*(a.tolist() for a in np.unravel_index(candidates, shape))):
             config = tuple(map(_multiset_at, stream.cells, stream.counts,
-                               map(getitem, ranks[r], position)))
-            err = abs(math.fsum(values[a] for cell in config for a in cell) / n - integral)
-            if err > results[r][0]:
-                results[r] = (err, config)
-    return results
+                               map(getitem, ranks, position)))
+            err = abs(math.fsum(values[a] for cell in config for a in cell) / n_points
+                      - integral)
+            if err > worst:
+                worst, best = err, config
+    return worst, best
 
 
 def worst_uniform_error(f: FunctionModel, partition: Partition) -> float:
@@ -429,7 +362,7 @@ def worst_case_error(partition: Partition, f: FunctionModel, n_points: int,
     stream = enumerate_uniform(partition, n_points, cap)
     integral = f.integral(partition.space)
     values = _atom_values(f, partition.space, n_points, len(stream.counts), "")
-    return _score_configurations([(stream, values, n_points, integral)])[0]
+    return _score_configurations(stream, values, n_points, integral)
 
 
 def verify_instances(instances: Sequence[Instance],
@@ -437,10 +370,11 @@ def verify_instances(instances: Sequence[Instance],
     """Exhaustively compare each instance's worst realized error with its
     three bounds, one verdict per instance, in order.
 
-    Every instance is enumerated and read (one essential range per cell,
-    one value per atom) in declared order, so the first one that cannot
-    be verified raises what it would raise alone; then all of them are
-    scored together by ``_score_configurations``.  An instance on a cube
+    Each instance in turn is enumerated, read (one essential range per
+    cell, one value per atom) and scored by ``_score_configurations``,
+    so the first one that cannot be verified raises what it would raise
+    alone.  The integral over the space is the fsum of the weight times
+    value products of the values just read.  An instance on a cube
     space, or one that declares no N, raises a QmcBoundsError naming it.
 
     A verdict also fails when the enumerated worst error and the closed
@@ -454,8 +388,7 @@ def verify_instances(instances: Sequence[Instance],
     noise: a worst error inside the slack then uses all of nothing,
     reported as 1.0, and only a genuine violation reports inf.
     """
-    jobs = []
-    checks = []
+    verdicts = []
     for instance in instances:
         space, partition, f, n_points = (instance.space, instance.partition,
                                          instance.function, instance.n_points)
@@ -472,14 +405,11 @@ def verify_instances(instances: Sequence[Instance],
             bounds = _bounds_from_table(table)
         except QmcBoundsError as exc:
             raise QmcBoundsError(f"instance {instance.instance_id!r}: {exc}") from None
-        integral = f.integral(space)
         values = _atom_values(f, space, n_points, len(stream.counts), instance.instance_id)
-        jobs.append((stream, values, n_points, integral))
-        checks.append((bounds, _worst_uniform_error(table, integrals),
-                       certification_slack(table, integral, stream.counts)))
-    verdicts = []
-    for instance, (stream, *_), (bounds, closed_form, slack), (worst, argmax) in zip(
-            instances, jobs, checks, _score_configurations(jobs)):
+        integral = math.fsum(map(mul, space.weights, values))
+        closed_form = _worst_uniform_error(table, integrals)
+        slack = certification_slack(table, integral, stream.counts)
+        worst, argmax = _score_configurations(stream, values, n_points, integral)
         if bounds.corollary2 > slack:
             tightness = worst / bounds.corollary2
         else:

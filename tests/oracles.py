@@ -9,7 +9,9 @@ node tuples, box overlaps and cell lookups (of boxes and of atoms) from
 pairwise tests and linear scans, a finite piecewise constant's range
 from every piece, and the exhaustive worst error from scoring every
 configuration one by one; a finite table's worst error, W and bounds
-in exact rational arithmetic; node counts per cell one cell at a time;
+in exact rational arithmetic, and an affine function's W and bounds on
+a product grid too, its ranges from the cell corners and its cell
+integrals from centre values; node counts per cell one cell at a time;
 the cube worst error from every
 one-node-per-cell placement on a grid; seeded placement from the
 one-try-at-a-time loop with its own membership test, and midpoint and
@@ -211,11 +213,30 @@ def scan_worst_configuration(stream, space, f, n_points):
     return worst, argmax
 
 
+class ExactBounds(NamedTuple):
+    closed_form: Fraction
+    corollary1: Fraction
+    corollary2: Fraction
+
+
 class ExactFiniteVerdict(NamedTuple):
     worst_error: Fraction
     closed_form: Fraction
     corollary1: Fraction
     corollary2: Fraction
+
+
+def _exact_bounds(measures, lows, highs, integral) -> ExactBounds:
+    """W = max(sum_j m_j G_j - I, I - sum_j m_j g_j, 0), s = max_j (G_j -
+    g_j) and sum_j m_j (G_j - g_j), from exact measures m_j, ranges
+    [g_j, G_j] and integral I."""
+    up = sum(m * g for m, g in zip(measures, highs)) - integral
+    down = integral - sum(m * g for m, g in zip(measures, lows))
+    return ExactBounds(
+        closed_form=max(up, down, Fraction(0)),
+        corollary1=max(g - h for g, h in zip(highs, lows)),
+        corollary2=sum(m * (g - h) for m, g, h in zip(measures, highs, lows)),
+    )
 
 
 def exact_finite_verdict(weights, cells, counts, values):
@@ -242,14 +263,33 @@ def exact_finite_verdict(weights, cells, counts, values):
     measures = [sum(w[a] for a in cell) for cell in cells]
     lows = [min(v[a] for a in cell) for cell in cells]
     highs = [max(v[a] for a in cell) for cell in cells]
-    up = sum(m * g for m, g in zip(measures, highs)) - integral
-    down = integral - sum(m * g for m, g in zip(measures, lows))
-    return ExactFiniteVerdict(
-        worst_error=worst,
-        closed_form=max(up, down, Fraction(0)),
-        corollary1=max(g - h for g, h in zip(highs, lows)),
-        corollary2=sum(m * (g - h) for m, g, h in zip(measures, highs, lows)),
-    )
+    return ExactFiniteVerdict(worst, *_exact_bounds(measures, lows, highs, integral))
+
+
+def exact_affine_bounds(intercept, slopes, edges) -> ExactBounds:
+    """An affine function's W and bounds on the product grid of the
+    per-axis ``edges`` (each list from 0.0 to 1.0), exactly, as Fractions
+    of the float ``intercept``, ``slopes`` and edges.
+
+    Each cell's range is the least and greatest value at its corners;
+    its integral is its value at the centre times its volume, and the
+    integral over the cube is the sum of the cells'.
+    """
+    c = Fraction(intercept)
+    a = list(map(Fraction, slopes))
+
+    def value(point):
+        return c + sum(s * x for s, x in zip(a, point))
+
+    spans = [list(zip(map(Fraction, e), map(Fraction, e[1:]))) for e in edges]
+    measures, lows, highs, integrals = [], [], [], []
+    for box in itertools.product(*spans):
+        corners = [value(corner) for corner in itertools.product(*box)]
+        measures.append(math.prod(u - l for l, u in box))
+        lows.append(min(corners))
+        highs.append(max(corners))
+        integrals.append(value([(l + u) / 2 for l, u in box]) * measures[-1])
+    return _exact_bounds(measures, lows, highs, sum(integrals))
 
 
 def grid_worst_placement(fn, intervals, points_per_cell):

@@ -1,11 +1,15 @@
 """Cell extrema, oscillation bounds, span distance."""
 
+import itertools
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmcbounds import (
     Affine,
+    BoxCell,
     FiniteCell,
     FiniteTable,
     FunctionModel,
@@ -21,9 +25,10 @@ from qmcbounds import (
     make_partition,
     worst_uniform_error,
 )
-from qmcbounds.bounds import cell_table
+from qmcbounds.bounds import cell_table, certification_slack
 from oracles import (
     dense_range_1d,
+    exact_affine_bounds,
     per_cell_bounds,
     per_cell_integral,
     per_cell_worst_uniform_error,
@@ -288,3 +293,50 @@ def test_an_edge_partition_takes_no_cell_integral(monkeypatch):
         table = cell_table(f, p)
         integrals = f.cell_integrals(p)
         assert len(integrals) == len(table.lo) == len(table.hi) == 64
+
+
+# Coefficients of every magnitude from 1e-300 to 1e300, and the small
+# ones above.
+MAGNITUDES = st.one_of(COEFFICIENTS, st.builds(lambda m, e: m * 10.0 ** e,
+                                               st.floats(-9.99, 9.99), st.integers(-300, 299)))
+
+
+@st.composite
+def affine_grids(draw):
+    """(f, partition, edges): an Affine model on a 1-D or 2-D product
+    grid, each axis cut equally or at drawn points (none below 2^-20, so
+    that no product of two widths underflows to an empty cell)."""
+    edges = []
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            n = draw(st.integers(1, 12))
+            edges.append([i / n for i in range(n + 1)])
+        else:
+            cuts = draw(st.lists(st.floats(2.0**-20, 1.0, exclude_max=True),
+                                 max_size=6, unique=True))
+            edges.append([0.0, *sorted(cuts), 1.0])
+    f = FunctionModel(Affine(draw(MAGNITUDES), tuple(draw(MAGNITUDES) for _ in edges)))
+    spans = [list(zip(e, e[1:])) for e in edges]
+    cells = [BoxCell(*zip(*box)) for box in itertools.product(*spans)]
+    return f, make_partition(make_cube_space(len(edges)), cells), edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(affine_grids())
+def test_affine_bounds_lie_within_the_slack_of_their_exact_values(case):
+    # the slack is that of node counts whose shares are the cell
+    # measures, so it holds the rounding margin alone, up to the rounding
+    # of the measures' sum
+    f, partition, edges = case
+    table = cell_table(f, partition)
+    scale = max(Fraction(m).denominator for m in table.measure)
+    counts = [int(Fraction(m) * scale) for m in table.measure]
+    slack = Fraction(certification_slack(table, f.integral(partition.space), counts))
+    exact = exact_affine_bounds(f.base.intercept, f.base.slopes, edges)
+    b = bound_set(f, partition)
+    for got, want in ((worst_uniform_error(f, partition), exact.closed_form),
+                      (b.corollary1, exact.corollary1),
+                      (b.theorem1, exact.corollary1),
+                      (b.corollary2, exact.corollary2),
+                      (b.distance, exact.corollary1 / 2)):
+        assert abs(Fraction(got) - want) <= slack

@@ -8,7 +8,6 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -474,19 +473,19 @@ def test_streams_at_the_scan_limit_score_alike_on_both_paths():
     instances = [over[0], at[0], at[1], over[1], over[2], at[2], at[3], over[3]]
     sizes = [len(enumerate_uniform(i.partition, i.n_points)) for i in instances]
     assert sizes == [limit + 1, limit, limit, limit + 1, limit + 1, limit, limit, limit + 1]
-    real = oracle._score_batched
+    real = oracle._score_stream
     verdicts = []
     for scan_limit in (limit, 0):
-        batched = []
+        scored = []
 
-        def recording(jobs):
-            batched.append(sorted(len(stream) for stream, *_ in jobs))
-            return real(jobs)
+        def recording(stream, *args):
+            scored.append(len(stream))
+            return real(stream, *args)
 
-        with mock.patch.object(oracle, "_score_batched", recording), \
+        with mock.patch.object(oracle, "_score_stream", recording), \
                 mock.patch.object(oracle, "SCAN_LIMIT", scan_limit):
             verdicts.append([verdict_bits(v) for v in verify_instances(instances)])
-        assert batched == [sorted(size for size in sizes if size > scan_limit)]
+        assert scored == [size for size in sizes if size > scan_limit]
         assert_batch_verifies_like_each_instance(instances, oracle.SCORE_CHUNK, scan_limit)
     assert verdicts[0] == verdicts[1]
 
@@ -600,13 +599,13 @@ def test_a_constant_function_scores_one_configuration(monkeypatch):
 @pytest.mark.parametrize("n_atoms, count",
                          [(1, 0), (1, 3), (2, 2), (3, 1), (4, 4), (6, 5), (40, 3)])
 def test_multiset_helpers_follow_the_enumeration_order(n_atoms, count):
-    # three cells of the same shape, summed in one run of the recurrence
+    # three cells of the same shape, each summed in one run of the recurrence
     atoms = tuple(range(10, 10 + n_atoms))
     rng = random.Random(n_atoms * 100 + count)
     rows = [[rng.uniform(-1.0, 1.0) for _ in range(n_atoms)] for _ in range(3)]
     multisets = list(combinations_with_replacement(range(n_atoms), count))
-    sums = oracle._multiset_sums(np.array(rows), count)
-    assert sums.shape == (3, len(multisets))
+    sums = [oracle._multiset_sums(values, count) for values in rows]
+    assert [row_sums.shape for row_sums in sums] == [(len(multisets),)] * 3
     assert len(multisets) == math.comb(n_atoms + count - 1, count)
     for rank, multiset in enumerate(multisets):
         assert oracle._multiset_at(atoms, count, rank) == tuple(atoms[i] for i in multiset)
@@ -801,6 +800,26 @@ def test_verify_reads_each_cell_range_once(monkeypatch):
     space, p, f = finite_example()
     verify_bounds_exhaustive(space, p, f, 2)
     assert calls == list(p.cells)
+
+
+def test_verify_integrates_each_cell_once_and_the_space_not_again(monkeypatch):
+    # the whole-space integral is summed from the atom values already
+    # read, so a verdict integrates its k cells and nothing more
+    calls = []
+    real = FunctionModel._atom_integral
+
+    def counting(self, space, atoms):
+        calls.append(tuple(atoms))
+        return real(self, space, atoms)
+
+    monkeypatch.setattr(FunctionModel, "_atom_integral", counting)
+    space, p, f = finite_example()
+    verify_bounds_exhaustive(space, p, f, 2)
+    assert calls == [cell.atoms for cell in p.cells]
+    calls.clear()
+    suite = small_exhaustive_suite()[::20]
+    verify_instances(suite)
+    assert len(calls) == sum(len(instance.partition.cells) for instance in suite)
 
 
 def _equal_weight_case(values, cells, n_points):
