@@ -696,10 +696,15 @@ class FunctionModel:
         return EssentialRange(lo, hi, exact=False, eps=eps)
 
     def _atom_integral(self, space: FiniteSpace, atoms) -> float:
-        """fsum of weight times value over atoms of the finite space;
-        OutOfDomainError unless the model can be integrated over it: a
-        cube family never can, a table needs one value per atom, and a
-        piece layout must lie on a space with as many atoms."""
+        """fsum of weight times value over atoms of the finite space."""
+        self._require_atom_domain(space)
+        return math.fsum(space.weights[a] * self.base.evaluate(a) for a in atoms)
+
+    def _require_atom_domain(self, space: FiniteSpace) -> None:
+        """OutOfDomainError unless the model can be integrated over the
+        finite space: a cube family never can, a table needs one value
+        per atom, and a piece layout must lie on a space with as many
+        atoms."""
         if not self.is_finite:
             raise OutOfDomainError("cube-family model integrated over a finite space")
         base = self.base
@@ -709,7 +714,6 @@ class FunctionModel:
         if isinstance(base, PiecewiseConstant) and self._domain.n_atoms != space.n_atoms:
             raise OutOfDomainError(f"a piece layout on {self._domain.n_atoms} atoms "
                                    f"integrated over a {space.n_atoms}-atom space")
-        return math.fsum(space.weights[a] * base.evaluate(a) for a in atoms)
 
     def integral(self, space: Space) -> float:
         """Integral over the whole space; spikes are null and ignored."""

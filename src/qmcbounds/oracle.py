@@ -12,7 +12,8 @@ form on either kind of space; the exhaustive verdict checks the two
 against each other.
 
 Each instance's stream is scored on its own, a short one by the
-reference fsum loop and a long one by numpy, to the same bits.
+reference fsum loop and a long one by a search near the two extreme
+totals, to the same bits and in pure Python.
 
 ``minimax_distance_finite`` solves the discrete Chebyshev problem
 
@@ -32,8 +33,8 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations_with_replacement, islice, product
-from operator import getitem, mul, sub, truediv
+from itertools import accumulate, chain, combinations_with_replacement, islice, product, repeat
+from operator import mul, sub, truediv
 from typing import Sequence
 
 from .bounds import (
@@ -68,14 +69,12 @@ WEIGHT_UNIT = 16
 MAX_ATOMS = 6
 MAX_CELLS = 3
 
-# Streams of at most this many configurations skip numpy (see
-# _score_configurations).
-SCAN_LIMIT = 64
-
-# Configurations scored per pass: no working array of the exhaustive
-# scorer's outer sums holds more float64 values than this, unless the
-# last cell's own multiset sums do.
-SCORE_CHUNK = 1 << 16
+# Streams of at most this many configurations are scored by the
+# reference loop, longer ones by the search (see _score_configurations),
+# at the measured crossover: on the small suites of seeds 0-19 (2-core
+# x86-64, Python 3.11.7), per stream of 25-32 configurations the loop
+# took 17.4 us and the search 17.9 us, and of 33-40, 16.4 us and 15.1 us.
+SCAN_LIMIT = 32
 
 
 @dataclass(frozen=True)
@@ -131,76 +130,23 @@ class MinimaxCertificate:
     degenerate: bool
 
 
-def _multiset_sums(values, count: int):
-    """Sums of the multisets of ``count`` of ``values``, in the order
-    ``combinations_with_replacement`` yields them, each summed from the
-    right: v[p_0] + (v[p_1] + (... + v[p_last])).
-
-    Built one size at a time from the multisets of size 1, the values
-    themselves: those of size r are, for each first element p in turn,
-    v[p] plus those of size r - 1 drawn from ``v[p:]``, the suffix
-    ``sums[starts[p]:]`` of the previous size's array, so each size
-    takes one repeat, one concatenation and one addition.
-    """
-    import numpy as np
-
-    values = np.array(values, dtype=float)
-    sums = values if count else np.zeros(1)
-    starts = list(range(len(values)))
-    for _ in range(count - 1):
-        lengths = [sums.size - start for start in starts]
-        sums = np.repeat(values, lengths) + np.concatenate([sums[start:] for start in starts])
-        starts = list(accumulate(lengths[:-1], initial=0))
-    return sums
-
-
-def _multiset_at(atoms: tuple[int, ...], count: int, rank: int) -> tuple[int, ...]:
-    """The ``rank``-th multiset of ``count`` of ``atoms`` in the order
-    ``combinations_with_replacement`` yields them."""
-    chosen = []
-    first = 0
-    for size in range(count, 0, -1):
-        # skip the block of multisets starting at atoms[first], of which
-        # there are as many as multisets of size - 1 from atoms[first:]
-        while rank >= (block := math.comb(len(atoms) - first + size - 2, size - 1)):
-            rank -= block
-            first += 1
-        chosen.append(atoms[first])
-    return tuple(chosen)
-
-
-def _representatives(values: list[float], count: int):
-    """The ranks, in enumeration order, of the multisets of ``count`` of
-    ``values`` that are the first to hold their multiset of values: every
-    rank when no two values are equal, counted without sorting each
-    multiset's values (which would put Python work per multiset back into
-    the scorer)."""
-    if len(set(values)) == len(values):
-        return range(math.comb(len(values) + count - 1, count))
-    first_with = {}
-    return [i for i, multiset in enumerate(combinations_with_replacement(values, count))
-            if first_with.setdefault(tuple(sorted(multiset)), i) == i]
-
-
 def _score_configurations(stream, values, n_points, integral):
     """Worst |average - integral| over the configuration stream, with the
     lexicographically first configuration attaining it; ``values`` holds
     f at every atom and ``integral`` the integral of f over the space.
 
     A stream of at most SCAN_LIMIT configurations is scored by the
-    reference loop (``_scan``) and a longer one by numpy
-    (``_score_stream``), bit for bit alike; numpy is imported only when
-    some stream is longer.  On the small suites of seeds 0, 5 and 9
-    (2-core x86-64, Python 3.11.7, numpy 2.4.6) the loop took 26-27 us
-    per stream of 33-48 configurations and 50 us per stream of 65-96,
-    and ``_score_stream`` 50-54 us and 68-69 us, so the loop would pay
-    beyond the cut too, to about 100 configurations.
+    reference loop (``_scan``) and a longer one by ``_search``, bit for
+    bit alike.
 
-    The maximum itself comes from the enumeration, not from the extreme
-    configurations the closed form names, so that a verdict checks two
-    independent computations of the worst error.
+    The maximum itself comes from the two extreme configurations, every
+    node at its cell's largest value or every node at its smallest.  A
+    verdict still checks it against the closed form
+    ``worst_uniform_error``, which reads the cell ranges (``range_on``)
+    and the cell integrals instead of the atom values, so a wrong range
+    still fails the verdict.
     """
-    score = _scan if len(stream) <= SCAN_LIMIT else _score_stream
+    score = _scan if len(stream) <= SCAN_LIMIT else _search
     return score(stream, values, n_points, integral)
 
 
@@ -219,87 +165,100 @@ def _scan(stream, values, n_points, integral):
     return worst, next(islice(stream, best, None))
 
 
-def _score_stream(stream, values, n_points, integral):
-    """``_scan`` with numpy, for a stream of any size.
+def _search(stream, values, n_points, integral):
+    """``_scan``'s result, from a walk that visits only configurations
+    whose total lies near the largest total or the smallest.
 
-    Each cell's multiset sums come from one run of ``_multiset_sums``,
-    so the Python work is per cell and candidate, not per multiset (but
-    for cells with repeated values, below).  Approximate scores
-    |t/N - I| come from outer-adding the cell sums in C order, so a flat
-    index is a configuration's position in the stream.  The last cell,
-    with the longest run of cells before it whose outer sum fits
-    SCORE_CHUNK, makes the tail, added once; the head cells' sums are
-    added to it in blocks of at most SCORE_CHUNK configurations, or of
-    one head row when the tail alone holds more.
+    The worst: the loop scores a configuration of exact total S as
+    |h(S)|, with h(S) = fl(fl(fl(S)/N) - I) (fsum rounds S once), and h
+    is nondecreasing in S.  Every total lies between that of the top
+    configuration, each node at its cell's largest value, and that of
+    the bottom one, each node at its smallest.  So the worst score is
+    the larger of the top's and the bottom's, exactly, and a
+    configuration scoring it has h(S) = h(S_top) (when h(S) >= 0, since
+    then worst = h(S) <= h(S_top) <= worst) or h(S) = h(S_bottom).
 
-    Configurations whose cells hold the same multisets of values have the
-    same exact score, and the first of them in stream order takes each
-    cell's first multiset holding its values.  So a cell with repeated
-    values keeps only those first multisets, found by sorting each of
-    its multisets once (``_representatives``); a cell of distinct values
-    keeps all of them.  A constant function scores one configuration.
+    The walk goes node by node, the nodes of a cell taking atom
+    positions in ``combinations_with_replacement`` order, so it meets
+    the leaves in stream order, and stops at the first whose score, the
+    loop's own expression, equals the worst.  A node at position q or
+    later leads only to totals of at most partial + left * (the cell's
+    largest value from q on) + (the later cells' largest totals), with
+    ``left`` the cell's nodes from this one on, and of at least the same
+    with the smallest values.  When the first bound falls short of the
+    top's total by more than the margin N * delta and the second exceeds
+    the bottom's by as much, no leaf from q on scores the worst (below);
+    neither bound moves toward its extreme at a later q, so the walk
+    backs up.
 
-    Rounding margin, with u = 2^-53, M = max |atom value| and k cells of
-    c_j nodes: every atom value of the approximate sum t passes through
-    at most (c_j - 1) + (k - 1) <= N + k - 2 roundings (its cell's sum
-    from the right, then the additions across cells), so t is within
-    (N + k - 2)uNM of the exact sum, and the exact score's one fsum
-    within uNM; after the division by N that is (N + k - 1)uM, and the
-    two divisions and two subtractions of I add 2uM and 2u(M + |I|).
-    Only the divisions can underflow, by at most 2^-1075 each.
-    ``delta``, (N + k + 4) roundings, covers (N + k + 3)uM + 2u|I| +
-    2 * 2^-1075 with room for second-order terms and the rounding of the
-    threshold.  Every configuration attaining the exact maximum thus
-    scores within 2 * delta of the running approximate maximum; only
-    those are rescored, in stream order and with the reference loop's
-    expression, keeping the first strict maximum, so the result is bit
-    for bit the reference loop's.
+    Why the margin holds, with u = 2^-53, M = max |atom value|, k cells
+    and delta = 2(N + k + 4)u(M + |I|) + (N + k + 4)2^-1074
+    (``_rounding_margin``), second-order terms aside:
+
+    - the steps of h round by at most uM (the fsum), uM + 2^-1075 (the
+      division) and u(M + |I|) (the subtraction), so h(S) is within
+      e = 3uM + u|I| + 2^-1075 of S/N - I, and a configuration scoring
+      the worst has a total within 2Ne of the top's or the bottom's;
+    - a bound rounds its partial sum (at most N - 1 additions), its
+      product and its addition, each by at most uNM plus 2^-1075 for
+      the product; the cut it is compared with rounds S_top, the
+      margin's subtraction, the later cells' products and their k - 1
+      subtractions, by (k + 2)uNM and (k - 1)2^-1075 in all;
+    - together that is (N + k + 9)uNM + 2uN|I| + N 2^-1074 + k 2^-1075,
+      below N * delta by (N + k - 1)uNM >= uNM.
+
+    So no prefix of a configuration scoring the worst is pruned, and the
+    first leaf scoring the worst is ``_scan``'s first strict maximum,
+    bit for bit.
     """
-    import numpy as np
-
-    sums, ranks = [], []
-    for atoms, count in zip(stream.cells, stream.counts):
-        cell_values = [values[a] for a in atoms]
-        kept = _representatives(cell_values, count)
-        cell_sums = _multiset_sums(cell_values, count)
-        sums.append(cell_sums if len(kept) == len(cell_sums) else cell_sums[kept])
-        ranks.append(kept)
-    shape = [len(kept) for kept in ranks]
-    delta = _rounding_margin(max(map(abs, values)), integral, n_points + len(shape) + 4)
-    head = len(shape) - 1
-    tail = sums[head]
-    while head > 0 and tail.size * shape[head - 1] <= SCORE_CHUNK:
-        head -= 1
-        tail = np.add.outer(sums[head], tail).ravel()
-    width = tail.size
-    rows = math.prod(shape[:head])
-    rows_per_block = max(1, SCORE_CHUNK // width)
-    top = -math.inf
-    worst, best = -1.0, None
-    for first in range(0, rows, rows_per_block):
-        if head:
-            row = np.arange(first, min(first + rows_per_block, rows))
-            head_sums = np.zeros(row.size)
-            for j in reversed(range(head)):
-                row, index = np.divmod(row, shape[j])
-                head_sums += sums[j][index]
-            scores = np.add.outer(head_sums, tail).ravel()
-            scores /= n_points
+    counts = stream.counts
+    cells = [[values[a] for a in atoms] for atoms in stream.cells]
+    # each cell's largest and smallest value from each position on
+    highs = [list(accumulate(cell[::-1], max))[::-1] for cell in cells]
+    lows = [list(accumulate(cell[::-1], min))[::-1] for cell in cells]
+    tops, bottoms = [high[0] for high in highs], [low[0] for low in lows]
+    top = math.fsum(chain.from_iterable(map(repeat, tops, counts)))
+    bottom = math.fsum(chain.from_iterable(map(repeat, bottoms, counts)))
+    worst = max(abs(top / n_points - integral), abs(bottom / n_points - integral))
+    margin = n_points * _rounding_margin(max(map(abs, values)), integral,
+                                         n_points + len(cells) + 4)
+    # what a cell's own nodes must reach, near the top or the bottom,
+    # after the cells behind it add their largest or smallest totals
+    top_cuts = accumulate(map(mul, counts[:0:-1], tops[:0:-1]), sub, initial=top - margin)
+    bottom_cuts = accumulate(map(mul, counts[:0:-1], bottoms[:0:-1]), sub,
+                             initial=bottom + margin)
+    # one entry per node, in stream order, with the number of its cell's
+    # nodes from it on
+    plan = [(cell, high, low, top_cut, bottom_cut, left)
+            for cell, high, low, top_cut, bottom_cut, count in zip(
+                cells, highs, lows, list(top_cuts)[::-1], list(bottom_cuts)[::-1], counts)
+            for left in range(count, 0, -1)]
+    position = [0] * n_points
+    picked = [0.0] * n_points
+    partial = [0.0] * (n_points + 1)
+    node = first = 0
+    while True:
+        if node == n_points:
+            if abs(math.fsum(picked) / n_points - integral) == worst:
+                break
         else:
-            scores = tail / n_points
-        scores -= integral
-        np.abs(scores, out=scores)
-        top = max(top, scores.max())
-        # a block starts first * width configurations into the stream
-        candidates = (scores >= top - 2 * delta).nonzero()[0] + first * width
-        for position in zip(*(a.tolist() for a in np.unravel_index(candidates, shape))):
-            config = tuple(map(_multiset_at, stream.cells, stream.counts,
-                               map(getitem, ranks, position)))
-            err = abs(math.fsum(values[a] for cell in config for a in cell) / n_points
-                      - integral)
-            if err > worst:
-                worst, best = err, config
-    return worst, best
+            cell, high, low, top_cut, bottom_cut, left = plan[node]
+            if first < len(cell) and (partial[node] + left * high[first] >= top_cut
+                                      or partial[node] + left * low[first] <= bottom_cut):
+                position[node] = first
+                picked[node] = cell[first]
+                partial[node + 1] = partial[node] + cell[first]
+                if left == 1:
+                    first = 0
+                node += 1
+                continue
+        # this position is pruned, and so is every later one: back up
+        assert node, "the top or the bottom configuration scores the worst"
+        node -= 1
+        first = position[node] + 1
+    chosen = iter(position)
+    return worst, tuple(tuple(atoms[q] for q in islice(chosen, count))
+                        for atoms, count in zip(stream.cells, counts))
 
 
 def worst_uniform_error(f: FunctionModel, partition: Partition) -> float:
@@ -336,11 +295,11 @@ def _atom_values(f: FunctionModel, space: FiniteSpace, n_points: int, n_cells: i
     """f at every atom, one evaluate call each; refused when the scorer's
     sums of ``n_points`` of them could overflow.
 
-    With M = max |value| and k = ``n_cells``, an approximate sum passes
-    through at most N + k - 2 roundings and the exact rescoring's fsum
-    keeps its partials within a rounding of the running sum, so every
-    sum stays within NM(1 + (N + k + 4)u); twice that margin below the
-    largest double keeps them finite (fsum would raise OverflowError).
+    With M = max |value| and k = ``n_cells``, a partial sum of the
+    search passes through at most N - 1 roundings and an fsum keeps its
+    partials within a rounding of the running sum, so every sum stays
+    within NM(1 + (N + k + 4)u); twice that margin below the largest
+    double keeps them finite (fsum would raise OverflowError).
     """
     values = [f.evaluate(i) for i in range(space.n_atoms)]
     reach = n_points * max(map(abs, values))
@@ -373,11 +332,13 @@ def verify_instances(instances: Sequence[Instance],
     Each instance in turn is enumerated, read (one essential range per
     cell, one value per atom) and scored by ``_score_configurations``,
     so the first one that cannot be verified raises what it would raise
-    alone.  The integral over the space is the fsum of the weight times
-    value products of the values just read.  An instance on a cube
-    space, or one that declares no N, raises a QmcBoundsError naming it.
+    alone.  The integral over the space, and each cell's, is the fsum of
+    the weight times value products of the values just read, once the
+    model is checked against the space as ``cell_integral`` checks it.
+    An instance on a cube space, or one that declares no N, raises a
+    QmcBoundsError naming it.
 
-    A verdict also fails when the enumerated worst error and the closed
+    A verdict also fails when the scored worst error and the closed
     form ``worst_uniform_error`` differ, so the scorer and the closed
     form check each other.  Every comparison allows the same slack,
     scaled to the data (``bounds.certification_slack``).
@@ -400,13 +361,15 @@ def verify_instances(instances: Sequence[Instance],
         stream = enumerate_uniform(partition, n_points, cap)
         # one range per cell serves the bounds and the closed form alike
         table = cell_table(f, partition)
-        integrals = f.cell_integrals(partition)
+        f._require_atom_domain(space)
         try:
             bounds = _bounds_from_table(table)
         except QmcBoundsError as exc:
             raise QmcBoundsError(f"instance {instance.instance_id!r}: {exc}") from None
         values = _atom_values(f, space, n_points, len(stream.counts), instance.instance_id)
-        integral = math.fsum(map(mul, space.weights, values))
+        products = list(map(mul, space.weights, values))
+        integral = math.fsum(products)
+        integrals = [math.fsum(products[a] for a in cell.atoms) for cell in partition.cells]
         closed_form = _worst_uniform_error(table, integrals)
         slack = certification_slack(table, integral, stream.counts)
         worst, argmax = _score_configurations(stream, values, n_points, integral)

@@ -710,8 +710,38 @@ def test_grid_mode_bounds_leaves_numpy_unloaded(tmp_path):
     assert loaded == "False"
 
 
+def test_verify_leaves_numpy_unloaded(tmp_path):
+    # the exhaustive scorer is pure Python on a stream of any length: two
+    # cells of 6 atoms with 8 nodes each hold 1287^2 configurations
+    src = Path(qmcbounds.__file__).resolve().parents[1]
+    units = [4, 2, 2, 4, 2, 2, 3, 3, 2, 2, 3, 3]
+    values = [0.5, -0.25, 0.5, 1.0, -0.25, 0.0, 0.75, 0.75, -1.0, 0.25, -1.0, 0.5]
+    config = write_json(tmp_path / "tied.json", {
+        "instance_id": "tied",
+        "space": {"kind": "finite", "atoms": [[f"a{i}", u / 32] for i, u in enumerate(units)]},
+        "partition": {"cells": [{"atoms": list(range(6))}, {"atoms": list(range(6, 12))}]},
+        "function": {"family": "finite_table", "params": {"values": values}},
+        "N": 16,
+    })
+    out = tmp_path / "tied.csv"
+    code = ("import sys\n"
+            "from qmcbounds import oracle\n"
+            "from qmcbounds.cli import main\n"
+            f"main(['verify', '--config', {config!r}, '--out', {str(out)!r}],"
+            " standalone_mode=False)\n"
+            "print(oracle.SCAN_LIMIT, 'numpy' in sys.modules)")
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    scan_limit, loaded = result.stdout.strip().rsplit("\n", 1)[-1].split()
+    assert 1287**2 > int(scan_limit)
+    assert [row["instance_id"] for row in parse_csv(out.read_text())] == ["tied"]
+    assert loaded == "False"
+
+
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy is only needed by the exhaustive scorer, which imports it lazily
+    # no command but the minimax LP, through scipy, needs numpy
     src = Path(qmcbounds.__file__).resolve().parents[1]
     code = "import sys, qmcbounds.experiments, qmcbounds.cli; print('numpy' in sys.modules)"
     result = subprocess.run(

@@ -5,7 +5,7 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from unittest import mock
 
 import pytest
@@ -44,7 +44,7 @@ from qmcbounds.experiments import (
     named_function,
     naive_pointwise_s,
 )
-from qmcbounds.bounds import CellTable
+from qmcbounds.bounds import CellTable, cell_table
 from qmcbounds.funcmodel import axis_samples
 from qmcbounds.oracle import MAX_ATOMS, MAX_CELLS, VERIFY_SLACK
 from qmcbounds.pointsets import DEFAULT_ENUMERATION_CAP
@@ -255,16 +255,17 @@ def test_verify_instance_needs_n():
         verify_instances([stripped])
 
 
-# --- the vectorised scorer --------------------------------------------------
+# --- the scorer: the reference loop and the search --------------------------
 
 # Property cases stay this small so the reference loop keeps up.
 MAX_CASE_CONFIGURATIONS = 3000
 
-TIED_VALUES = (-1.0, -0.5, 0.0, 0.5, 1.0)
+TIED_VALUES = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, -1e-300, 1e-300)
 
 # Sums of these tie in exact arithmetic but round apart in the last ulp,
 # depending on the order of the additions.
-ROUNDING_VALUES = (0.0, 1.0, 2.0**-53, 2.0**-52, 3 * 2.0**-53, 0.1, 0.2, 0.3, -0.1)
+ROUNDING_VALUES = (0.0, 1.0, 2.0**-53, 2.0**-52, 3 * 2.0**-53, 0.1, 0.2, 0.3, -0.1,
+                   -1e-300, 1e-300)
 
 VALUE_KINDS = ("uniform", "tied", "rounding", "constant", "mixed")
 
@@ -275,10 +276,9 @@ def _configuration_count(atoms_per_cell, counts):
 
 @st.composite
 def scoring_cases(draw, kinds=VALUE_KINDS, min_cells=1, max_points=16):
-    """(space, partition, f, N, chunk): 1-3 cells, N <= 16, with values
-    uniform in [-1, 1], heavily tied, tied up to rounding, constant, or
-    of magnitudes mixed from 1e-300 to 1e300, scored in chunks from 1
-    configuration up."""
+    """(space, partition, f, N): 1-3 cells, N <= 16, with values uniform
+    in [-1, 1], heavily tied, tied up to rounding, constant, or of
+    magnitudes mixed from 1e-300 to 1e300."""
     k = draw(st.integers(min_cells, 3))
     n_points = draw(st.integers(k, max_points))
     cuts = sorted(draw(st.lists(st.integers(1, max(n_points - 1, 1)), min_size=k - 1,
@@ -315,28 +315,26 @@ def scoring_cases(draw, kinds=VALUE_KINDS, min_cells=1, max_points=16):
     space = make_finite_space([(f"a{i}", w) for i, w in enumerate(weights)])
     partition = make_partition(space, cells)
     f = FunctionModel(FiniteTable(tuple(values), space.labels))
-    chunk = draw(st.sampled_from((1, 2, 7, 64, oracle.SCORE_CHUNK)))
-    return space, partition, f, n_points, chunk
+    return space, partition, f, n_points
 
 
 # Cutoffs below which the scorer runs the reference loop: 0 sends every
-# stream to numpy, and 6 splits the small cases between the two paths.
+# stream to the search, and 6 splits the small cases between the two paths.
 SCAN_LIMITS = st.sampled_from((0, 6, oracle.SCAN_LIMIT))
 
 
 def scoring_paths(limit):
-    """The cutoff 0, under which numpy scores every stream, and
+    """The cutoff 0, under which the search scores every stream, and
     ``limit`` if it is another."""
     return sorted({0, limit})
 
 
 def assert_scores_like_the_reference_loop(case, limit):
-    space, partition, f, n_points, chunk = case
+    space, partition, f, n_points = case
     stream = enumerate_uniform(partition, n_points)
     want_worst, want_argmax = scan_worst_configuration(stream, space, f, n_points)
     for scan_limit in scoring_paths(limit):
-        with mock.patch.object(oracle, "SCORE_CHUNK", chunk), \
-                mock.patch.object(oracle, "SCAN_LIMIT", scan_limit):
+        with mock.patch.object(oracle, "SCAN_LIMIT", scan_limit):
             worst, argmax = worst_case_error(partition, f, n_points)
         assert worst.hex() == want_worst.hex()
         assert argmax == want_argmax
@@ -363,9 +361,8 @@ def verdict_bits(verdict):
             verdict.total_configurations, b.exact, *(x.hex() for x in floats))
 
 
-def assert_batch_verifies_like_each_instance(instances, chunk, limit=oracle.SCAN_LIMIT):
-    with mock.patch.object(oracle, "SCORE_CHUNK", chunk), \
-            mock.patch.object(oracle, "SCAN_LIMIT", limit):
+def assert_batch_verifies_like_each_instance(instances, limit=oracle.SCAN_LIMIT):
+    with mock.patch.object(oracle, "SCAN_LIMIT", limit):
         batched = verify_instances(instances)
         alone = [verify_instances([instance])[0] for instance in instances]
     assert [verdict_bits(v) for v in batched] == [verdict_bits(v) for v in alone]
@@ -379,14 +376,13 @@ def assert_batch_verifies_like_each_instance(instances, chunk, limit=oracle.SCAN
 
 @st.composite
 def instance_lists(draw):
-    """(instances, chunk, limit): 1-4 scoring cases, each maybe followed
-    by instances on its own partition and N with other values (tied,
+    """(instances, limit): 1-4 scoring cases, each maybe followed by
+    instances on its own partition and N with other values (tied,
     constant or uniform), so that shapes are both shared and distinct;
-    scored in chunks that put some streams above SCORE_CHUNK and group
-    others, and with cutoffs that send every stream to numpy or mix the
-    two paths in one batch."""
+    with cutoffs that send every stream to the search or split one
+    list's streams between the two paths."""
     instances = []
-    for n, (space, partition, f, n_points, _) in enumerate(
+    for n, (space, partition, f, n_points) in enumerate(
             draw(st.lists(scoring_cases(), min_size=1, max_size=4))):
         instances.append(Instance(f"case-{n}", space, partition, f, n_points))
         for m in range(draw(st.integers(0, 2))):
@@ -396,8 +392,7 @@ def instance_lists(draw):
             g = FunctionModel(FiniteTable(tuple(values), space.labels))
             instances.append(Instance(f"case-{n}-{m}", space, partition, g, n_points))
     order = draw(st.permutations(range(len(instances))))
-    chunk = draw(st.sampled_from((1, 7, 64, 500, oracle.SCORE_CHUNK)))
-    return [instances[i] for i in order], chunk, draw(SCAN_LIMITS)
+    return [instances[i] for i in order], draw(SCAN_LIMITS)
 
 
 @settings(max_examples=75, deadline=None)
@@ -408,18 +403,18 @@ def test_batched_verdicts_equal_the_one_instance_verdicts(case):
 
 def test_a_batch_with_a_stream_above_the_chunk():
     # cells of 6 atoms with 8 nodes and of 6 atoms with 3 nodes: 1287 * 56
-    # = 72,072 configurations, scored in blocks beside small instances of
-    # the same and of other shapes
+    # = 72,072 configurations, verified in one call beside small instances
+    # of the same and of other shapes
     space = make_finite_space([(f"a{i}", 8 / 11 / 6 if i < 6 else 3 / 11 / 6)
                                for i in range(12)])
     p = make_partition(space, [FiniteCell(range(6)), FiniteCell(range(6, 12))])
     rng = random.Random(4)
     big = Instance("big", space, p, FunctionModel(FiniteTable(
         tuple(rng.uniform(-1.0, 1.0) for _ in range(12)), space.labels)), 11)
-    assert len(enumerate_uniform(p, 11)) == 72_072 > oracle.SCORE_CHUNK
-    # 2 nodes on 3 atoms and 1 node on 6 atoms: 6 multisets each, so one
-    # group holds rows of different N; the singles' worst node, 10 against
-    # the integral 5, scores 0 when divided by the pairs' N
+    assert len(enumerate_uniform(p, 11)) == 72_072 > 1 << 16
+    # 2 nodes on 3 atoms and 1 node on 6 atoms: 6 multisets each, of
+    # different N; the singles' worst node, 10 against the integral 5,
+    # would score 0 if divided by the pairs' N
     pairs = make_finite_space([(f"b{i}", 1 / 3) for i in range(3)])
     singles = make_finite_space([(f"c{i}", 1 / 6) for i in range(6)])
     same_shape = [
@@ -429,9 +424,9 @@ def test_a_batch_with_a_stream_above_the_chunk():
                                               ("singles", singles, (10.0,) + (4.0,) * 5, 1))]
     suite = small_exhaustive_suite()
     instances = [*same_shape, suite[0], big, suite[1], suite[500], suite[0]]
-    # the small instances join the big one's numpy batch at the cutoff 0
+    # the search scores the small instances too at the cutoff 0
     for limit in scoring_paths(oracle.SCAN_LIMIT):
-        assert_batch_verifies_like_each_instance(instances, oracle.SCORE_CHUNK, limit)
+        assert_batch_verifies_like_each_instance(instances, limit)
 
 
 def _cells_instance(name, sizes, counts, values):
@@ -450,7 +445,7 @@ def _cells_instance(name, sizes, counts, values):
 
 def test_streams_at_the_scan_limit_score_alike_on_both_paths():
     # streams of exactly SCAN_LIMIT configurations are scanned and those
-    # of one more go to numpy; at the cutoff 0 numpy scores them all
+    # of one more are searched; at the cutoff 0 the search scores them all
     limit = oracle.SCAN_LIMIT
     rng = random.Random(29)
 
@@ -473,7 +468,7 @@ def test_streams_at_the_scan_limit_score_alike_on_both_paths():
     instances = [over[0], at[0], at[1], over[1], over[2], at[2], at[3], over[3]]
     sizes = [len(enumerate_uniform(i.partition, i.n_points)) for i in instances]
     assert sizes == [limit + 1, limit, limit, limit + 1, limit + 1, limit, limit, limit + 1]
-    real = oracle._score_stream
+    real = oracle._search
     verdicts = []
     for scan_limit in (limit, 0):
         scored = []
@@ -482,11 +477,11 @@ def test_streams_at_the_scan_limit_score_alike_on_both_paths():
             scored.append(len(stream))
             return real(stream, *args)
 
-        with mock.patch.object(oracle, "_score_stream", recording), \
+        with mock.patch.object(oracle, "_search", recording), \
                 mock.patch.object(oracle, "SCAN_LIMIT", scan_limit):
             verdicts.append([verdict_bits(v) for v in verify_instances(instances)])
         assert scored == [size for size in sizes if size > scan_limit]
-        assert_batch_verifies_like_each_instance(instances, oracle.SCORE_CHUNK, scan_limit)
+        assert_batch_verifies_like_each_instance(instances, scan_limit)
     assert verdicts[0] == verdicts[1]
 
 
@@ -516,7 +511,7 @@ def test_scorer_rescores_what_rounding_ranks_lower():
     stream = enumerate_uniform(p, 3)
     assert scan_worst_configuration(stream, space, f, 3) == (0.1666666666666666,
                                                              ((0,), (1,), (3,)))
-    # the 2 configurations are scanned, and numpy scores them at the cutoff 0
+    # the 2 configurations are scanned, and searched at the cutoff 0
     for limit in scoring_paths(oracle.SCAN_LIMIT):
         with mock.patch.object(oracle, "SCAN_LIMIT", limit):
             assert worst_case_error(p, f, 3) == (0.1666666666666666, ((0,), (1,), (3,)))
@@ -585,35 +580,67 @@ def test_a_constant_function_scores_one_configuration(monkeypatch):
     space = make_finite_space([(f"a{i}", 1 / 16) for i in range(16)])
     p = make_partition(space, [FiniteCell(tuple(range(4 * j, 4 * j + 4))) for j in range(4)])
     f = FunctionModel(FiniteTable((0.5,) * 16, space.labels))
-    unranked = []
-    real = oracle._multiset_at
-    monkeypatch.setattr(oracle, "_multiset_at",
-                        lambda *args: unranked.append(args) or real(*args))
     verdict = verify_bounds_exhaustive(space, p, f, 16)
     assert verdict.total_configurations == 1_500_625
-    assert (verdict.worst_error, verdict.argmax_configuration) == (0.0, ((0,) * 4, (4,) * 4,
-                                                                        (8,) * 4, (12,) * 4))
-    assert len(unranked) == 4
+    first = ((0,) * 4, (4,) * 4, (8,) * 4, (12,) * 4)
+    assert (verdict.worst_error, verdict.argmax_configuration) == (0.0, first)
+    # worst_case_error sums the integral, the top and the bottom
+    # configurations, and each configuration it rescores, one fsum each
+    real_fsum = math.fsum
+    sums = []
+    monkeypatch.setattr(math, "fsum", lambda values: sums.append(1) or real_fsum(values))
+    assert worst_case_error(p, f, 16) == (0.0, first)
+    monkeypatch.undo()
+    assert len(sums) == 3 + 1
 
 
 @pytest.mark.parametrize("n_atoms, count",
                          [(1, 0), (1, 3), (2, 2), (3, 1), (4, 4), (6, 5), (40, 3)])
 def test_multiset_helpers_follow_the_enumeration_order(n_atoms, count):
-    # three cells of the same shape, each summed in one run of the recurrence
+    # a cell of 10 atoms holding one node, then the cell under test, of
+    # n_atoms atoms holding count nodes (none: a measure of 1e-12);
+    # three rows of values, each scored by the search to the bits of
+    # the reference loop
+    n_points = count + 1
+    share = count / n_points if count else 1e-12
+    space = make_finite_space([(f"a{i}", (1 - share) / 10) for i in range(10)]
+                              + [(f"b{i}", share / n_atoms) for i in range(n_atoms)])
     atoms = tuple(range(10, 10 + n_atoms))
+    p = make_partition(space, [FiniteCell(range(10)), FiniteCell(atoms)])
+    assert allocation(p, n_points) == (1, count)
     rng = random.Random(n_atoms * 100 + count)
-    rows = [[rng.uniform(-1.0, 1.0) for _ in range(n_atoms)] for _ in range(3)]
+    rows = [[rng.uniform(-1.0, 1.0) for _ in range(space.n_atoms)] for _ in range(3)]
     multisets = list(combinations_with_replacement(range(n_atoms), count))
-    sums = [oracle._multiset_sums(values, count) for values in rows]
-    assert [row_sums.shape for row_sums in sums] == [(len(multisets),)] * 3
+    stream = enumerate_uniform(p, n_points)
+    assert len(stream) == 10 * len(multisets)
     assert len(multisets) == math.comb(n_atoms + count - 1, count)
-    for rank, multiset in enumerate(multisets):
-        assert oracle._multiset_at(atoms, count, rank) == tuple(atoms[i] for i in multiset)
-        for values, row_sums in zip(rows, sums):
-            from_the_right = 0.0
-            for i in reversed(multiset):
-                from_the_right = values[i] + from_the_right
-            assert row_sums[rank] == from_the_right
+    # under the other cell's first atom, the cell runs through its multisets
+    assert [config[1] for config in islice(stream, len(multisets))] == [
+        tuple(atoms[i] for i in multiset) for multiset in multisets]
+    for values in rows:
+        f = FunctionModel(FiniteTable(tuple(values), space.labels))
+        want_worst, want_argmax = scan_worst_configuration(stream, space, f, n_points)
+        with mock.patch.object(oracle, "SCAN_LIMIT", 0):
+            worst, argmax = worst_case_error(p, f, n_points)
+        assert (worst.hex(), argmax) == (want_worst.hex(), want_argmax)
+
+
+@pytest.mark.parametrize("step", [1, -1])
+def test_near_constant_values_score_like_the_reference_loop(step):
+    # 3 cells of 4 atoms at 0.5 + i * 2^-53, rising or falling, N = 12:
+    # 35^3 = 42,875 configurations whose totals all lie within the
+    # search's margin of both extremes, so nothing is pruned and the
+    # first configuration to tie the worst score is the argmax
+    space = make_finite_space([(f"a{i}", 1 / 12) for i in range(12)])
+    p = make_partition(space, [FiniteCell(tuple(range(4 * j, 4 * j + 4))) for j in range(3)])
+    f = FunctionModel(FiniteTable(tuple(0.5 + i * 2.0**-53 for i in range(12)[::step]),
+                                  space.labels))
+    stream = enumerate_uniform(p, 12)
+    assert len(stream) == 42_875
+    want_worst, want_argmax = scan_worst_configuration(stream, space, f, 12)
+    with mock.patch.object(oracle, "SCAN_LIMIT", 0):
+        worst, argmax = worst_case_error(p, f, 12)
+    assert (worst.hex(), argmax) == (want_worst.hex(), want_argmax)
 
 
 def test_enumeration_cap_is_reachable():
@@ -803,30 +830,44 @@ def test_verify_reads_each_cell_range_once(monkeypatch):
 
 
 def test_verify_integrates_each_cell_once_and_the_space_not_again(monkeypatch):
-    # the whole-space integral is summed from the atom values already
-    # read, so a verdict integrates its k cells and nothing more
-    calls = []
-    real = FunctionModel._atom_integral
+    # the cell integrals and the whole-space integral are summed from the
+    # atom values already read, one evaluate call per atom, so a verdict
+    # integrates nothing through the model again
+    integrated, evaluated = [], []
+    real_integral = FunctionModel._atom_integral
+    real_evaluate = FunctionModel.evaluate
 
-    def counting(self, space, atoms):
-        calls.append(tuple(atoms))
-        return real(self, space, atoms)
+    def integrating(self, space, atoms):
+        integrated.append(tuple(atoms))
+        return real_integral(self, space, atoms)
 
-    monkeypatch.setattr(FunctionModel, "_atom_integral", counting)
+    def evaluating(self, point, **kwargs):
+        evaluated.append(point)
+        return real_evaluate(self, point, **kwargs)
+
+    monkeypatch.setattr(FunctionModel, "_atom_integral", integrating)
+    monkeypatch.setattr(FunctionModel, "evaluate", evaluating)
     space, p, f = finite_example()
-    verify_bounds_exhaustive(space, p, f, 2)
-    assert calls == [cell.atoms for cell in p.cells]
-    calls.clear()
+    verdict = verify_bounds_exhaustive(space, p, f, 2)
+    assert (integrated, evaluated) == ([], list(range(space.n_atoms)))
+    evaluated.clear()
     suite = small_exhaustive_suite()[::20]
-    verify_instances(suite)
-    assert len(calls) == sum(len(instance.partition.cells) for instance in suite)
+    verdicts = verify_instances(suite)
+    assert integrated == []
+    assert len(evaluated) == sum(instance.space.n_atoms for instance in suite)
+    monkeypatch.undo()
+    # each cell's integral has the bits cell_integrals gives it
+    for v in [verdict, *verdicts]:
+        g, partition = v.instance.function, v.instance.partition
+        assert v.closed_form == oracle._worst_uniform_error(cell_table(g, partition),
+                                                            g.cell_integrals(partition))
 
 
 def _equal_weight_case(values, cells, n_points):
     space = make_finite_space([(f"a{i}", 1 / len(values)) for i in range(len(values))])
     partition = make_partition(space, [FiniteCell(cell) for cell in cells])
     f = FunctionModel(FiniteTable(values, space.labels))
-    return space, partition, f, n_points, oracle.SCORE_CHUNK
+    return space, partition, f, n_points
 
 
 @settings(max_examples=200, deadline=None)
@@ -837,7 +878,7 @@ def _equal_weight_case(values, cells, n_points):
 def test_verify_passes_at_every_magnitude(case):
     # the scorer, the closed form and the bounds round apart by ulps of
     # the atom values, which an absolute slack alone fails above ~1e8
-    space, partition, f, n_points, _ = case
+    space, partition, f, n_points = case
     verdict = verify_bounds_exhaustive(space, partition, f, n_points)
     assert verdict.passed
     assert math.isfinite(verdict.tightness)
@@ -848,7 +889,7 @@ def test_verify_passes_at_every_magnitude(case):
 def test_verdict_floats_lie_within_the_slack_of_their_exact_values(case, limit):
     # each certified float is within the verdict's slack of its value in
     # exact arithmetic over the same float weights and values
-    space, partition, f, n_points, _ = case
+    space, partition, f, n_points = case
     exact = exact_finite_verdict(space.weights, [cell.atoms for cell in partition.cells],
                                  allocation(partition, n_points), f.base.values)
     for scan_limit in scoring_paths(limit):
@@ -885,7 +926,7 @@ def test_verify_accepts_sums_up_to_the_largest_double(n_points):
     assert magnitude > sys.float_info.max / n_points * (1 - 1e-13)
     assert verdict.passed
     assert abs(verdict.worst_error - magnitude / 4) <= verdict.slack
-    # numpy's sums from the right stay finite too, at the cutoff 0
+    # the search's partial sums and bounds stay finite too, at the cutoff 0
     for limit in scoring_paths(oracle.SCAN_LIMIT):
         with mock.patch.object(oracle, "SCAN_LIMIT", limit):
             assert worst_case_error(p, f, n_points)[0] == verdict.worst_error
