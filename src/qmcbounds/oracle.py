@@ -291,9 +291,10 @@ def _worst_uniform_error(table: CellTable, integrals: list[float]) -> float:
 
 
 def _atom_values(f: FunctionModel, space: FiniteSpace, n_points: int, n_cells: int,
-                 instance_id: str) -> list[float]:
-    """f at every atom, one evaluate call each; refused when the scorer's
-    sums of ``n_points`` of them could overflow.
+                 instance_id: str) -> tuple[list[float], list[float], float]:
+    """f at every atom (one evaluate call each, once the model is checked
+    against the space), the weight * value products and their fsum;
+    refused when the scorer's sums of ``n_points`` values could overflow.
 
     With M = max |value| and k = ``n_cells``, a partial sum of the
     search passes through at most N - 1 roundings and an fsum keeps its
@@ -301,13 +302,15 @@ def _atom_values(f: FunctionModel, space: FiniteSpace, n_points: int, n_cells: i
     within NM(1 + (N + k + 4)u); twice that margin below the largest
     double keeps them finite (fsum would raise OverflowError).
     """
+    f._require_atom_domain(space)
     values = [f.evaluate(i) for i in range(space.n_atoms)]
     reach = n_points * max(map(abs, values))
     if reach > sys.float_info.max / (1 + 2 * (n_points + n_cells + 4) * 2.0**-53):
         raise QmcBoundsError(
             f"instance {instance_id!r}: N * max|value| = {reach!r} could overflow the "
             f"sums of N atom values")
-    return values
+    products = list(map(mul, space.weights, values))
+    return values, products, math.fsum(products)
 
 
 def worst_case_error(partition: Partition, f: FunctionModel, n_points: int,
@@ -319,8 +322,7 @@ def worst_case_error(partition: Partition, f: FunctionModel, n_points: int,
     first configuration, so reruns are reproducible.
     """
     stream = enumerate_uniform(partition, n_points, cap)
-    integral = f.integral(partition.space)
-    values = _atom_values(f, partition.space, n_points, len(stream.counts), "")
+    values, _, integral = _atom_values(f, partition.space, n_points, len(stream.counts), "")
     return _score_configurations(stream, values, n_points, integral)
 
 
@@ -361,14 +363,12 @@ def verify_instances(instances: Sequence[Instance],
         stream = enumerate_uniform(partition, n_points, cap)
         # one range per cell serves the bounds and the closed form alike
         table = cell_table(f, partition)
-        f._require_atom_domain(space)
         try:
             bounds = _bounds_from_table(table)
         except QmcBoundsError as exc:
             raise QmcBoundsError(f"instance {instance.instance_id!r}: {exc}") from None
-        values = _atom_values(f, space, n_points, len(stream.counts), instance.instance_id)
-        products = list(map(mul, space.weights, values))
-        integral = math.fsum(products)
+        values, products, integral = _atom_values(f, space, n_points, len(stream.counts),
+                                                   instance.instance_id)
         integrals = [math.fsum(products[a] for a in cell.atoms) for cell in partition.cells]
         closed_form = _worst_uniform_error(table, integrals)
         slack = certification_slack(table, integral, stream.counts)

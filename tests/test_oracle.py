@@ -863,6 +863,26 @@ def test_verify_integrates_each_cell_once_and_the_space_not_again(monkeypatch):
                                                             g.cell_integrals(partition))
 
 
+def test_worst_case_error_reads_each_atom_once_as_verify_does(monkeypatch):
+    # the integral is the fsum of the weight * value products of the
+    # values just read; integrating through the model read every atom again
+    evaluated = []
+    real_evaluate = FiniteTable.evaluate
+
+    def evaluating(self, point):
+        evaluated.append(point)
+        return real_evaluate(self, point)
+
+    monkeypatch.setattr(FiniteTable, "evaluate", evaluating)
+    instance = random_instance(3)
+    worst = worst_case_error(instance.partition, instance.function, instance.n_points)
+    assert evaluated == [0, 1, 2]
+    evaluated.clear()
+    verdict = verify_instances([instance])[0]
+    assert evaluated == [0, 1, 2]
+    assert worst == (verdict.worst_error, verdict.argmax_configuration)
+
+
 def _equal_weight_case(values, cells, n_points):
     space = make_finite_space([(f"a{i}", 1 / len(values)) for i in range(len(values))])
     partition = make_partition(space, [FiniteCell(cell) for cell in cells])
