@@ -695,16 +695,13 @@ class FunctionModel:
         eps = base.lipschitz_bound() * spacing / 2.0
         return EssentialRange(lo, hi, exact=False, eps=eps)
 
-    def _atom_integral(self, space: FiniteSpace, atoms) -> float:
-        """fsum of weight times value over atoms of the finite space."""
-        self._require_atom_domain(space)
-        return math.fsum(space.weights[a] * self.base.evaluate(a) for a in atoms)
-
-    def _require_atom_domain(self, space: FiniteSpace) -> None:
-        """OutOfDomainError unless the model can be integrated over the
-        finite space: a cube family never can, a table needs one value
-        per atom, and a piece layout must lie on a space with as many
-        atoms."""
+    def _atom_values(self, space: FiniteSpace) -> list[float]:
+        """The model's value at every atom of the finite space, one
+        evaluate call each, once the model is checked against the space:
+        OutOfDomainError unless it can be read there.  A cube family
+        never can, a table needs one value per atom, and a piece layout
+        must lie on a space with as many atoms; then every atom index is
+        a normal point."""
         if not self.is_finite:
             raise OutOfDomainError("cube-family model integrated over a finite space")
         base = self.base
@@ -714,11 +711,12 @@ class FunctionModel:
         if isinstance(base, PiecewiseConstant) and self._domain.n_atoms != space.n_atoms:
             raise OutOfDomainError(f"a piece layout on {self._domain.n_atoms} atoms "
                                    f"integrated over a {space.n_atoms}-atom space")
+        return [self.evaluate(a, normal=True) for a in range(space.n_atoms)]
 
     def integral(self, space: Space) -> float:
         """Integral over the whole space; spikes are null and ignored."""
         if isinstance(space, FiniteSpace):
-            return self._atom_integral(space, range(space.n_atoms))
+            return math.fsum(map(mul, space.weights, self._atom_values(space)))
         d = space.dimension
         return self.cell_integral(BoxCell((0.0,) * d, (1.0,) * d), space)
 
@@ -728,7 +726,8 @@ class FunctionModel:
             if not isinstance(cell, FiniteCell):
                 raise OutOfDomainError("finite space needs finite cells")
             _require_atoms(cell, space.n_atoms, "atom space")
-            return self._atom_integral(space, cell.atoms)
+            values = self._atom_values(space)
+            return math.fsum(space.weights[a] * values[a] for a in cell.atoms)
         if self.is_finite:
             raise OutOfDomainError("finite-space model integrated over a cube space")
         cell = _require_box(cell, self.base.dimension)
@@ -740,12 +739,16 @@ class FunctionModel:
 
         A cube partition of the model's dimension, checked once, is
         integrated over its per-axis edge lists (``partition.edges``) in
-        one list pass, with the bits of the one-cell case.  Any other
-        partition takes its cells one at a time through cell_integral,
-        which integrates a finite space's cells and refuses the first
-        cell of any other partition with its own error.
+        one list pass, with the bits of the one-cell case.  A finite
+        partition's atoms are read once, and each cell takes its fsum.
+        Any other partition takes its cells one at a time through
+        cell_integral, which refuses the first with its own error.
         """
         space = partition.space
-        if isinstance(space, CubeSpace) and space.dimension == self.dimension:
+        if isinstance(space, FiniteSpace):
+            values = self._atom_values(space)
+            return [math.fsum(space.weights[a] * values[a] for a in cell.atoms)
+                    for cell in partition.cells]
+        if space.dimension == self.dimension:
             return self.base.integrals(*partition.edges)
         return [self.cell_integral(cell, space) for cell in partition.cells]

@@ -47,7 +47,7 @@ from .bounds import (
     certification_slack,
 )
 from .errors import QmcBoundsError
-from .funcmodel import FiniteTable, FunctionModel
+from .funcmodel import FiniteTable, FunctionModel, _require_atoms
 from .instances import Instance
 from .pointsets import DEFAULT_ENUMERATION_CAP, enumerate_uniform
 from .spaces import (
@@ -292,9 +292,9 @@ def _worst_uniform_error(table: CellTable, integrals: list[float]) -> float:
 
 def _atom_values(f: FunctionModel, space: FiniteSpace, n_points: int, n_cells: int,
                  instance_id: str) -> tuple[list[float], list[float], float]:
-    """f at every atom (one evaluate call each, once the model is checked
-    against the space), the weight * value products and their fsum;
-    refused when the scorer's sums of ``n_points`` values could overflow.
+    """f at every atom (``FunctionModel._atom_values``), the weight *
+    value products and their fsum; refused when the scorer's sums of
+    ``n_points`` values could overflow.
 
     With M = max |value| and k = ``n_cells``, a partial sum of the
     search passes through at most N - 1 roundings and an fsum keeps its
@@ -302,8 +302,7 @@ def _atom_values(f: FunctionModel, space: FiniteSpace, n_points: int, n_cells: i
     within NM(1 + (N + k + 4)u); twice that margin below the largest
     double keeps them finite (fsum would raise OverflowError).
     """
-    f._require_atom_domain(space)
-    values = [f.evaluate(i) for i in range(space.n_atoms)]
+    values = f._atom_values(space)
     reach = n_points * max(map(abs, values))
     if reach > sys.float_info.max / (1 + 2 * (n_points + n_cells + 4) * 2.0**-53):
         raise QmcBoundsError(
@@ -406,55 +405,43 @@ def minimax_distance_finite(space: FiniteSpace, family, f: FunctionModel) -> Min
     ``family`` is any sequence of finite cells; it need not be disjoint
     or covering.  A cell equal to the whole space makes the constant
     term redundant, so the constant column is dropped (reported
-    constant 0) rather than rejected.
+    constant 0) rather than rejected.  A cell that reaches outside the
+    space, and a model that cannot be read on it, raise
+    OutOfDomainError as ``cell_integral`` does.
     """
     from scipy.optimize import linprog
 
     cells = [c if isinstance(c, FiniteCell) else FiniteCell(tuple(c)) for c in family]
     n = space.n_atoms
-    values = [f.evaluate(i) for i in range(n)]
-    all_atoms = tuple(range(n))
-    degenerate = any(cell.atoms == all_atoms for cell in cells)
-
-    columns: list[list[float]] = []
-    if not degenerate:
-        columns.append([1.0] * n)
     for cell in cells:
-        members = set(cell.atoms)
-        columns.append([1.0 if i in members else 0.0 for i in range(n)])
-
+        _require_atoms(cell, n, "atom space")
+    values = f._atom_values(space)
+    degenerate = any(len(cell.atoms) == n for cell in cells)
+    members = [set(cell.atoms) for cell in cells]
+    columns = members if degenerate else [range(n), *members]
     p = len(columns)
     # variables: p coefficients then t; minimize t subject to
-    # +-(f_i - sum_c coef_c col_c[i]) <= t
-    c_obj = [0.0] * p + [1.0]
-    a_ub = []
-    b_ub = []
-    for i in range(n):
-        row_pos = [columns[c][i] for c in range(p)] + [-1.0]
-        a_ub.append(row_pos)
-        b_ub.append(values[i])
-        row_neg = [-columns[c][i] for c in range(p)] + [-1.0]
-        a_ub.append(row_neg)
-        b_ub.append(-values[i])
+    # +-(f_i - sum_c coef_c 1[i in column c]) <= t
+    a_ub, b_ub = [], []
+    for i, value in enumerate(values):
+        row = [1.0 if i in column else 0.0 for column in columns]
+        a_ub += [row + [-1.0], [-x for x in row] + [-1.0]]
+        b_ub += [value, -value]
     result = linprog(
-        c_obj, A_ub=a_ub, b_ub=b_ub,
+        [0.0] * p + [1.0], A_ub=a_ub, b_ub=b_ub,
         bounds=[(None, None)] * p + [(0.0, None)],
         method="highs",
     )
     if not result.success:
         raise QmcBoundsError(f"minimax LP failed: {result.message}")
     coeffs = [float(c) for c in result.x[:p]]
-    if degenerate:
-        constant = 0.0
-        cell_coeffs = coeffs
-    else:
-        constant = coeffs[0]
-        cell_coeffs = coeffs[1:]
+    constant = 0.0 if degenerate else coeffs[0]
+    cell_coeffs = coeffs[p - len(cells):]
     atom_values = []
     for i in range(n):
         total = constant
-        for cell, coef in zip(cells, cell_coeffs):
-            if i in cell.atoms:
+        for cell_members, coef in zip(members, cell_coeffs):
+            if i in cell_members:
                 total += coef
         atom_values.append(total)
     achieved = max(abs(v - lv) for v, lv in zip(values, atom_values))

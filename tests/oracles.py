@@ -11,7 +11,8 @@ from every piece, and the exhaustive worst error from scoring every
 configuration one by one; a finite table's worst error, W and bounds
 in exact rational arithmetic, and an affine function's W and bounds on
 a product grid too, its ranges from the cell corners and its cell
-integrals from centre values; node counts per cell one cell at a time;
+integrals from centre values, and a separable quadratic's from each
+axis's endpoints and inside vertex and each cell's mean; node counts per cell one cell at a time;
 the cube worst error from every
 one-node-per-cell placement on a grid; seeded placement from the
 one-try-at-a-time loop with its own membership test, and midpoint and
@@ -289,6 +290,38 @@ def exact_affine_bounds(intercept, slopes, edges) -> ExactBounds:
         lows.append(min(corners))
         highs.append(max(corners))
         integrals.append(value([(l + u) / 2 for l, u in box]) * measures[-1])
+    return _exact_bounds(measures, lows, highs, sum(integrals))
+
+
+def exact_quadratic_bounds(intercept, linear, quadratic, edges) -> ExactBounds:
+    """A separable quadratic's W and bounds on the product grid of the
+    per-axis ``edges`` (each list from 0.0 to 1.0), exactly, as Fractions
+    of the float coefficients and edges.
+
+    Each axis term q t^2 + b t takes its least and greatest value over
+    [l, u] at l, at u, or at the vertex -b / (2q) when it lies inside, and
+    a cell's range adds the axes' extremes to the intercept.  Its mean is
+    the intercept plus each axis's q (l^2 + l u + u^2) / 3 + b (l + u) / 2,
+    and its integral that mean times its volume.
+    """
+    c = Fraction(intercept)
+    axes = list(zip(map(Fraction, quadratic), map(Fraction, linear)))
+
+    def extremes(q, b, l, u):
+        ts = [l, u, -b / (2 * q)] if q and l < -b / (2 * q) < u else [l, u]
+        values = [q * t * t + b * t for t in ts]
+        return min(values), max(values)
+
+    spans = [list(zip(map(Fraction, e), map(Fraction, e[1:]))) for e in edges]
+    measures, lows, highs, integrals = [], [], [], []
+    for box in itertools.product(*spans):
+        ranges = [extremes(q, b, l, u) for (q, b), (l, u) in zip(axes, box)]
+        measures.append(math.prod(u - l for l, u in box))
+        lows.append(c + sum(lo for lo, _ in ranges))
+        highs.append(c + sum(hi for _, hi in ranges))
+        mean = c + sum(q * (l * l + l * u + u * u) / 3 + b * (l + u) / 2
+                       for (q, b), (l, u) in zip(axes, box))
+        integrals.append(mean * measures[-1])
     return _exact_bounds(measures, lows, highs, sum(integrals))
 
 

@@ -29,6 +29,7 @@ from qmcbounds.bounds import cell_table, certification_slack
 from oracles import (
     dense_range_1d,
     exact_affine_bounds,
+    exact_quadratic_bounds,
     per_cell_bounds,
     per_cell_integral,
     per_cell_worst_uniform_error,
@@ -301,11 +302,10 @@ MAGNITUDES = st.one_of(COEFFICIENTS, st.builds(lambda m, e: m * 10.0 ** e,
                                                st.floats(-9.99, 9.99), st.integers(-300, 299)))
 
 
-@st.composite
-def affine_grids(draw):
-    """(f, partition, edges): an Affine model on a 1-D or 2-D product
-    grid, each axis cut equally or at drawn points (none below 2^-20, so
-    that no product of two widths underflows to an empty cell)."""
+def _draw_grid(draw):
+    """(edges, partition): a 1-D or 2-D product grid, each axis cut
+    equally or at drawn points (none below 2^-20, so that no product of
+    two widths underflows to an empty cell)."""
     edges = []
     for _ in range(draw(st.integers(1, 2))):
         if draw(st.booleans()):
@@ -315,10 +315,18 @@ def affine_grids(draw):
             cuts = draw(st.lists(st.floats(2.0**-20, 1.0, exclude_max=True),
                                  max_size=6, unique=True))
             edges.append([0.0, *sorted(cuts), 1.0])
-    f = FunctionModel(Affine(draw(MAGNITUDES), tuple(draw(MAGNITUDES) for _ in edges)))
     spans = [list(zip(e, e[1:])) for e in edges]
     cells = [BoxCell(*zip(*box)) for box in itertools.product(*spans)]
-    return f, make_partition(make_cube_space(len(edges)), cells), edges
+    return edges, make_partition(make_cube_space(len(edges)), cells)
+
+
+@st.composite
+def affine_grids(draw):
+    """(f, partition, edges): an Affine model on a 1-D or 2-D product
+    grid."""
+    edges, partition = _draw_grid(draw)
+    f = FunctionModel(Affine(draw(MAGNITUDES), tuple(draw(MAGNITUDES) for _ in edges)))
+    return f, partition, edges
 
 
 @settings(max_examples=300, deadline=None)
@@ -333,6 +341,49 @@ def test_affine_bounds_lie_within_the_slack_of_their_exact_values(case):
     counts = [int(Fraction(m) * scale) for m in table.measure]
     slack = Fraction(certification_slack(table, f.integral(partition.space), counts))
     exact = exact_affine_bounds(f.base.intercept, f.base.slopes, edges)
+    b = bound_set(f, partition)
+    for got, want in ((worst_uniform_error(f, partition), exact.closed_form),
+                      (b.corollary1, exact.corollary1),
+                      (b.theorem1, exact.corollary1),
+                      (b.corollary2, exact.corollary2),
+                      (b.distance, exact.corollary1 / 2)):
+        assert abs(Fraction(got) - want) <= slack
+
+
+# Quadratic coefficients from 1e-3 to 1e6 in magnitude, or zero.
+SCALES = st.one_of(st.just(0.0), st.builds(lambda m, e: m * 10.0 ** e,
+                                           st.floats(1.0, 9.99) | st.floats(-9.99, -1.0),
+                                           st.integers(-3, 5)))
+
+
+@st.composite
+def quadratic_grids(draw):
+    """(f, partition, edges): a Quadratic model on a 1-D or 2-D product
+    grid.  Each axis's linear term is drawn on its own, or nearly cancels
+    the quadratic one, -q (1 + e), or puts the vertex near an edge t,
+    -2 q t (1 + e), with e a few ulps of 1."""
+    edges, partition = _draw_grid(draw)
+    quadratic = tuple(draw(SCALES) for _ in edges)
+    linear = []
+    for q, axis in zip(quadratic, edges):
+        e = draw(st.integers(-4, 4)) * 2.0**-52
+        linear.append(draw(st.one_of(SCALES, st.just(-q * (1 + e)),
+                                     st.sampled_from(axis).map(lambda t: -2 * q * t * (1 + e)))))
+    f = FunctionModel(Quadratic(draw(SCALES), tuple(linear), quadratic))
+    return f, partition, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(quadratic_grids())
+def test_quadratic_bounds_lie_within_the_slack_of_their_exact_values(case):
+    # as for Affine: the slack of node counts whose shares are the cell
+    # measures holds the rounding margin alone
+    f, partition, edges = case
+    table = cell_table(f, partition)
+    scale = max(Fraction(m).denominator for m in table.measure)
+    counts = [int(Fraction(m) * scale) for m in table.measure]
+    slack = Fraction(certification_slack(table, f.integral(partition.space), counts))
+    exact = exact_quadratic_bounds(f.base.intercept, f.base.linear, f.base.quadratic, edges)
     b = bound_set(f, partition)
     for got, want in ((worst_uniform_error(f, partition), exact.closed_form),
                       (b.corollary1, exact.corollary1),

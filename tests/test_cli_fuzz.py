@@ -18,11 +18,19 @@ import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmcbounds import construct_uniform, instance_from_json, save_pointset
+from qmcbounds import (
+    FiniteCell,
+    construct_uniform,
+    instance_from_json,
+    make_partition,
+    partition_hash,
+    save_pointset,
+)
 from qmcbounds.cli import main
 from qmcbounds.experiments import (
     MAX_PERTURB_CELLS,
@@ -230,3 +238,60 @@ def test_cli_survives_mutated_input(case):
                         # an integer (a seed, an N) is exact at any size
                         if column not in TEXT_COLUMNS and not re.fullmatch(r"-?\d*", cell):
                             assert math.isfinite(float(cell)), (column, cell)
+
+
+FINITE = {"space": {"kind": "finite", "atoms": [["a", 0.5], ["b", 0.5]]},
+          "partition": {"cells": [{"atoms": [0, 1]}]},
+          "function": {"family": "finite_table", "params": {"values": [1.0, 2.0]}},
+          "N": 2}
+CUBE = {"space": {"kind": "cube", "dimension": 2},
+        "partition": {"cells": [{"box": [[0.0, 1.0], [0.0, 1.0]]}]},
+        "function": {"family": "sinusoid",
+                     "params": {"amplitude": 1.0, "frequency": 1.0, "axis": 0}},
+        "N": 1}
+# each of the first five printed a traceback with exit 1, and the last
+# loaded the atom index 0.9 as atom 0
+MALFORMED = {
+    "box-object": (CUBE, ("partition", "cells", 0, "box", 1), {}),
+    "atom-object": (FINITE, ("space", "atoms", 0), {}),
+    "atom-index-1e400": (FINITE, ("partition", "cells", 0, "atoms", 0), RAW + "1e400"),
+    "axis-1e400": (CUBE, ("function", "params", "axis"), RAW + "1e400"),
+    "n-10e400": (FINITE, ("N",), 10**400),
+    "atom-index-0.9": (FINITE, ("partition", "cells", 0, "atoms", 0), 0.9),
+}
+
+
+@pytest.mark.parametrize("command, name", [
+    # bounds reads no N, so a huge one is verify's to refuse
+    *((command, name) for name in MALFORMED for command in ("bounds", "verify")
+      if (command, name) != ("bounds", "n-10e400")),
+    # point files that bounds --points reads against the finite instance's
+    # partition: a wrong node count, another partition's hash, an unknown
+    # label, bytes that are not UTF-8, a directory
+    *(("points", name) for name in ("count", "hash", "label", "bytes", "directory")),
+])
+def test_malformed_files_exit_2_without_a_traceback(tmp_path, command, name):
+    config = tmp_path / "instance.json"
+    if command == "points":
+        config.write_text(json.dumps(FINITE))
+        partition = instance_from_json(FINITE).partition
+        other = make_partition(partition.space, [FiniteCell((0,)), FiniteCell((1,))])
+        points = tmp_path / f"points-{name}"
+        if name == "directory":
+            points.mkdir()
+        elif name == "bytes":
+            points.write_bytes(b"\xff\xfe\n")
+        else:
+            n_points, declared, lines = {"count": (3, partition, "a\nb\n"),
+                                         "hash": (2, other, "a\nb\n"),
+                                         "label": (2, partition, "a\nc\n")}[name]
+            points.write_text(f"# qmcbounds-pointset N={n_points} "
+                              f"partition={partition_hash(declared)}\n{lines}")
+        args = ["bounds", "--config", str(config), "--points", str(points)]
+    else:
+        config.write_text(_text(_mutate(*MALFORMED[name])))
+        args = [command, "--config", str(config)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        repr(result.exception))

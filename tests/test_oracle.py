@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -19,6 +20,7 @@ from qmcbounds import (
     FunctionModel,
     GridRangeMode,
     Instance,
+    OutOfDomainError,
     QmcBoundsError,
     Quadratic,
     Sinusoid,
@@ -190,6 +192,31 @@ def test_minimax_degenerate_whole_space_cell():
     assert cert.degenerate
     assert cert.constant == 0.0
     assert abs(cert.value - 1.0) < 1e-9  # best constant 2, residual 1
+
+
+_THREE_ATOMS = make_finite_space([("a", 0.25), ("b", 0.25), ("c", 0.5)])
+
+
+@pytest.mark.parametrize("space, family, f, message, integrate", [
+    (make_finite_space([("a", 0.5), ("b", 0.5)]), [FiniteCell((0,))],
+     FunctionModel(Quadratic(0.0, (0.0,), (1.0,))),
+     "cube-family model integrated over a finite space",
+     lambda f, space: f.integral(space)),
+    (_THREE_ATOMS, [FiniteCell((0,))], FunctionModel(FiniteTable((1.0, 2.0, 3.0, 4.0))),
+     "a 4-value table integrated over a 3-atom space", lambda f, space: f.integral(space)),
+    (_THREE_ATOMS, [FiniteCell((0,)), FiniteCell((5,))],
+     FunctionModel(FiniteTable((1.0, 2.0, 3.0))),
+     "cell atoms (5,) reach outside the 3-atom space",
+     lambda f, space: f.cell_integral(FiniteCell((5,)), space)),
+], ids=["cube-model", "table-longer-than-space", "cell-outside-space"])
+def test_minimax_refuses_a_model_or_cell_off_its_space(space, family, f, message,
+                                                         integrate):
+    # the LP certified 0.0 for x^2 read at the atoms 0 and 1, 0.5 for the
+    # 4-value table, and read the atom 5 as an empty indicator
+    for refused in (lambda: minimax_distance_finite(space, family, f),
+                    lambda: integrate(f, space)):
+        with pytest.raises(OutOfDomainError, match=re.escape(message)):
+            refused()
 
 
 def test_minimax_overlapping_family_certificate():
@@ -834,18 +861,22 @@ def test_verify_integrates_each_cell_once_and_the_space_not_again(monkeypatch):
     # atom values already read, one evaluate call per atom, so a verdict
     # integrates nothing through the model again
     integrated, evaluated = [], []
-    real_integral = FunctionModel._atom_integral
     real_evaluate = FunctionModel.evaluate
 
-    def integrating(self, space, atoms):
-        integrated.append(tuple(atoms))
-        return real_integral(self, space, atoms)
+    def recording(name):
+        real = getattr(FunctionModel, name)
+
+        def integrating(self, *args):
+            integrated.append(name)
+            return real(self, *args)
+        return integrating
 
     def evaluating(self, point, **kwargs):
         evaluated.append(point)
         return real_evaluate(self, point, **kwargs)
 
-    monkeypatch.setattr(FunctionModel, "_atom_integral", integrating)
+    for name in ("integral", "cell_integral", "cell_integrals"):
+        monkeypatch.setattr(FunctionModel, name, recording(name))
     monkeypatch.setattr(FunctionModel, "evaluate", evaluating)
     space, p, f = finite_example()
     verdict = verify_bounds_exhaustive(space, p, f, 2)
