@@ -80,7 +80,8 @@ _LO, _HI, _EXACT = attrgetter("lo"), attrgetter("hi"), attrgetter("exact")
 
 def cell_table(f: FunctionModel, partition: Partition) -> CellTable:
     """Read every cell's essential range once, one essential_range call
-    per cell."""
+    per cell, once the model is checked against the partition's space."""
+    f._require_on(partition.space)
     ranges = [f.essential_range(cell) for cell in partition.cells]
     return CellTable(partition.measures, list(map(_LO, ranges)), list(map(_HI, ranges)),
                      list(map(_EXACT, ranges)))

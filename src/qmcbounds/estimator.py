@@ -75,8 +75,8 @@ def bound_report(f: FunctionModel, partition: Partition, pointset,
                       f"cells are off")
         raise NotUniformError(f"point set is not uniform for the partition: {detail}")
     # one range per cell serves the bounds and the slack alike. The table
-    # comes first: it refuses a model off the partition's space with the
-    # model's own error, so the unchecked estimate reads each node as the
+    # comes first: it refuses a model that is not a function on the
+    # partition's space, so the unchecked estimate reads each node as the
     # space does, the set the uniformity check counted
     table = cell_table(f, partition)
     bounds = _bounds_from_table(table)

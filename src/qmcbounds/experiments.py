@@ -122,19 +122,16 @@ def naive_pointwise_s(f: FunctionModel, partition: Partition) -> float:
     space = partition.space
     if not isinstance(space, CubeSpace) or space.dimension != 1:
         raise QmcBoundsError("the naive baseline study is one-dimensional")
+    f._require_on(space)  # so grid points of [0, 1] and the spikes are normal points
     worst = 0.0
     spikes = [p[0] for p, _ in f.spikes]
-    # grid points of [0, 1] and spikes, which the model normalised, are in
-    # the normal form of a model on this line; any other model checks
-    # each point, and refuses the first as it always did
-    normal = not f.is_finite and f.dimension == 1
     evaluate = f.evaluate
     (lowers,), (uppers,) = partition.edges
     for lo, hi in zip(lowers, uppers):
         ts = axis_samples(lo, hi, NAIVE_RESOLUTION)
         # the spikes the cell holds: half-open, closed at 1.0
         ts.extend(t for t in spikes if lo <= t and (t < hi or t == hi == 1.0))
-        values = [evaluate(point, normal=normal) for point in zip(ts)]  # the points (t,)
+        values = [evaluate(point, normal=True) for point in zip(ts)]  # the points (t,)
         worst = max(worst, max(values) - min(values))
     return worst
 

@@ -695,22 +695,29 @@ class FunctionModel:
         eps = base.lipschitz_bound() * spacing / 2.0
         return EssentialRange(lo, hi, exact=False, eps=eps)
 
+    def _require_on(self, space: Space) -> None:
+        """OutOfDomainError unless the model is a function on ``space``: a
+        cube model on the cube of its own dimension, a table on a space
+        with one atom per value, a piece layout on a space with as many
+        atoms as its own.  Every point of such a space is a normal point."""
+        base, domain = self.base, self._domain
+        if isinstance(domain, CubeSpace):
+            if isinstance(space, CubeSpace) and space.dimension == domain.dimension:
+                return
+            model = f"a {domain.dimension}-dimensional cube model"
+        else:  # a table is its own domain
+            n = len(base.values) if domain is base else domain.n_atoms
+            if isinstance(space, FiniteSpace) and space.n_atoms == n:
+                return
+            model = f"a {n}-value table" if domain is base else f"a piece layout on {n} atoms"
+        raise OutOfDomainError(f"{model} read on " + (
+            f"a {space.n_atoms}-atom space" if isinstance(space, FiniteSpace)
+            else f"the {space.dimension}-dimensional cube"))
+
     def _atom_values(self, space: FiniteSpace) -> list[float]:
         """The model's value at every atom of the finite space, one
-        evaluate call each, once the model is checked against the space:
-        OutOfDomainError unless it can be read there.  A cube family
-        never can, a table needs one value per atom, and a piece layout
-        must lie on a space with as many atoms; then every atom index is
-        a normal point."""
-        if not self.is_finite:
-            raise OutOfDomainError("cube-family model integrated over a finite space")
-        base = self.base
-        if isinstance(base, FiniteTable) and len(base.values) != space.n_atoms:
-            raise OutOfDomainError(f"a {len(base.values)}-value table integrated over "
-                                   f"a {space.n_atoms}-atom space")
-        if isinstance(base, PiecewiseConstant) and self._domain.n_atoms != space.n_atoms:
-            raise OutOfDomainError(f"a piece layout on {self._domain.n_atoms} atoms "
-                                   f"integrated over a {space.n_atoms}-atom space")
+        evaluate call each, once ``_require_on`` accepts the space."""
+        self._require_on(space)
         return [self.evaluate(a, normal=True) for a in range(space.n_atoms)]
 
     def integral(self, space: Space) -> float:
@@ -728,27 +735,21 @@ class FunctionModel:
             _require_atoms(cell, space.n_atoms, "atom space")
             values = self._atom_values(space)
             return math.fsum(space.weights[a] * values[a] for a in cell.atoms)
-        if self.is_finite:
-            raise OutOfDomainError("finite-space model integrated over a cube space")
-        cell = _require_box(cell, self.base.dimension)
+        self._require_on(space)
+        cell = _require_box(cell, space.dimension)
         # the one-cell case of the family's list pass over edge lists
         return self.base.integrals([[l] for l in cell.lower], [[u] for u in cell.upper])[0]
 
     def cell_integrals(self, partition: Partition) -> list[float]:
-        """cell_integral of every cell of the partition, in cell order.
-
-        A cube partition of the model's dimension, checked once, is
-        integrated over its per-axis edge lists (``partition.edges``) in
-        one list pass, with the bits of the one-cell case.  A finite
-        partition's atoms are read once, and each cell takes its fsum.
-        Any other partition takes its cells one at a time through
-        cell_integral, which refuses the first with its own error.
-        """
+        """cell_integral of every cell of the partition, in cell order,
+        once ``_require_on`` accepts its space: a finite partition's atoms
+        are read once, and each cell takes its fsum; a cube partition's
+        per-axis edge lists (``partition.edges``) take one list pass, with
+        the bits of the one-cell case."""
         space = partition.space
         if isinstance(space, FiniteSpace):
             values = self._atom_values(space)
             return [math.fsum(space.weights[a] * values[a] for a in cell.atoms)
                     for cell in partition.cells]
-        if space.dimension == self.dimension:
-            return self.base.integrals(*partition.edges)
-        return [self.cell_integral(cell, space) for cell in partition.cells]
+        self._require_on(space)
+        return self.base.integrals(*partition.edges)

@@ -474,8 +474,6 @@ _FEASIBLE_SIZES = (2, 4, 8, 16)
 
 def _composition(rng: random.Random, total: int, parts: int) -> list[int]:
     """Random composition of total into exactly `parts` positive integers."""
-    if parts == 1:
-        return [total]
     cuts = sorted(rng.sample(range(1, total), parts - 1))
     edges = [0] + cuts + [total]
     return [edges[i + 1] - edges[i] for i in range(parts)]

@@ -156,15 +156,12 @@ def _place_in_boxes(edges: EdgeLists, counts: Sequence[int], strategy: str,
     which makes it ``random.uniform(lo, hi)`` bit for bit.
 
     A seeded node that leaves its box or hits a vetoed point is drawn
-    again.  The first try of every node is drawn and tested in one pass,
-    and that is exact for two reasons.  The lower face always holds: the
-    product ``fl(hi - lo) * r`` is nonnegative and rounding is monotone,
-    so adding it to ``lo`` never gives less than ``lo``; only the open
-    upper face, closed at 1.0, and the veto can reject a try.  And when a
-    try is rejected, the nodes before it are what the one-node loop would
-    have kept, and the loop resumes from that node, fed first by the
-    draws already taken after the rejected try, then by fresh ones, which
-    is the order the loop would have drawn them in.
+    again.  Only the open upper face, closed at 1.0, and the veto can
+    reject a try: the product ``fl(hi - lo) * r`` is nonnegative and
+    rounding is monotone, so adding it to ``lo`` never gives less than
+    ``lo``.  The first try of every node is drawn and tested in one pass,
+    and when any try is refused the one-node loop places every node
+    again from those same draws, then fresh ones, as it would alone.
     """
     lowers, uppers = edges
     dim = len(lowers)
@@ -193,18 +190,13 @@ def _place_in_boxes(edges: EdgeLists, counts: Sequence[int], strategy: str,
             and avoid.isdisjoint(nodes)):
         return nodes
 
-    def fits(node, tops):  # below every upper face, or on one at 1.0, which is closed
-        return node not in avoid and all(c < hi or c == hi == 1.0 for c, hi in zip(node, tops))
-
-    first = next((n for n, (node, tops) in enumerate(zip(nodes, zip(*his)))
-                  if not fits(node, tops)), len(nodes))
-    del nodes[first:]
-    draw = chain(islice(draws, (first + 1) * dim, None), iter(rng.random, 1.0)).__next__
-    for n, (bottoms, tops) in enumerate(islice(zip(zip(*los), zip(*his)), first, None), first):
+    # a refused try: place every node one at a time, from the same draws
+    draw, nodes = chain(draws, iter(rng.random, 1.0)).__next__, []
+    for n, (bottoms, tops) in enumerate(zip(zip(*los), zip(*his))):
         while True:
-            # the draw may round to the open face; spike coordinates are vetoed
+            # the draw may round to the open face, closed at 1.0; spikes are vetoed
             node = tuple([lo + (hi - lo) * draw() for lo, hi in zip(bottoms, tops)])
-            if fits(node, tops):
+            if node not in avoid and all(c < hi or c == hi == 1.0 for c, hi in zip(node, tops)):
                 nodes.append(node)
                 break
             if _every_point_vetoed(bottoms, tops, avoid):

@@ -12,7 +12,8 @@ configuration one by one; a finite table's worst error, W and bounds
 in exact rational arithmetic, and an affine function's W and bounds on
 a product grid too, its ranges from the cell corners and its cell
 integrals from centre values, and a separable quadratic's from each
-axis's endpoints and inside vertex and each cell's mean; node counts per cell one cell at a time;
+axis's endpoints and inside vertex and each cell's mean, and a piecewise
+constant's from its exact overlap with every piece; node counts per cell one cell at a time;
 the cube worst error from every
 one-node-per-cell placement on a grid; seeded placement from the
 one-try-at-a-time loop with its own membership test, and midpoint and
@@ -322,6 +323,35 @@ def exact_quadratic_bounds(intercept, linear, quadratic, edges) -> ExactBounds:
         mean = c + sum(q * (l * l + l * u + u * u) / 3 + b * (l + u) / 2
                        for (q, b), (l, u) in zip(axes, box))
         integrals.append(mean * measures[-1])
+    return _exact_bounds(measures, lows, highs, sum(integrals))
+
+
+def exact_piecewise_bounds(pieces, values, edges) -> ExactBounds:
+    """A piecewise constant's W and bounds on the product grid of the
+    per-axis ``edges`` (each list from 0.0 to 1.0), exactly, as Fractions
+    of the float piece boxes, ``values`` and edges; ``pieces`` lists each
+    piece's (lower, upper) corners.
+
+    A cell's overlap with a piece is the product over the axes of the
+    overlap of their intervals, its range the least and greatest value of
+    the pieces it overlaps with positive measure, and its integral the sum
+    of each value times its overlap.  A cell that overlaps no piece so
+    (one inside a gap of the layout) raises OutOfDomainError.
+    """
+    boxes = [list(zip(map(Fraction, lower), map(Fraction, upper))) for lower, upper in pieces]
+    v = list(map(Fraction, values))
+    spans = [list(zip(map(Fraction, e), map(Fraction, e[1:]))) for e in edges]
+    measures, lows, highs, integrals = [], [], [], []
+    for box in itertools.product(*spans):
+        overlaps = [math.prod(max(min(pu, u) - max(pl, l), 0) for (pl, pu), (l, u)
+                              in zip(piece, box)) for piece in boxes]
+        hits = [value for value, m in zip(v, overlaps) if m > 0]
+        if not hits:
+            raise OutOfDomainError(f"cell {box} meets no piece with positive measure")
+        measures.append(math.prod(u - l for l, u in box))
+        lows.append(min(hits))
+        highs.append(max(hits))
+        integrals.append(sum(value * m for value, m in zip(v, overlaps)))
     return _exact_bounds(measures, lows, highs, sum(integrals))
 
 

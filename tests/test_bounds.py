@@ -14,6 +14,7 @@ from qmcbounds import (
     FiniteTable,
     FunctionModel,
     GridRangeMode,
+    OutOfDomainError,
     PiecewiseConstant,
     Quadratic,
     Sinusoid,
@@ -29,6 +30,7 @@ from qmcbounds.bounds import cell_table, certification_slack
 from oracles import (
     dense_range_1d,
     exact_affine_bounds,
+    exact_piecewise_bounds,
     exact_quadratic_bounds,
     per_cell_bounds,
     per_cell_integral,
@@ -391,3 +393,72 @@ def test_quadratic_bounds_lie_within_the_slack_of_their_exact_values(case):
                       (b.corollary2, exact.corollary2),
                       (b.distance, exact.corollary1 / 2)):
         assert abs(Fraction(got) - want) <= slack
+
+
+# Gaps a piece's upper faces leave, small enough that a layout of 7 x 7
+# pieces, each with a gap on both axes, still covers within MASS_TOL.
+GAPS = st.sampled_from((0.0, 0.0, 2.0**-53, 2.0**-50, 2e-15))
+
+
+@st.composite
+def piecewise_grids(draw):
+    """(f, partition, edges): a PiecewiseConstant model over a 1-D or
+    2-D product grid.  Its layout is a product grid of the same
+    dimension, cut at some of the grid's own edges and at drawn points,
+    each piece shrunk on each axis by a gap under MASS_TOL, or none."""
+    edges, partition = _draw_grid(draw)
+    cuts = [sorted({0.0, 1.0, *draw(st.lists(st.sampled_from(axis) | st.floats(
+        2.0**-20, 1.0, exclude_max=True), max_size=6))}) for axis in edges]
+    cells = []
+    for box in itertools.product(*[list(zip(c, c[1:])) for c in cuts]):
+        gaps = [draw(GAPS) for _ in box]
+        cells.append(BoxCell(*zip(*[(l, u - g if g < (u - l) / 2 else u)
+                                    for (l, u), g in zip(box, gaps)])))
+    layout = make_partition(make_cube_space(len(edges)), cells)
+    values = tuple(draw(MAGNITUDES) for _ in cells)
+    return FunctionModel(PiecewiseConstant(layout, values)), partition, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(piecewise_grids())
+def test_piecewise_bounds_lie_within_the_slack_of_their_exact_values(case):
+    # as for Affine: the slack of node counts whose shares are the cell
+    # measures holds the rounding margin alone; a cell inside a gap of
+    # the layout meets no piece, and is refused
+    f, partition, edges = case
+    pieces = [(cell.lower, cell.upper) for cell in f.base.partition.cells]
+    try:
+        exact = exact_piecewise_bounds(pieces, f.base.values, edges)
+    except OutOfDomainError:
+        with pytest.raises(OutOfDomainError, match="meets no piece with positive measure"):
+            bound_set(f, partition)
+        return
+    table = cell_table(f, partition)
+    scale = max(Fraction(m).denominator for m in table.measure)
+    counts = [int(Fraction(m) * scale) for m in table.measure]
+    slack = Fraction(certification_slack(table, f.integral(partition.space), counts))
+    b = bound_set(f, partition)
+    for got, want in ((worst_uniform_error(f, partition), exact.closed_form),
+                      (b.corollary1, exact.corollary1),
+                      (b.theorem1, exact.corollary1),
+                      (b.corollary2, exact.corollary2),
+                      (b.distance, exact.corollary1 / 2)):
+        assert abs(Fraction(got) - want) <= slack
+
+
+_THREE_ATOM_HALVES = make_partition(make_finite_space([("a", 0.25), ("b", 0.25), ("c", 0.5)]),
+                                    [FiniteCell((0, 1)), FiniteCell((2,))])
+
+
+@pytest.mark.parametrize("f, message", [
+    (FunctionModel(FiniteTable((1.0, 2.0, 3.0, 100.0))), "a 4-value table read on a 3-atom space"),
+    (FunctionModel(PiecewiseConstant(make_partition(
+        make_finite_space([(f"p{i}", 0.25) for i in range(4)]),
+        [FiniteCell((i,)) for i in range(4)]), (1.0, 6.0, 3.0, 100.0))),
+     "a piece layout on 4 atoms read on a 3-atom space"),
+], ids=["table", "pieces"])
+def test_bound_set_refuses_a_model_with_another_atom_count(f, message):
+    # the range table read the first three values, and certified (1.0, 0.5)
+    # for the table and (5.0, 2.5) for the piece layout
+    with pytest.raises(OutOfDomainError, match=f"^{message}$"):
+        bound_set(f, _THREE_ATOM_HALVES)

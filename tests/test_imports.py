@@ -1,6 +1,7 @@
 """Every module uses every name it imports, every name the benchmark's
-tracer looks up exists, and the package sets frozen fields only while
-building an object.
+tracer looks up exists, the package sets frozen fields only while
+building an object, and every in-process byte pin runs without numpy
+or scipy.
 
 No linter is part of the toolchain, so this walks the syntax trees of
 the package, its tests and its benchmark with the standard library's
@@ -9,9 +10,16 @@ public re-exports.
 """
 
 import ast
+import hashlib
 import importlib
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
+
+from pinned import PINS, command, manifest, reports
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted(
@@ -100,3 +108,36 @@ def test_traced_layers_resolve():
             missing.append(f"{module_name}.{path}")
     assert tracer.TRACED
     assert missing == []
+
+
+# Runs each pin of the JSON file argv[1] names through CliRunner, with
+# numpy and scipy blocked, and writes its standard output next to it.
+BLOCKED_RUNNER = """
+import json, pathlib, sys
+sys.modules["numpy"] = sys.modules["scipy"] = None  # importing either fails
+from click.testing import CliRunner
+from qmcbounds.cli import main
+commands = pathlib.Path(sys.argv[1])
+for name, args in json.loads(commands.read_text(encoding="utf-8")).items():
+    result = CliRunner().invoke(main, args)
+    if result.exit_code != 0:
+        sys.exit(f"{name}: exit {result.exit_code}: {result.exception!r}")
+    (commands.parent / f"{name}.stdout").write_bytes(result.stdout_bytes)
+"""
+
+
+def test_in_process_pins_need_neither_numpy_nor_scipy(tmp_path):
+    # numpy and scipy serve the tests and the minimax LP only; every
+    # report of the CLI comes from the standard library and click
+    names = [name for name, pin in PINS.items() if pin.in_process]
+    commands = tmp_path / "commands.json"
+    commands.write_text(json.dumps({name: command(name, tmp_path) for name in names}),
+                        encoding="utf-8")
+    result = subprocess.run([sys.executable, "-c", BLOCKED_RUNNER, str(commands)],
+                            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    digests = dict(manifest())
+    for report in (report for name in names for report in reports(name)):
+        digest = hashlib.sha256((tmp_path / report).read_bytes()).hexdigest()
+        assert digest == digests[report], f"{report}: sha256 {digest}"

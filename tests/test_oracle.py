@@ -200,10 +200,10 @@ _THREE_ATOMS = make_finite_space([("a", 0.25), ("b", 0.25), ("c", 0.5)])
 @pytest.mark.parametrize("space, family, f, message, integrate", [
     (make_finite_space([("a", 0.5), ("b", 0.5)]), [FiniteCell((0,))],
      FunctionModel(Quadratic(0.0, (0.0,), (1.0,))),
-     "cube-family model integrated over a finite space",
+     "a 1-dimensional cube model read on a 2-atom space",
      lambda f, space: f.integral(space)),
     (_THREE_ATOMS, [FiniteCell((0,))], FunctionModel(FiniteTable((1.0, 2.0, 3.0, 4.0))),
-     "a 4-value table integrated over a 3-atom space", lambda f, space: f.integral(space)),
+     "a 4-value table read on a 3-atom space", lambda f, space: f.integral(space)),
     (_THREE_ATOMS, [FiniteCell((0,)), FiniteCell((5,))],
      FunctionModel(FiniteTable((1.0, 2.0, 3.0))),
      "cell atoms (5,) reach outside the 3-atom space",

@@ -93,7 +93,7 @@ REFUSALS = [
                  OutOfDomainError, "expected a finite cell", id="table-box"),
     pytest.param(lambda: FunctionModel(PiecewiseConstant(FINITE_HALVES, (1.0, 2.0))).integral(
         make_finite_space([("a", 0.25), ("b", 0.25), ("c", 0.5)])), OutOfDomainError,
-        "a piece layout on 2 atoms integrated over a 3-atom space", id="pieces-atom-count"),
+        "a piece layout on 2 atoms read on a 3-atom space", id="pieces-atom-count"),
     pytest.param(lambda: FunctionModel(FiniteTable((1.0, 2.0))).cell_integral(
         interval(0.0, 1.0), FINITE), OutOfDomainError, "finite space needs finite cells",
         id="table-integral-box"),
