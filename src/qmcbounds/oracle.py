@@ -146,7 +146,7 @@ def _score_configurations(stream, values, n_points, integral):
     and the cell integrals instead of the atom values, so a wrong range
     still fails the verdict.
     """
-    score = _scan if len(stream) <= SCAN_LIMIT else _search
+    score = _scan if stream.total_count <= SCAN_LIMIT else _search
     return score(stream, values, n_points, integral)
 
 

@@ -448,6 +448,21 @@ def test_verify_rejects_sums_that_overflow(runner, tmp_path, values, message):
     assert message in result.stderr
 
 
+def test_verify_passes_a_stream_longer_than_an_index(runner, tmp_path):
+    # 8 cells of 8 atoms of weight 1/64, N = 64: about 2.9e30 configurations
+    instance = {"instance_id": "long",
+                "space": {"kind": "finite", "atoms": [[f"a{i}", 1 / 64] for i in range(64)]},
+                "partition": {"cells": [{"atoms": list(range(8 * j, 8 * j + 8))}
+                                        for j in range(8)]},
+                "function": {"family": "finite_table", "params": {
+                    "values": [math.sin(i * 7.0) for i in range(64)]}},
+                "N": 64}
+    config = write_json(tmp_path / "long.json", instance)
+    result = runner.invoke(main, ["verify", "--config", config, "--cap", str(10**31)])
+    assert result.exit_code == 0, result.output
+    assert '"passed": 1, "failed": 0' in result.stdout
+
+
 def test_verify_accepts_sums_just_below_the_largest_double(runner, tmp_path):
     # every sum of three values is at most 1.797e308, which is finite, so
     # N * max|value| above half the largest double is no reason to refuse

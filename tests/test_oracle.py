@@ -512,6 +512,17 @@ def test_streams_at_the_scan_limit_score_alike_on_both_paths():
     assert verdicts[0] == verdicts[1]
 
 
+def test_a_stream_longer_than_an_index_verifies():
+    # 8 cells of 8 atoms with 8 nodes each: 6435^8, about 2.9e30
+    # configurations, a count no index-sized integer holds
+    instance = _cells_instance("long", [8] * 8, [8] * 8,
+                               [random.Random(31).uniform(-1.0, 1.0) for _ in range(64)])
+    verdict = verify_instances([instance], cap=10**31)[0]
+    assert verdict.total_configurations == math.comb(15, 8) ** 8 > sys.maxsize
+    assert verdict.passed
+    assert abs(verdict.worst_error - verdict.closed_form) <= verdict.slack
+
+
 def test_verify_instances_refuses_a_missing_n_before_scoring():
     good = random_instance(0)
     stripped = type(good)("no-n", good.space, good.partition, good.function, None)
