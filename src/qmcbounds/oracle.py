@@ -12,8 +12,8 @@ form on either kind of space; the exhaustive verdict checks the two
 against each other.
 
 Each instance's stream is scored on its own, a short one by the
-reference fsum loop and a long one by a search near the two extreme
-totals, to the same bits and in pure Python.
+reference fsum loop and a long one by a walk over exact integer totals
+that never backs up, to the same bits and in pure Python.
 
 ``minimax_distance_finite`` solves the discrete Chebyshev problem
 
@@ -33,7 +33,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations_with_replacement, islice, product, repeat
+from itertools import accumulate, chain, combinations_with_replacement, islice, product
 from operator import mul, sub, truediv
 from typing import Sequence
 
@@ -41,7 +41,6 @@ from .bounds import (
     BoundSet,
     CellTable,
     _bounds_from_table,
-    _rounding_margin,
     bound_set,
     cell_table,
     certification_slack,
@@ -70,10 +69,11 @@ MAX_ATOMS = 6
 MAX_CELLS = 3
 
 # Streams of at most this many configurations are scored by the
-# reference loop, longer ones by the search (see _score_configurations),
+# reference loop, longer ones by the walk (see _score_configurations),
 # at the measured crossover: on the small suites of seeds 0-19 (2-core
-# x86-64, Python 3.11.7), per stream of 25-32 configurations the loop
-# took 17.4 us and the search 17.9 us, and of 33-40, 16.4 us and 15.1 us.
+# x86-64, Python 3.11.7, CPU time, medians of 31 alternated passes), per
+# stream of 25-32 configurations the loop took 18.0 us and the walk
+# 19.6 us, and of 33-40, 20.3 us and 16.4 us.
 SCAN_LIMIT = 32
 
 
@@ -136,8 +136,9 @@ def _score_configurations(stream, values, n_points, integral):
     f at every atom and ``integral`` the integral of f over the space.
 
     A stream of at most SCAN_LIMIT configurations is scored by the
-    reference loop (``_scan``) and a longer one by ``_search``, bit for
-    bit alike.
+    reference loop (``_scan``) and a longer one by the walk
+    (``_search``), bit for bit alike; the walk's cost follows the nodes
+    and atoms, not the stream's length.
 
     The maximum itself comes from the two extreme configurations, every
     node at its cell's largest value or every node at its smallest.  A
@@ -166,99 +167,58 @@ def _scan(stream, values, n_points, integral):
 
 
 def _search(stream, values, n_points, integral):
-    """``_scan``'s result, from a walk that visits only configurations
-    whose total lies near the largest total or the smallest.
+    """``_scan``'s result, from a walk that never backs up.
 
-    The worst: the loop scores a configuration of exact total S as
-    |h(S)|, with h(S) = fl(fl(fl(S)/N) - I) (fsum rounds S once), and h
-    is nondecreasing in S.  Every total lies between that of the top
-    configuration, each node at its cell's largest value, and that of
-    the bottom one, each node at its smallest.  So the worst score is
-    the larger of the top's and the bottom's, exactly, and a
-    configuration scoring it has h(S) = h(S_top) (when h(S) >= 0, since
-    then worst = h(S) <= h(S_top) <= worst) or h(S) = h(S_bottom).
+    Every double is n / d with d a power of two, so scaling each atom
+    value by D, the largest such d among them, makes it an int, and a
+    configuration's total an exact int S.  Python's int / int rounds
+    once, as fsum does, so ``abs(S / D / N - I)`` is ``_scan``'s score,
+    bit for bit; it is |h(S)|, with h(S) = fl(fl(fl(S / D) / N) - I)
+    nondecreasing in S.  So the worst score W is that of the largest
+    total or of the smallest.
 
-    The walk goes node by node, the nodes of a cell taking atom
-    positions in ``combinations_with_replacement`` order, so it meets
-    the leaves in stream order, and stops at the first whose score, the
-    loop's own expression, equals the worst.  A node at position q or
-    later leads only to totals of at most partial + left * (the cell's
-    largest value from q on) + (the later cells' largest totals), with
-    ``left`` the cell's nodes from this one on, and of at least the same
-    with the smallest values.  When the first bound falls short of the
-    top's total by more than the margin N * delta and the second exceeds
-    the bottom's by as much, no leaf from q on scores the worst (below);
-    neither bound moves toward its extreme at a later q, so the walk
-    backs up.
-
-    Why the margin holds, with u = 2^-53, M = max |atom value|, k cells
-    and delta = 2(N + k + 4)u(M + |I|) + (N + k + 4)2^-1074
-    (``_rounding_margin``), second-order terms aside:
-
-    - the steps of h round by at most uM (the fsum), uM + 2^-1075 (the
-      division) and u(M + |I|) (the subtraction), so h(S) is within
-      e = 3uM + u|I| + 2^-1075 of S/N - I, and a configuration scoring
-      the worst has a total within 2Ne of the top's or the bottom's;
-    - a bound rounds its partial sum (at most N - 1 additions), its
-      product and its addition, each by at most uNM plus 2^-1075 for
-      the product; the cut it is compared with rounds S_top, the
-      margin's subtraction, the later cells' products and their k - 1
-      subtractions, by (k + 2)uNM and (k - 1)2^-1075 in all;
-    - together that is (N + k + 9)uNM + 2uN|I| + N 2^-1074 + k 2^-1075,
-      below N * delta by (N + k - 1)uNM >= uNM.
-
-    So no prefix of a configuration scoring the worst is pruned, and the
-    first leaf scoring the worst is ``_scan``'s first strict maximum,
-    bit for bit.
+    The walk places the nodes one by one in stream order, a cell's nodes
+    at nondecreasing positions as in ``combinations_with_replacement``.
+    The leaves below a node at position q have totals between two
+    extremes, each reached by one of them: partial + cell[q] + rest *
+    (the cell's largest value from q on) + (the later cells' largest
+    totals), with ``rest`` the cell's nodes after this one, and the same
+    with the smallest values.  A leaf of total S scoring W has h(S) = W
+    or -W, and then h at the largest extreme is W or h at the smallest
+    is -W, since h is monotone and no leaf scores above W.  So a leaf
+    scoring W lies below a node exactly when one of its two extremes
+    scores W; the walk puts each node at the first position where one
+    does, never backs up, and reaches the first leaf scoring W,
+    ``_scan``'s first strict maximum.
     """
+    ratios = [value.as_integer_ratio() for value in values]
+    scale = max(d for _, d in ratios)
+    ints = [n * (scale // d) for n, d in ratios]
     counts = stream.counts
-    cells = [[values[a] for a in atoms] for atoms in stream.cells]
+    cells = [[ints[a] for a in atoms] for atoms in stream.cells]
     # each cell's largest and smallest value from each position on
     highs = [list(accumulate(cell[::-1], max))[::-1] for cell in cells]
     lows = [list(accumulate(cell[::-1], min))[::-1] for cell in cells]
-    tops, bottoms = [high[0] for high in highs], [low[0] for low in lows]
-    top = math.fsum(chain.from_iterable(map(repeat, tops, counts)))
-    bottom = math.fsum(chain.from_iterable(map(repeat, bottoms, counts)))
-    worst = max(abs(top / n_points - integral), abs(bottom / n_points - integral))
-    margin = n_points * _rounding_margin(max(map(abs, values)), integral,
-                                         n_points + len(cells) + 4)
-    # what a cell's own nodes must reach, near the top or the bottom,
-    # after the cells behind it add their largest or smallest totals
-    top_cuts = accumulate(map(mul, counts[:0:-1], tops[:0:-1]), sub, initial=top - margin)
-    bottom_cuts = accumulate(map(mul, counts[:0:-1], bottoms[:0:-1]), sub,
-                             initial=bottom + margin)
-    # one entry per node, in stream order, with the number of its cell's
-    # nodes from it on
-    plan = [(cell, high, low, top_cut, bottom_cut, left)
-            for cell, high, low, top_cut, bottom_cut, count in zip(
-                cells, highs, lows, list(top_cuts)[::-1], list(bottom_cuts)[::-1], counts)
-            for left in range(count, 0, -1)]
-    position = [0] * n_points
-    picked = [0.0] * n_points
-    partial = [0.0] * (n_points + 1)
-    node = first = 0
-    while True:
-        if node == n_points:
-            if abs(math.fsum(picked) / n_points - integral) == worst:
-                break
-        else:
-            cell, high, low, top_cut, bottom_cut, left = plan[node]
-            if first < len(cell) and (partial[node] + left * high[first] >= top_cut
-                                      or partial[node] + left * low[first] <= bottom_cut):
-                position[node] = first
-                picked[node] = cell[first]
-                partial[node + 1] = partial[node] + cell[first]
-                if left == 1:
-                    first = 0
-                node += 1
-                continue
-        # this position is pruned, and so is every later one: back up
-        assert node, "the top or the bottom configuration scores the worst"
-        node -= 1
-        first = position[node] + 1
-    chosen = iter(position)
-    return worst, tuple(tuple(atoms[q] for q in islice(chosen, count))
-                        for atoms, count in zip(stream.cells, counts))
+    # the largest and smallest totals of the last i cells, for i = 0, ..., k
+    tops = list(accumulate(map(mul, counts[::-1], [h[0] for h in highs[::-1]]), initial=0))
+    bottoms = list(accumulate(map(mul, counts[::-1], [l[0] for l in lows[::-1]]), initial=0))
+    worst = max(abs(tops[-1] / scale / n_points - integral),
+                abs(bottoms[-1] / scale / n_points - integral))
+    partial = 0
+    argmax = []
+    for atoms, cell, high, low, count, top, bottom in zip(
+            stream.cells, cells, highs, lows, counts, tops[-2::-1], bottoms[-2::-1]):
+        q, chosen = 0, []
+        for rest in range(count - 1, -1, -1):
+            while (abs((partial + cell[q] + rest * high[q] + top) / scale / n_points
+                       - integral) != worst
+                   and abs((partial + cell[q] + rest * low[q] + bottom) / scale / n_points
+                           - integral) != worst):
+                q += 1
+            partial += cell[q]
+            chosen.append(atoms[q])
+        argmax.append(tuple(chosen))
+    return worst, tuple(argmax)
 
 
 def worst_uniform_error(f: FunctionModel, partition: Partition) -> float:
@@ -296,11 +256,12 @@ def _atom_values(f: FunctionModel, space: FiniteSpace, n_points: int, n_cells: i
     value products and their fsum; refused when the scorer's sums of
     ``n_points`` values could overflow.
 
-    With M = max |value| and k = ``n_cells``, a partial sum of the
-    search passes through at most N - 1 roundings and an fsum keeps its
-    partials within a rounding of the running sum, so every sum stays
-    within NM(1 + (N + k + 4)u); twice that margin below the largest
-    double keeps them finite (fsum would raise OverflowError).
+    With M = max |value| and k = ``n_cells``, every total of N values,
+    which ``_scan``'s fsum keeps within a rounding of its partials and
+    the walk holds as an exact int S until it rounds S / D once, is at
+    most NM; keeping NM twice (N + k + 4) roundings below the largest
+    double keeps each finite (fsum and int / int would raise
+    OverflowError).
     """
     values = f._atom_values(space)
     reach = n_points * max(map(abs, values))

@@ -255,9 +255,9 @@ _ATOM_CELLS = make_partition(_ATOMS, [FiniteCell((0, 1)), FiniteCell((2,))])
     (FunctionModel(FiniteTable((1.0, 2.0, -4.0), _ATOMS.labels)),
      r"a 3-value table read on the 1-dimensional cube"),
 ], ids=["cube-2d", "pieces-2d", "pieces-finite", "table"])
-def test_naive_baseline_checks_every_point_of_a_model_off_the_line(f, message):
-    # only a cube model of dimension 1 takes the grid points unchecked;
-    # any other normalises the first one, and refuses it
+def test_naive_baseline_refuses_a_model_off_the_line_once(f, message):
+    # any model but a cube model of dimension 1 is refused once, before
+    # a grid point is read
     with pytest.raises(OutOfDomainError, match=f"^{message}$"):
         naive_pointwise_s(f, equal_partition_1d(4))
 

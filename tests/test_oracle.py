@@ -4,6 +4,7 @@ import math
 import random
 import re
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice
@@ -296,6 +297,17 @@ ROUNDING_VALUES = (0.0, 1.0, 2.0**-53, 2.0**-52, 3 * 2.0**-53, 0.1, 0.2, 0.3, -0
 
 VALUE_KINDS = ("uniform", "tied", "rounding", "constant", "mixed")
 
+# Pools whose sums tie often: signed zeros, multiples of the smallest
+# subnormal, values one ulp apart, magnitudes that absorb each other,
+# and small integers.
+TIE_POOLS = (
+    (-0.0, 0.0),
+    tuple(i * 5e-324 for i in range(-3, 4)),
+    tuple(0.5 + i * 2.0**-53 for i in range(-3, 4)),
+    (1e300, -1e300, 0.0, 1.0),
+    tuple(float(i) for i in range(-3, 4)),
+)
+
 
 def _configuration_count(atoms_per_cell, counts):
     return math.prod(math.comb(a + c - 1, c) for a, c in zip(atoms_per_cell, counts))
@@ -333,6 +345,9 @@ def scoring_cases(draw, kinds=VALUE_KINDS, min_cells=1, max_points=16):
     elif kind in ("tied", "rounding"):
         pool = TIED_VALUES if kind == "tied" else ROUNDING_VALUES
         values = draw(st.lists(st.sampled_from(pool), min_size=n_atoms, max_size=n_atoms))
+    elif kind == "pooled":
+        pool = draw(st.sampled_from(TIE_POOLS))
+        values = draw(st.lists(st.sampled_from(pool), min_size=n_atoms, max_size=n_atoms))
     elif kind == "constant":
         values = [draw(st.floats(-1e6, 1e6))] * n_atoms
     else:
@@ -346,7 +361,7 @@ def scoring_cases(draw, kinds=VALUE_KINDS, min_cells=1, max_points=16):
 
 
 # Cutoffs below which the scorer runs the reference loop: 0 sends every
-# stream to the search, and 6 splits the small cases between the two paths.
+# stream to the walk, and 6 splits the small cases between the two paths.
 SCAN_LIMITS = st.sampled_from((0, 6, oracle.SCAN_LIMIT))
 
 
@@ -542,7 +557,7 @@ def test_scorer_rescores_what_rounding_ranks_lower():
     # Cells {a}, {b}, {c, d} with one node each.  Adding the cell sums
     # rounds (a, b, c) = 2^-52 + 3*2^-53 + 1 one ulp above its exact
     # sum, and so above (a, b, d), whose exact score is the larger one:
-    # only the margin below the approximate maximum keeps (a, b, d).
+    # a float partial sum would rank (a, b, d) lower; exact totals keep it.
     space = make_finite_space([("a", 1 / 3), ("b", 1 / 3), ("c", 1 / 6), ("d", 1 / 6)])
     p = make_partition(space, [FiniteCell((0,)), FiniteCell((1,)), FiniteCell((2, 3))])
     f = FunctionModel(FiniteTable((2.0**-52, 3 * 2.0**-53, 1.0, 3 * 2.0**-53), space.labels))
@@ -589,7 +604,7 @@ def test_scoring_sums_each_multiset_once_in_bounded_memory(monkeypatch, values):
 
 def test_scoring_does_no_python_work_per_multiset(monkeypatch):
     # one cell of 6 atoms, N = 16: 20,349 multisets, scored with a
-    # handful of fsum calls (the integral and the rescored candidates)
+    # handful of fsum calls (the integral; the walk sums exact ints)
     space = make_finite_space([(f"a{i}", 1 / 6) for i in range(6)])
     p = make_partition(space, [FiniteCell(range(space.n_atoms))])
     rng = random.Random(3)
@@ -614,7 +629,8 @@ def test_scoring_does_no_python_work_per_multiset(monkeypatch):
 
 def test_a_constant_function_scores_one_configuration(monkeypatch):
     # 4 cells of 4 tied atoms, N = 16: 1,500,625 configurations, one
-    # multiset of values per cell, so one configuration is rescored
+    # multiset of values per cell, so every configuration ties and the
+    # walk stops at the first
     space = make_finite_space([(f"a{i}", 1 / 16) for i in range(16)])
     p = make_partition(space, [FiniteCell(tuple(range(4 * j, 4 * j + 4))) for j in range(4)])
     f = FunctionModel(FiniteTable((0.5,) * 16, space.labels))
@@ -622,14 +638,14 @@ def test_a_constant_function_scores_one_configuration(monkeypatch):
     assert verdict.total_configurations == 1_500_625
     first = ((0,) * 4, (4,) * 4, (8,) * 4, (12,) * 4)
     assert (verdict.worst_error, verdict.argmax_configuration) == (0.0, first)
-    # worst_case_error sums the integral, the top and the bottom
-    # configurations, and each configuration it rescores, one fsum each
+    # worst_case_error sums the integral with fsum, and the walk sums
+    # exact ints
     real_fsum = math.fsum
     sums = []
     monkeypatch.setattr(math, "fsum", lambda values: sums.append(1) or real_fsum(values))
     assert worst_case_error(p, f, 16) == (0.0, first)
     monkeypatch.undo()
-    assert len(sums) == 3 + 1
+    assert len(sums) == 1
 
 
 @pytest.mark.parametrize("n_atoms, count",
@@ -666,9 +682,9 @@ def test_multiset_helpers_follow_the_enumeration_order(n_atoms, count):
 @pytest.mark.parametrize("step", [1, -1])
 def test_near_constant_values_score_like_the_reference_loop(step):
     # 3 cells of 4 atoms at 0.5 + i * 2^-53, rising or falling, N = 12:
-    # 35^3 = 42,875 configurations whose totals all lie within the
-    # search's margin of both extremes, so nothing is pruned and the
-    # first configuration to tie the worst score is the argmax
+    # 35^3 = 42,875 configurations whose totals all lie within a few
+    # ulps of both extremes, so many round to the worst score and the
+    # first configuration to tie it is the argmax
     space = make_finite_space([(f"a{i}", 1 / 12) for i in range(12)])
     p = make_partition(space, [FiniteCell(tuple(range(4 * j, 4 * j + 4))) for j in range(3)])
     f = FunctionModel(FiniteTable(tuple(0.5 + i * 2.0**-53 for i in range(12)[::step]),
@@ -679,6 +695,27 @@ def test_near_constant_values_score_like_the_reference_loop(step):
     with mock.patch.object(oracle, "SCAN_LIMIT", 0):
         worst, argmax = worst_case_error(p, f, 12)
     assert (worst.hex(), argmax) == (want_worst.hex(), want_argmax)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=scoring_cases(kinds=("pooled",)))
+def test_walk_matches_the_reference_loop_on_tie_pools(case):
+    # at the cutoff 0 the walk scores every stream
+    assert_scores_like_the_reference_loop(case, 0)
+
+
+def test_a_stream_of_1e542_configurations_verifies_within_a_second():
+    # 64 cells of 16 atoms at 0.5 + i * 2^-53, falling, N = 1024: every
+    # total lies within a few ulps of both extremes
+    instance = _cells_instance("near-constant", [16] * 64, [16] * 64,
+                               [0.5 + i * 2.0**-53 for i in range(1024)][::-1])
+    start = time.perf_counter()
+    verdict = verify_bounds_exhaustive(instance.space, instance.partition,
+                                       instance.function, 1024, cap=10**600)
+    elapsed = time.perf_counter() - start
+    assert verdict.total_configurations == math.comb(31, 16) ** 64 > 10**542
+    assert verdict.passed
+    assert elapsed < 1.0
 
 
 def test_enumeration_cap_is_reachable():
@@ -988,7 +1025,7 @@ def test_verify_accepts_sums_up_to_the_largest_double(n_points):
     assert magnitude > sys.float_info.max / n_points * (1 - 1e-13)
     assert verdict.passed
     assert abs(verdict.worst_error - magnitude / 4) <= verdict.slack
-    # the search's partial sums and bounds stay finite too, at the cutoff 0
+    # the walk's exact totals, divided by D, stay finite too, at the cutoff 0
     for limit in scoring_paths(oracle.SCAN_LIMIT):
         with mock.patch.object(oracle, "SCAN_LIMIT", limit):
             assert worst_case_error(p, f, n_points)[0] == verdict.worst_error
