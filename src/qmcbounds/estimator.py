@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .bounds import BoundSet, _bounds_from_table, cell_table, certification_slack
 from .errors import BoundViolationError, NotUniformError
 from .funcmodel import FunctionModel
-from .pointsets import _as_nodes, is_uniform
+from .pointsets import UniformPointSet, _as_nodes, is_uniform
 from .spaces import Partition
 
 
@@ -62,9 +62,11 @@ def bound_report(f: FunctionModel, partition: Partition, pointset,
     certification is an internal bug and raises.
     """
     space = partition.space
-    # each node is normalised once; the uniformity check and the estimate
-    # both take that column as it is
-    nodes = tuple(map(space.as_point, _as_nodes(pointset)))
+    # a set built on this space is normal as it is; other input is normalised once
+    nodes = _as_nodes(pointset)
+    built_on = pointset.normal_on if isinstance(pointset, UniformPointSet) else None
+    if not (built_on is space or built_on == space):
+        nodes = tuple(map(space.as_point, nodes))
     report = is_uniform(nodes, partition, normal=True)
     if not report:
         detail = "it has no nodes"

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, combinations_with_replacement, islice, product, repeat
 from operator import add, lt, mul, sub
@@ -125,9 +125,16 @@ def allocation(partition: Partition, n_points: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class UniformPointSet:
-    """Nodes grouped by cell order, as ``partition.allocations[N]`` counts them."""
+    """Nodes grouped by cell order, as ``partition.allocations[N]`` counts them;
+    ``normal_on`` is the space every node is normal on when ``construct_uniform``
+    built the set, else None, and is not in ``==``, hash or repr."""
 
     nodes: tuple
+    normal_on: object = field(init=False, repr=False, compare=False, hash=False, default=None)
+    _built_on: InitVar[object] = field(default=None, kw_only=True)
+
+    def __post_init__(self, _built_on):
+        object.__setattr__(self, "normal_on", _built_on)
 
 
 @dataclass(frozen=True)
@@ -259,7 +266,7 @@ def construct_uniform(partition: Partition, n_points: int,
     else:
         avoid = frozenset(space.as_point(p) for p in avoid_points)
         nodes = _place_in_boxes(partition.edges, counts, strategy, rng, avoid)
-    return UniformPointSet(tuple(nodes))
+    return UniformPointSet(tuple(nodes), _built_on=space)
 
 
 def _as_nodes(pointset) -> tuple:

@@ -6,13 +6,17 @@
 that sound: every node ``construct_uniform`` builds and every point the
 naive baseline evaluates is normal, and a normal point gives the same
 value and verdict with the flag as without it.  They also pin where the
-flag is used: each node of a bound report is normalised once, the
+flag is used: a bound report takes the nodes of a set that
+``construct_uniform`` built on the partition's space as they are (the
+set records that space as ``normal_on``, and only an equal space reads
+it so) and normalises each node of any other input once, the
 perturbation study normalises none of its nodes, and a model that does
 not match its partition fails as it did when every point was checked.
 """
 
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +32,7 @@ from qmcbounds import (
     PiecewiseConstant,
     Quadratic,
     Sinusoid,
+    UniformPointSet,
     bound_report,
     construct_uniform,
     equal_partition_1d,
@@ -170,11 +175,32 @@ def test_bound_report_normalises_each_node_once(monkeypatch):
     partition = make_partition(make_cube_space(2), [
         BoxCell((i / 4, j / 4), ((i + 1) / 4, (j + 1) / 4))
         for i in range(4) for j in range(4)])
-    nodes = construct_uniform(partition, 32, STRATEGY_RANDOM, seed=11)
+    built = construct_uniform(partition, 32, STRATEGY_RANDOM, seed=11)
     f = FunctionModel(Quadratic(0.1, (-0.7, 0.3), (0.9, -0.6)))
     seen = _counting_as_point(monkeypatch, CubeSpace)
-    bound_report(f, partition, nodes)
-    assert seen == list(nodes.nodes)
+    # a set built on the partition's space is normal by construction
+    report = bound_report(f, partition, built)
+    assert seen == []
+    # the same nodes as a plain tuple are normalised once each
+    assert bound_report(f, partition, tuple(built.nodes)) == report
+    assert seen == list(built.nodes)
+
+
+def test_a_built_set_keeps_its_space_through_pickle_but_not_in_its_value(monkeypatch):
+    partition = equal_partition_1d(4)
+    built = construct_uniform(partition, 8, STRATEGY_RANDOM, seed=3)
+    by_hand = UniformPointSet(built.nodes)
+    assert built.normal_on is partition.space and by_hand.normal_on is None
+    assert built == by_hand and hash(built) == hash(by_hand)
+    assert repr(built) == repr(by_hand) == f"UniformPointSet(nodes={built.nodes!r})"
+    loaded = pickle.loads(pickle.dumps(built))
+    assert loaded == built and loaded.normal_on == partition.space
+    assert loaded.normal_on is not partition.space
+    # an equal space reads the loaded set as it is, as the same space does
+    seen = _counting_as_point(monkeypatch, CubeSpace)
+    assert bound_report(named_function("x"), partition, loaded) == bound_report(
+        named_function("x"), partition, built)
+    assert seen == []
 
 
 def test_bound_report_normalises_each_labelled_atom_once(monkeypatch):
@@ -192,8 +218,10 @@ def test_bound_report_normalises_each_labelled_atom_once(monkeypatch):
 def test_bound_report_normalises_points_that_are_not_yet_normal():
     partition = equal_partition_1d(4)
     nodes = [[0.125], 0.375, ("0.625",), (1,)]
-    report = bound_report(named_function("x"), partition, nodes)
-    assert report.estimate == math.fsum([0.125, 0.375, 0.625, 1.0]) / 4
+    # a set built by hand records no space, so it is normalised as the list is
+    for pointset in (nodes, UniformPointSet(tuple(nodes))):
+        report = bound_report(named_function("x"), partition, pointset)
+        assert report.estimate == math.fsum([0.125, 0.375, 0.625, 1.0]) / 4
 
 
 def test_bound_report_checks_uniformity_and_estimates_once(monkeypatch):
@@ -260,6 +288,19 @@ def test_naive_baseline_refuses_a_model_off_the_line_once(f, message):
     # a grid point is read
     with pytest.raises(OutOfDomainError, match=f"^{message}$"):
         naive_pointwise_s(f, equal_partition_1d(4))
+
+
+def test_a_set_built_on_another_space_is_normalised_and_refused():
+    # the plane's nodes are normal there, not on the line: had bound_report
+    # taken them as they are, the line would count them and find the set
+    # not uniform, where normalising refuses the first node
+    built = construct_uniform(_PLANE, 4)
+    messages = []
+    for pointset in (built, tuple(built.nodes)):
+        with pytest.raises(OutOfDomainError) as refused:
+            bound_report(named_function("x"), equal_partition_1d(4), pointset)
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1]
 
 
 def test_bound_report_refuses_a_model_of_another_dimension():
