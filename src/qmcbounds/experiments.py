@@ -21,7 +21,7 @@ from typing import Sequence
 from .bounds import _bounds_from_table, bound_set, cell_table
 from .errors import QmcBoundsError
 from .estimator import qmc_estimate
-from .funcmodel import Affine, FunctionModel, Quadratic, Sinusoid, axis_samples
+from .funcmodel import Affine, FunctionModel, Quadratic, Sinusoid, _offsets, _shifted
 from .instances import Instance, instance_to_json
 from .oracle import _worst_uniform_error, verify_instances, worst_uniform_error
 from .pointsets import DEFAULT_ENUMERATION_CAP, STRATEGY_RANDOM, construct_uniform
@@ -114,10 +114,11 @@ def naive_pointwise_s(f: FunctionModel, partition: Partition) -> float:
     """Deliberately wrong baseline: the worst-cell POINTWISE oscillation.
 
     Samples NAIVE_RESOLUTION + 1 grid points per cell, as grid range
-    mode samples an axis, and, unlike the essential machinery, includes
-    the spike coordinates, so a single spike inflates it.  This is the
-    foil the perturbation study reports against the certified bounds; it
-    certifies nothing.
+    mode samples an axis (``axis_samples``' bits, with one offset column
+    per cell width, which cells of equal width share), and, unlike the
+    essential machinery, includes the spike coordinates, so a single
+    spike inflates it.  This is the foil the perturbation study reports
+    against the certified bounds; it certifies nothing.
     """
     space = partition.space
     if not isinstance(space, CubeSpace) or space.dimension != 1:
@@ -127,8 +128,11 @@ def naive_pointwise_s(f: FunctionModel, partition: Partition) -> float:
     spikes = [p[0] for p, _ in f.spikes]
     evaluate = f.evaluate
     (lowers,), (uppers,) = partition.edges
+    columns = {}  # offset column by cell width, kept for this call only
     for lo, hi in zip(lowers, uppers):
-        ts = axis_samples(lo, hi, NAIVE_RESOLUTION)
+        width = hi - lo
+        column = columns.get(width) or columns.setdefault(width, _offsets(width, NAIVE_RESOLUTION))
+        ts = _shifted(column, lo, hi)
         # the spikes the cell holds: half-open, closed at 1.0
         ts.extend(t for t in spikes if lo <= t and (t < hi or t == hi == 1.0))
         values = [evaluate(point, normal=True) for point in zip(ts)]  # the points (t,)

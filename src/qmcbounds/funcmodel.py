@@ -240,14 +240,16 @@ def axis_samples(lo: float, hi: float, n: int) -> list[float]:
     When the step rounds to zero (a subnormal width), linspace scales
     i / n by the width instead, and so does this list.
     """
-    width = hi - lo
+    return _shifted(_offsets(hi - lo, n), lo, hi)
+
+
+def _offsets(width: float, n: int) -> list[float]:  # axis_samples' terms before + lo
     step = width / n
-    if step == 0.0:
-        samples = [i / n * width + lo for i in range(n)]
-    else:
-        samples = [i * step + lo for i in range(n)]
-    samples.append(hi)
-    return samples
+    return [i / n * width for i in range(n)] if step == 0.0 else [i * step for i in range(n)]
+
+
+def _shifted(offsets: list[float], lo: float, hi: float) -> list[float]:
+    return [t + lo for t in offsets] + [hi]
 
 
 def _separable_extremes(intercept: float, terms) -> tuple[float, float]:
@@ -631,6 +633,10 @@ class FunctionModel:
     range_mode: GridRangeMode | None = None
 
     _spike_map: dict = _built()
+    # The spikes' first coordinates, none on a finite model: float == and
+    # hash agree on +-0.0, so a point whose first is not in it is no spike.
+    _spike_firsts: frozenset = _built()
+    _lipschitz: float | None = _built()  # the base's bound when grid mode applies
     # What points are normalised against, by its as_point: the cube, a
     # piecewise constant's own space, or a FiniteTable itself, whose
     # atoms are its values' indices and its labels.
@@ -654,6 +660,9 @@ class FunctionModel:
         _require_finite(spike_values=tuple(v for _, v in normalized))
         object.__setattr__(self, "spikes", normalized)
         object.__setattr__(self, "_spike_map", dict(normalized))
+        object.__setattr__(self, "_spike_firsts", frozenset(p[0] for p, _ in normalized))
+        if self.range_mode is not None and isinstance(base, _CONTINUOUS_FAMILIES):
+            object.__setattr__(self, "_lipschitz", base.lipschitz_bound())
 
     @property
     def is_finite(self) -> bool:
@@ -672,16 +681,14 @@ class FunctionModel:
         """
         if not normal:
             point = self._domain.as_point(point)
-        spikes = self._spike_map
-        if spikes and point in spikes:
-            return spikes[point]
+        if self._spike_firsts and point[0] in self._spike_firsts and point in self._spike_map:
+            return self._spike_map[point]
         return self.base.evaluate(point)
 
     def essential_range(self, cell: Cell) -> EssentialRange:
         """Essential range over a positive-measure cell; spikes never matter."""
-        base = self.base
-        if self.range_mode is None or not isinstance(base, _CONTINUOUS_FAMILIES):
-            lo, hi = base.range_on(cell)  # floats, from every family
+        if self._lipschitz is None:
+            lo, hi = self.base.range_on(cell)  # floats, from every family
             return EssentialRange(lo, hi, True)
         return self._grid_range(cell)
 
@@ -692,8 +699,7 @@ class FunctionModel:
         axes = [axis_samples(lo, hi, n) for lo, hi in zip(cell.lower, cell.upper)]
         lo, hi = base.sampled_range(axes)
         spacing = max((u - l) / n for l, u in zip(cell.lower, cell.upper))
-        eps = base.lipschitz_bound() * spacing / 2.0
-        return EssentialRange(lo, hi, exact=False, eps=eps)
+        return EssentialRange(lo, hi, exact=False, eps=self._lipschitz * spacing / 2.0)
 
     def _require_on(self, space: Space) -> None:
         """OutOfDomainError unless the model is a function on ``space``: a

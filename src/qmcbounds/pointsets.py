@@ -152,7 +152,8 @@ class UniformityReport:
 
 
 def _place_in_boxes(edges: EdgeLists, counts: Sequence[int], strategy: str,
-                    rng: random.Random, avoid: frozenset) -> list[tuple[float, ...]]:
+                    rng: random.Random, avoid: frozenset,
+                    widths: Sequence[float] | None = None) -> list[tuple[float, ...]]:
     """Nodes for every box in cell order, counts[j] of them in box j.
 
     ``edges`` is the boxes' per-axis ``(lowers, uppers)`` pair, a cube
@@ -160,7 +161,8 @@ def _place_in_boxes(edges: EdgeLists, counts: Sequence[int], strategy: str,
     the bounds of each node's box: a midpoint is ``(lo + hi) / 2.0``, and
     an equispaced or seeded node is ``lo + (hi - lo) * u``, with u the
     ``(i - 0.5) / count`` of a box's i-th node, or a ``random()`` draw,
-    which makes it ``random.uniform(lo, hi)`` bit for bit.
+    which makes it ``random.uniform(lo, hi)`` bit for bit.  ``widths``,
+    a 1-D partition's measures, are each box's ``hi - lo``, bit for bit.
 
     A seeded node that leaves its box or hits a vetoed point is drawn
     again.  Only the open upper face, closed at 1.0, and the veto can
@@ -180,6 +182,7 @@ def _place_in_boxes(edges: EdgeLists, counts: Sequence[int], strategy: str,
     else:
         los, his = [[list(chain.from_iterable(map(repeat, ends, counts))) for ends in side]
                     for side in (lowers, uppers)]
+        widths = None  # they are per box, not per node
     if strategy == STRATEGY_MIDPOINT:
         return list(zip(*[[(lo + hi) / 2.0 for lo, hi in zip(ls, hs)]
                           for ls, hs in zip(los, his)]))
@@ -189,12 +192,13 @@ def _place_in_boxes(edges: EdgeLists, counts: Sequence[int], strategy: str,
         # every node's first try at once, drawn in node order and axis order
         # as the loop below would draw them, so axis i reads every dim-th draw
         draws = list(islice(iter(rng.random, 1.0), sum(counts) * dim))  # random() < 1.0
-        us = [islice(draws, axis, None, dim) for axis in range(dim)]
-    axes = [list(map(add, ls, map(mul, map(sub, hs, ls), u))) for ls, hs, u in zip(los, his, us)]
+        us = [draws[axis::dim] for axis in range(dim)]
+    spans = [widths] if widths is not None else [map(sub, hs, ls) for ls, hs in zip(los, his)]
+    axes = [list(map(add, ls, map(mul, ws, u))) for ls, ws, u in zip(los, spans, us)]
     nodes = list(zip(*axes))
     if strategy == STRATEGY_EQUISPACED or (
             all(all(map(lt, coords, hs)) for coords, hs in zip(axes, his))
-            and avoid.isdisjoint(nodes)):
+            and (not avoid or avoid.isdisjoint(nodes))):  # isdisjoint hashes every node
         return nodes
 
     # a refused try: place every node one at a time, from the same draws
@@ -265,7 +269,8 @@ def construct_uniform(partition: Partition, n_points: int,
             nodes.extend(_place_in_finite_cell(cell, count, strategy, rng))
     else:
         avoid = frozenset(space.as_point(p) for p in avoid_points)
-        nodes = _place_in_boxes(partition.edges, counts, strategy, rng, avoid)
+        nodes = _place_in_boxes(partition.edges, counts, strategy, rng, avoid,
+                                partition.measures if space.dimension == 1 else None)
     return UniformPointSet(tuple(nodes), _built_on=space)
 
 

@@ -863,6 +863,86 @@ def test_ranges_and_integrals_spike_invariant(spikes):
     assert clean.integral(space) == spiked.integral(space)
 
 
+# coordinates that the spike test must tell apart: both zeros, the closed
+# face at 1.0, and any other float of the cube
+_SPIKE_COORDINATES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def spiked_models_and_nodes(draw):
+    """A 1-D or 2-D affine model with spikes, and nodes that hit them, share
+    a spike's first coordinate but not its second, flip a zero's sign, or
+    fall anywhere."""
+    dim = draw(st.sampled_from([1, 2]))
+    point = st.tuples(*[_SPIKE_COORDINATES] * dim)
+    spikes = draw(st.lists(st.tuples(point, st.floats(-1e6, 1e6)), min_size=1, max_size=4))
+    nodes = [p for p, _ in spikes] + draw(st.lists(point, max_size=6))
+    for p, _ in spikes:
+        nodes.append(tuple(-c if c == 0.0 else c for c in p))
+        if dim == 2:
+            nodes.append((p[0], draw(_SPIKE_COORDINATES)))
+    return FunctionModel(Affine(0.25, (0.5,) * dim), tuple(spikes)), spikes, nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(spiked_models_and_nodes())
+@example((FunctionModel(Affine(0.25, (0.5, 0.5)), (((0.5, 1.0), 7.0),)),
+          [((0.5, 1.0), 7.0)], [(0.5, 1.0), (0.5, 0.0), (0.5, -0.0), (1.0, 1.0)]))
+@example((FunctionModel(Affine(0.25, (0.5,)), (((-0.0,), 3.0), ((1.0,), 4.0))),
+          [((-0.0,), 3.0), ((1.0,), 4.0)], [(0.0,), (-0.0,), (1.0,), (0.5,)]))
+def test_spike_test_by_first_coordinate_matches_a_dict_lookup(case):
+    # the reference looks each node up in a dict of the spikes, later
+    # spikes winning, as the model's own table is built; the first
+    # coordinate alone never decides a hit
+    f, spikes, nodes = case
+    table = {p: v for p, v in spikes}
+    for node in nodes:
+        want = table[node] if node in table else f.base.evaluate(node)
+        assert f.evaluate(node, normal=True).hex() == want.hex()
+        assert f.evaluate(node).hex() == want.hex()
+
+
+def test_spike_firsts_stay_out_of_equality_hash_repr_and_survive_pickles():
+    spikes = (((0.25, 0.5), 3.0), ((0.25, 1.0), 4.0), ((-0.0, 0.0), 5.0))
+    a = FunctionModel(Affine(0.0, (1.0, 1.0)), spikes)
+    b = FunctionModel(Affine(0.0, (1.0, 1.0)), spikes)
+    assert a._spike_firsts == frozenset({0.25, 0.0})
+    assert FunctionModel(FiniteTable((0.0, 1.0)))._spike_firsts == frozenset()
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert "_spike" not in repr(a) and "_lipschitz" not in repr(a)
+    # like _spike_map, the field is built, so it takes no part in ==
+    object.__setattr__(b, "_spike_firsts", frozenset())
+    object.__setattr__(b, "_spike_map", {})
+    assert a == b and hash(a) == hash(b)
+    loaded = pickle.loads(pickle.dumps(a))
+    assert loaded == a and repr(loaded) == repr(a)
+    assert loaded._spike_firsts == a._spike_firsts and loaded._spike_map == a._spike_map
+    assert loaded.evaluate((0.25, 1.0)) == 4.0 and loaded.evaluate((0.25, 0.75)) == 1.0
+
+
+@pytest.mark.parametrize("base, mode, lipschitz", [
+    (Quadratic(0.1, (-0.7, 0.3), (0.9, -0.6)), GridRangeMode(4, 0), "base"),
+    (Sinusoid(amplitude=1.5, frequency=2.0), GridRangeMode(4, 0), "base"),
+    (Quadratic(0.1, (-0.7, 0.3), (0.9, -0.6)), None, None),
+    (PiecewiseConstant(equal_partition_1d(2), (1.0, 2.0)), GridRangeMode(4, 0), None),
+], ids=["quadratic-grid", "sinusoid-grid", "quadratic-exact", "piecewise-grid"])
+def test_grid_mode_reads_the_lipschitz_bound_once_per_model(monkeypatch, base, mode, lipschitz):
+    want = base.lipschitz_bound() if lipschitz else None
+    calls = []
+    if lipschitz:
+        real = type(base).lipschitz_bound
+        monkeypatch.setattr(type(base), "lipschitz_bound",
+                            lambda self: calls.append(self) or real(self))
+    f = FunctionModel(base, (), mode)
+    rest = [(0.0, 1.0)] * (base.dimension - 1)
+    partition = make_partition(make_cube_space(base.dimension),
+                               [box((0.0, 0.5), *rest), box((0.5, 1.0), *rest)])
+    ranges = [f.essential_range(cell) for cell in partition.cells]
+    assert all(r.exact == (want is None) for r in ranges)
+    assert len(calls) == (1 if lipschitz else 0)  # at construction, none per cell
+    assert f._lipschitz == want and pickle.loads(pickle.dumps(f))._lipschitz == want
+
+
 # Fields as the constructors may get them: signed zeros, integer-valued
 # floats (as load_instances yields them), ints and arbitrary floats.
 _FIELDS = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -2.0)), st.integers(-3, 3),

@@ -55,6 +55,7 @@ from oracles import (
     brute_minimax_single_cell,
     exact_finite_verdict,
     grid_worst_placement,
+    linspace_samples,
     scan_worst_configuration,
 )
 
@@ -868,6 +869,35 @@ def test_naive_baseline_counts_each_spike_in_the_cell_that_holds_it(monkeypatch)
     assert evaluations == [(t,) for t in expected]
     # cell 1 reads -1.0 at its spike and 7.0 at 0.5, the top of its grid
     assert worst == 8.0
+
+
+@pytest.mark.parametrize("spiked", [False, True], ids=["plain", "spiked"])
+@pytest.mark.parametrize("k", [3, 7, 10])
+def test_naive_baseline_matches_a_per_cell_linspace_loop(monkeypatch, k, spiked):
+    # cells whose widths differ by rounding each take their own offset
+    # column, and every cell's points and the worst swing are those of a
+    # per-cell loop over numpy.linspace's samples, bit for bit
+    partition = equal_partition_1d(k)
+    assert len(set(partition.measures)) > 1
+    spikes = (((1 / 3,), 1e3), ((0.5,), -2e3), ((1.0,), 5e2)) if spiked else ()
+    f = FunctionModel(Quadratic(0.1, (-0.7,), (0.9,)), spikes)
+    worst, expected = 0.0, []
+    for (lo,), (hi,) in ((c.lower, c.upper) for c in partition.cells):
+        ts = linspace_samples(lo, hi, NAIVE_RESOLUTION) + [
+            t for (t,), _ in spikes if lo <= t and (t < hi or t == hi == 1.0)]
+        values = [f.evaluate((t,)) for t in ts]
+        worst = max(worst, max(values) - min(values))
+        expected += [(t,) for t in ts]
+    evaluations = []
+    real_evaluate = FunctionModel.evaluate
+
+    def counting_evaluate(self, point, *, normal=False):
+        evaluations.append(point)
+        return real_evaluate(self, point, normal=normal)
+
+    monkeypatch.setattr(FunctionModel, "evaluate", counting_evaluate)
+    assert naive_pointwise_s(f, partition).hex() == worst.hex()
+    assert [t.hex() for (t,) in evaluations] == [t.hex() for (t,) in expected]
 
 
 @pytest.mark.parametrize("k, points", [(1, 10_001), (2, 1001), (3, 101), (4, 31)])

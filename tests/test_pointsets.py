@@ -315,6 +315,31 @@ def test_seeded_placement_redraws_avoided_first_tries(dimension):
         assert is_uniform(nodes, p)
 
 
+@pytest.mark.parametrize("partition, n_points", [
+    (equal_partition_1d(7), 7),
+    (equal_partition_1d(7), 21),
+    (_guillotine([1] * 5, 1), 5),
+    (_guillotine([2, 1, 3, 1, 2], 1), 9),
+    (_guillotine([1] * 6, 2), 6),
+    (_guillotine([2, 1, 3, 1, 2], 2), 18),
+], ids=["1d-one", "1d-three", "1d-cut-one", "1d-cut-several", "2d-one", "2d-several"])
+def test_seeded_placement_without_vetoes_matches_a_veto_that_misses(partition, n_points):
+    # an empty veto skips the veto test, and a 1-D layout takes its widths
+    # from the measures; neither moves a bit of what a veto missing every
+    # node gives, which pays for the test
+    counts = allocation(partition, n_points)
+    misses = [(0.0625,) * partition.space.dimension, (1.0,) * partition.space.dimension]
+    for seed in range(51):
+        free = construct_uniform(partition, n_points, STRATEGY_RANDOM, seed=seed,
+                                 avoid_points=())
+        vetoed = construct_uniform(partition, n_points, STRATEGY_RANDOM, seed=seed,
+                                   avoid_points=misses)
+        assert not set(vetoed.nodes) & set(misses)
+        assert _as_hex(free.nodes) == _as_hex(vetoed.nodes)
+        assert _as_hex(free.nodes) == _as_hex(
+            sequential_seeded_placement(partition.cells, counts, seed))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_seeded_placement_in_cells_one_ulp_wide(seed):
     # lo + ulp * r rounds up onto the open face about half the time
