@@ -45,7 +45,7 @@ def qmc_estimate(f: FunctionModel, pointset, *, normal: bool = False) -> float:
         raise ValueError("cannot average over an empty point set")
     n = len(nodes)
     evaluate = f.evaluate
-    values = [evaluate(node, normal=normal) for node in nodes]
+    values = [evaluate(node, normal) for node in nodes]
     try:
         return math.fsum(values) / n
     except OverflowError:  # intermediate overflow in fsum

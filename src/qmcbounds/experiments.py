@@ -135,7 +135,7 @@ def naive_pointwise_s(f: FunctionModel, partition: Partition) -> float:
         ts = _shifted(column, lo, hi)
         # the spikes the cell holds: half-open, closed at 1.0
         ts.extend(t for t in spikes if lo <= t and (t < hi or t == hi == 1.0))
-        values = [evaluate(point, normal=True) for point in zip(ts)]  # the points (t,)
+        values = [evaluate(point, True) for point in zip(ts)]  # the points (t,)
         worst = max(worst, max(values) - min(values))
     return worst
 

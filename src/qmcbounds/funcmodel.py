@@ -539,7 +539,7 @@ class PiecewiseConstant:
     def evaluate(self, point) -> float:
         # The point arrives normalized by FunctionModel's domain, which is
         # this partition's space, so the lookup takes it as it is.
-        j = self.partition.cell_index_of(point, normal=True)
+        j = self.partition.cell_index_of(point, True)
         if j is None:
             raise OutOfDomainError(f"point {point!r} lies in no cell of the piece layout")
         return self.values[j]
@@ -672,12 +672,12 @@ class FunctionModel:
     def dimension(self) -> int | None:
         return self.base.dimension
 
-    def evaluate(self, point, *, normal: bool = False) -> float:
+    def evaluate(self, point, normal: bool = False) -> float:
         """Pointwise value; spike overrides win on exact coordinate match.
 
-        The model's domain normalises the point, unless ``normal`` says
-        that it already is in that normal form, as a node the library
-        built is; then nothing is checked.
+        The domain normalises the point unless ``normal`` says it is
+        normal already, as a library-built node is.  Library loops pass
+        the flag by position: CPython inlines no call with a keyword.
         """
         if not normal:
             point = self._domain.as_point(point)
@@ -724,7 +724,7 @@ class FunctionModel:
         """The model's value at every atom of the finite space, one
         evaluate call each, once ``_require_on`` accepts the space."""
         self._require_on(space)
-        return [self.evaluate(a, normal=True) for a in range(space.n_atoms)]
+        return [self.evaluate(a, True) for a in range(space.n_atoms)]
 
     def integral(self, space: Space) -> float:
         """Integral over the whole space; spikes are null and ignored."""

@@ -284,16 +284,15 @@ def is_uniform(pointset, partition: Partition, *, normal: bool = False) -> Unifo
     """Count nodes per cell and compare with the exact products N * measure.
 
     Nodes must lie in the space (error otherwise); a node in no cell is
-    counted nowhere and shows up as a shortfall.  ``normal`` is passed on
-    to every ``partition.cell_index_of``: it says that the nodes already
-    are in the space's normal form, so none is checked.
+    counted nowhere and shows up as a shortfall.  ``normal=True`` says
+    the nodes are in the space's normal form, so none is checked.
     """
     nodes = _as_nodes(pointset)
     n = len(nodes)
     counts = [0] * partition.k
     lookup = partition.cell_index_of
     for node in nodes:
-        j = lookup(node, normal=normal)
+        j = lookup(node, normal)
         if j is not None:
             counts[j] += 1
     expected = [n * m for m in partition.measures]

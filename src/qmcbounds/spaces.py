@@ -336,16 +336,17 @@ class Partition:
     def k(self) -> int:
         return len(self.cells)
 
-    def cell_index_of(self, point, *, normal: bool = False) -> int | None:
+    def cell_index_of(self, point, normal: bool = False) -> int | None:
         """Index of the cell containing the point, None if no cell does.
 
-        The space normalises the point once, unless ``normal`` says that
-        it already did, as for a point that a function model evaluates.
-        An atom's cell is read from the finite index.  A cube point is
-        found by one bisect per coordinate in the slab index.  Every slab
-        it passes through starts at or below the point, so the one cell
-        that leaves has the point past its lower faces, and only its upper
-        faces are tested, closed at 1.0, read from the edge lists; cells are
+        The space normalises the point unless ``normal`` says it did, as
+        for a point a model evaluates; library loops pass the flag by
+        position, as CPython inlines no call with a keyword.  An atom's
+        cell is read from the finite index.  A cube point is found by one
+        bisect per coordinate in the slab index.  Every slab it passes
+        through starts at or below the point, so the one cell that leaves
+        has the point past its lower faces, and only its upper faces are
+        tested, closed at 1.0, read from the edge lists; cells are
         disjoint as sets, so the answer is a scan's.  The test rejects
         points in gaps the cover tolerance lets through.  One and two axes
         take straight-line paths; three or more take a loop.

@@ -59,9 +59,9 @@ def test_qmc_estimate_whose_sum_overflows_evaluates_each_node_once(monkeypatch):
     calls = []
     real = FunctionModel.evaluate
 
-    def counting(self, point, **kwargs):
+    def counting(self, point, *args, **kwargs):
         calls.append(point)
-        return real(self, point, **kwargs)
+        return real(self, point, *args, **kwargs)
 
     monkeypatch.setattr(FunctionModel, "evaluate", counting)
     nodes = [((2 * i + 1) / 10,) for i in range(5)]

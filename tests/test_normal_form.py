@@ -12,6 +12,13 @@ set records that space as ``normal_on``, and only an equal space reads
 it so) and normalises each node of any other input once, the
 perturbation study normalises none of its nodes, and a model that does
 not match its partition fails as it did when every point was checked.
+
+``evaluate`` and ``cell_index_of`` run once per node, so every library
+loop passes them the flag positionally, ``evaluate(node, True)``, which
+CPython 3.11 and later inline, where a call with ``normal=True``, a
+keyword name, is not.  ``tests/per_node_calls.py`` runs each such loop
+under spies that refuse the keyword; the flag still means the same
+passed either way.
 """
 
 import itertools
@@ -47,6 +54,8 @@ from qmcbounds.experiments import named_function, naive_pointwise_s, perturb_tab
 from qmcbounds.funcmodel import FiniteTable
 from qmcbounds.pointsets import STRATEGIES, STRATEGY_RANDOM
 from qmcbounds.spaces import FiniteSpace
+
+from per_node_calls import checked_passes
 
 
 @st.composite
@@ -107,7 +116,7 @@ def test_naive_baseline_evaluates_only_normal_points(k, spikes):
     calls = []
     evaluate = FunctionModel.evaluate
 
-    def recording(self, point, *, normal=False):
+    def recording(self, point, normal=False):
         calls.append((point, normal))
         return evaluate(self, point, normal=normal)
 
@@ -327,3 +336,68 @@ def test_bound_report_reads_a_table_by_the_space_labels(labels, nodes, estimate)
     assert report.estimate == estimate
     assert report.error == abs(estimate - 2.75)
     assert report.error <= report.bounds.corollary2 == 0.5
+
+
+def test_library_loops_pass_the_flag_positionally():
+    for text, holds in checked_passes():
+        assert holds, text
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_evaluate_reads_the_flag_alike_by_position_and_by_keyword(name):
+    f = FAMILIES[name]
+    if f.is_finite:
+        points = [0, 1, 2]
+    else:
+        d = f.dimension
+        # each spike, then a zero of either sign on every axis
+        points = [p for p, _ in f.spikes] + [(-0.0,) * d, (0.0,) * d, (0.25, -0.0)[:d]]
+    for point in points:
+        flagged = f.evaluate(point, True)
+        assert flagged.hex() == f.evaluate(point, normal=True).hex() == f.evaluate(point).hex()
+    if f.spikes:
+        spike, value = f.spikes[0]
+        assert f.evaluate(spike, True) == value
+    # unflagged, a point is still normalised or refused
+    outside = 3 if f.is_finite else (1.5,) * f.dimension
+    for call in (lambda: f.evaluate(outside), lambda: f.evaluate(outside, False)):
+        with pytest.raises(OutOfDomainError):
+            call()
+    if f.is_finite:
+        assert f.evaluate("c") == f.evaluate(2, True) == -4.0
+    else:
+        loose = [0.25] * f.dimension
+        assert f.evaluate(loose).hex() == f.evaluate(tuple(loose), True).hex()
+
+
+_LOOKUPS = {
+    "line": (equal_partition_1d(4), [(0.0,), (-0.0,), (0.25,), (0.6,), (1.0,)],
+             [0.5, [0.75]], (1.5,)),
+    "plane": (_PLANE, [(0.0, 0.0), (-0.0, 0.5), (0.3, 0.49), (1.0, 1.0)],
+              [[0.5, 0.75], (1, 0)], (0.5, 1.5)),
+    "cube": (make_partition(make_cube_space(3), [
+        BoxCell((i / 2, j / 2, 0.0), ((i + 1) / 2, (j + 1) / 2, 1.0))
+        for i in range(2) for j in range(2)]),
+        [(0.0, 0.0, 0.0), (0.5, -0.0, 0.25), (0.75, 0.75, 1.0)],
+        [[0.25, 0.75, 0.5], (1, 1, 1)], (0.5, 0.5, -0.5)),
+    "atoms": (_ATOM_CELLS, [0, 1, 2], ["a", "c"], 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LOOKUPS))
+def test_cell_lookup_reads_the_flag_alike_by_position_and_by_keyword(name):
+    partition, normal, loose, outside = _LOOKUPS[name]
+    space = partition.space
+    for point in normal:
+        j = partition.cell_index_of(point)
+        assert j is not None
+        assert partition.cell_index_of(point, True) == partition.cell_index_of(
+            point, normal=True) == partition.cell_index_of(point, False) == j
+    # unflagged, a point is still normalised or refused
+    for point in loose:
+        assert partition.cell_index_of(point) == partition.cell_index_of(
+            space.as_point(point), True)
+    for call in (lambda: partition.cell_index_of(outside),
+                 lambda: partition.cell_index_of(outside, False)):
+        with pytest.raises(OutOfDomainError):
+            call()

@@ -808,7 +808,7 @@ def test_convergence_reads_each_range_once_and_allocates_once(monkeypatch):
         ranges.append(cell)
         return real_range(self, cell)
 
-    def counting_evaluate(self, point, *, normal=False):
+    def counting_evaluate(self, point, normal=False):
         evaluations.append(point)
         return real_evaluate(self, point, normal=normal)
 
@@ -833,7 +833,7 @@ def test_naive_baseline_evaluates_each_sample_once(monkeypatch):
     evaluations = []
     real_evaluate = FunctionModel.evaluate
 
-    def counting_evaluate(self, point, *, normal=False):
+    def counting_evaluate(self, point, normal=False):
         evaluations.append(point)
         return real_evaluate(self, point, normal=normal)
 
@@ -851,7 +851,7 @@ def test_naive_baseline_counts_each_spike_in_the_cell_that_holds_it(monkeypatch)
     evaluations = []
     real_evaluate = FunctionModel.evaluate
 
-    def counting_evaluate(self, point, *, normal=False):
+    def counting_evaluate(self, point, normal=False):
         evaluations.append(point)
         return real_evaluate(self, point, normal=normal)
 
@@ -891,7 +891,7 @@ def test_naive_baseline_matches_a_per_cell_linspace_loop(monkeypatch, k, spiked)
     evaluations = []
     real_evaluate = FunctionModel.evaluate
 
-    def counting_evaluate(self, point, *, normal=False):
+    def counting_evaluate(self, point, normal=False):
         evaluations.append(point)
         return real_evaluate(self, point, normal=normal)
 
@@ -949,9 +949,9 @@ def test_verify_integrates_each_cell_once_and_the_space_not_again(monkeypatch):
             return real(self, *args)
         return integrating
 
-    def evaluating(self, point, **kwargs):
+    def evaluating(self, point, *args, **kwargs):
         evaluated.append(point)
-        return real_evaluate(self, point, **kwargs)
+        return real_evaluate(self, point, *args, **kwargs)
 
     for name in ("integral", "cell_integral", "cell_integrals"):
         monkeypatch.setattr(FunctionModel, name, recording(name))
