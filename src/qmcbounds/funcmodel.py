@@ -677,7 +677,7 @@ class FunctionModel:
 
         The domain normalises the point unless ``normal`` says it is
         normal already, as a library-built node is.  Library loops pass
-        the flag by position: CPython inlines no call with a keyword.
+        the flag by position: CPython 3.11+ inlines no keyword call.
         """
         if not normal:
             point = self._domain.as_point(point)

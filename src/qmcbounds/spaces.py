@@ -341,7 +341,7 @@ class Partition:
 
         The space normalises the point unless ``normal`` says it did, as
         for a point a model evaluates; library loops pass the flag by
-        position, as CPython inlines no call with a keyword.  An atom's
+        position, as CPython 3.11+ inlines no keyword call.  An atom's
         cell is read from the finite index.  A cube point is found by one
         bisect per coordinate in the slab index.  Every slab it passes
         through starts at or below the point, so the one cell that leaves
